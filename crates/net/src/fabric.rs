@@ -166,6 +166,59 @@ struct ClientState {
     inorder: HashMap<ClientAddr, InOrderChannel>,
 }
 
+impl ClientState {
+    /// The empty state of a `kind` client: slices own a message FIFO.
+    fn new(kind: ClientKind) -> ClientState {
+        ClientState {
+            fifo: matches!(kind, ClientKind::Slice(_)).then(|| MsgFifo::new(FIFO_CAPACITY)),
+            ..ClientState::default()
+        }
+    }
+}
+
+/// The machine's per-client state, created the first time a client is
+/// mutated. An untouched client reads as the empty state: no memory
+/// cells, zero accumulators and counters, no watches, no FIFO traffic.
+/// A shard replica therefore only allocates state for the nodes whose
+/// events it runs.
+struct ClientTable {
+    /// Indexed `node*7 + client`; `None` until first mutation.
+    slots: Vec<Option<Box<ClientState>>>,
+}
+
+impl ClientTable {
+    fn new(nodes: usize) -> ClientTable {
+        ClientTable {
+            slots: std::iter::repeat_with(|| None).take(nodes * 7).collect(),
+        }
+    }
+
+    /// The client's state, if it was ever mutated.
+    fn get(&self, node: NodeId, client: ClientKind) -> Option<&ClientState> {
+        self.slots[client_index(node, client)].as_deref()
+    }
+
+    /// Mutable access to existing state only: for operations that are
+    /// no-ops on the empty state (takes, clears, resets).
+    fn get_mut(&mut self, node: NodeId, client: ClientKind) -> Option<&mut ClientState> {
+        self.slots[client_index(node, client)].as_deref_mut()
+    }
+
+    /// The client's state, created empty on first use.
+    fn entry(&mut self, node: NodeId, client: ClientKind) -> &mut ClientState {
+        self.slots[client_index(node, client)]
+            .get_or_insert_with(|| Box::new(ClientState::new(client)))
+    }
+
+    /// Every created client in `node*7 + client` order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, ClientKind, &ClientState)> {
+        self.slots.iter().enumerate().filter_map(|(ci, st)| {
+            let st = st.as_deref()?;
+            Some((NodeId((ci / 7) as u32), ClientKind::ALL[ci % 7], st))
+        })
+    }
+}
+
 /// Aggregate traffic statistics.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NetStats {
@@ -342,7 +395,7 @@ pub struct Fabric {
     core_busy: Vec<SimTime>,
     /// Per-node, per-pattern multicast forwarding tables.
     patterns: Vec<HashMap<PatternId, NodePatternEntry>>,
-    clients: Vec<ClientState>,
+    clients: ClientTable,
     /// Aggregate traffic statistics.
     pub stats: NetStats,
     /// Activity tracer (tracks 0–5 are the six link directions).
@@ -452,16 +505,6 @@ impl Fabric {
         recovery: RecoveryConfig,
     ) -> Fabric {
         let n = dims.node_count() as usize;
-        let mut clients: Vec<ClientState> = Vec::with_capacity(n * 7);
-        for _ in 0..n {
-            for kind in ClientKind::ALL {
-                let mut st = ClientState::default();
-                if matches!(kind, ClientKind::Slice(_)) {
-                    st.fifo = Some(MsgFifo::new(FIFO_CAPACITY));
-                }
-                clients.push(st);
-            }
-        }
         let mut tracer = Tracer::disabled();
         for (i, l) in LinkDir::ALL.iter().enumerate() {
             tracer.name_track(TrackId(i as u16), format!("{l} links"));
@@ -499,7 +542,7 @@ impl Fabric {
             inject_busy: vec![SimTime::ZERO; n * 7],
             core_busy: vec![SimTime::ZERO; n * 7],
             patterns: vec![HashMap::new(); n],
-            clients,
+            clients: ClientTable::new(n),
             stats: NetStats {
                 sent_by_node: vec![0; n],
                 delivered_by_node: vec![0; n],
@@ -1510,12 +1553,12 @@ impl Fabric {
             return;
         }
         if self.recovery.enabled {
-            let ci = client_index(node, client);
             // Exactly-once effect over at-least-once transport: the
             // counted-write check drops any copy whose (source node,
             // uid) was already applied — the ack-ambiguity fork, or a
             // re-injected original whose first copy made it through.
-            if !self.clients[ci].seen.insert((pkt.src.node, pkt.uid)) {
+            let st = self.clients.entry(node, client);
+            if !st.seen.insert((pkt.src.node, pkt.uid)) {
                 self.recovery_stats.duplicates_suppressed += 1;
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.on_duplicate_suppressed(PacketId(pkt.uid), node, now);
@@ -1527,7 +1570,7 @@ impl Fabric {
             // parking early arrivals until their predecessors land.
             if let (true, Some(seq)) = (pkt.in_order, pkt.order_seq) {
                 let src = pkt.src;
-                let chan = self.clients[ci].inorder.entry(src).or_default();
+                let chan = st.inorder.entry(src).or_default();
                 if seq > chan.next {
                     self.recovery_stats.inorder_holds += 1;
                     chan.held.insert(seq, pkt);
@@ -1538,7 +1581,9 @@ impl Fabric {
                 self.apply_delivery(pkt, node, client, now, sched);
                 // Drain consecutively-held successors at this instant.
                 loop {
-                    let chan = self.clients[ci]
+                    let chan = self
+                        .clients
+                        .entry(node, client)
                         .inorder
                         .get_mut(&src)
                         .expect("channel created above");
@@ -1573,13 +1618,15 @@ impl Fabric {
         if let Some(rec) = self.recorder.as_mut() {
             rec.on_deliver(PacketId(pkt.uid), node, client.index() as u8, now);
         }
-        let ci = client_index(node, client);
         let counter = pkt.counter;
         let pkt_src = pkt.src.node;
         let uid = pkt.uid;
         match pkt.kind {
             PacketKind::Write => {
-                self.clients[ci].mem.write(pkt.addr, pkt.payload);
+                self.clients
+                    .entry(node, client)
+                    .mem
+                    .write(pkt.addr, pkt.payload);
             }
             PacketKind::Accumulate => {
                 assert!(
@@ -1587,7 +1634,11 @@ impl Fabric {
                     "accumulate delivered to non-accumulation client"
                 );
                 match &pkt.payload {
-                    Payload::I32s(vs) => self.clients[ci].accum.accumulate(pkt.addr, vs),
+                    Payload::I32s(vs) => self
+                        .clients
+                        .entry(node, client)
+                        .accum
+                        .accumulate(pkt.addr, vs),
                     Payload::Empty => {}
                     _other => {
                         self.stats.delivery_errors += 1;
@@ -1597,14 +1648,15 @@ impl Fabric {
                 }
             }
             PacketKind::Fifo => {
-                let Some(fifo) = self.clients[ci].fifo.as_mut() else {
+                let st = self.clients.entry(node, client);
+                let Some(fifo) = st.fifo.as_mut() else {
                     self.stats.delivery_errors += 1;
                     self.record_error(FabricError::FifoToNonSlice { node, client });
                     return;
                 };
                 fifo.push(pkt);
-                if !self.clients[ci].fifo_service_pending {
-                    self.clients[ci].fifo_service_pending = true;
+                if !st.fifo_service_pending {
+                    st.fifo_service_pending = true;
                     sched.at(now, Ev::FifoService { node, client });
                 }
                 // FIFO messages never carry counters: synchronization of
@@ -1616,23 +1668,24 @@ impl Fabric {
         }
         let counter = match counter {
             Some(c) if c == COUNTER_BY_SOURCE => {
-                match self.clients[ci].source_counters.get(&pkt_src) {
-                    Some(&mapped) => Some(mapped),
-                    None => {
-                        // The write landed, but no counter can be bumped:
-                        // the program's buffer table is missing an entry.
-                        // The resulting stall is the watchdog's to report.
-                        self.stats.delivery_errors += 1;
-                        self.record_error(FabricError::MissingSourceCounter { node, src: pkt_src });
-                        None
-                    }
+                let mapped = self
+                    .clients
+                    .get(node, client)
+                    .and_then(|st| st.source_counters.get(&pkt_src).copied());
+                if mapped.is_none() {
+                    // The write landed, but no counter can be bumped:
+                    // the program's buffer table is missing an entry.
+                    // The resulting stall is the watchdog's to report.
+                    self.stats.delivery_errors += 1;
+                    self.record_error(FabricError::MissingSourceCounter { node, src: pkt_src });
                 }
+                mapped
             }
             other => other,
         };
         if let Some(cid) = counter {
             let mut fire_at = None;
-            if self.clients[ci].counters.increment(cid) {
+            if self.clients.entry(node, client).counters.increment(cid) {
                 // A watch fired. Slices and the HTIS poll their own
                 // counters locally (cost already inside deliver_poll);
                 // accumulation-memory counters are polled by a slice
@@ -1642,7 +1695,7 @@ impl Fabric {
                 // which is why bidirectional ping-pong runs slightly
                 // slower than unidirectional in Figure 5.
                 let visible = if matches!(client, ClientKind::Slice(_)) {
-                    now.max(self.core_busy[ci])
+                    now.max(self.core_busy[client_index(node, client)])
                 } else {
                     now
                 };
@@ -1697,12 +1750,13 @@ impl Fabric {
             return;
         }
         let done = now + SimDuration::from_ns_f64(self.timing.fifo_pop_ns);
-        let fifo = self.clients[ci].fifo.as_mut().expect("slice has a FIFO");
+        let st = self.clients.entry(node, client);
+        let fifo = st.fifo.as_mut().expect("slice has a FIFO");
         match fifo.pop() {
             Some(pkt) => {
                 self.core_busy[ci] = done;
                 let more = !fifo.is_empty();
-                self.clients[ci].fifo_service_pending = more;
+                st.fifo_service_pending = more;
                 sched.at(
                     done,
                     Ev::Prog {
@@ -1715,69 +1769,69 @@ impl Fabric {
                 }
             }
             None => {
-                self.clients[ci].fifo_service_pending = false;
+                st.fifo_service_pending = false;
             }
         }
     }
 
     // ----- client-state accessors used by node programs (via Ctx) -----
+    //
+    // Reads of a client that was never mutated answer from the empty
+    // state; operations that are no-ops on it (takes, clears, resets)
+    // create nothing.
 
     /// Read a client's local memory cell.
     pub fn mem_read(&self, addr: ClientAddr, a: u64) -> Option<&Payload> {
-        self.clients[client_index(addr.node, addr.client)]
-            .mem
-            .read(a)
+        self.clients.get(addr.node, addr.client)?.mem.read(a)
     }
 
     /// Take (consume) a client's local memory cell.
     pub fn mem_take(&mut self, addr: ClientAddr, a: u64) -> Option<Payload> {
-        self.clients[client_index(addr.node, addr.client)]
-            .mem
-            .take(a)
+        self.clients.get_mut(addr.node, addr.client)?.mem.take(a)
     }
 
     /// Write a client's local memory directly (software-local store, no
     /// network traffic).
     pub fn mem_write(&mut self, addr: ClientAddr, a: u64, p: Payload) {
-        self.clients[client_index(addr.node, addr.client)]
-            .mem
-            .write(a, p);
+        self.clients.entry(addr.node, addr.client).mem.write(a, p);
     }
 
     /// Drain a range of a client's local memory.
     pub fn mem_drain_range(&mut self, addr: ClientAddr, lo: u64, hi: u64) -> Vec<(u64, Payload)> {
-        self.clients[client_index(addr.node, addr.client)]
-            .mem
-            .drain_range(lo, hi)
+        self.clients
+            .get_mut(addr.node, addr.client)
+            .map(|st| st.mem.drain_range(lo, hi))
+            .unwrap_or_default()
     }
 
     /// Read `n` 4-byte words from an accumulation memory.
     pub fn accum_read(&self, addr: ClientAddr, a: u64, n: usize) -> Vec<i32> {
         assert!(matches!(addr.client, ClientKind::Accum(_)));
-        self.clients[client_index(addr.node, addr.client)]
-            .accum
-            .read(a, n)
+        match self.clients.get(addr.node, addr.client) {
+            Some(st) => st.accum.read(a, n),
+            None => AccumMemory::new().read(a, n),
+        }
     }
 
     /// Zero `n` words of an accumulation memory.
     pub fn accum_clear(&mut self, addr: ClientAddr, a: u64, n: usize) {
-        self.clients[client_index(addr.node, addr.client)]
-            .accum
-            .clear(a, n);
+        if let Some(st) = self.clients.get_mut(addr.node, addr.client) {
+            st.accum.clear(a, n);
+        }
     }
 
     /// Current value of a synchronization counter.
     pub fn counter_read(&self, addr: ClientAddr, id: CounterId) -> u64 {
-        self.clients[client_index(addr.node, addr.client)]
-            .counters
-            .read(id)
+        self.clients
+            .get(addr.node, addr.client)
+            .map_or(0, |st| st.counters.read(id))
     }
 
     /// Reset a counter to zero.
     pub fn counter_reset(&mut self, addr: ClientAddr, id: CounterId) {
-        self.clients[client_index(addr.node, addr.client)]
-            .counters
-            .reset(id);
+        if let Some(st) = self.clients.get_mut(addr.node, addr.client) {
+            st.counters.reset(id);
+        }
     }
 
     /// Register a watch; if the target is already met, the `CounterReached`
@@ -1791,7 +1845,9 @@ impl Fabric {
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        let already = self.clients[client_index(addr.node, addr.client)]
+        let already = self
+            .clients
+            .entry(addr.node, addr.client)
             .counters
             .watch(id, target);
         if already {
@@ -1818,7 +1874,10 @@ impl Fabric {
     /// counter (the simulation keeps running — a later arrival may still
     /// satisfy the watch).
     pub fn watchdog_check(&mut self, addr: ClientAddr, id: CounterId, target: u64, now: SimTime) {
-        let counters = &self.clients[client_index(addr.node, addr.client)].counters;
+        let Some(st) = self.clients.get(addr.node, addr.client) else {
+            return; // never mutated, so no watch
+        };
+        let counters = &st.counters;
         let current = counters.read(id);
         if counters.has_watch(id) && current < target {
             self.watchdog_reports.push(WatchdogReport {
@@ -1837,10 +1896,8 @@ impl Fabric {
     /// detector's evidence when a run drains without completing.
     pub fn stuck_watches(&self) -> Vec<(NodeId, ClientKind, CounterId, u64, u64)> {
         let mut out = Vec::new();
-        for (ci, st) in self.clients.iter().enumerate() {
+        for (node, client, st) in self.clients.iter() {
             for (id, target) in st.counters.pending_watches() {
-                let node = NodeId((ci / 7) as u32);
-                let client = ClientKind::ALL[ci % 7];
                 out.push((node, client, id, target, st.counters.read(id)));
             }
         }
@@ -1855,7 +1912,7 @@ impl Fabric {
         addr: ClientAddr,
         map: HashMap<anton_topo::NodeId, CounterId>,
     ) {
-        self.clients[client_index(addr.node, addr.client)].source_counters = map;
+        self.clients.entry(addr.node, addr.client).source_counters = map;
     }
 
     /// Mark the phase label applied to subsequently traced link activity
@@ -1879,7 +1936,7 @@ impl Fabric {
         let mut backpressure = 0u64;
         let mut incs = 0u64;
         let mut fires = 0u64;
-        for st in &self.clients {
+        for (_, _, st) in self.clients.iter() {
             if let Some(f) = &st.fifo {
                 hw = hw.max(f.high_watermark());
                 backpressure += f.backpressure_events();
@@ -1895,15 +1952,166 @@ impl Fabric {
 
     /// FIFO backpressure events observed so far on a slice (diagnostics).
     pub fn fifo_backpressure_events(&self, addr: ClientAddr) -> u64 {
-        self.clients[client_index(addr.node, addr.client)]
-            .fifo
-            .as_ref()
-            .map(|f| f.backpressure_events())
-            .unwrap_or(0)
+        self.clients
+            .get(addr.node, addr.client)
+            .and_then(|st| st.fifo.as_ref())
+            .map_or(0, |f| f.backpressure_events())
     }
 
     /// Coordinates helper.
     pub fn coord(&self, node: NodeId) -> Coord {
         node.coord(self.dims)
+    }
+
+    /// How many of `node`'s clients have had their state created.
+    #[cfg(test)]
+    fn clients_created_on(&self, node: NodeId) -> usize {
+        ClientKind::ALL
+            .into_iter()
+            .filter(|&k| self.clients.get(node, k).is_some())
+            .count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::par::{ParSimulation, ShardPlan};
+    use crate::world::{Ctx, NodeProgram, Simulation};
+
+    const C_EXCH: CounterId = CounterId(30);
+    const A_EXCH: u64 = 0x600;
+
+    fn slice0(node: NodeId) -> ClientAddr {
+        ClientAddr::new(node, ClientKind::Slice(0))
+    }
+
+    /// The MD neighbour exchange in miniature: each step every node
+    /// sends one counted write to each torus neighbour's slice 0, waits
+    /// for its own six, consumes them, computes, and repeats.
+    struct Exchange {
+        steps_left: u32,
+    }
+
+    impl Exchange {
+        fn start_step(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
+            let dims = ctx.dims();
+            ctx.watch_counter(slice0(node), C_EXCH, 6);
+            for (slot, link) in LinkDir::ALL.into_iter().enumerate() {
+                let peer = node.coord(dims).step(link, dims).node_id(dims);
+                let pkt = Packet::write(
+                    slice0(node),
+                    slice0(peer),
+                    A_EXCH + 8 * (slot as u64 ^ 1),
+                    Payload::F64s(vec![node.0 as f64]),
+                )
+                .with_payload_bytes(8)
+                .with_counter(C_EXCH);
+                ctx.send(pkt);
+            }
+        }
+    }
+
+    impl NodeProgram for Exchange {
+        fn on_event(&mut self, node: NodeId, pe: ProgEvent, ctx: &mut Ctx<'_, '_>) {
+            match pe {
+                ProgEvent::Start => self.start_step(node, ctx),
+                ProgEvent::CounterReached { .. } => {
+                    for slot in 0..6 {
+                        assert!(ctx.mem_take(slice0(node), A_EXCH + 8 * slot).is_some());
+                    }
+                    ctx.reset_counter(slice0(node), C_EXCH);
+                    ctx.set_timer(node, ClientKind::Slice(0), SimDuration::from_ns(250), 0);
+                }
+                ProgEvent::Timer { .. } => {
+                    self.steps_left -= 1;
+                    if self.steps_left > 0 {
+                        self.start_step(node, ctx);
+                    }
+                }
+                ProgEvent::FifoMessage { .. } => unreachable!("no FIFO traffic"),
+            }
+        }
+    }
+
+    fn exchange(_: NodeId) -> Exchange {
+        Exchange { steps_left: 3 }
+    }
+
+    #[test]
+    fn fresh_fabric_creates_no_client_state() {
+        let dims = TorusDims::new(4, 4, 4);
+        let f = Fabric::new(dims);
+        for i in 0..dims.node_count() {
+            assert_eq!(f.clients_created_on(NodeId(i)), 0, "node {i}");
+        }
+    }
+
+    #[test]
+    fn untouched_clients_read_as_empty() {
+        let mut f = Fabric::new(TorusDims::new(2, 2, 2));
+        let node = NodeId(3);
+        let slice = ClientAddr::new(node, ClientKind::Slice(1));
+        let accum = ClientAddr::new(node, ClientKind::Accum(0));
+        assert_eq!(f.mem_read(slice, 0x40), None);
+        assert_eq!(f.accum_read(accum, 0x40, 3), vec![0, 0, 0]);
+        assert_eq!(f.counter_read(slice, CounterId(5)), 0);
+        assert_eq!(f.fifo_backpressure_events(slice), 0);
+        assert!(f.stuck_watches().is_empty());
+        f.watchdog_check(slice, CounterId(5), 1, SimTime::ZERO);
+        assert!(f.watchdog_reports().is_empty());
+        let mut reg = MetricsRegistry::new();
+        f.export_metrics(&mut reg);
+        let snap = reg.snapshot();
+        for name in [
+            "mem.fifo_high_watermark",
+            "mem.fifo_backpressure_events",
+            "mem.counter_increments",
+            "mem.counter_watch_fires",
+        ] {
+            assert_eq!(snap.get(name), Some(0.0), "{name}");
+        }
+        // Operations that leave the empty state unchanged create nothing.
+        assert_eq!(f.mem_take(slice, 0x40), None);
+        assert!(f.mem_drain_range(slice, 0, u64::MAX).is_empty());
+        f.accum_clear(accum, 0x40, 3);
+        f.counter_reset(slice, CounterId(5));
+        assert_eq!(f.clients_created_on(node), 0);
+        // A mutation creates exactly the client it names.
+        f.mem_write(slice, 0x40, Payload::Token(7));
+        assert_eq!(f.mem_read(slice, 0x40), Some(&Payload::Token(7)));
+        assert_eq!(f.clients_created_on(node), 1);
+    }
+
+    #[test]
+    fn sharded_replicas_create_state_only_for_owned_nodes() {
+        let dims = TorusDims::new(4, 4, 4);
+        let mut sim =
+            ParSimulation::with_plan(2, ShardPlan::new(dims, 4), || Fabric::new(dims), exchange);
+        assert!(sim
+            .run_guarded(SimTime(u64::MAX / 2), 1_000_000)
+            .is_completed());
+        assert_eq!(sim.merged_stats().packets_delivered, 3 * 6 * 64);
+        for (shard, w) in sim.worlds().iter().enumerate() {
+            for i in 0..dims.node_count() {
+                let node = NodeId(i);
+                // The exchange touches slice 0 only.
+                let want = usize::from(w.owns(node));
+                assert_eq!(
+                    w.fabric.clients_created_on(node),
+                    want,
+                    "shard {shard} {node:?}"
+                );
+            }
+        }
+
+        // The sequential engine creates the same clients, all on one fabric.
+        let mut seq = Simulation::new(Fabric::new(dims), exchange);
+        assert!(seq
+            .run_guarded(SimTime(u64::MAX / 2), 1_000_000)
+            .is_completed());
+        for i in 0..dims.node_count() {
+            assert_eq!(seq.world.fabric.clients_created_on(NodeId(i)), 1);
+        }
     }
 }

@@ -26,15 +26,18 @@
 //!
 //! Each shard owns a **full fabric replica** built by the same
 //! constructor closure (identical dims, timing, fault plan, multicast
-//! tables) but is *authoritative only for its own nodes*: an event for
-//! node `n` executes exclusively on `n`'s owning shard, so each node's
-//! link/port/core/memory state is touched by exactly one replica, and a
-//! replica's non-owned state simply stays at its initial value. Per-link
-//! fault draws are keyed on per-link attempt sequence numbers, which
-//! advance only on the owning replica — so a sharded run draws the same
-//! faults the sequential run does. Statistics, recorded flight events,
-//! trace intervals, error logs, and watchdog reports are merged across
-//! replicas in deterministic shard order after the run.
+//! tables), called exactly once per shard, but is *authoritative only
+//! for its own nodes*: an event for node `n` executes exclusively on
+//! `n`'s owning shard, so each node's link/port/core/memory state is
+//! touched by exactly one replica, and a replica's non-owned state
+//! simply stays at its initial value. Client state (memories, counters,
+//! FIFOs) is created on first mutation, so a replica only allocates it
+//! for the nodes whose events it runs; untouched clients read as empty.
+//! Per-link fault draws are keyed on per-link attempt sequence numbers,
+//! which advance only on the owning replica — so a sharded run draws the
+//! same faults the sequential run does. Statistics, recorded flight
+//! events, trace intervals, error logs, and watchdog reports are merged
+//! across replicas in deterministic shard order after the run.
 //!
 //! Packet uids are node-scoped in this mode
 //! ([`Fabric::enable_node_scoped_uids`]): a uid must be derivable from
@@ -489,12 +492,13 @@ pub struct ParSimulation<P: NodeProgram> {
 }
 
 impl<P: NodeProgram + Send> ParSimulation<P> {
-    /// Build a sharded machine. `build_fabric` is called once per shard
-    /// and must construct *identical* fabrics (same dims, timing, fault
-    /// plan, and pre-registered multicast patterns — register patterns
-    /// inside the closure, not afterwards); `make` is called per shard
-    /// per node and must be a pure function of the node id. `threads`
-    /// picks the worker count (1 = sequential reference execution).
+    /// Build a sharded machine. `build_fabric` is called exactly once per
+    /// shard and must construct *identical* fabrics (same dims, timing,
+    /// fault plan, and pre-registered multicast patterns — register
+    /// patterns inside the closure, not afterwards); `make` is called per
+    /// shard per node and must be a pure function of the node id.
+    /// `threads` picks the worker count (1 = sequential reference
+    /// execution).
     ///
     /// Mid-run mutation of *other* nodes' fabric state through
     /// [`Ctx::fabric_mut`] (e.g. re-registering a multicast pattern
@@ -506,8 +510,9 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         mut build_fabric: impl FnMut() -> Fabric,
         make: impl FnMut(NodeId) -> P,
     ) -> ParSimulation<P> {
-        let plan = ShardPlan::auto(build_fabric().dims());
-        ParSimulation::with_plan(threads, plan, build_fabric, make)
+        let first = build_fabric();
+        let plan = ShardPlan::auto(first.dims());
+        ParSimulation::from_first_replica(threads, plan, first, build_fabric, make)
     }
 
     /// [`ParSimulation::new`] with an explicit [`ShardPlan`] instead of
@@ -518,19 +523,31 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         threads: usize,
         plan: ShardPlan,
         mut build_fabric: impl FnMut() -> Fabric,
+        make: impl FnMut(NodeId) -> P,
+    ) -> ParSimulation<P> {
+        let first = build_fabric();
+        ParSimulation::from_first_replica(threads, plan, first, build_fabric, make)
+    }
+
+    /// Shared constructor: `first` (already built, and read for dims and
+    /// timing) becomes shard 0's replica; `build_fabric` builds the rest.
+    fn from_first_replica(
+        threads: usize,
+        plan: ShardPlan,
+        first: Fabric,
+        mut build_fabric: impl FnMut() -> Fabric,
         mut make: impl FnMut(NodeId) -> P,
     ) -> ParSimulation<P> {
-        let probe = build_fabric();
-        let dims = probe.dims();
+        let dims = first.dims();
         assert_eq!(dims, plan.dims(), "shard plan built for different dims");
-        let map = EvShardMap::new(plan, probe.timing());
-        drop(probe);
+        let map = EvShardMap::new(plan, first.timing());
         let mut engine = ParEngine::new(map, threads);
         engine.set_lookahead_mode(lookahead_mode_from_env());
         let n = dims.node_count();
         let mut worlds = Vec::with_capacity(plan.shard_count());
+        let mut first = Some(first);
         for shard in 0..plan.shard_count() {
-            let mut fabric = build_fabric();
+            let mut fabric = first.take().unwrap_or_else(&mut build_fabric);
             assert_eq!(fabric.dims(), dims, "build_fabric must be deterministic");
             fabric.enable_node_scoped_uids();
             let programs = (0..n).map(|i| make(NodeId(i))).collect();

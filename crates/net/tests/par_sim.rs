@@ -147,6 +147,35 @@ fn par_matches_the_sequential_simulation() {
 }
 
 #[test]
+fn each_replica_is_built_once() {
+    let dims = TorusDims::new(4, 4, 4);
+    let mut calls = 0;
+    let sim = ParSimulation::new(
+        1,
+        || {
+            calls += 1;
+            build(dims)
+        },
+        make(1),
+    );
+    assert_eq!(calls, sim.plan().shard_count());
+
+    let mut calls = 0;
+    let plan = ShardPlan::new(dims, 2);
+    let sim = ParSimulation::with_plan(
+        1,
+        plan,
+        || {
+            calls += 1;
+            build(dims)
+        },
+        make(1),
+    );
+    assert_eq!(sim.worlds().len(), 2);
+    assert_eq!(calls, 2);
+}
+
+#[test]
 fn shard_plan_slabs_the_longest_axis() {
     let plan = ShardPlan::new(TorusDims::new(4, 4, 8), 8);
     assert_eq!(plan.shard_count(), 8);

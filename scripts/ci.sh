@@ -2,7 +2,7 @@
 # CI gates, split into stages so the PR fast-gate stays under ~10 min:
 #
 #   scripts/ci.sh fast     # fmt, build, tests, clippy, doc warnings
-#   scripts/ci.sh full     # smokes + determinism + bench drift gates
+#   scripts/ci.sh full     # smokes + determinism + bench drift gates + host benchmark smoke
 #   scripts/ci.sh nightly  # extended chaos sweep + 24^3 scale probe
 #   scripts/ci.sh          # fast + full (the complete tier-1 gate)
 #
@@ -150,6 +150,12 @@ full_gate() {
     echo "ci: LEDGER.json or specs/ drifted from the committed copies" >&2
     exit 1
   }
+
+  # Host-time benchmark smoke: its unit tests, then a quick run of every
+  # workload that fails on a fingerprint mismatch or a missing metric.
+  # No timing threshold: shared runners are too noisy for one.
+  cargo test --manifest-path benchmark/Cargo.toml
+  bash benchmark/run.sh --quick --check
 }
 
 nightly_gate() {
