@@ -2,22 +2,26 @@
 //! butterfly all-reduce across machine sizes, with the simulated
 //! latencies gated against the paper's bands.
 
-use anton_collectives::{random_inputs, run_all_reduce, Algorithm};
+use anton_collectives::{all_reduce, random_inputs, Algorithm, AllReduceOutcome};
+use anton_net::{FaultPlan, RunConfig};
 use anton_topo::TorusDims;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+/// A fault-free all-reduce at the default software costs.
+fn reduce(dims: TorusDims, algorithm: Algorithm, inputs: &[Vec<f64>]) -> AllReduceOutcome {
+    let (none, run) = (FaultPlan::none(), RunConfig::default());
+    all_reduce(dims, algorithm, Default::default(), inputs, none, &run)
+        .expect("fault-free all-reduce completes")
+        .0
+}
 
 fn bench(c: &mut Criterion) {
     // Correctness gates: the 512-node 32-byte reduction lands near the
     // paper's 1.77 µs, and dimension-ordered beats butterfly.
     let dims = TorusDims::anton_512();
     let inputs = random_inputs(dims, 4, 42);
-    let d = run_all_reduce(
-        dims,
-        Algorithm::DimensionOrdered,
-        Default::default(),
-        &inputs,
-    );
-    let b = run_all_reduce(dims, Algorithm::Butterfly, Default::default(), &inputs);
+    let d = reduce(dims, Algorithm::DimensionOrdered, &inputs);
+    let b = reduce(dims, Algorithm::Butterfly, &inputs);
     let us = d.latency.as_us_f64();
     assert!((1.2..2.3).contains(&us), "{us}");
     assert!(d.latency < b.latency);
@@ -30,21 +34,14 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("dimension_ordered", dims.node_count()),
             &inputs,
             |bch, inputs| {
-                bch.iter(|| {
-                    run_all_reduce(
-                        dims,
-                        Algorithm::DimensionOrdered,
-                        Default::default(),
-                        inputs,
-                    )
-                });
+                bch.iter(|| reduce(dims, Algorithm::DimensionOrdered, inputs));
             },
         );
         group.bench_with_input(
             BenchmarkId::new("butterfly", dims.node_count()),
             &inputs,
             |bch, inputs| {
-                bch.iter(|| run_all_reduce(dims, Algorithm::Butterfly, Default::default(), inputs));
+                bch.iter(|| reduce(dims, Algorithm::Butterfly, inputs));
             },
         );
     }

@@ -10,11 +10,11 @@
 //! - a 32-byte dimension-ordered all-reduce on 512 nodes (Table 2),
 //! - one full DHFR-like MD time step on a 4x4x4 machine.
 
-use anton_bench::one_way_latency_faulty;
-use anton_collectives::{random_inputs, run_all_reduce_faulty, Algorithm};
+use anton_bench::ping_pong;
+use anton_collectives::{all_reduce, random_inputs, Algorithm};
 use anton_core::{AntonConfig, AntonMdEngine};
 use anton_md::{MdParams, SystemBuilder};
-use anton_net::FaultPlan;
+use anton_net::{FaultPlan, RunConfig};
 use anton_topo::{Coord, TorusDims};
 
 const SEED: u64 = 2010;
@@ -47,7 +47,7 @@ fn main() {
     let mut base: Option<(f64, f64, f64)> = None;
     let mut prev_ping = 0.0;
     for rate in rates {
-        let ping = one_way_latency_faulty(
+        let ping = ping_pong(
             dims512,
             Coord::new(0, 0, 0),
             Coord::new(1, 0, 0),
@@ -55,14 +55,20 @@ fn main() {
             false,
             32,
             plan(rate),
-        );
-        let ar = run_all_reduce_faulty(
+            &RunConfig::default(),
+        )
+        .ok()
+        .map(|(latency, _)| latency);
+        let ar = all_reduce(
             dims512,
             Algorithm::DimensionOrdered,
             Default::default(),
             &ar_inputs,
             plan(rate),
-        );
+            &RunConfig::default(),
+        )
+        .ok()
+        .map(|(out, _)| out);
 
         let sys = SystemBuilder::dhfr_like().build();
         let mut md = MdParams::new(9.5, [32; 3]);

@@ -36,9 +36,10 @@
 //! - `ANTON_CHAOS_EXTENDED=1`: after the standard matrix, sweep 10
 //!   extra seeds per level and add a 4-thread bit-identity check.
 
-use anton_collectives::{random_inputs, run_all_reduce_recovering, run_all_reduce_recovering_par};
-use anton_collectives::{RecoveringOutcome, RecoveringParams};
-use anton_net::{chaos_level_from_env, chaos_seed_from_env};
+use anton_collectives::{
+    all_reduce_recovering, random_inputs, RecoveringOutcome, RecoveringParams,
+};
+use anton_net::{chaos_level_from_env, chaos_seed_from_env, RunConfig};
 use anton_obs::BenchReport;
 use anton_scenario::{presets, ScenarioSpec, Workload};
 
@@ -62,7 +63,6 @@ fn check_invariants(
     inputs: &[Vec<f64>],
     label: &str,
 ) -> f64 {
-    assert!(out.completed, "{label}: simulation wedged");
     let vlen = match &spec.workload {
         Workload::Recovering { vlen, .. } => *vlen as usize,
         _ => unreachable!("chaos cells are recovering specs"),
@@ -113,18 +113,30 @@ fn run_cell(seed: u64, level: usize, extended: bool) -> (ScenarioSpec, Recoverin
     let params = RecoveringParams::default();
     let label = format!("L{level}/seed{seed}");
 
-    let seq = run_all_reduce_recovering(dims, &inputs, fault.clone(), &deaths, recovery, params);
+    let run = |cfg: RunConfig| {
+        all_reduce_recovering(
+            dims,
+            &inputs,
+            fault.clone(),
+            &deaths,
+            recovery,
+            params,
+            &cfg,
+        )
+        .unwrap_or_else(|stall| panic!("{label}: simulation wedged:\n{stall}"))
+        .0
+    };
+    let seq = run(RunConfig::default());
     check_invariants(&spec, &seq, &inputs, &label);
 
-    let replay = run_all_reduce_recovering(dims, &inputs, fault.clone(), &deaths, recovery, params);
+    let replay = run(RunConfig::default());
     assert_eq!(
         seq.fingerprint(),
         replay.fingerprint(),
         "{label}: replay diverged"
     );
 
-    let par =
-        run_all_reduce_recovering_par(dims, &inputs, fault.clone(), &deaths, recovery, params, 2);
+    let par = run(RunConfig::sharded(2));
     assert_eq!(
         seq.fingerprint(),
         par.fingerprint(),
@@ -132,8 +144,7 @@ fn run_cell(seed: u64, level: usize, extended: bool) -> (ScenarioSpec, Recoverin
     );
 
     if extended {
-        let par4 =
-            run_all_reduce_recovering_par(dims, &inputs, fault, &deaths, recovery, params, 4);
+        let par4 = run(RunConfig::sharded(4));
         assert_eq!(
             seq.fingerprint(),
             par4.fingerprint(),

@@ -10,7 +10,7 @@ use anton_net::{
     ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
     Simulation, Timing,
 };
-use anton_obs::{validate_json, ChromeTraceBuilder, CongestionMap, FlightRecorder};
+use anton_obs::{validate_json, ChromeTraceBuilder, CongestionMap};
 use anton_topo::{LinkDir, NodeId, TorusDims};
 use std::rc::Rc;
 
@@ -73,8 +73,7 @@ fn main() {
 
     let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
     fabric.enable_tracing();
-    let rec = FlightRecorder::new().into_shared();
-    fabric.set_recorder(Box::new(rec.clone()));
+    fabric.attach_owned_flight_recorder();
     let p2 = plan.clone();
     let mut sim = Simulation::new(fabric, move |_| Shower { plan: p2.clone() });
     assert!(sim
@@ -84,7 +83,11 @@ fn main() {
 
     // ---- build the congestion map from the recorded lifecycles ----
     let bin = SimDuration::from_ns(50);
-    let rec = rec.borrow();
+    let rec = sim
+        .world
+        .fabric
+        .flight_recorder()
+        .expect("recorder attached");
     let map = CongestionMap::build(rec.events(), bin);
     println!(
         "{} links saw traffic over {} bins of {}; peak queue depth {}",

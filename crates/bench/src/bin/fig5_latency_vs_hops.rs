@@ -4,8 +4,10 @@
 //! (shortest-path routing along each dimension), exactly the paper's
 //! sweep.
 
-use anton_bench::one_way_latency;
+use anton_bench::ping_pong;
 use anton_bench::report::section;
+use anton_des::SimDuration;
+use anton_net::{FaultPlan, RunConfig};
 use anton_topo::{Coord, TorusDims};
 
 fn dest_for_hops(hops: u32) -> Coord {
@@ -13,6 +15,14 @@ fn dest_for_hops(hops: u32) -> Coord {
     let hy = hops.saturating_sub(4).min(4);
     let hz = hops.saturating_sub(8).min(4);
     Coord::new(hx, hy, hz)
+}
+
+/// Fault-free one-way latency over 8 round trips.
+fn one_way(dims: TorusDims, src: Coord, dst: Coord, payload: u32, bidir: bool) -> SimDuration {
+    let (none, run) = (FaultPlan::none(), RunConfig::default());
+    ping_pong(dims, src, dst, payload, bidir, 8, none, &run)
+        .expect("fault-free ping-pong completes")
+        .0
 }
 
 fn main() {
@@ -37,7 +47,7 @@ fn main() {
                     // over the on-chip ring.
                     anton_bench::one_way_latency_local(dims, src, payload, bidir, 8)
                 } else {
-                    one_way_latency(dims, src, dst, payload, bidir, 8)
+                    one_way(dims, src, dst, payload, bidir)
                 };
                 row.push(d.as_ns_f64());
             }
@@ -50,8 +60,8 @@ fn main() {
     println!();
     println!("paper anchors: 1 hop (X) = 162 ns; +76 ns/hop in X; +54 ns/hop in Y/Z;");
     println!("12 hops is the 8x8x8 diameter (~5x the single-hop latency).");
-    let d1 = one_way_latency(dims, src, Coord::new(1, 0, 0), 0, false, 8);
-    let d12 = one_way_latency(dims, src, Coord::new(4, 4, 4), 0, false, 8);
+    let d1 = one_way(dims, src, Coord::new(1, 0, 0), 0, false);
+    let d12 = one_way(dims, src, Coord::new(4, 4, 4), 0, false);
     println!(
         "measured: 1 hop = {:.0} ns, 12 hops = {:.0} ns (ratio {:.2})",
         d1.as_ns_f64(),

@@ -3,8 +3,9 @@
 //! packet lifecycles captured by the flight recorder, then cross-checked
 //! against the closed-form timing model.
 
-use anton_bench::microbench::one_way_latency_timed;
+use anton_bench::microbench::ping_pong;
 use anton_bench::report::section;
+use anton_net::{FaultPlan, ObsMode, RunConfig};
 use anton_obs::{fold_lifecycles, BreakdownSummary, Stage};
 use anton_scenario::{presets, Workload};
 use anton_topo::Coord;
@@ -30,17 +31,24 @@ fn main() {
     else {
         unreachable!("fig6_pingpong is a ping-pong spec");
     };
-    let (measured, rec) = one_way_latency_timed(
+    let recorded = RunConfig {
+        timing: t.clone(),
+        obs: ObsMode::Flight,
+        ..RunConfig::default()
+    };
+    let (measured, observed) = ping_pong(
         spec.torus_dims(),
         Coord::new(from.0, from.1, from.2),
         Coord::new(to.0, to.1, to.2),
         payload_bytes,
         bidirectional,
         reps,
-        t.clone(),
-    );
-    let rec = rec.borrow();
-    let (lifecycles, fold) = fold_lifecycles(rec.events());
+        FaultPlan::none(),
+        &recorded,
+    )
+    .expect("fault-free ping-pong completes");
+    let flight = observed.flight.expect("flight recorded");
+    let (lifecycles, fold) = fold_lifecycles(flight.iter());
     let summary = BreakdownSummary::from_lifecycles(&lifecycles);
 
     // The paper's six rows, folded into the recorder's five stages.

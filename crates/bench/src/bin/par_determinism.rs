@@ -2,21 +2,25 @@
 //!
 //! Runs a fixed workload mix — an 8×8×8 dimension-ordered all-reduce,
 //! an MD neighbor-exchange skeleton, and a flight-recorded token relay —
-//! on the sharded parallel simulation with `ANTON_THREADS` workers, and
-//! writes an FNV-1a fingerprint of every observable (latencies, bitwise
-//! results, merged statistics, and the merged flight-event trace) to
+//! on the sharded parallel simulation with `ANTON_THREADS` workers and
+//! the `ANTON_LOOKAHEAD` window-bound mode, and writes an FNV-1a
+//! fingerprint of every observable (latencies, bitwise results, merged
+//! statistics, and the merged flight-event trace) to
 //! `target/obs/par_fingerprint.txt`.
 //!
 //! The file's content is a pure function of the *simulation*, never of
-//! the thread count: CI runs this binary under `ANTON_THREADS=1` and
-//! `ANTON_THREADS=4` and fails on any byte of difference.
+//! the thread count or the window mode: CI runs this binary under
+//! `ANTON_THREADS=1`, `ANTON_THREADS=4`, and `ANTON_THREADS=4
+//! ANTON_LOOKAHEAD=global` and fails on any byte of difference. The
+//! stdout line names the mode the runs used, so CI can check the knob
+//! reached them.
 
-use anton_collectives::{random_inputs, run_all_reduce_par, Algorithm};
-use anton_core::{run_md_exchange_par, MdExchangeParams};
+use anton_collectives::{all_reduce, random_inputs, Algorithm};
+use anton_core::{md_exchange, MdExchangeParams};
 use anton_des::SimTime;
 use anton_net::{
-    threads_from_env, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram,
-    Packet, ParSimulation, Payload, ProgEvent,
+    lookahead_mode_from_env, threads_from_env, ClientAddr, ClientKind, CounterId, Ctx, Fabric,
+    FaultPlan, NodeProgram, Packet, ParSimulation, Payload, ProgEvent, RunConfig,
 };
 use anton_obs::Fingerprint;
 use anton_topo::{NodeId, TorusDims};
@@ -65,32 +69,40 @@ impl NodeProgram for Relay {
 
 fn main() {
     let threads = threads_from_env();
+    let lookahead = lookahead_mode_from_env();
+    let cfg = RunConfig {
+        lookahead,
+        ..RunConfig::sharded(threads)
+    };
     let mut fp = Fingerprint::new();
 
     // 1. All-reduce on the speedup-bench machine.
     let dims = TorusDims::new(8, 8, 8);
     let inputs = random_inputs(dims, 4, 42);
-    let out = run_all_reduce_par(
+    let (out, _) = all_reduce(
         dims,
         Algorithm::DimensionOrdered,
         Default::default(),
         &inputs,
-        threads,
-    );
+        FaultPlan::none(),
+        &cfg,
+    )
+    .expect("fault-free all-reduce completes");
     fp.update(&out.latency);
     fp.update(&out.results);
     fp.update(&out.packets_sent);
     fp.update(&out.link_traversals);
 
     // 2. MD neighbor-exchange skeleton.
-    let md = run_md_exchange_par(
+    let (md, _) = md_exchange(
         TorusDims::new(4, 4, 4),
         MdExchangeParams {
             steps: 5,
             ..Default::default()
         },
-        threads,
-    );
+        &cfg,
+    )
+    .expect("exchange completes");
     fp.update(&md.makespan);
     fp.update(&md.checksums);
     fp.update(&md.stats);
@@ -103,6 +115,7 @@ fn main() {
         move || Fabric::with_faults(rdims, anton_net::Timing::default(), FaultPlan::none()),
         |_| Relay { left: 3 },
     );
+    sim.set_lookahead_mode(lookahead);
     sim.attach_flight_recorders();
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
@@ -115,13 +128,13 @@ fn main() {
 
     let hex = fp.hex();
     std::fs::create_dir_all("target/obs").expect("create target/obs");
-    // No thread count in the file: its bytes must be identical at every
-    // ANTON_THREADS setting.
+    // No thread count or window mode in the file: its bytes must be
+    // identical at every ANTON_THREADS and ANTON_LOOKAHEAD setting.
     let content = format!(
         "workloads: allreduce-8x8x8-dimord, md-exchange-4x4x4, relay-4x4x4-recorded\n\
          fingerprint: {hex}\n"
     );
     std::fs::write("target/obs/par_fingerprint.txt", &content)
         .expect("write target/obs/par_fingerprint.txt");
-    println!("par_determinism: threads={threads} fingerprint={hex}");
+    println!("par_determinism: threads={threads} lookahead={lookahead} fingerprint={hex}");
 }

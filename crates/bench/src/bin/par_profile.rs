@@ -22,11 +22,10 @@
 //! Wall-clock numbers are printed but never written to the report: only
 //! event-level metrics, which are thread-count-invariant, are committed.
 
-use anton_collectives::{
-    random_inputs, run_all_reduce_par, run_all_reduce_par_profiled, Algorithm,
-};
-use anton_core::{run_md_exchange_par, run_md_exchange_par_profiled, MdExchangeParams};
+use anton_collectives::{all_reduce, random_inputs, Algorithm, AllReduceOutcome};
+use anton_core::{md_exchange, MdExchangeOutcome, MdExchangeParams};
 use anton_des::ParProfile;
+use anton_net::{FaultPlan, RunConfig};
 use anton_obs::runtime::{profile_chrome_trace, RuntimeSummary, SpeedupAttribution};
 use anton_obs::{validate_json, BenchReport, Fingerprint};
 use anton_topo::TorusDims;
@@ -46,7 +45,34 @@ fn md_params() -> MdExchangeParams {
     }
 }
 
-fn md_fingerprint(out: &anton_core::MdExchangeOutcome) -> String {
+/// The MD workload; the profile is `Some` exactly when profiled.
+fn md(threads: usize, profile: bool) -> (MdExchangeOutcome, Option<ParProfile>) {
+    let cfg = RunConfig {
+        profile,
+        ..RunConfig::sharded(threads)
+    };
+    let (out, observed) = md_exchange(dims(), md_params(), &cfg).expect("exchange completes");
+    (out, observed.profile)
+}
+
+/// The all-reduce workload; the profile is `Some` exactly when profiled.
+fn allreduce(
+    inputs: &[Vec<f64>],
+    threads: usize,
+    profile: bool,
+) -> (AllReduceOutcome, Option<ParProfile>) {
+    let cfg = RunConfig {
+        profile,
+        ..RunConfig::sharded(threads)
+    };
+    let algorithm = Algorithm::DimensionOrdered;
+    let none = FaultPlan::none();
+    let (out, observed) = all_reduce(dims(), algorithm, Default::default(), inputs, none, &cfg)
+        .expect("fault-free all-reduce completes");
+    (out, observed.profile)
+}
+
+fn md_fingerprint(out: &MdExchangeOutcome) -> String {
     let mut fp = Fingerprint::new();
     fp.update(&out.makespan);
     fp.update(&out.checksums);
@@ -55,7 +81,7 @@ fn md_fingerprint(out: &anton_core::MdExchangeOutcome) -> String {
     fp.hex()
 }
 
-fn ar_fingerprint(out: &anton_collectives::AllReduceOutcome) -> String {
+fn ar_fingerprint(out: &AllReduceOutcome) -> String {
     let mut fp = Fingerprint::new();
     fp.update(&out.latency);
     fp.update(&out.results);
@@ -84,9 +110,10 @@ fn main() {
     );
 
     // --- Profiling must not change the simulation (fingerprints). -----
-    let plain = run_md_exchange_par(dims(), md_params(), PAR_THREADS);
-    let (seq_out, seq_prof) = run_md_exchange_par_profiled(dims(), md_params(), 1);
-    let (par_out, par_prof) = run_md_exchange_par_profiled(dims(), md_params(), PAR_THREADS);
+    let (plain, _) = md(PAR_THREADS, false);
+    let (seq_out, seq_prof) = md(1, true);
+    let (par_out, par_prof) = md(PAR_THREADS, true);
+    let (seq_prof, par_prof) = (seq_prof.expect("profiled"), par_prof.expect("profiled"));
     let fp_plain = md_fingerprint(&plain);
     let fp_seq = md_fingerprint(&seq_out);
     let fp_par = md_fingerprint(&par_out);
@@ -118,11 +145,7 @@ fn main() {
         (0..2)
             .map(|_| {
                 let t = Instant::now();
-                if profiled {
-                    let _ = run_md_exchange_par_profiled(dims(), md_params(), 1);
-                } else {
-                    let _ = run_md_exchange_par(dims(), md_params(), 1);
-                }
+                let _ = md(1, profiled);
                 t.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min)
@@ -140,26 +163,12 @@ fn main() {
 
     // --- All-reduce workload: summary + fingerprint cross-check. ------
     let inputs = random_inputs(dims(), 4, 42);
-    let ar_plain = run_all_reduce_par(
-        dims(),
-        Algorithm::DimensionOrdered,
-        Default::default(),
-        &inputs,
-        PAR_THREADS,
-    );
-    let (ar_seq, ar_seq_prof) = run_all_reduce_par_profiled(
-        dims(),
-        Algorithm::DimensionOrdered,
-        Default::default(),
-        &inputs,
-        1,
-    );
-    let (ar_par, ar_par_prof) = run_all_reduce_par_profiled(
-        dims(),
-        Algorithm::DimensionOrdered,
-        Default::default(),
-        &inputs,
-        PAR_THREADS,
+    let (ar_plain, _) = allreduce(&inputs, PAR_THREADS, false);
+    let (ar_seq, ar_seq_prof) = allreduce(&inputs, 1, true);
+    let (ar_par, ar_par_prof) = allreduce(&inputs, PAR_THREADS, true);
+    let (ar_seq_prof, ar_par_prof) = (
+        ar_seq_prof.expect("profiled"),
+        ar_par_prof.expect("profiled"),
     );
     assert_eq!(
         ar_fingerprint(&ar_plain),

@@ -29,11 +29,10 @@
 //! containers with small CPU quotas don't flake.
 
 use anton_bench::scenario::md_fingerprint;
-use anton_collectives::{random_inputs, run_all_reduce_par, AllReduceOutcome};
-use anton_core::{
-    run_md_exchange, run_md_exchange_par, run_md_exchange_par_mode_profiled, MdExchangeOutcome,
-};
+use anton_collectives::{all_reduce, random_inputs, AllReduceOutcome};
+use anton_core::{md_exchange, MdExchangeOutcome};
 use anton_des::{LookaheadMode, ParProfile};
+use anton_net::{FaultPlan, RunConfig};
 use anton_obs::{BenchReport, Fingerprint, RuntimeSummary};
 use anton_scenario::{presets, ScenarioSpec, Workload};
 use std::time::Instant;
@@ -57,22 +56,27 @@ fn run_workload(threads: usize, ar: &ScenarioSpec, md_spec: &ScenarioSpec) -> Ru
         unreachable!("allreduce_888 is an all-reduce spec");
     };
     let inputs = random_inputs(ar.torus_dims(), *vlen as usize, *seed);
+    let cfg = RunConfig::sharded(threads);
     let start = Instant::now();
     let mut allreduce = None;
     for _ in 0..*reps {
-        allreduce = Some(run_all_reduce_par(
+        let (out, _) = all_reduce(
             ar.torus_dims(),
             algorithm.algorithm(),
             Default::default(),
             &inputs,
-            threads,
-        ));
+            FaultPlan::none(),
+            &cfg,
+        )
+        .expect("fault-free all-reduce completes");
+        allreduce = Some(out);
     }
-    let md = run_md_exchange_par(
+    let (md, _) = md_exchange(
         md_spec.torus_dims(),
         md_spec.md_params().expect("md spec"),
-        threads,
-    );
+        &cfg,
+    )
+    .expect("exchange completes");
     let wall_s = start.elapsed().as_secs_f64();
     let allreduce = allreduce.expect("at least one rep");
 
@@ -114,7 +118,7 @@ fn run_mode_comparison(
 ) -> (Vec<ModeRun>, ParProfile, ParProfile) {
     let dims = spec.torus_dims();
     let params = spec.md_params().expect("md spec");
-    let seq = run_md_exchange(dims, params);
+    let (seq, _) = md_exchange(dims, params, &RunConfig::default()).expect("exchange completes");
     let seq_fp = md_fingerprint(&seq);
     println!(
         "\npar_speedup: adaptive vs global lookahead, {}-step {label} MD exchange \
@@ -130,9 +134,15 @@ fn run_mode_comparison(
     let mut runs = Vec::new();
     for &threads in &[1usize, 2, 4, 8] {
         for mode in [LookaheadMode::Global, LookaheadMode::Adaptive] {
+            let cfg = RunConfig {
+                lookahead: mode,
+                profile: true,
+                ..RunConfig::sharded(threads)
+            };
             let start = Instant::now();
-            let (out, profile) = run_md_exchange_par_mode_profiled(dims, params, threads, mode);
+            let (out, observed) = md_exchange(dims, params, &cfg).expect("exchange completes");
             let wall_s = start.elapsed().as_secs_f64();
+            let profile = observed.profile.expect("profiled");
             assert_eq!(
                 md_fingerprint(&out),
                 seq_fp,

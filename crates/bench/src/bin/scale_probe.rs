@@ -32,17 +32,16 @@
 //! is byte-identical in `--quick` and full modes) as a schema-v2
 //! [`BenchReport`] — the committed `BENCH_pr8.json`.
 
-use anton_core::{
-    run_md_exchange, run_md_exchange_recorded, run_md_exchange_streamed,
-    run_md_exchange_streamed_par, MdExchangeOutcome,
-};
+use anton_core::{md_exchange, MdExchangeOutcome, MdExchangeParams};
+use anton_net::{ObsMode, Observed, RunConfig};
 use anton_obs::stream::log2_bucket;
 use anton_obs::{
     fold_lifecycles, BenchReport, BreakdownSummary, ChromeTraceBuilder, ChromeTraceWriter,
     CongestionMap, Direction, LifecycleCsvWriter, MemReport, MetricsRegistry, MetricsSnapshot,
-    PacketLifecycle, StreamConfig, StreamSummary,
+    PacketLifecycle, StreamSummary,
 };
 use anton_scenario::{presets, ScenarioSpec};
+use anton_topo::TorusDims;
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -56,6 +55,23 @@ const APPROX_BUDGET_BYTES_PER_NODE: u64 = 4 * 1024;
 /// checked when the instrumented allocator is installed).
 const ALLOC_BUDGET_BYTES_PER_NODE: i64 = 16 * 1024;
 
+/// The MD exchange under observer `obs`: on the sequential engine for
+/// one thread, else on the sharded engine.
+fn run(
+    dims: TorusDims,
+    params: MdExchangeParams,
+    obs: ObsMode,
+    threads: usize,
+) -> (MdExchangeOutcome, Observed) {
+    let engine = if threads == 1 {
+        RunConfig::default()
+    } else {
+        RunConfig::sharded(threads)
+    };
+    let cfg = RunConfig { obs, ..engine };
+    md_exchange(dims, params, &cfg).expect("exchange completes")
+}
+
 /// One scale probe: run the spec's MD exchange streamed, check
 /// budgets, return the sections. The spec is one of the committed
 /// `scale_md_*` scenarios, so its hash names this exact probe.
@@ -67,7 +83,8 @@ fn scale_run(
     let params = spec.md_params().expect("scale presets are MD specs");
     let nodes = dims.node_count() as u64;
     anton_obs::memory::reset_peaks();
-    let (out, summary, footprint) = run_md_exchange_streamed(dims, params, StreamConfig::default());
+    let (out, observed) = run(dims, params, ObsMode::Stream, 1);
+    let (summary, footprint) = observed.stream.expect("stream observed");
     let mem = MemReport::capture();
 
     let per_node = footprint.peak_bytes / nodes;
@@ -126,10 +143,11 @@ fn reference_checks(report: &mut BenchReport) -> (StreamSummary, MetricsSnapshot
     let dims = spec.torus_dims();
     let params = spec.md_params().expect("scale presets are MD specs");
     let nodes = dims.node_count() as u64;
-    let plain = run_md_exchange(dims, params);
-    let (rec_out, events) = run_md_exchange_recorded(dims, params);
-    let (str_out, summary, footprint) =
-        run_md_exchange_streamed(dims, params, StreamConfig::default());
+    let (plain, _) = run(dims, params, ObsMode::Off, 1);
+    let (rec_out, observed) = run(dims, params, ObsMode::Flight, 1);
+    let events = observed.flight.expect("flight recorded");
+    let (str_out, observed) = run(dims, params, ObsMode::Stream, 1);
+    let (summary, footprint) = observed.stream.expect("stream observed");
 
     // Zero observer effect: recording modes never move the simulation.
     for (mode, out) in [("flight", &rec_out), ("stream", &str_out)] {
@@ -176,8 +194,8 @@ fn reference_checks(report: &mut BenchReport) -> (StreamSummary, MetricsSnapshot
 
     // Shard-merged summaries are bit-identical to the sequential one.
     for threads in [2, 4] {
-        let (_, par_summary) =
-            run_md_exchange_streamed_par(dims, params, threads, StreamConfig::default());
+        let (_, observed) = run(dims, params, ObsMode::Stream, threads);
+        let (par_summary, _) = observed.stream.expect("stream observed");
         assert_eq!(
             par_summary, summary,
             "{threads}-thread merge is bit-identical"

@@ -3,13 +3,25 @@
 //! machine.
 
 use anton_baseline::{ANTON_LATENCY_US, LATENCY_SURVEY};
-use anton_bench::one_way_latency;
+use anton_bench::ping_pong;
 use anton_bench::report::section;
+use anton_net::{FaultPlan, RunConfig};
 use anton_topo::{Coord, TorusDims};
 
 fn main() {
     let dims = TorusDims::anton_512();
-    let measured = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 8);
+    let measured = ping_pong(
+        dims,
+        Coord::new(0, 0, 0),
+        Coord::new(1, 0, 0),
+        0,
+        false,
+        8,
+        FaultPlan::none(),
+        &RunConfig::default(),
+    )
+    .expect("fault-free ping-pong completes")
+    .0;
     let measured_us = measured.as_us_f64();
 
     section("Table 1: published software-to-software ping-pong latencies");

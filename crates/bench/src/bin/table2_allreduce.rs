@@ -5,8 +5,17 @@
 
 use anton_baseline::{BGL_TREE_ALLREDUCE_512_US, MEASURED_IB_ALLREDUCE_512_US, PAPER_TABLE2};
 use anton_bench::report::{rel, section};
-use anton_collectives::{random_inputs, run_all_reduce, Algorithm};
+use anton_collectives::{all_reduce, random_inputs, Algorithm, AllReduceOutcome};
+use anton_net::{FaultPlan, RunConfig};
 use anton_topo::TorusDims;
+
+/// A fault-free all-reduce at the default software costs.
+fn reduce(dims: TorusDims, algorithm: Algorithm, inputs: &[Vec<f64>]) -> AllReduceOutcome {
+    let (none, run) = (FaultPlan::none(), RunConfig::default());
+    all_reduce(dims, algorithm, Default::default(), inputs, none, &run)
+        .expect("fault-free all-reduce completes")
+        .0
+}
 
 fn main() {
     section("Table 2: Anton global all-reduce times (us)");
@@ -17,16 +26,14 @@ fn main() {
     let mut sim_512_32 = 0.0;
     for &(nodes, (nx, ny, nz), paper0, paper32) in PAPER_TABLE2 {
         let dims = TorusDims::new(nx, ny, nz);
-        let barrier = run_all_reduce(
+        let barrier = reduce(
             dims,
             Algorithm::DimensionOrdered,
-            Default::default(),
             &vec![Vec::new(); dims.node_count() as usize],
         );
-        let reduce = run_all_reduce(
+        let reduce = reduce(
             dims,
             Algorithm::DimensionOrdered,
-            Default::default(),
             &random_inputs(dims, 4, 42),
         );
         let (b, r) = (barrier.latency.as_us_f64(), reduce.latency.as_us_f64());
@@ -56,13 +63,8 @@ fn main() {
     section("Algorithm ablation (512 nodes, 32 B)");
     let dims = TorusDims::anton_512();
     let inputs = random_inputs(dims, 4, 42);
-    let d = run_all_reduce(
-        dims,
-        Algorithm::DimensionOrdered,
-        Default::default(),
-        &inputs,
-    );
-    let b = run_all_reduce(dims, Algorithm::Butterfly, Default::default(), &inputs);
+    let d = reduce(dims, Algorithm::DimensionOrdered, &inputs);
+    let b = reduce(dims, Algorithm::Butterfly, &inputs);
     let dc = anton_collectives::dimension_ordered_cost(dims);
     let bc = anton_collectives::butterfly_cost(dims);
     println!(
@@ -77,7 +79,7 @@ fn main() {
         bc.rounds,
         bc.critical_hops
     );
-    let ring = run_all_reduce(dims, Algorithm::Ring, Default::default(), &inputs);
+    let ring = reduce(dims, Algorithm::Ring, &inputs);
     println!(
         "unidirectional ring: {:.2} us (2(P-1) = 1022 serialized hops — latency-bound)",
         ring.latency.as_us_f64()

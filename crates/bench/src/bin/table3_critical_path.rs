@@ -55,16 +55,14 @@ fn main() {
     // causal event graph; its critical path is the *measured* bound on
     // the step, next to the paper-style analytic decomposition below.
     eprintln!("recording a full step for event-graph analysis...");
-    let rec = eng.record_next_step();
+    eng.record_next_step();
     let t5 = eng.step();
     let timing = eng.timing();
-    let graph = {
-        let r = rec.borrow();
-        eprintln!("  {} flight events recorded", r.len());
-        CausalGraph::build(TorusDims::anton_512(), r.events(), |b| {
-            timing.injection_occupancy(b)
-        })
-    };
+    let rec = eng.last_recording.take().expect("step recorded");
+    eprintln!("  {} flight events recorded", rec.len());
+    let graph = CausalGraph::build(TorusDims::anton_512(), rec.events(), |b| {
+        timing.injection_occupancy(b)
+    });
     graph
         .check_consistency()
         .expect("recorded step graph is exact");
@@ -155,7 +153,7 @@ fn main() {
     let total_us = t5.total.as_us_f64();
     println!(
         "graph: {} events -> {} nodes, {} edges; path {} hops long",
-        rec.borrow().len(),
+        rec.len(),
         graph.len(),
         graph.edges().len(),
         path.nodes.len()

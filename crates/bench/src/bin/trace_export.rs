@@ -7,24 +7,37 @@
 //! Deterministic: the same build writes byte-identical files on every
 //! run, which the CI smoke step and the determinism test rely on.
 
-use anton_bench::one_way_latency_recorded;
-use anton_collectives::{random_inputs, run_all_reduce_recorded, Algorithm};
+use anton_bench::ping_pong;
+use anton_collectives::{all_reduce, random_inputs, Algorithm};
+use anton_net::{FaultPlan, ObsMode, RunConfig};
 use anton_obs::{
-    fold_lifecycles, validate_json, BreakdownSummary, ChromeTraceBuilder, FlightRecorder,
-    MetricsRegistry,
+    fold_lifecycles, validate_json, BreakdownSummary, ChromeTraceBuilder, MetricsRegistry,
 };
 use anton_topo::{Coord, TorusDims};
 
 fn main() {
     let mut reg = MetricsRegistry::new();
     let mut trace = ChromeTraceBuilder::new();
+    let recorded = RunConfig {
+        obs: ObsMode::Flight,
+        ..RunConfig::default()
+    };
 
     // ---- workload 1: the paper's 162 ns single-hop ping-pong ----
     let dims = TorusDims::anton_512();
-    let (lat, rec) =
-        one_way_latency_recorded(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 4);
-    let rec = rec.borrow();
-    let (lives, _) = fold_lifecycles(rec.events());
+    let (lat, observed) = ping_pong(
+        dims,
+        Coord::new(0, 0, 0),
+        Coord::new(1, 0, 0),
+        0,
+        false,
+        4,
+        FaultPlan::none(),
+        &recorded,
+    )
+    .expect("fault-free ping-pong completes");
+    let flight = observed.flight.expect("flight recorded");
+    let (lives, _) = fold_lifecycles(flight.iter());
     trace.name_process(1, "ping-pong (512 nodes, 1 X hop)");
     for lc in &lives {
         trace.add_lifecycle(1, lc);
@@ -42,16 +55,17 @@ fn main() {
 
     // ---- workload 2: a small all-reduce with counter synchronization ----
     let ar_dims = TorusDims::new(2, 2, 2);
-    let ar_rec = FlightRecorder::new().into_shared();
-    let out = run_all_reduce_recorded(
+    let (out, observed) = all_reduce(
         ar_dims,
         Algorithm::Butterfly,
         Default::default(),
         &random_inputs(ar_dims, 4, 7),
-        Box::new(ar_rec.clone()),
-    );
-    let ar_rec = ar_rec.borrow();
-    let (ar_lives, ar_fold) = fold_lifecycles(ar_rec.events());
+        FaultPlan::none(),
+        &recorded,
+    )
+    .expect("fault-free all-reduce completes");
+    let ar_flight = observed.flight.expect("flight recorded");
+    let (ar_lives, ar_fold) = fold_lifecycles(ar_flight.iter());
     trace.name_process(2, "all-reduce (2x2x2, butterfly)");
     for lc in &ar_lives {
         trace.add_lifecycle(2, lc);

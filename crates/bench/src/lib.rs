@@ -15,7 +15,6 @@ pub mod scenario;
 pub mod suite;
 
 pub use microbench::{
-    multicast_vs_unicast, neighbor_exchange, one_way_latency, one_way_latency_faulty,
-    one_way_latency_local, one_way_latency_recorded, one_way_latency_timed, split_transfer_time,
+    multicast_vs_unicast, neighbor_exchange, one_way_latency_local, ping_pong, split_transfer_time,
     streaming_bandwidth_gbps, ExchangeOutcome, ExchangeStyle,
 };

@@ -3,8 +3,8 @@
 
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, PatternId,
-    Payload, ProgEvent, Simulation, MAX_PAYLOAD_BYTES,
+    drive, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Observed,
+    Packet, PatternId, Payload, ProgEvent, RunConfig, Simulation, StallReport, MAX_PAYLOAD_BYTES,
 };
 use anton_topo::{Coord, MulticastPattern, NodeId, TorusDims};
 use std::cell::RefCell;
@@ -23,8 +23,8 @@ struct PingPong {
     peer_of: [(NodeId, NodeId); 2],
     payload_bytes: u32,
     bidirectional: bool,
-    /// (stream, count) completed; finish time per stream.
-    finished: Rc<RefCell<Vec<Option<SimTime>>>>,
+    /// When each stream this node initiates completed its last round.
+    finished: [Option<SimTime>; 2],
     remaining: [u32; 2],
     /// Pings the responder still expects; it stops re-arming its watch
     /// after the last one so a finished run quiesces with no counter
@@ -70,7 +70,7 @@ impl NodeProgram for PingPong {
                 if node == a {
                     self.remaining[s] -= 1;
                     if self.remaining[s] == 0 {
-                        self.finished.borrow_mut()[s] = Some(ctx.now());
+                        self.finished[s] = Some(ctx.now());
                         return;
                     }
                     ctx.reset_counter(slice0(node), counter);
@@ -89,34 +89,13 @@ impl NodeProgram for PingPong {
     }
 }
 
-/// Measured one-way latency between `src` and `dst` (averaged over
-/// `iters` round trips).
-pub fn one_way_latency(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-) -> SimDuration {
-    one_way_latency_faulty(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        FaultPlan::none(),
-    )
-    .expect("fault-free ping-pong completes")
-}
-
-/// [`one_way_latency`] under a fault-injection plan: the measured mean
-/// includes retransmission delays. Returns `None` if a ping was lost
-/// beyond the retransmit budget (the ping-pong then stalls and is
-/// diagnosed by the run guard rather than hanging).
+/// Ping-pong between `src` and `dst` under the fault plan `fault`, on
+/// the engine `cfg` names: the measured one-way latency (averaged over
+/// `iters` round trips, retransmission delays included) and whatever the
+/// run observed. A ping lost beyond the retransmit budget stalls the
+/// ping-pong; the report names the starved counter watch.
 #[allow(clippy::too_many_arguments)]
-pub fn one_way_latency_faulty(
+pub fn ping_pong(
     dims: TorusDims,
     src: Coord,
     dst: Coord,
@@ -124,114 +103,27 @@ pub fn one_way_latency_faulty(
     bidirectional: bool,
     iters: u32,
     fault: FaultPlan,
-) -> Option<SimDuration> {
-    ping_pong_run(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        anton_net::Timing::default(),
-        fault,
-        None,
-    )
-}
-
-/// [`one_way_latency`] with a packet flight recorder installed on the
-/// fabric: returns the measured latency plus the recorder holding every
-/// packet lifecycle of the run. Recording must not perturb timing — the
-/// returned latency is bit-identical to the unrecorded run.
-pub fn one_way_latency_recorded(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-) -> (SimDuration, anton_obs::SharedFlightRecorder) {
-    one_way_latency_timed(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        anton_net::Timing::default(),
-    )
-}
-
-/// [`one_way_latency_recorded`] under a caller-supplied [`Timing`]
-/// model — the knob the causal what-if harness turns to compare a
-/// retimed prediction against an actual perturbed re-run.
-///
-/// [`Timing`]: anton_net::Timing
-#[allow(clippy::too_many_arguments)]
-pub fn one_way_latency_timed(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-    timing: anton_net::Timing,
-) -> (SimDuration, anton_obs::SharedFlightRecorder) {
-    let rec = anton_obs::FlightRecorder::new().into_shared();
-    let lat = ping_pong_run(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        timing,
-        FaultPlan::none(),
-        Some(Box::new(rec.clone())),
-    )
-    .expect("fault-free ping-pong completes");
-    (lat, rec)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ping_pong_run(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-    timing: anton_net::Timing,
-    fault: FaultPlan,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> Option<SimDuration> {
+    cfg: &RunConfig,
+) -> Result<(SimDuration, Observed), Box<StallReport>> {
     assert!(iters >= 1);
-    let finished = Rc::new(RefCell::new(vec![None; 2]));
-    let f2 = finished.clone();
     let (a, b) = (src.node_id(dims), dst.node_id(dims));
-    let mut fabric = Fabric::with_faults(dims, timing, fault);
-    if let Some(rec) = recorder {
-        fabric.set_recorder(rec);
-    }
-    let mut sim = Simulation::new(fabric, move |_| PingPong {
-        peer_of: [(a, b), (b, a)],
-        payload_bytes,
-        bidirectional,
-        finished: f2.clone(),
-        remaining: [iters, iters],
-        pings_to_answer: [iters, iters],
-    });
-    if !sim
-        .run_guarded(SimTime(u64::MAX / 2), 100_000_000)
-        .is_completed()
-    {
-        return None;
-    }
-    let done = finished.borrow();
-    let t = done[0]?;
+    let done = drive(
+        cfg,
+        |timing| Fabric::with_faults(dims, timing.clone(), fault.clone()),
+        |_| PingPong {
+            peer_of: [(a, b), (b, a)],
+            payload_bytes,
+            bidirectional,
+            finished: [None; 2],
+            remaining: [iters, iters],
+            pings_to_answer: [iters, iters],
+        },
+        100_000_000,
+    )?;
+    let t = done.programs[a.index()].finished[0].expect("a completed run finishes stream 0");
     // Each iteration is a full round trip: 2 one-way messages.
-    Some(SimDuration::from_ps(
-        (t - SimTime::ZERO).as_ps() / (2 * iters as u64),
-    ))
+    let one_way = SimDuration::from_ps((t - SimTime::ZERO).as_ps() / (2 * iters as u64));
+    Ok((one_way, done.observed))
 }
 
 /// The 0-hop case of Figure 5: ping-pong between two slices on the same
@@ -735,32 +627,34 @@ pub fn multicast_vs_unicast(
 mod tests {
     use super::*;
 
-    #[test]
-    fn ping_pong_reproduces_162ns() {
-        let dims = TorusDims::anton_512();
-        let d = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 4);
-        assert_eq!(d, SimDuration::from_ns(162));
+    fn one_way(dims: TorusDims, dst: Coord, bidirectional: bool, iters: u32) -> SimDuration {
+        let src = Coord::new(0, 0, 0);
+        let none = FaultPlan::none();
+        ping_pong(
+            dims,
+            src,
+            dst,
+            0,
+            bidirectional,
+            iters,
+            none,
+            &RunConfig::default(),
+        )
+        .expect("fault-free ping-pong completes")
+        .0
     }
 
     #[test]
-    fn recorder_does_not_perturb_timing() {
-        // Observer effect guard: installing the flight recorder must not
-        // change simulated time by a single picosecond, and the disabled
-        // path must still reproduce the paper's 162 ns.
-        let dims = TorusDims::anton_512();
-        let plain = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 4);
-        let (recorded, rec) =
-            one_way_latency_recorded(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 4);
-        assert_eq!(plain, recorded);
-        assert_eq!(plain, SimDuration::from_ns(162));
-        assert!(!rec.borrow().is_empty(), "recorder captured events");
+    fn ping_pong_reproduces_162ns() {
+        let d = one_way(TorusDims::anton_512(), Coord::new(1, 0, 0), false, 4);
+        assert_eq!(d, SimDuration::from_ns(162));
     }
 
     #[test]
     fn bidirectional_is_slightly_slower() {
         let dims = TorusDims::anton_512();
-        let uni = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(2, 0, 0), 0, false, 8);
-        let bi = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(2, 0, 0), 0, true, 8);
+        let uni = one_way(dims, Coord::new(2, 0, 0), false, 8);
+        let bi = one_way(dims, Coord::new(2, 0, 0), true, 8);
         assert!(bi >= uni, "bi {bi} vs uni {uni}");
         assert!(
             bi.as_ns_f64() < uni.as_ns_f64() * 1.3,

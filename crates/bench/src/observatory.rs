@@ -25,24 +25,24 @@
 //! only the speedup attribution touches the host clock, and it is
 //! marked informational accordingly.
 
-use anton_collectives::{random_inputs, run_all_reduce_recovering, RecoveringParams};
-use anton_core::run_md_exchange_par_profiled;
-use anton_des::{SimDuration, SimTime};
+use anton_collectives::{all_reduce_recovering, random_inputs, RecoveringParams};
+use anton_core::md_exchange;
+use anton_des::{ParProfile, SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation, Timing,
+    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet, Payload,
+    ProgEvent, RunConfig, Simulation, Timing,
 };
 use anton_obs::runtime::{RuntimeSummary, SpeedupAttribution};
 use anton_obs::{
-    retime_blamed, CausalGraph, CongestionMap, FlightRecorder, ObservatoryReport, Perturbation,
-    Section, SEC_ATTRIBUTION, SEC_BLAME, SEC_CONGESTION, SEC_RECOVERY,
+    retime_blamed, CausalGraph, CongestionMap, ObservatoryReport, Perturbation, Section,
+    SEC_ATTRIBUTION, SEC_BLAME, SEC_CONGESTION, SEC_RECOVERY,
 };
 use anton_scenario::{presets, Workload};
 use anton_topo::{Coord, NodeId, TorusDims};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::microbench::one_way_latency_timed;
+use crate::microbench::ping_pong;
 use crate::suite::run_suite;
 
 /// Knobs for one collection pass.
@@ -99,19 +99,24 @@ fn causal_blame(obs: &mut ObservatoryReport, perturb: Option<&Perturbation>) {
     else {
         unreachable!("causal_pingpong is a ping-pong spec");
     };
-    let (_, rec) = one_way_latency_timed(
+    let recorded = RunConfig {
+        timing: timing.clone(),
+        obs: ObsMode::Flight,
+        ..RunConfig::default()
+    };
+    let (_, observed) = ping_pong(
         dims,
         Coord::new(from.0, from.1, from.2),
         Coord::new(to.0, to.1, to.2),
         payload_bytes,
         bidirectional,
         reps,
-        timing.clone(),
-    );
-    let g = {
-        let rec = rec.borrow();
-        CausalGraph::build(dims, rec.events(), |b| timing.injection_occupancy(b))
-    };
+        FaultPlan::none(),
+        &recorded,
+    )
+    .expect("fault-free ping-pong completes");
+    let flight = observed.flight.expect("flight recorded");
+    let g = CausalGraph::build(dims, flight.iter(), |b| timing.injection_occupancy(b));
     g.check_consistency()
         .expect("recorded causal graph is exact");
     let identity = Perturbation::none();
@@ -134,8 +139,16 @@ fn parallel_runtime(obs: &mut ObservatoryReport) {
     let spec = presets::observatory_md();
     let dims = spec.torus_dims();
     let params = spec.md_params().expect("observatory_md is an MD spec");
-    let (_, seq_prof) = run_md_exchange_par_profiled(dims, params, 1);
-    let (_, par_prof) = run_md_exchange_par_profiled(dims, params, spec.threads as usize);
+    let profiled = |threads: usize| -> ParProfile {
+        let cfg = RunConfig {
+            profile: true,
+            ..RunConfig::sharded(threads)
+        };
+        let (_, observed) = md_exchange(dims, params, &cfg).expect("exchange completes");
+        observed.profile.expect("profiled")
+    };
+    let seq_prof = profiled(1);
+    let par_prof = profiled(spec.threads as usize);
     RuntimeSummary::from_profile(&par_prof).record_into(&mut obs.metrics, "md");
 
     let attr = SpeedupAttribution::from_profile(seq_prof.wall_ns, &par_prof);
@@ -205,15 +218,18 @@ fn congestion(obs: &mut ObservatoryReport) {
     let plan = Rc::new(plan);
 
     let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
-    let rec = FlightRecorder::new().into_shared();
-    fabric.set_recorder(Box::new(rec.clone()));
+    fabric.attach_owned_flight_recorder();
     let p2 = plan.clone();
     let mut sim = Simulation::new(fabric, move |_| Shower { plan: p2.clone() });
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
 
-    let rec = rec.borrow();
+    let rec = sim
+        .world
+        .fabric
+        .flight_recorder()
+        .expect("recorder attached");
     let map = CongestionMap::build(rec.events(), SimDuration::from_ns(50));
     let mut values = BTreeMap::new();
     for (i, ((_, _), busy)) in map.hottest_links(5).into_iter().enumerate() {
@@ -235,15 +251,16 @@ fn recovery(obs: &mut ObservatoryReport) {
         _ => unreachable!("observatory_recovery is a recovering spec"),
     };
     let inputs = random_inputs(dims, vlen, seed);
-    let out = run_all_reduce_recovering(
+    let (out, _) = all_reduce_recovering(
         dims,
         &inputs,
         spec.fault_plan(),
         &spec.deaths(),
         spec.recovery_config(),
         RecoveringParams::default(),
-    );
-    assert!(out.completed, "recovery cell wedged");
+        &RunConfig::default(),
+    )
+    .unwrap_or_else(|stall| panic!("recovery cell wedged:\n{stall}"));
     let mut values = BTreeMap::new();
     values.insert("latency_us".to_owned(), out.latency.as_us_f64());
     values.insert("verdicts".to_owned(), out.verdicts as f64);

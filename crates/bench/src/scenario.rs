@@ -16,24 +16,18 @@
 //! executing every spec at 1 and 4 threads and refusing to write a
 //! ledger record unless the fingerprints match.
 
-use anton_collectives::{
-    random_inputs, run_all_reduce_par_timed, run_all_reduce_recovering_par_timed, CollectiveParams,
-    RecoveringParams,
-};
-use anton_core::{
-    run_md_exchange_par_mode_profiled_timed, run_md_exchange_streamed_par_timed, MdExchangeOutcome,
-};
+use anton_collectives::{all_reduce, all_reduce_recovering, random_inputs, RecoveringParams};
+use anton_core::{md_exchange, MdExchangeOutcome};
 use anton_des::SimTime;
-use anton_net::ObsMode;
+use anton_net::{Executor, ObsMode, RunConfig, StallReport};
 use anton_obs::runtime::RuntimeSummary;
 use anton_obs::{
-    fold_lifecycles, BreakdownSummary, Fingerprint, ObservatoryReport, Section, Stage,
-    StreamConfig, SEC_RECOVERY,
+    fold_lifecycles, BreakdownSummary, Fingerprint, ObservatoryReport, Section, Stage, SEC_RECOVERY,
 };
 use anton_scenario::{ScenarioSpec, Workload};
 use std::collections::BTreeMap;
 
-use crate::microbench::one_way_latency_timed;
+use crate::microbench::ping_pong;
 
 /// The provenance-relevant result of executing one spec.
 #[derive(Debug, Clone)]
@@ -44,26 +38,52 @@ pub struct ScenarioOutcome {
     pub observatory: ObservatoryReport,
 }
 
+/// The engine configuration `spec` runs under at `threads` workers.
+/// Every workload runs sharded, at every thread count, except the
+/// ping-pong microbenchmark: it is sequential by construction and
+/// flight-recorded for its stage breakdown. MD runs are profiled for
+/// the runtime section.
+fn run_config(spec: &ScenarioSpec, threads: usize) -> RunConfig {
+    let sharded = RunConfig {
+        executor: Executor::Sharded { threads },
+        timing: spec.timing_table(),
+        lookahead: spec.lookahead,
+        obs: ObsMode::Off,
+        profile: false,
+    };
+    match spec.workload {
+        Workload::MdExchange { .. } => RunConfig {
+            profile: true,
+            ..sharded
+        },
+        Workload::PingPong { .. } => RunConfig {
+            executor: Executor::Sequential,
+            obs: ObsMode::Flight,
+            ..sharded
+        },
+        Workload::AllReduce { .. } | Workload::Recovering { .. } => sharded,
+    }
+}
+
 /// Run `spec`'s workload at the given worker-thread count and reduce
 /// it to a [`ScenarioOutcome`]. The spec's own `threads` field is the
 /// *default* run configuration; callers probing determinism pass
-/// explicit counts.
+/// explicit counts. Panics on a spec [`ScenarioSpec::validate`]
+/// rejects, and on a run that stalls.
 pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
+    if let Err(e) = spec.validate() {
+        panic!("scenario {}: {e}", spec.name);
+    }
     let dims = spec.torus_dims();
-    let timing = spec.timing_table();
+    let cfg = run_config(spec, threads);
     let label = format!("scenario {} ({})", spec.name, spec.hash_hex());
     let mut obs = ObservatoryReport::new(&label);
 
     let fingerprint = match &spec.workload {
         Workload::MdExchange { .. } => {
             let params = spec.md_params().expect("md workload");
-            let (out, profile) = run_md_exchange_par_mode_profiled_timed(
-                dims,
-                params,
-                threads,
-                spec.lookahead,
-                timing.clone(),
-            );
+            let (out, observed) = completed(spec, md_exchange(dims, params, &cfg));
+            let profile = observed.profile.expect("profiled");
             obs.metrics
                 .set("md_makespan_us", (out.makespan - SimTime::ZERO).as_us_f64());
             RuntimeSummary::from_profile(&profile).record_into(&mut obs.metrics, "md");
@@ -83,13 +103,13 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
                 // Re-run under the bounded-memory observer: the summary
                 // feeds a section, and the zero-observer-effect contract
                 // is asserted right here.
-                let (sout, summary) = run_md_exchange_streamed_par_timed(
-                    dims,
-                    params,
-                    threads,
-                    StreamConfig::default(),
-                    timing.clone(),
-                );
+                let streamed = RunConfig {
+                    obs: ObsMode::Stream,
+                    profile: false,
+                    ..cfg
+                };
+                let (sout, observed) = completed(spec, md_exchange(dims, params, &streamed));
+                let (summary, _) = observed.stream.expect("stream observed");
                 assert_eq!(sout.makespan, out.makespan, "stream observer effect");
                 assert_eq!(sout.checksums, out.checksums, "stream observer effect");
                 let mut stream = BTreeMap::new();
@@ -112,14 +132,18 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
             let inputs = random_inputs(dims, *vlen as usize, *seed);
             let mut out = None;
             for _ in 0..(*reps).max(1) {
-                out = Some(run_all_reduce_par_timed(
-                    dims,
-                    algorithm.algorithm(),
-                    CollectiveParams::default(),
-                    &inputs,
-                    threads,
-                    timing.clone(),
-                ));
+                let (rep, _) = completed(
+                    spec,
+                    all_reduce(
+                        dims,
+                        algorithm.algorithm(),
+                        Default::default(),
+                        &inputs,
+                        spec.fault_plan(),
+                        &cfg,
+                    ),
+                );
+                out = Some(rep);
             }
             let out = out.expect("at least one rep");
             obs.metrics
@@ -137,18 +161,18 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
         }
         Workload::Recovering { vlen, seed, .. } => {
             let inputs = random_inputs(dims, *vlen as usize, *seed);
-            let deaths = spec.deaths();
-            let out = run_all_reduce_recovering_par_timed(
-                dims,
-                &inputs,
-                spec.fault_plan(),
-                &deaths,
-                spec.recovery_config(),
-                RecoveringParams::default(),
-                threads,
-                timing,
+            let (out, _) = completed(
+                spec,
+                all_reduce_recovering(
+                    dims,
+                    &inputs,
+                    spec.fault_plan(),
+                    &spec.deaths(),
+                    spec.recovery_config(),
+                    RecoveringParams::default(),
+                    &cfg,
+                ),
             );
-            assert!(out.completed, "recovering collective wedged");
             obs.metrics
                 .set("recovering_latency_us", out.latency.as_us_f64());
             let mut values = BTreeMap::new();
@@ -173,19 +197,23 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
             bidirectional,
             reps,
         } => {
-            // The microbenchmark is sequential by construction, so its
-            // fingerprint is trivially thread-invariant.
-            let (latency, rec) = one_way_latency_timed(
-                dims,
-                anton_topo::Coord::new(from.0, from.1, from.2),
-                anton_topo::Coord::new(to.0, to.1, to.2),
-                *payload_bytes,
-                *bidirectional,
-                *reps,
-                timing,
+            // The microbenchmark runs sequentially at every thread
+            // count, so its fingerprint is trivially thread-invariant.
+            let (latency, observed) = completed(
+                spec,
+                ping_pong(
+                    dims,
+                    anton_topo::Coord::new(from.0, from.1, from.2),
+                    anton_topo::Coord::new(to.0, to.1, to.2),
+                    *payload_bytes,
+                    *bidirectional,
+                    *reps,
+                    spec.fault_plan(),
+                    &cfg,
+                ),
             );
-            let rec = rec.borrow();
-            let (lifecycles, _) = fold_lifecycles(rec.events());
+            let flight = observed.flight.expect("flight recorded");
+            let (lifecycles, _) = fold_lifecycles(flight.iter());
             let summary = BreakdownSummary::from_lifecycles(&lifecycles);
             obs.metrics.set("one_way_ns", latency.as_ns_f64());
             let mut breakdown = BTreeMap::new();
@@ -209,6 +237,11 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
     }
 }
 
+/// A run's result, or a panic naming the scenario and its stall.
+fn completed<T>(spec: &ScenarioSpec, run: Result<T, Box<StallReport>>) -> T {
+    run.unwrap_or_else(|stall| panic!("scenario {} stalled:\n{stall}", spec.name))
+}
+
 /// The thread-invariant MD-exchange fingerprint: simulated times,
 /// checksums, and traffic counts shared bit-exactly by the sequential
 /// and sharded engines (total event counts excluded — the sharded
@@ -223,4 +256,32 @@ pub fn md_fingerprint(md: &MdExchangeOutcome) -> String {
     fp.update(&md.stats.sent_by_node);
     fp.update(&md.stats.delivered_by_node);
     fp.hex()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anton_scenario::presets;
+
+    /// The `[fault]` section reaches the all-reduce: a lossy fabric
+    /// changes the fingerprint (retransmits cost link traversals), and
+    /// the faulted run is still thread-invariant.
+    #[test]
+    fn a_faulted_all_reduce_fingerprints_differently_at_every_thread_count() {
+        let clean = presets::allreduce_888();
+        let mut faulted = clean.clone();
+        faulted.fault.drop_rate = 0.01;
+        let want = run_scenario(&faulted, 1).fingerprint;
+        assert_ne!(want, run_scenario(&clean, 1).fingerprint);
+        assert_eq!(run_scenario(&faulted, 4).fingerprint, want);
+    }
+
+    /// A spec built in code is validated like a parsed one.
+    #[test]
+    #[should_panic(expected = "md_exchange")]
+    fn a_faulted_md_exchange_spec_is_refused() {
+        let mut spec = presets::md_balanced();
+        spec.fault.drop_rate = 0.01;
+        run_scenario(&spec, 1);
+    }
 }

@@ -8,11 +8,12 @@
 //! any drift is a model change, not host noise. Lower is better for
 //! every metric.
 
-use anton_collectives::{random_inputs, run_all_reduce, Algorithm};
+use anton_collectives::{all_reduce, random_inputs, Algorithm};
+use anton_net::{FaultPlan, ObsMode, RunConfig};
 use anton_obs::{fold_lifecycles, BenchReport, BreakdownSummary, Stage};
 use anton_topo::{Coord, TorusDims};
 
-use crate::microbench::{one_way_latency, one_way_latency_recorded};
+use crate::microbench::ping_pong;
 
 /// Stable metric key for a Figure 6 stage.
 fn stage_key(stage: Stage) -> &'static str {
@@ -34,50 +35,49 @@ pub fn run_suite(full: bool) -> BenchReport {
 
     // One-way latency: the paper's 162 ns single hop, the 822 ns
     // worst-case diameter path, and a payload-carrying hop.
-    let hop = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 4);
+    let origin = Coord::new(0, 0, 0);
+    let ping = |dst: Coord, payload_bytes: u32, iters: u32, cfg: RunConfig| {
+        let none = FaultPlan::none();
+        ping_pong(dims, origin, dst, payload_bytes, false, iters, none, &cfg)
+            .expect("fault-free ping-pong completes")
+    };
+    let (hop, _) = ping(Coord::new(1, 0, 0), 0, 4, RunConfig::default());
     report.set("one_way_1hop_ns", hop.as_ns_f64());
-    let diam = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(4, 4, 4), 0, false, 4);
+    let (diam, _) = ping(Coord::new(4, 4, 4), 0, 4, RunConfig::default());
     report.set("one_way_diameter_ns", diam.as_ns_f64());
-    let full_payload = one_way_latency(
-        dims,
-        Coord::new(0, 0, 0),
-        Coord::new(1, 0, 0),
-        256,
-        false,
-        4,
-    );
+    let (full_payload, _) = ping(Coord::new(1, 0, 0), 256, 4, RunConfig::default());
     report.set("one_way_1hop_256b_ns", full_payload.as_ns_f64());
 
     // Figure 6 stage means from recorded packet lifecycles.
-    let (_, rec) =
-        one_way_latency_recorded(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 8);
-    {
-        let rec = rec.borrow();
-        let (lifecycles, _) = fold_lifecycles(rec.events());
-        let summary = BreakdownSummary::from_lifecycles(&lifecycles);
-        for stage in Stage::ALL {
-            report.set(stage_key(stage), summary.mean_ns(stage));
-        }
-        report.set("fig6_end_to_end_ns", summary.mean_end_to_end_ns());
+    let recorded = RunConfig {
+        obs: ObsMode::Flight,
+        ..RunConfig::default()
+    };
+    let (_, observed) = ping(Coord::new(1, 0, 0), 0, 8, recorded);
+    let flight = observed.flight.expect("flight recorded");
+    let (lifecycles, _) = fold_lifecycles(flight.iter());
+    let summary = BreakdownSummary::from_lifecycles(&lifecycles);
+    for stage in Stage::ALL {
+        report.set(stage_key(stage), summary.mean_ns(stage));
     }
+    report.set("fig6_end_to_end_ns", summary.mean_end_to_end_ns());
 
     // All-reduce: the machine-wide dimension-ordered collective (the
     // paper's ~2 us global sum) and a small butterfly.
+    let reduce = |dims: TorusDims, algorithm: Algorithm, inputs: &[Vec<f64>]| {
+        let (none, run) = (FaultPlan::none(), RunConfig::default());
+        all_reduce(dims, algorithm, Default::default(), inputs, none, &run)
+            .expect("fault-free all-reduce completes")
+            .0
+    };
     let inputs = random_inputs(dims, 1, 7);
-    let out = run_all_reduce(
-        dims,
-        Algorithm::DimensionOrdered,
-        Default::default(),
-        &inputs,
-    );
+    let out = reduce(dims, Algorithm::DimensionOrdered, &inputs);
     report.set("allreduce_512_dimord_us", out.latency.as_us_f64());
     let small_dims = TorusDims::new(2, 2, 2);
-    let small_inputs = random_inputs(small_dims, 4, 7);
-    let small = run_all_reduce(
+    let small = reduce(
         small_dims,
         Algorithm::Butterfly,
-        Default::default(),
-        &small_inputs,
+        &random_inputs(small_dims, 4, 7),
     );
     report.set("allreduce_222_butterfly_ns", small.latency.as_ns_f64());
 

@@ -10,19 +10,40 @@
 //!
 //! [`Timing`]: anton_net::Timing
 
-use anton_bench::one_way_latency_timed;
-use anton_collectives::{random_inputs, run_all_reduce_timed, Algorithm};
+use anton_bench::ping_pong;
+use anton_collectives::{all_reduce, random_inputs, Algorithm};
 use anton_des::SimTime;
-use anton_net::Timing;
-use anton_obs::{
-    retime, CausalGraph, EdgeKind, FlightRecorder, Perturbation, SharedFlightRecorder,
-};
+use anton_net::{FaultPlan, ObsMode, RunConfig, Timing};
+use anton_obs::{retime, CausalGraph, EdgeKind, FlightEvent, Perturbation};
 use anton_topo::{Coord, LinkDir, NodeId, TorusDims};
 
-fn graph_of(dims: TorusDims, rec: &SharedFlightRecorder, timing: &Timing) -> CausalGraph {
-    let t = timing.clone();
-    let rec = rec.borrow();
-    CausalGraph::build(dims, rec.events(), |b| t.injection_occupancy(b))
+/// A flight-recorded sequential run under `timing`.
+fn recorded(timing: &Timing) -> RunConfig {
+    RunConfig {
+        timing: timing.clone(),
+        obs: ObsMode::Flight,
+        ..RunConfig::default()
+    }
+}
+
+/// The flight events of a fault-free single-stream ping-pong.
+fn ping_flight(dims: TorusDims, src: Coord, dst: Coord, timing: &Timing) -> Vec<FlightEvent> {
+    let (_, observed) = ping_pong(
+        dims,
+        src,
+        dst,
+        0,
+        false,
+        4,
+        FaultPlan::none(),
+        &recorded(timing),
+    )
+    .expect("fault-free ping-pong completes");
+    observed.flight.expect("flight recorded")
+}
+
+fn graph_of(dims: TorusDims, flight: &[FlightEvent], timing: &Timing) -> CausalGraph {
+    CausalGraph::build(dims, flight.iter(), |b| timing.injection_occupancy(b))
 }
 
 fn recorded_end(g: &CausalGraph) -> SimTime {
@@ -39,8 +60,7 @@ fn retimer_predicts_hop_scaling_on_one_way_latency() {
     let dims = TorusDims::anton_512();
     let base = Timing::default();
     let (src, dst) = (Coord::new(0, 0, 0), Coord::new(1, 0, 0));
-    let (_, rec) = one_way_latency_timed(dims, src, dst, 0, false, 4, base.clone());
-    let g = graph_of(dims, &rec, &base);
+    let g = graph_of(dims, &ping_flight(dims, src, dst, &base), &base);
     g.check_consistency().expect("recorded graph is exact");
 
     for scale in [1.1, 0.9] {
@@ -48,8 +68,7 @@ fn retimer_predicts_hop_scaling_on_one_way_latency() {
 
         let mut perturbed = base.clone();
         perturbed.adapter_ns *= scale;
-        let (_, rec2) = one_way_latency_timed(dims, src, dst, 0, false, 4, perturbed.clone());
-        let g2 = graph_of(dims, &rec2, &perturbed);
+        let g2 = graph_of(dims, &ping_flight(dims, src, dst, &perturbed), &perturbed);
         let actual = recorded_end(&g2);
 
         let err = rel_err(predicted.end, actual);
@@ -76,17 +95,17 @@ fn retimer_predicts_hop_scaling_on_all_reduce() {
     let base = Timing::default();
     let inputs = random_inputs(dims, 4, 7);
 
-    let run = |timing: &Timing| -> SharedFlightRecorder {
-        let rec = FlightRecorder::new().into_shared();
-        run_all_reduce_timed(
+    let run = |timing: &Timing| -> Vec<FlightEvent> {
+        let (_, observed) = all_reduce(
             dims,
             Algorithm::Butterfly,
             Default::default(),
             &inputs,
-            timing.clone(),
-            Some(Box::new(rec.clone())),
-        );
-        rec
+            FaultPlan::none(),
+            &recorded(timing),
+        )
+        .expect("fault-free all-reduce completes");
+        observed.flight.expect("flight recorded")
     };
 
     let g = graph_of(dims, &run(&base), &base);
@@ -119,16 +138,8 @@ fn retimer_predicts_hop_scaling_on_all_reduce() {
 fn slow_link_moves_only_the_paths_that_cross_it() {
     let dims = TorusDims::anton_512();
     let base = Timing::default();
-    let (_, rec) = one_way_latency_timed(
-        dims,
-        Coord::new(0, 0, 0),
-        Coord::new(1, 0, 0),
-        0,
-        false,
-        4,
-        base.clone(),
-    );
-    let g = graph_of(dims, &rec, &base);
+    let flight = ping_flight(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), &base);
+    let g = graph_of(dims, &flight, &base);
     let end = recorded_end(&g);
 
     // Pick the first wire crossing on the measured critical path.

@@ -2,8 +2,8 @@
 
 use anton_des::{Rng, SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation,
-    PatternId, Payload, ProgEvent, Simulation,
+    drive, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Observed,
+    Packet, PatternId, Payload, ProgEvent, RunConfig, StallReport,
 };
 use anton_topo::{Coord, Dim, MulticastPattern, NodeId, TorusDims};
 
@@ -356,112 +356,60 @@ impl NodeProgram for AllReduceNode {
 }
 
 /// Run one all-reduce over `inputs` (one vector per node, all the same
-/// length) and return latency, per-node results, and traffic stats.
+/// length) under the fault plan `fault`, on the engine `cfg` names, and
+/// return latency, per-node results, and traffic stats. Bit-identical
+/// on either engine at any thread count. A packet lost beyond the
+/// retransmit budget stalls the collective; the report names every
+/// stuck counter watch.
 ///
 /// ```
-/// use anton_collectives::{run_all_reduce, Algorithm};
+/// use anton_collectives::{all_reduce, Algorithm};
+/// use anton_net::{FaultPlan, RunConfig};
 /// use anton_topo::TorusDims;
 /// let dims = TorusDims::new(2, 2, 2);
 /// let inputs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
-/// let out = run_all_reduce(dims, Algorithm::DimensionOrdered,
-///                          Default::default(), &inputs);
+/// let (out, _) = all_reduce(dims, Algorithm::DimensionOrdered, Default::default(),
+///                           &inputs, FaultPlan::none(), &RunConfig::default()).unwrap();
 /// // Every node ends with the same global sum, 0+1+…+7 = 28.
 /// assert!(out.results.iter().all(|r| r[0] == 28.0));
 /// assert!(out.latency.as_us_f64() < 2.0);
 /// ```
-pub fn run_all_reduce(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-) -> AllReduceOutcome {
-    run_all_reduce_faulty(dims, algorithm, params, inputs, FaultPlan::none())
-        .expect("fault-free all-reduce completes")
-}
-
-/// [`run_all_reduce`] under a fault-injection plan. Returns `None` if the
-/// collective stalled (a packet was lost beyond the retransmit budget —
-/// the stall diagnosis lives on the fabric's error log and watchdog).
-pub fn run_all_reduce_faulty(
+pub fn all_reduce(
     dims: TorusDims,
     algorithm: Algorithm,
     params: CollectiveParams,
     inputs: &[Vec<f64>],
     fault: FaultPlan,
-) -> Option<AllReduceOutcome> {
-    run_all_reduce_inner(dims, algorithm, params, inputs, fault, None)
-}
-
-/// Fault-free all-reduce with a packet-lifecycle recorder installed on
-/// the fabric — every inject, link reservation, hop, delivery, and
-/// counter update of the collective lands in the recorder (pass a
-/// [`anton_obs::SharedFlightRecorder`] clone to keep a read handle).
-pub fn run_all_reduce_recorded(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    recorder: Box<dyn anton_obs::Recorder + Send>,
-) -> AllReduceOutcome {
-    run_all_reduce_inner(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        FaultPlan::none(),
-        Some(recorder),
-    )
-    .expect("fault-free all-reduce completes")
-}
-
-/// Fault-free all-reduce under a caller-supplied [`Timing`] model, with
-/// an optional recorder — the knob the causal what-if harness turns to
-/// compare a retimed prediction against an actual perturbed re-run.
-///
-/// [`Timing`]: anton_net::Timing
-pub fn run_all_reduce_timed(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    timing: anton_net::Timing,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> AllReduceOutcome {
-    run_all_reduce_with(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        timing,
-        FaultPlan::none(),
-        recorder,
-    )
-    .expect("fault-free all-reduce completes")
-}
-
-fn run_all_reduce_inner(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    fault: FaultPlan,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> Option<AllReduceOutcome> {
-    run_all_reduce_with(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        anton_net::Timing::default(),
-        fault,
-        recorder,
-    )
+    cfg: &RunConfig,
+) -> Result<(AllReduceOutcome, Observed), Box<StallReport>> {
+    let done = drive(
+        cfg,
+        |timing| build_allreduce_fabric(dims, timing.clone(), &fault, algorithm),
+        make_programs(dims, algorithm, params, inputs),
+        100_000_000,
+    )?;
+    let mut latest = SimTime::ZERO;
+    let mut results = Vec::with_capacity(done.programs.len());
+    for prog in done.programs {
+        let (t, v) = prog
+            .done_at
+            .expect("a completed run records every node's result");
+        latest = latest.max(t);
+        results.push(v);
+    }
+    let out = AllReduceOutcome {
+        latency: latest - SimTime::ZERO,
+        results,
+        packets_sent: done.stats.packets_sent,
+        link_traversals: done.stats.link_traversals,
+    };
+    Ok((out, done.observed))
 }
 
 /// Build the fabric an all-reduce runs on: timing + fault plan, and for
 /// the dimension-ordered algorithm every line-broadcast multicast
-/// pattern pre-registered. Factored out so the sequential and the
-/// sharded-parallel paths construct bit-identical machines.
+/// pattern pre-registered. Every shard replica of a sharded run is
+/// built here too, so all replicas are bit-identical machines.
 fn build_allreduce_fabric(
     dims: TorusDims,
     timing: anton_net::Timing,
@@ -517,159 +465,27 @@ fn make_programs(
     }
 }
 
-/// Fold per-node completion records into the outcome (None ⇒ stalled).
-fn collect_outcome<'a>(
-    records: impl Iterator<Item = &'a AllReduceNode>,
-    packets_sent: u64,
-    link_traversals: u64,
-) -> Option<AllReduceOutcome> {
-    let mut latest = SimTime::ZERO;
-    let mut results = Vec::new();
-    for prog in records {
-        let (t, v) = prog.done_at.as_ref()?;
-        latest = latest.max(*t);
-        results.push(v.clone());
-    }
-    Some(AllReduceOutcome {
-        latency: latest - SimTime::ZERO,
-        results,
-        packets_sent,
-        link_traversals,
-    })
-}
-
-fn run_all_reduce_with(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    timing: anton_net::Timing,
-    fault: FaultPlan,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> Option<AllReduceOutcome> {
-    let mut fabric = build_allreduce_fabric(dims, timing, &fault, algorithm);
-    if let Some(rec) = recorder {
-        fabric.set_recorder(rec);
-    }
-    let mut sim = Simulation::new(fabric, make_programs(dims, algorithm, params, inputs));
-    if !sim
-        .run_guarded(SimTime(u64::MAX / 2), 100_000_000)
-        .is_completed()
-    {
-        return None;
-    }
-    collect_outcome(
-        sim.world.programs.iter(),
-        sim.world.fabric.stats.packets_sent,
-        sim.world.fabric.stats.link_traversals,
-    )
-}
-
-/// [`run_all_reduce`] on the sharded parallel engine: the torus is cut
-/// into slabs, each advanced by one of `threads` workers in conservative
-/// lookahead windows. Produces bit-identical latency, results, and
-/// traffic statistics at any thread count — and identical to
-/// [`run_all_reduce`] itself (asserted in `tests/par_allreduce.rs`).
-pub fn run_all_reduce_par(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-) -> AllReduceOutcome {
-    run_all_reduce_par_inner(dims, algorithm, params, inputs, threads, false).0
-}
-
-/// [`run_all_reduce_par`] under a caller-supplied [`Timing`] model —
-/// the spec→builder plumbing a scenario-driven run uses to select a
-/// named timing profile instead of the Anton-1 default.
-///
-/// [`Timing`]: anton_net::Timing
-pub fn run_all_reduce_par_timed(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-    timing: anton_net::Timing,
-) -> AllReduceOutcome {
-    run_all_reduce_par_with(dims, algorithm, params, inputs, threads, false, timing).0
-}
-
-/// [`run_all_reduce_par`] with runtime profiling enabled: also returns
-/// the engine's [`ParProfile`](anton_des::ParProfile) (worker phase accounting, per-shard event
-/// counts, cross-shard traffic). The simulated outcome is bit-identical
-/// to the unprofiled run.
-pub fn run_all_reduce_par_profiled(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-) -> (AllReduceOutcome, anton_des::ParProfile) {
-    let (out, prof) = run_all_reduce_par_inner(dims, algorithm, params, inputs, threads, true);
-    (out, prof.expect("profiling was enabled"))
-}
-
-fn run_all_reduce_par_inner(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-    profile: bool,
-) -> (AllReduceOutcome, Option<anton_des::ParProfile>) {
-    run_all_reduce_par_with(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        threads,
-        profile,
-        anton_net::Timing::default(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_all_reduce_par_with(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-    profile: bool,
-    timing: anton_net::Timing,
-) -> (AllReduceOutcome, Option<anton_des::ParProfile>) {
-    let fault = FaultPlan::none();
-    let mut sim = ParSimulation::new(
-        threads,
-        || build_allreduce_fabric(dims, timing.clone(), &fault, algorithm),
-        make_programs(dims, algorithm, params, inputs),
-    );
-    if profile {
-        sim.enable_runtime_profiling();
-    }
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 100_000_000)
-            .is_completed(),
-        "fault-free all-reduce completes"
-    );
-    let stats = sim.merged_stats();
-    let out = collect_outcome(
-        (0..dims.node_count()).map(|i| sim.program(NodeId(i))),
-        stats.packets_sent,
-        stats.link_traversals,
-    )
-    .expect("completed run recorded every node");
-    (out, sim.take_runtime_profile())
-}
-
 /// Deterministic pseudo-random inputs for tests and benches.
 pub fn random_inputs(dims: TorusDims, values: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = Rng::seed_from(seed);
     (0..dims.node_count())
         .map(|_| (0..values).map(|_| rng.uniform(-10.0, 10.0)).collect())
         .collect()
+}
+
+/// A fault-free sequential run, for the tests below.
+#[cfg(test)]
+fn fault_free(dims: TorusDims, algorithm: Algorithm, inputs: &[Vec<f64>]) -> AllReduceOutcome {
+    all_reduce(
+        dims,
+        algorithm,
+        CollectiveParams::default(),
+        inputs,
+        FaultPlan::none(),
+        &RunConfig::default(),
+    )
+    .expect("fault-free all-reduce completes")
+    .0
 }
 
 #[cfg(test)]
@@ -690,12 +506,7 @@ mod tests {
     fn dimension_ordered_computes_the_sum_on_all_nodes() {
         let dims = TorusDims::new(4, 4, 4);
         let inputs = random_inputs(dims, 4, 99);
-        let out = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         let want = expected_sum(&inputs);
         for r in &out.results {
             for (a, b) in r.iter().zip(&want) {
@@ -712,13 +523,8 @@ mod tests {
     fn butterfly_computes_the_same_sum() {
         let dims = TorusDims::new(4, 4, 4);
         let inputs = random_inputs(dims, 4, 100);
-        let d = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
-        let b = run_all_reduce(dims, Algorithm::Butterfly, Default::default(), &inputs);
+        let d = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
+        let b = fault_free(dims, Algorithm::Butterfly, &inputs);
         for (x, y) in d.results[0].iter().zip(&b.results[0]) {
             assert!((x - y).abs() < 1e-9 * x.abs().max(1.0));
         }
@@ -731,12 +537,7 @@ mod tests {
     fn zero_byte_reduction_is_a_barrier() {
         let dims = TorusDims::new(4, 4, 4);
         let inputs = vec![Vec::new(); 64];
-        let out = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         assert!(out.results.iter().all(|r| r.is_empty()));
         // A 64-node barrier lands under a microsecond (Table 2: 0.96 µs).
         let us = out.latency.as_us_f64();
@@ -747,12 +548,7 @@ mod tests {
     fn table2_scale_512_nodes() {
         let dims = TorusDims::anton_512();
         let inputs = random_inputs(dims, 4, 7); // 32-byte reduction
-        let out = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         let us = out.latency.as_us_f64();
         // Paper: 1.77 µs. Accept the band 1.2–2.3 µs.
         assert!((1.2..2.3).contains(&us), "512-node 32 B all-reduce {us} µs");
@@ -766,13 +562,8 @@ mod tests {
     fn dimension_ordered_beats_butterfly_in_latency() {
         let dims = TorusDims::anton_512();
         let inputs = random_inputs(dims, 4, 8);
-        let d = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
-        let b = run_all_reduce(dims, Algorithm::Butterfly, Default::default(), &inputs);
+        let d = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
+        let b = fault_free(dims, Algorithm::Butterfly, &inputs);
         assert!(
             d.latency < b.latency,
             "dim-ordered {} vs butterfly {}",
@@ -793,12 +584,7 @@ mod tests {
         let mut last = SimDuration::ZERO;
         for dims in sizes {
             let inputs = random_inputs(dims, 4, 3);
-            let out = run_all_reduce(
-                dims,
-                Algorithm::DimensionOrdered,
-                Default::default(),
-                &inputs,
-            );
+            let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
             assert!(
                 out.latency >= last,
                 "latency should be monotone in machine size: {:?} gave {}",
@@ -813,18 +599,8 @@ mod tests {
     fn determinism() {
         let dims = TorusDims::new(4, 4, 4);
         let inputs = random_inputs(dims, 2, 5);
-        let a = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
-        let b = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let a = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
+        let b = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.results, b.results);
         assert_eq!(a.packets_sent, b.packets_sent);
@@ -839,12 +615,7 @@ mod degenerate_tests {
     fn single_node_machine() {
         let dims = TorusDims::new(1, 1, 1);
         let inputs = vec![vec![3.5, -1.0]];
-        let out = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         assert_eq!(out.results[0], vec![3.5, -1.0]);
         // Still pays the local share writes, so latency is nonzero but
         // well under a microsecond.
@@ -856,12 +627,7 @@ mod degenerate_tests {
         // 8×1×1: only the X round runs.
         let dims = TorusDims::new(8, 1, 1);
         let inputs = random_inputs(dims, 2, 17);
-        let out = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         let want: Vec<f64> = (0..2).map(|i| inputs.iter().map(|v| v[i]).sum()).collect();
         for r in &out.results {
             for (a, b) in r.iter().zip(&want) {
@@ -869,10 +635,9 @@ mod degenerate_tests {
             }
         }
         // One round ≈ one line broadcast + share: far less than the 3D time.
-        let full = run_all_reduce(
+        let full = fault_free(
             TorusDims::new(8, 8, 8),
             Algorithm::DimensionOrdered,
-            Default::default(),
             &random_inputs(TorusDims::new(8, 8, 8), 2, 17),
         );
         assert!(out.latency < full.latency);
@@ -883,21 +648,15 @@ mod degenerate_tests {
         // 32 values = 256 bytes: one full packet per contribution.
         let dims = TorusDims::new(4, 4, 4);
         let inputs = random_inputs(dims, 32, 23);
-        let out = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         let want: Vec<f64> = (0..32).map(|i| inputs.iter().map(|v| v[i]).sum()).collect();
         for (a, b) in out.results[0].iter().zip(&want) {
             assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
         }
         // Bigger payloads cost more than the 32-byte case.
-        let small = run_all_reduce(
+        let small = fault_free(
             dims,
             Algorithm::DimensionOrdered,
-            Default::default(),
             &random_inputs(dims, 4, 23),
         );
         assert!(out.latency > small.latency);
@@ -908,12 +667,7 @@ mod degenerate_tests {
         // Table 2's 8×8×16 row: the long Z dimension dominates.
         let dims = TorusDims::new(8, 8, 16);
         let inputs = random_inputs(dims, 4, 29);
-        let out = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
+        let out = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
         let us = out.latency.as_us_f64();
         assert!((1.5..2.5).contains(&us), "{us}");
     }
@@ -927,13 +681,8 @@ mod ring_tests {
     fn ring_computes_the_same_sum() {
         let dims = TorusDims::new(2, 2, 2);
         let inputs = random_inputs(dims, 3, 41);
-        let d = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
-        let r = run_all_reduce(dims, Algorithm::Ring, Default::default(), &inputs);
+        let d = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
+        let r = fault_free(dims, Algorithm::Ring, &inputs);
         for (x, y) in d.results[0].iter().zip(&r.results[0]) {
             assert!((x - y).abs() < 1e-9 * x.abs().max(1.0));
         }
@@ -948,13 +697,8 @@ mod ring_tests {
         // in its most extreme form.
         let dims = TorusDims::new(4, 4, 4);
         let inputs = random_inputs(dims, 4, 43);
-        let d = run_all_reduce(
-            dims,
-            Algorithm::DimensionOrdered,
-            Default::default(),
-            &inputs,
-        );
-        let r = run_all_reduce(dims, Algorithm::Ring, Default::default(), &inputs);
+        let d = fault_free(dims, Algorithm::DimensionOrdered, &inputs);
+        let r = fault_free(dims, Algorithm::Ring, &inputs);
         assert!(
             r.latency.as_us_f64() > 5.0 * d.latency.as_us_f64(),
             "ring {} vs dim-ordered {}",

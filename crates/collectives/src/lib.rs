@@ -23,13 +23,9 @@ pub mod allreduce;
 pub mod analysis;
 pub mod recovering;
 
-pub use allreduce::{
-    random_inputs, run_all_reduce, run_all_reduce_faulty, run_all_reduce_par,
-    run_all_reduce_par_profiled, run_all_reduce_par_timed, run_all_reduce_recorded,
-    run_all_reduce_timed, Algorithm, AllReduceOutcome, CollectiveParams,
-};
+pub use allreduce::{all_reduce, random_inputs, Algorithm, AllReduceOutcome, CollectiveParams};
 pub use analysis::{butterfly_cost, dimension_ordered_cost, HopCost};
 pub use recovering::{
-    run_all_reduce_recovering, run_all_reduce_recovering_par, run_all_reduce_recovering_par_timed,
-    run_all_reduce_recovering_timed, RecoveringOutcome, RecoveringParams,
+    all_reduce_recovering, run_all_reduce_recovering_par_timed, run_all_reduce_recovering_timed,
+    RecoveringOutcome, RecoveringParams,
 };

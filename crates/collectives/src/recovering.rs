@@ -51,8 +51,9 @@
 use crate::allreduce::AllReduceOutcome;
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NetStats, NodeProgram, Packet, ParSimulation,
-    Payload, ProgEvent, RecoveryConfig, RecoveryStats, Simulation, MAX_PAYLOAD_BYTES,
+    drive, ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NetStats, NodeProgram, Observed, Packet,
+    Payload, ProgEvent, RecoveryConfig, RecoveryStats, RunConfig, StallReport, Timing,
+    MAX_PAYLOAD_BYTES,
 };
 use anton_topo::{NodeId, TorusDims};
 use std::collections::{BTreeMap, BTreeSet};
@@ -123,8 +124,9 @@ pub struct RecoveringOutcome {
     pub recovery: RecoveryStats,
     /// Failure verdicts reached during the run.
     pub verdicts: usize,
-    /// Whether the simulation drained (it always should; a `false` here
-    /// means the protocol itself wedged).
+    /// Whether the simulation drained. Always `true`: a run that wedges
+    /// comes back as a stall report instead. Kept because
+    /// [`RecoveringOutcome::fingerprint`] covers it.
     pub completed: bool,
 }
 
@@ -470,7 +472,7 @@ fn build_recovering_fabric(
     fault: &FaultPlan,
     deaths: &[(NodeId, SimTime)],
     recovery: RecoveryConfig,
-    timing: &anton_net::Timing,
+    timing: &Timing,
 ) -> Fabric {
     let mut plan = fault.clone();
     for &(node, at) in deaths {
@@ -479,102 +481,85 @@ fn build_recovering_fabric(
     Fabric::with_recovery(dims, timing.clone(), plan, recovery)
 }
 
-struct NodeView<'a> {
-    prog: &'a RecoveringNode,
-}
-
-fn collect_recovering_outcome<'a>(
-    programs: impl Iterator<Item = NodeView<'a>>,
-    deaths: &[(NodeId, SimTime)],
-    stats: NetStats,
-    recovery: RecoveryStats,
-    verdicts: usize,
-    completed: bool,
-) -> RecoveringOutcome {
-    let mut latency = SimDuration::ZERO;
-    let mut results = Vec::new();
-    let mut contributors = Vec::new();
-    for (i, view) in programs.enumerate() {
-        let p = view.prog;
-        if i == 0 {
-            contributors = p.contributors.clone();
-        }
-        match (&p.done_at, &p.result, p.death) {
-            (Some(t), Some(v), death) => {
-                // A node that died *after* learning the result still
-                // counts as completed; one that died first does not.
-                if death.is_none_or(|d| *t < d) {
-                    latency = latency.max(*t - SimTime::ZERO);
-                    results.push(Some(v.clone()));
-                } else {
-                    results.push(None);
-                }
-            }
-            _ => results.push(None),
-        }
-    }
-    RecoveringOutcome {
-        latency,
-        results,
-        contributors,
-        deaths: deaths.to_vec(),
-        stats,
-        recovery,
-        verdicts,
-        completed,
-    }
-}
-
-/// Run a self-healing all-reduce: the global sum over `inputs`, robust
-/// to the node deaths in `deaths` (node 0 — the tree root — must not
-/// die) and to whatever transient faults `fault` injects, recovered by
-/// `recovery`. Every live node ends with the identical sum over
-/// [`RecoveringOutcome::contributors`], which includes every node that
-/// stayed alive.
+/// Run a self-healing all-reduce on the engine `cfg` names: the global
+/// sum over `inputs`, robust to the node deaths in `deaths` (node 0 —
+/// the tree root — must not die) and to whatever transient faults
+/// `fault` injects, recovered by `recovery`. Every live node ends with
+/// the identical sum over [`RecoveringOutcome::contributors`], which
+/// includes every node that stayed alive. Bit-identical on either
+/// engine at any thread count (compare [`RecoveringOutcome::fingerprint`]).
+/// A run that does not drain within its event budget — the protocol
+/// wedged — comes back as the stall report.
 ///
 /// ```
-/// use anton_collectives::{random_inputs, run_all_reduce_recovering, RecoveringParams};
+/// use anton_collectives::{all_reduce_recovering, random_inputs, RecoveringParams};
 /// use anton_des::SimTime;
-/// use anton_net::{FaultPlan, RecoveryConfig};
+/// use anton_net::{FaultPlan, RecoveryConfig, RunConfig};
 /// use anton_topo::{NodeId, TorusDims};
 /// let dims = TorusDims::new(2, 2, 2);
 /// let inputs = random_inputs(dims, 2, 7);
-/// let out = run_all_reduce_recovering(
+/// let (out, _) = all_reduce_recovering(
 ///     dims,
 ///     &inputs,
 ///     FaultPlan::none(),
 ///     &[(NodeId(5), SimTime::from_ns(300))],
 ///     RecoveryConfig::recovering(7),
 ///     RecoveringParams::default(),
-/// );
-/// assert!(out.completed);
+///     &RunConfig::default(),
+/// )
+/// .unwrap();
 /// // Dead node 5 aside, everyone holds the sum over the contributors.
 /// assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), 7);
 /// ```
-pub fn run_all_reduce_recovering(
+pub fn all_reduce_recovering(
     dims: TorusDims,
     inputs: &[Vec<f64>],
     fault: FaultPlan,
     deaths: &[(NodeId, SimTime)],
     recovery: RecoveryConfig,
     params: RecoveringParams,
-) -> RecoveringOutcome {
-    run_all_reduce_recovering_timed(
-        dims,
-        inputs,
-        fault,
-        deaths,
-        recovery,
-        params,
-        anton_net::Timing::default(),
-    )
+    cfg: &RunConfig,
+) -> Result<(RecoveringOutcome, Observed), Box<StallReport>> {
+    let done = drive(
+        cfg,
+        |timing| build_recovering_fabric(dims, &fault, deaths, recovery, timing),
+        make_recovering_programs(dims, inputs, deaths, params),
+        200_000_000,
+    )?;
+    let mut latency = SimDuration::ZERO;
+    let mut results = Vec::with_capacity(done.programs.len());
+    for p in &done.programs {
+        match (&p.done_at, &p.result, p.death) {
+            // A node that died *after* learning the result still counts
+            // as completed; one that died first does not.
+            (Some(t), Some(v), death) if death.is_none_or(|d| *t < d) => {
+                latency = latency.max(*t - SimTime::ZERO);
+                results.push(Some(v.clone()));
+            }
+            _ => results.push(None),
+        }
+    }
+    let out = RecoveringOutcome {
+        latency,
+        results,
+        contributors: done.programs[0].contributors.clone(),
+        deaths: deaths.to_vec(),
+        stats: done.stats,
+        recovery: done.recovery,
+        verdicts: done.verdicts,
+        completed: true,
+    };
+    Ok((out, done.observed))
 }
 
-/// [`run_all_reduce_recovering`] under a caller-supplied [`Timing`]
-/// model — the spec→builder plumbing a scenario-driven run uses to
-/// select a named timing profile instead of the Anton-1 default.
-///
-/// [`Timing`]: anton_net::Timing
+fn stalled<T>(stall: Box<StallReport>) -> T {
+    panic!("recovering all-reduce stalled:\n{stall}")
+}
+
+// The host-time benchmark (`benchmark/`) links against these two
+// fixed-signature configurations of `all_reduce_recovering`.
+
+/// [`all_reduce_recovering`] on the sequential engine under `timing`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_all_reduce_recovering_timed(
     dims: TorusDims,
@@ -583,54 +568,25 @@ pub fn run_all_reduce_recovering_timed(
     deaths: &[(NodeId, SimTime)],
     recovery: RecoveryConfig,
     params: RecoveringParams,
-    timing: anton_net::Timing,
+    timing: Timing,
 ) -> RecoveringOutcome {
-    let fabric = build_recovering_fabric(dims, &fault, deaths, recovery, &timing);
-    let mut sim = Simulation::new(
-        fabric,
-        make_recovering_programs(dims, inputs, deaths, params),
-    );
-    let completed = sim
-        .run_guarded(SimTime(u64::MAX / 2), 200_000_000)
-        .is_completed();
-    let verdicts = sim.world.fabric.verdicts().len();
-    collect_recovering_outcome(
-        sim.world.programs.iter().map(|prog| NodeView { prog }),
-        deaths,
-        sim.world.fabric.stats.clone(),
-        *sim.world.fabric.recovery_stats(),
-        verdicts,
-        completed,
-    )
-}
-
-/// [`run_all_reduce_recovering`] on the sharded parallel engine —
-/// bit-identical outcome (asserted via
-/// [`RecoveringOutcome::fingerprint`] in tests and the chaos campaign)
-/// at any thread count.
-pub fn run_all_reduce_recovering_par(
-    dims: TorusDims,
-    inputs: &[Vec<f64>],
-    fault: FaultPlan,
-    deaths: &[(NodeId, SimTime)],
-    recovery: RecoveryConfig,
-    params: RecoveringParams,
-    threads: usize,
-) -> RecoveringOutcome {
-    run_all_reduce_recovering_par_timed(
+    all_reduce_recovering(
         dims,
         inputs,
         fault,
         deaths,
         recovery,
         params,
-        threads,
-        anton_net::Timing::default(),
+        &RunConfig {
+            timing,
+            ..RunConfig::default()
+        },
     )
+    .unwrap_or_else(stalled)
+    .0
 }
 
-/// [`run_all_reduce_recovering_par`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
+/// [`all_reduce_recovering`] on the sharded engine under `timing`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_all_reduce_recovering_par_timed(
     dims: TorusDims,
@@ -640,34 +596,42 @@ pub fn run_all_reduce_recovering_par_timed(
     recovery: RecoveryConfig,
     params: RecoveringParams,
     threads: usize,
-    timing: anton_net::Timing,
+    timing: Timing,
 ) -> RecoveringOutcome {
-    let timing = &timing;
-    let mut sim = ParSimulation::new(
-        threads,
-        move || build_recovering_fabric(dims, &fault, deaths, recovery, timing),
-        make_recovering_programs(dims, inputs, deaths, params),
-    );
-    let completed = sim
-        .run_guarded(SimTime(u64::MAX / 2), 200_000_000)
-        .is_completed();
-    let verdicts = sim.merged_verdicts().len();
-    collect_recovering_outcome(
-        (0..dims.node_count()).map(|i| NodeView {
-            prog: sim.program(NodeId(i)),
-        }),
+    all_reduce_recovering(
+        dims,
+        inputs,
+        fault,
         deaths,
-        sim.merged_stats(),
-        sim.merged_recovery_stats(),
-        verdicts,
-        completed,
+        recovery,
+        params,
+        &RunConfig {
+            timing,
+            ..RunConfig::sharded(threads)
+        },
     )
+    .unwrap_or_else(stalled)
+    .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::allreduce::random_inputs;
+
+    fn run(
+        dims: TorusDims,
+        inputs: &[Vec<f64>],
+        fault: FaultPlan,
+        deaths: &[(NodeId, SimTime)],
+        recovery: RecoveryConfig,
+        cfg: RunConfig,
+    ) -> RecoveringOutcome {
+        let params = RecoveringParams::default();
+        all_reduce_recovering(dims, inputs, fault, deaths, recovery, params, &cfg)
+            .expect("recovering all-reduce completes")
+            .0
+    }
 
     fn sum_over(inputs: &[Vec<f64>], origins: &[u32]) -> Vec<f64> {
         let mut out = vec![0.0; inputs[0].len()];
@@ -683,13 +647,13 @@ mod tests {
     fn fault_free_run_matches_plain_sum_everywhere() {
         let dims = TorusDims::new(4, 4, 4);
         let inputs = random_inputs(dims, 4, 11);
-        let out = run_all_reduce_recovering(
+        let out = run(
             dims,
             &inputs,
             FaultPlan::none(),
             &[],
             RecoveryConfig::recovering(11),
-            RecoveringParams::default(),
+            RunConfig::default(),
         );
         assert!(out.completed);
         assert_eq!(out.contributors, (0..64).collect::<Vec<_>>());
@@ -711,13 +675,13 @@ mod tests {
             (NodeId(9), SimTime::from_ns(350)),
             (NodeId(40), SimTime::from_ns(100)), // leaf-side early death
         ];
-        let out = run_all_reduce_recovering(
+        let out = run(
             dims,
             &inputs,
             FaultPlan::none(),
             &deaths,
             RecoveryConfig::recovering(13),
-            RecoveringParams::default(),
+            RunConfig::default(),
         );
         assert!(out.completed);
         // Every live node finished, within the documented bound.
@@ -746,13 +710,13 @@ mod tests {
         let dims = TorusDims::new(2, 2, 2);
         let inputs = random_inputs(dims, 2, 17);
         let deaths = [(NodeId(3), SimTime::from_ns(250))];
-        let out = run_all_reduce_recovering(
+        let out = run(
             dims,
             &inputs,
             FaultPlan::seeded(17).with_drop_rate(0.02),
             &deaths,
             RecoveryConfig::recovering(17),
-            RecoveringParams::default(),
+            RunConfig::default(),
         );
         assert!(out.completed);
         let want = sum_over(&inputs, &out.contributors);
@@ -776,23 +740,22 @@ mod tests {
         ];
         let fault = FaultPlan::seeded(19).with_drop_rate(0.005);
         let rec = RecoveryConfig::recovering(19);
-        let seq = run_all_reduce_recovering(
+        let seq = run(
             dims,
             &inputs,
             fault.clone(),
             &deaths,
             rec,
-            RecoveringParams::default(),
+            RunConfig::default(),
         );
         for threads in [1, 4] {
-            let par = run_all_reduce_recovering_par(
+            let par = run(
                 dims,
                 &inputs,
                 fault.clone(),
                 &deaths,
                 rec,
-                RecoveringParams::default(),
-                threads,
+                RunConfig::sharded(threads),
             );
             assert_eq!(seq.fingerprint(), par.fingerprint(), "threads={threads}");
         }
@@ -804,13 +767,13 @@ mod tests {
         let inputs = random_inputs(dims, 3, 23);
         let deaths = [(NodeId(6), SimTime::from_ns(400))];
         let run = || {
-            run_all_reduce_recovering(
+            run(
                 dims,
                 &inputs,
                 FaultPlan::seeded(23).with_drop_rate(0.01),
                 &deaths,
                 RecoveryConfig::recovering(23),
-                RecoveringParams::default(),
+                RunConfig::default(),
             )
         };
         assert_eq!(run().fingerprint(), run().fingerprint());
@@ -819,13 +782,13 @@ mod tests {
     #[test]
     fn single_node_machine_degenerates_cleanly() {
         let dims = TorusDims::new(1, 1, 1);
-        let out = run_all_reduce_recovering(
+        let out = run(
             dims,
             &[vec![2.5]],
             FaultPlan::none(),
             &[],
             RecoveryConfig::recovering(1),
-            RecoveringParams::default(),
+            RunConfig::default(),
         );
         assert!(out.completed);
         assert_eq!(out.results[0].as_deref(), Some(&[2.5][..]));

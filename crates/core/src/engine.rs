@@ -8,7 +8,7 @@ use anton_des::{SimDuration, SimTime, Tracer, TrackId};
 use anton_md::integrate::verlet_first_half;
 use anton_md::{ChemicalSystem, Vec3};
 use anton_net::{Fabric, NetStats, RunReport, Simulation, StallReport};
-use anton_obs::{FlightRecorder, MetricsRegistry, SharedFlightRecorder};
+use anton_obs::{FlightRecorder, MetricsRegistry};
 use anton_topo::TorusDims;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -31,7 +31,10 @@ pub struct AntonMdEngine {
     /// call [`NetStats::diff`] afterwards for per-window numbers.
     pub stats_total: NetStats,
     /// Flight recorder to install on the next step's fabric.
-    record_next: Option<SharedFlightRecorder>,
+    record_next: Option<FlightRecorder>,
+    /// The flight recorder of the last recorded step, with every event
+    /// it captured (see [`AntonMdEngine::record_next_step`]).
+    pub last_recording: Option<FlightRecorder>,
     /// Total potential energy components of the last force evaluation.
     pub last_energies: Energies,
 }
@@ -71,6 +74,7 @@ impl AntonMdEngine {
             last_stats: None,
             stats_total: NetStats::default(),
             record_next: None,
+            last_recording: None,
             last_energies: Energies::default(),
         };
         eng.run_des_step(true);
@@ -83,20 +87,18 @@ impl AntonMdEngine {
     }
 
     /// Record every packet lifecycle of the next step into a flight
-    /// recorder; returns the shared handle to inspect (or export) after
-    /// the step completes. Recording one step of a large system can
+    /// recorder, handed back in [`AntonMdEngine::last_recording`] once
+    /// the step has run. Recording one step of a large system can
     /// produce millions of events — use
     /// [`AntonMdEngine::record_next_step_with`] to bound or sample.
-    pub fn record_next_step(&mut self) -> SharedFlightRecorder {
-        self.record_next_step_with(FlightRecorder::new())
+    pub fn record_next_step(&mut self) {
+        self.record_next_step_with(FlightRecorder::new());
     }
 
     /// Like [`AntonMdEngine::record_next_step`] but with a
     /// pre-configured recorder (ring-buffer capacity, sampling).
-    pub fn record_next_step_with(&mut self, rec: FlightRecorder) -> SharedFlightRecorder {
-        let shared = rec.into_shared();
-        self.record_next = Some(shared.clone());
-        shared
+    pub fn record_next_step_with(&mut self, rec: FlightRecorder) {
+        self.record_next = Some(rec);
     }
 
     /// Export cumulative traffic statistics, step counters, and the
@@ -261,14 +263,19 @@ impl AntonMdEngine {
             self.trace_next = false;
         }
         let tracing = fabric.tracer.is_enabled();
+        let recording = self.record_next.is_some();
         if let Some(rec) = self.record_next.take() {
-            fabric.set_recorder(Box::new(rec));
+            fabric.attach_owned_flight_recorder_with(rec);
         }
 
         // ---- run the DES ----
         let state = self.state.clone();
         let mut sim = Simulation::new(fabric, move |_| MdNode::new(state.clone()));
-        match sim.run_guarded(SimTime(u64::MAX / 2), 500_000_000) {
+        let report = sim.run_guarded(SimTime(u64::MAX / 2), 500_000_000);
+        if recording {
+            self.last_recording = sim.world.fabric.take_flight_recorder();
+        }
+        match report {
             RunReport::Completed(_) => {}
             RunReport::Stalled(stall) => {
                 let stats = sim.world.fabric.stats.clone();

@@ -26,11 +26,9 @@ pub use cost::CostModel;
 pub use decomp::{wrap_signed, Decomposition};
 pub use engine::{AntonMdEngine, Energies};
 pub use parstep::{
-    run_md_exchange, run_md_exchange_par, run_md_exchange_par_mode,
-    run_md_exchange_par_mode_profiled, run_md_exchange_par_mode_profiled_timed,
-    run_md_exchange_par_profiled, run_md_exchange_recorded, run_md_exchange_streamed,
-    run_md_exchange_streamed_par, run_md_exchange_streamed_par_timed,
-    run_md_exchange_streamed_timed, run_md_exchange_timed, MdExchangeNode, MdExchangeOutcome,
+    md_exchange, run_md_exchange, run_md_exchange_par_mode,
+    run_md_exchange_par_mode_profiled_timed, run_md_exchange_recorded,
+    run_md_exchange_streamed_par_timed, run_md_exchange_timed, MdExchangeNode, MdExchangeOutcome,
     MdExchangeParams,
 };
 pub use program::{MdNode, TRACK_GC, TRACK_HTIS, TRACK_TS};

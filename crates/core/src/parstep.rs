@@ -7,7 +7,7 @@
 //! position-export / force-return neighbor exchange of Figure 2, with
 //! its counted remote writes and per-step compute phase — into a
 //! self-contained program whose only state is per-node, so it runs
-//! unchanged (and bit-identically) on [`ParSimulation`].
+//! unchanged (and bit-identically) on [`ParSimulation`](anton_net::ParSimulation).
 //!
 //! Per step, every node:
 //!
@@ -23,12 +23,12 @@
 //! so every run — sequential or sharded, any thread count — produces
 //! identical folds and identical completion times.
 
-use anton_des::{LookaheadMode, SimDuration, SimTime};
+use anton_des::{LookaheadMode, ParProfile, SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NetStats, NodeProgram, Packet,
-    ParSimulation, Payload, ProgEvent, Simulation,
+    drive, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NetStats, NodeProgram,
+    ObsMode, Observed, Packet, Payload, ProgEvent, RunConfig, StallReport, Timing,
 };
-use anton_obs::{FlightEvent, StreamConfig, StreamFootprint, StreamSummary};
+use anton_obs::{FlightEvent, StreamConfig, StreamSummary};
 use anton_topo::{Dim, NodeId, TorusDims};
 
 /// Counter the six neighbor writes of each step land on.
@@ -192,339 +192,188 @@ fn make_node(params: MdExchangeParams) -> impl FnMut(NodeId) -> MdExchangeNode {
     }
 }
 
-fn outcome(
-    nodes: impl Iterator<Item = (SimTime, f64)>,
-    stats: NetStats,
-    events: u64,
-) -> MdExchangeOutcome {
+/// Run the exchange workload on the engine `cfg` names, under its
+/// observer. The simulated outcome is bit-identical across executors,
+/// thread counts, window modes and observers; only host time and the
+/// DES event count (one `Start` per shard) differ.
+pub fn md_exchange(
+    dims: TorusDims,
+    params: MdExchangeParams,
+    cfg: &RunConfig,
+) -> Result<(MdExchangeOutcome, Observed), Box<StallReport>> {
+    // An observed sequential run uses node-scoped uids, as the sharded
+    // engine always does, so packet identities (and with them the
+    // stream observer's reservoir) compare bit-for-bit across engines.
+    let node_scoped = cfg.obs != ObsMode::Off;
+    let done = drive(
+        cfg,
+        |timing| {
+            let mut fabric = Fabric::with_faults(dims, timing.clone(), FaultPlan::none());
+            if node_scoped {
+                fabric.enable_node_scoped_uids();
+            }
+            fabric
+        },
+        make_node(params),
+        1_000_000_000,
+    )?;
     let mut makespan = SimTime::ZERO;
-    let mut checksums = Vec::new();
-    for (t, c) in nodes {
-        makespan = makespan.max(t);
-        checksums.push(c);
+    let mut checksums = Vec::with_capacity(done.programs.len());
+    for p in &done.programs {
+        makespan = makespan.max(p.finished_at.expect("a completed run finishes every node"));
+        checksums.push(p.checksum);
     }
-    MdExchangeOutcome {
+    let out = MdExchangeOutcome {
         makespan,
         checksums,
-        stats,
-        events,
-    }
+        stats: done.stats,
+        events: done.events,
+    };
+    Ok((out, done.observed))
 }
 
-/// Run the exchange workload sequentially (the reference executor).
+fn stalled<T>(stall: Box<StallReport>) -> T {
+    panic!("exchange workload stalled:\n{stall}")
+}
+
+// The fixed-signature entry points below are what the host-time
+// benchmark (`benchmark/`) links against; each is one configuration of
+// `md_exchange`.
+
+/// [`md_exchange`] on the sequential engine.
 pub fn run_md_exchange(dims: TorusDims, params: MdExchangeParams) -> MdExchangeOutcome {
-    run_md_exchange_timed(dims, params, anton_net::Timing::default())
+    md_exchange(dims, params, &RunConfig::default())
+        .unwrap_or_else(stalled)
+        .0
 }
 
-/// [`run_md_exchange`] under a caller-supplied [`Timing`] model — the
-/// spec→builder plumbing a [scenario]-driven run uses to select a named
-/// timing profile (e.g. `anton3`) instead of the Anton-1 default.
-///
-/// [`Timing`]: anton_net::Timing
-/// [scenario]: https://docs.rs/anton-scenario
+/// [`md_exchange`] on the sequential engine under `timing`.
 pub fn run_md_exchange_timed(
     dims: TorusDims,
     params: MdExchangeParams,
-    timing: anton_net::Timing,
+    timing: Timing,
 ) -> MdExchangeOutcome {
-    let fabric = Fabric::with_faults(dims, timing, FaultPlan::none());
-    let mut sim = Simulation::new(fabric, make_node(params));
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    outcome(
-        sim.world
-            .programs
-            .iter()
-            .map(|p| (p.finished_at.expect("completed"), p.checksum)),
-        sim.world.fabric.stats.clone(),
-        events,
+    md_exchange(
+        dims,
+        params,
+        &RunConfig {
+            timing,
+            ..RunConfig::default()
+        },
     )
+    .unwrap_or_else(stalled)
+    .0
 }
 
-/// [`run_md_exchange`] with a full flight recorder attached: also
-/// returns the raw event stream for offline analysis. The simulated
-/// outcome is bit-identical to the unrecorded run (zero observer
-/// effect), but event memory grows with traffic — use
-/// [`run_md_exchange_streamed`] at scale.
+/// [`md_exchange`] on the sequential engine with a flight recorder.
 pub fn run_md_exchange_recorded(
     dims: TorusDims,
     params: MdExchangeParams,
 ) -> (MdExchangeOutcome, Vec<FlightEvent>) {
-    let mut fabric = Fabric::with_faults(dims, anton_net::Timing::default(), FaultPlan::none());
-    // Node-scoped uids keep packet identities comparable with the
-    // sharded engine (uid assignment never affects simulated outcomes).
-    fabric.enable_node_scoped_uids();
-    let mut sim = Simulation::new(fabric, make_node(params));
-    sim.world.fabric.attach_owned_flight_recorder();
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let flight: Vec<FlightEvent> = sim
-        .world
-        .fabric
-        .flight_recorder()
-        .expect("recorder attached")
-        .events()
-        .cloned()
-        .collect();
-    let out = outcome(
-        sim.world
-            .programs
-            .iter()
-            .map(|p| (p.finished_at.expect("completed"), p.checksum)),
-        sim.world.fabric.stats.clone(),
-        events,
-    );
-    (out, flight)
+    md_exchange(
+        dims,
+        params,
+        &RunConfig {
+            obs: ObsMode::Flight,
+            ..RunConfig::default()
+        },
+    )
+    .map(|(out, obs)| (out, obs.flight.expect("flight recorded")))
+    .unwrap_or_else(stalled)
 }
 
-/// [`run_md_exchange`] under bounded-memory streaming observability:
-/// delivered packets are folded into sketches on the fly and dropped,
-/// so observability memory stays O(nodes + links) regardless of step
-/// count. Returns the finalized summary and the observer's memory
-/// footprint. The simulated outcome is bit-identical to the
-/// unobserved run.
-pub fn run_md_exchange_streamed(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    cfg: StreamConfig,
-) -> (MdExchangeOutcome, StreamSummary, StreamFootprint) {
-    run_md_exchange_streamed_timed(dims, params, cfg, anton_net::Timing::default())
-}
-
-/// [`run_md_exchange_streamed`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
-pub fn run_md_exchange_streamed_timed(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    cfg: StreamConfig,
-    timing: anton_net::Timing,
-) -> (MdExchangeOutcome, StreamSummary, StreamFootprint) {
-    let mut fabric = Fabric::with_faults(dims, timing, FaultPlan::none());
-    // Node-scoped uids keep packet identities (and so the deterministic
-    // reservoir) bit-comparable with the sharded engine.
-    fabric.enable_node_scoped_uids();
-    let mut sim = Simulation::new(fabric, make_node(params));
-    sim.world.fabric.attach_stream_observer(cfg);
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let obs = sim
-        .world
-        .fabric
-        .stream_observer()
-        .expect("observer attached");
-    let mut summary = obs.summary();
-    summary.finalize();
-    let footprint = obs.footprint();
-    let out = outcome(
-        sim.world
-            .programs
-            .iter()
-            .map(|p| (p.finished_at.expect("completed"), p.checksum)),
-        sim.world.fabric.stats.clone(),
-        events,
-    );
-    (out, summary, footprint)
-}
-
-/// [`run_md_exchange_par`] under bounded-memory streaming
-/// observability: each shard folds its own deliveries and the
-/// per-shard summaries merge bit-deterministically. Returns the
-/// finalized merged summary; it equals the sequential
-/// [`run_md_exchange_streamed`] summary exactly.
-pub fn run_md_exchange_streamed_par(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    cfg: StreamConfig,
-) -> (MdExchangeOutcome, StreamSummary) {
-    run_md_exchange_streamed_par_timed(dims, params, threads, cfg, anton_net::Timing::default())
-}
-
-/// [`run_md_exchange_streamed_par`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
+/// [`md_exchange`] on the sharded engine under the stream observer,
+/// which only runs at its default configuration.
 pub fn run_md_exchange_streamed_par_timed(
     dims: TorusDims,
     params: MdExchangeParams,
     threads: usize,
     cfg: StreamConfig,
-    timing: anton_net::Timing,
+    timing: Timing,
 ) -> (MdExchangeOutcome, StreamSummary) {
-    let mut sim = ParSimulation::new(
-        threads,
-        move || Fabric::with_faults(dims, timing.clone(), FaultPlan::none()),
-        make_node(params),
+    assert_eq!(
+        cfg,
+        StreamConfig::default(),
+        "stream observer configuration"
     );
-    sim.attach_stream_observers(cfg);
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let summary = sim
-        .merged_stream_summary()
-        .expect("stream observers attached");
-    let out = outcome(
-        (0..dims.node_count()).map(|i| {
-            let p = sim.program(NodeId(i));
-            (p.finished_at.expect("completed"), p.checksum)
-        }),
-        sim.merged_stats(),
-        events,
-    );
-    (out, summary)
+    md_exchange(
+        dims,
+        params,
+        &RunConfig {
+            timing,
+            obs: ObsMode::Stream,
+            ..RunConfig::sharded(threads)
+        },
+    )
+    .map(|(out, obs)| (out, obs.stream.expect("stream observed").0))
+    .unwrap_or_else(stalled)
 }
 
-/// Run the exchange workload on the sharded parallel engine with
-/// `threads` workers. Bit-identical to [`run_md_exchange`] at any
-/// thread count.
-pub fn run_md_exchange_par(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-) -> MdExchangeOutcome {
-    run_md_exchange_par_inner(dims, params, threads, false, None).0
-}
-
-/// [`run_md_exchange_par`] with runtime profiling enabled: also returns
-/// the engine's [`ParProfile`](anton_des::ParProfile). The simulated
-/// outcome is bit-identical to the unprofiled run.
-pub fn run_md_exchange_par_profiled(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-) -> (MdExchangeOutcome, anton_des::ParProfile) {
-    let (out, prof) = run_md_exchange_par_inner(dims, params, threads, true, None);
-    (out, prof.expect("profiling was enabled"))
-}
-
-/// [`run_md_exchange_par`] with an explicit window-bound mode instead
-/// of the `ANTON_LOOKAHEAD` env default — for A/B comparisons of
-/// adaptive vs. uniform-global windows. The simulated outcome is
-/// bit-identical in both modes (asserted by `bench/par_speedup` and the
-/// tests here); only window counts and wall clock differ.
+/// [`md_exchange`] on the sharded engine with window-bound mode `mode`.
 pub fn run_md_exchange_par_mode(
     dims: TorusDims,
     params: MdExchangeParams,
     threads: usize,
     mode: LookaheadMode,
 ) -> MdExchangeOutcome {
-    run_md_exchange_par_inner(dims, params, threads, false, Some(mode)).0
-}
-
-/// [`run_md_exchange_par_mode`] with runtime profiling enabled.
-pub fn run_md_exchange_par_mode_profiled(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    mode: LookaheadMode,
-) -> (MdExchangeOutcome, anton_des::ParProfile) {
-    run_md_exchange_par_mode_profiled_timed(
+    md_exchange(
         dims,
         params,
-        threads,
-        mode,
-        anton_net::Timing::default(),
+        &RunConfig {
+            lookahead: mode,
+            ..RunConfig::sharded(threads)
+        },
     )
+    .unwrap_or_else(stalled)
+    .0
 }
 
-/// [`run_md_exchange_par_mode_profiled`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
+/// [`md_exchange`] on the sharded engine with window-bound mode `mode`
+/// under `timing`, profiled.
 pub fn run_md_exchange_par_mode_profiled_timed(
     dims: TorusDims,
     params: MdExchangeParams,
     threads: usize,
     mode: LookaheadMode,
-    timing: anton_net::Timing,
-) -> (MdExchangeOutcome, anton_des::ParProfile) {
-    let (out, prof) = run_md_exchange_par_with(dims, params, threads, true, Some(mode), timing);
-    (out, prof.expect("profiling was enabled"))
-}
-
-fn run_md_exchange_par_inner(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    profile: bool,
-    mode: Option<LookaheadMode>,
-) -> (MdExchangeOutcome, Option<anton_des::ParProfile>) {
-    run_md_exchange_par_with(
+    timing: Timing,
+) -> (MdExchangeOutcome, ParProfile) {
+    md_exchange(
         dims,
         params,
-        threads,
-        profile,
-        mode,
-        anton_net::Timing::default(),
+        &RunConfig {
+            timing,
+            lookahead: mode,
+            profile: true,
+            ..RunConfig::sharded(threads)
+        },
     )
-}
-
-fn run_md_exchange_par_with(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    profile: bool,
-    mode: Option<LookaheadMode>,
-    timing: anton_net::Timing,
-) -> (MdExchangeOutcome, Option<anton_des::ParProfile>) {
-    let mut sim = ParSimulation::new(
-        threads,
-        move || Fabric::with_faults(dims, timing.clone(), FaultPlan::none()),
-        make_node(params),
-    );
-    if let Some(mode) = mode {
-        sim.set_lookahead_mode(mode);
-    }
-    if profile {
-        sim.enable_runtime_profiling();
-    }
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let out = outcome(
-        (0..dims.node_count()).map(|i| {
-            let p = sim.program(NodeId(i));
-            (p.finished_at.expect("completed"), p.checksum)
-        }),
-        sim.merged_stats(),
-        events,
-    );
-    (out, sim.take_runtime_profile())
+    .map(|(out, obs)| (out, obs.profile.expect("profiled")))
+    .unwrap_or_else(stalled)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn sequential_and_parallel_agree_exactly() {
-        let dims = TorusDims::new(4, 4, 4);
-        let params = MdExchangeParams {
-            steps: 3,
-            ..Default::default()
+    fn run(dims: TorusDims, params: MdExchangeParams, cfg: RunConfig) -> MdExchangeOutcome {
+        md_exchange(dims, params, &cfg)
+            .expect("exchange completes")
+            .0
+    }
+
+    fn profiled(
+        dims: TorusDims,
+        params: MdExchangeParams,
+        threads: usize,
+        lookahead: LookaheadMode,
+    ) -> (MdExchangeOutcome, ParProfile) {
+        let cfg = RunConfig {
+            lookahead,
+            profile: true,
+            ..RunConfig::sharded(threads)
         };
-        let seq = run_md_exchange(dims, params);
-        for threads in [1, 2, 4] {
-            let par = run_md_exchange_par(dims, params, threads);
-            assert_eq!(par.makespan, seq.makespan, "{threads} threads");
-            assert_eq!(par.checksums, seq.checksums);
-            assert_eq!(par.stats.packets_sent, seq.stats.packets_sent);
-            assert_eq!(par.stats.link_traversals, seq.stats.link_traversals);
-        }
+        let (out, obs) = md_exchange(dims, params, &cfg).expect("exchange completes");
+        (out, obs.profile.expect("profiled"))
     }
 
     #[test]
@@ -538,7 +387,7 @@ mod tests {
             compute_ns: 100.0,
             compute_skew_ns: 0.0,
         };
-        let out = run_md_exchange(dims, params);
+        let out = run(dims, params, RunConfig::default());
         let mut want = vec![0.0f64; dims.node_count() as usize];
         for step in 0..params.steps {
             for node in 0..dims.node_count() {
@@ -556,47 +405,15 @@ mod tests {
     }
 
     #[test]
-    fn streamed_observability_is_exact_and_shard_invariant() {
-        let dims = TorusDims::new(4, 4, 4);
-        let params = MdExchangeParams {
-            steps: 3,
-            ..Default::default()
-        };
-        let cfg = StreamConfig::default();
-        let plain = run_md_exchange(dims, params);
-        let (seq_out, seq_sum, footprint) = run_md_exchange_streamed(dims, params, cfg);
-        // Zero observer effect: the observed run is bit-identical.
-        assert_eq!(seq_out.makespan, plain.makespan);
-        assert_eq!(seq_out.checksums, plain.checksums);
-        assert_eq!(seq_out.events, plain.events);
-        // Streamed fold agrees with the offline flight-recorder fold.
-        let (_, flight) = run_md_exchange_recorded(dims, params);
-        let (lcs, stats) = anton_obs::fold_lifecycles(flight.iter());
-        let exact = anton_obs::BreakdownSummary::from_lifecycles(&lcs);
-        assert_eq!(seq_sum.breakdown(), exact);
-        assert_eq!(seq_sum.fold, stats);
-        // Sharded summaries merge to the identical summary.
-        for threads in [1, 2, 4] {
-            let (par_out, par_sum) = run_md_exchange_streamed_par(dims, params, threads, cfg);
-            assert_eq!(par_out.makespan, plain.makespan, "{threads} threads");
-            assert_eq!(par_sum, seq_sum, "{threads} threads");
-        }
-        // The observer's heap stays bounded and is accounted.
-        assert!(footprint.peak_bytes > 0);
-        assert!(footprint.peak_partials > 0);
-    }
-
-    #[test]
     fn adaptive_and_global_windows_agree_and_adaptive_never_needs_more() {
         let dims = TorusDims::new(4, 4, 4);
         let params = MdExchangeParams {
             steps: 3,
             ..Default::default()
         };
-        let seq = run_md_exchange(dims, params);
-        let (glob, pg) = run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Global);
-        let (adap, pa) =
-            run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Adaptive);
+        let seq = run(dims, params, RunConfig::default());
+        let (glob, pg) = profiled(dims, params, 2, LookaheadMode::Global);
+        let (adap, pa) = profiled(dims, params, 2, LookaheadMode::Adaptive);
         // Same simulated machine in all three executions.
         assert_eq!(glob.makespan, seq.makespan);
         assert_eq!(adap.makespan, seq.makespan);
@@ -610,7 +427,7 @@ mod tests {
         assert_eq!(pg.recovered_events, 0);
         assert_eq!(pg.extended_shard_windows, 0);
         // Window counts (and recovered accounting) are thread-invariant.
-        let (_, pa4) = run_md_exchange_par_mode_profiled(dims, params, 4, LookaheadMode::Adaptive);
+        let (_, pa4) = profiled(dims, params, 4, LookaheadMode::Adaptive);
         assert_eq!(pa4.windows, pa.windows);
         assert_eq!(pa4.recovered_events, pa.recovered_events);
         assert_eq!(pa4.extended_shard_windows, pa.extended_shard_windows);
@@ -628,10 +445,9 @@ mod tests {
             compute_skew_ns: 60.0,
             ..Default::default()
         };
-        let seq = run_md_exchange(dims, params);
-        let (glob, pg) = run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Global);
-        let (adap, pa) =
-            run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Adaptive);
+        let seq = run(dims, params, RunConfig::default());
+        let (glob, pg) = profiled(dims, params, 2, LookaheadMode::Global);
+        let (adap, pa) = profiled(dims, params, 2, LookaheadMode::Adaptive);
         assert_eq!(glob.makespan, seq.makespan);
         assert_eq!(adap.makespan, seq.makespan);
         assert_eq!(adap.checksums, seq.checksums);
@@ -650,20 +466,12 @@ mod tests {
     #[test]
     fn makespan_scales_with_steps() {
         let dims = TorusDims::new(2, 2, 2);
-        let one = run_md_exchange(
-            dims,
-            MdExchangeParams {
-                steps: 1,
-                ..Default::default()
-            },
-        );
-        let five = run_md_exchange(
-            dims,
-            MdExchangeParams {
-                steps: 5,
-                ..Default::default()
-            },
-        );
+        let steps = |steps| MdExchangeParams {
+            steps,
+            ..Default::default()
+        };
+        let one = run(dims, steps(1), RunConfig::default());
+        let five = run(dims, steps(5), RunConfig::default());
         assert!(five.makespan > one.makespan);
     }
 }

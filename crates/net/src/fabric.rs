@@ -26,8 +26,8 @@ use crate::recovery::{FailureVerdict, RecoveryConfig, RecoveryStats};
 use crate::timing::Timing;
 use anton_des::{Activity, Scheduler, SimDuration, SimTime, Tracer, TrackId};
 use anton_obs::{
-    FlightRecorder, MetricsRegistry, PacketId, Recorder, SharedFlightRecorder, StreamConfig,
-    StreamObserver, StreamSummary, VerdictCause,
+    FlightRecorder, MetricsRegistry, PacketId, Recorder, StreamConfig, StreamObserver,
+    StreamSummary, VerdictCause,
 };
 use anton_topo::{Coord, Dim, LinkDir, LinkMask, MulticastPattern, NodeId, Route, TorusDims};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -602,41 +602,11 @@ impl Fabric {
         self.tracer = tracer;
     }
 
-    /// Install an arbitrary packet-lifecycle recorder. Replaces any
-    /// recorder already installed.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder + Send>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Remove the installed recorder, restoring the zero-cost path.
-    pub fn clear_recorder(&mut self) {
-        self.recorder = None;
-    }
-
-    /// Whether a recorder is installed.
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Install a fresh [`FlightRecorder`] and return the shared handle:
-    /// the fabric feeds it during the run, the caller reads the events
-    /// afterwards through the same handle.
-    pub fn attach_flight_recorder(&mut self) -> SharedFlightRecorder {
-        self.attach_flight_recorder_with(FlightRecorder::new())
-    }
-
-    /// Like [`Fabric::attach_flight_recorder`] but with a caller-built
-    /// recorder (ring-buffered, sampled, …).
-    pub fn attach_flight_recorder_with(&mut self, rec: FlightRecorder) -> SharedFlightRecorder {
-        let shared = rec.into_shared();
-        self.recorder = Some(Box::new(shared.clone()));
-        shared
-    }
-
     /// Install a [`FlightRecorder`] the fabric itself owns: every hook
-    /// call is a direct push with no `Arc<Mutex<…>>` round trip, so
-    /// per-shard recording in parallel runs stays lock-free. Read the
-    /// captured events back through [`Fabric::flight_recorder`].
+    /// call is a direct push, so per-shard recording in parallel runs
+    /// stays lock-free. Read the captured events back through
+    /// [`Fabric::flight_recorder`], or take the recorder out with
+    /// [`Fabric::take_flight_recorder`].
     pub fn attach_owned_flight_recorder(&mut self) {
         self.attach_owned_flight_recorder_with(FlightRecorder::new());
     }
@@ -648,10 +618,18 @@ impl Fabric {
     }
 
     /// The installed recorder's [`FlightRecorder`] view, when the
-    /// recorder owns one (owned recorders report themselves; shared
-    /// mutex handles do not — keep their handle instead).
+    /// recorder is one.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_deref().and_then(|r| r.as_flight())
+    }
+
+    /// Remove the installed [`FlightRecorder`] and hand it back with
+    /// everything it captured; `None` (and nothing removed) when the
+    /// recorder is not one.
+    pub fn take_flight_recorder(&mut self) -> Option<FlightRecorder> {
+        let rec = std::mem::take(self.recorder.as_deref_mut()?.as_flight_mut()?);
+        self.recorder = None;
+        Some(rec)
     }
 
     /// Install a bounded-memory [`StreamObserver`] as the fabric's

@@ -18,6 +18,7 @@ pub mod memory;
 pub mod packet;
 pub mod par;
 pub mod recovery;
+pub mod run;
 pub mod timing;
 pub mod world;
 
@@ -32,14 +33,14 @@ pub use packet::{
     SourceRoute, COUNTERS_PER_CLIENT, COUNTER_BY_SOURCE,
 };
 pub use par::{
-    lookahead_mode_from_env, merge_flight_events, obs_mode_from_env, obs_stream_config_from_env,
-    parse_lookahead_mode, threads_from_env, EvShardMap, NodeShardWorld, ObsMode, ParSimulation,
-    ShardPlan,
+    lookahead_mode_from_env, merge_flight_events, parse_lookahead_mode, threads_from_env,
+    EvShardMap, NodeShardWorld, ObsMode, ParSimulation, ShardPlan,
 };
 pub use recovery::{
     chaos_level_from_env, chaos_seed_from_env, FailureVerdict, RecoveryConfig, RecoveryStats,
     CHAOS_LEVEL_MAX, CHAOS_SEED_DEFAULT,
 };
+pub use run::{drive, Executor, Finished, Observed, RunConfig};
 pub use timing::{
     Timing, HEADER_BYTES, IN_HEADER_PAYLOAD_BYTES, LINK_EFFECTIVE_GBPS, LINK_RAW_GBPS,
     MAX_PAYLOAD_BYTES, RING_GBPS, WIRE_ENCODING_FACTOR,

@@ -129,9 +129,6 @@ static SHARDS_WARNED: AtomicBool = AtomicBool::new(false);
 static THREADS_WARNED: AtomicBool = AtomicBool::new(false);
 static LOOKAHEAD_WARNED: AtomicBool = AtomicBool::new(false);
 static TELEMETRY_WARNED: AtomicBool = AtomicBool::new(false);
-static OBS_MODE_WARNED: AtomicBool = AtomicBool::new(false);
-static OBS_RESERVOIR_WARNED: AtomicBool = AtomicBool::new(false);
-static OBS_TOPK_WARNED: AtomicBool = AtomicBool::new(false);
 
 /// Live-telemetry heartbeat period from `ANTON_TELEMETRY_MS`: unset (or
 /// invalid, with a once-per-process warning) disables telemetry; `0`
@@ -282,8 +279,8 @@ pub fn lookahead_mode_from_env() -> LookaheadMode {
     )
 }
 
-/// Which observability recorder to attach to a fabric (or one per
-/// shard), selectable at run time via `ANTON_OBS_MODE`.
+/// Which observability recorder a run attaches to its fabric (or one
+/// per shard); see [`RunConfig::obs`](crate::RunConfig::obs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsMode {
     /// No recorder: the zero-observer-effect baseline.
@@ -319,36 +316,6 @@ impl ObsMode {
             "stream" | "streaming" | "bounded" => Some(ObsMode::Stream),
             _ => None,
         }
-    }
-}
-
-/// Observability mode from `ANTON_OBS_MODE`, defaulting to
-/// [`ObsMode::Off`]; invalid values warn once on stderr (same warn-once
-/// contract as `ANTON_THREADS`/`ANTON_SHARDS`).
-pub fn obs_mode_from_env() -> ObsMode {
-    let raw = std::env::var("ANTON_OBS_MODE").ok();
-    resolve_env(
-        "ANTON_OBS_MODE",
-        raw.as_deref(),
-        ObsMode::Off,
-        &OBS_MODE_WARNED,
-        "off|flight|stream",
-        ObsMode::parse_str,
-    )
-}
-
-/// Streaming-observer configuration from the environment:
-/// `ANTON_OBS_RESERVOIR` (lifecycle sample size) and `ANTON_OBS_TOPK`
-/// (heavy-hitter streaming capacity) override the defaults; both are
-/// positive integers resolved through the shared warn-once helpers. The
-/// sampling seed is intentionally *not* an env knob — runs stay
-/// reproducible unless code opts into a different seed.
-pub fn obs_stream_config_from_env() -> StreamConfig {
-    let d = StreamConfig::default();
-    StreamConfig {
-        reservoir: env_count("ANTON_OBS_RESERVOIR", d.reservoir, &OBS_RESERVOIR_WARNED),
-        topk: env_count("ANTON_OBS_TOPK", d.topk, &OBS_TOPK_WARNED),
-        ..d
     }
 }
 
@@ -591,19 +558,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         }
     }
 
-    /// Attach the recorder selected by `ANTON_OBS_MODE` (with
-    /// `ANTON_OBS_RESERVOIR`/`ANTON_OBS_TOPK` sizing for stream mode)
-    /// to every shard. Returns the mode that was applied.
-    pub fn attach_observability_from_env(&mut self) -> ObsMode {
-        let mode = obs_mode_from_env();
-        match mode {
-            ObsMode::Off => {}
-            ObsMode::Flight => self.attach_flight_recorders(),
-            ObsMode::Stream => self.attach_stream_observers(obs_stream_config_from_env()),
-        }
-        mode
-    }
-
     /// Select which window bound the engine applies (overriding the
     /// `ANTON_LOOKAHEAD` env default). Call before running. Mode never
     /// changes simulated results — adaptive windows are provably
@@ -670,6 +624,30 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     pub fn program(&self, node: NodeId) -> &P {
         let shard = self.plan().shard_of_node(node);
         &self.worlds[shard].programs[node.index()]
+    }
+
+    /// Consume the machine, keeping each node's program from its owning
+    /// shard (see [`ParSimulation::program`]), in node-id order.
+    pub fn into_programs(self) -> Vec<P> {
+        let plan = *self.plan();
+        let mut shards: Vec<_> = self
+            .worlds
+            .into_iter()
+            .map(|w| w.programs.into_iter())
+            .collect();
+        (0..plan.dims().node_count())
+            .map(|i| {
+                let owner = plan.shard_of_node(NodeId(i));
+                let mut kept = None;
+                for (shard, programs) in shards.iter_mut().enumerate() {
+                    let p = programs.next().expect("one program per node per shard");
+                    if shard == owner {
+                        kept = Some(p);
+                    }
+                }
+                kept.expect("every node has an owning shard")
+            })
+            .collect()
     }
 
     /// Run to quiescence.
@@ -848,19 +826,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         }
         total
     }
-
-    /// Failure verdicts merged across shards into one deterministic
-    /// stream, ordered by `(verdict time, node, link)` — the same order
-    /// a sequential run's single log sorts into.
-    pub fn merged_verdicts(&self) -> Vec<crate::recovery::FailureVerdict> {
-        let mut out: Vec<crate::recovery::FailureVerdict> = self
-            .worlds
-            .iter()
-            .flat_map(|w| w.fabric.verdicts().iter().cloned())
-            .collect();
-        out.sort_by_key(|v| (v.at, v.node.index(), v.link.map(|l| l.index())));
-        out
-    }
 }
 
 /// Stable k-way merge of per-shard flight-event streams by
@@ -890,17 +855,6 @@ pub fn merge_flight_events(per_shard: Vec<Vec<FlightEvent>>) -> Vec<FlightEvent>
         }
     }
     out
-}
-
-/// A convenience mirror of [`SimWorld`]-based sequential runs for tests:
-/// build the same machine sequentially from the same closures.
-///
-/// [`SimWorld`]: crate::world::SimWorld
-pub fn sequential_reference<P: NodeProgram>(
-    mut build_fabric: impl FnMut() -> Fabric,
-    make: impl FnMut(NodeId) -> P,
-) -> crate::world::Simulation<P> {
-    crate::world::Simulation::new(build_fabric(), make)
 }
 
 // Compile-time guarantee: shard worlds can cross thread boundaries.
@@ -1043,25 +997,5 @@ mod tests {
         for s in ["", "fligth", "2", "on"] {
             assert_eq!(ObsMode::parse_str(s), None, "{s:?}");
         }
-    }
-
-    #[test]
-    fn obs_mode_resolution_falls_back_and_warns_once() {
-        let warned = AtomicBool::new(false);
-        let resolve = |raw: Option<&str>, warned: &AtomicBool| {
-            resolve_env(
-                "ANTON_OBS_MODE",
-                raw,
-                ObsMode::Off,
-                warned,
-                "off, flight, or stream",
-                |s| ObsMode::parse_str(s),
-            )
-        };
-        assert_eq!(resolve(Some("stream"), &warned), ObsMode::Stream);
-        assert_eq!(resolve(None, &warned), ObsMode::Off);
-        assert!(!warned.load(Ordering::Relaxed));
-        assert_eq!(resolve(Some("sideways"), &warned), ObsMode::Off);
-        assert!(warned.load(Ordering::Relaxed));
     }
 }

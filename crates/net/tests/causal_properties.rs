@@ -10,9 +10,7 @@ use anton_net::{
     ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
     Simulation, Timing,
 };
-use anton_obs::{
-    retime, CausalGraph, FlightEvent, FlightRecorder, Perturbation, SharedFlightRecorder,
-};
+use anton_obs::{retime, CausalGraph, FlightEvent, Perturbation};
 use anton_topo::{NodeId, TorusDims};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -48,16 +46,20 @@ fn run_planned(
     dims: TorusDims,
     plan: Rc<Vec<(u32, u32, u32)>>,
     fault: FaultPlan,
-) -> SharedFlightRecorder {
-    let rec = FlightRecorder::new().into_shared();
+) -> Vec<FlightEvent> {
     let mut fabric = Fabric::with_faults(dims, Timing::default(), fault);
-    fabric.set_recorder(Box::new(rec.clone()));
+    fabric.attach_owned_flight_recorder();
     let p2 = plan.clone();
     let mut sim = Simulation::new(fabric, move |_| PlannedTraffic { plan: p2.clone() });
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
-    rec
+    let mut rec = sim
+        .world
+        .fabric
+        .take_flight_recorder()
+        .expect("recorder attached");
+    rec.take_events()
 }
 
 fn decode_plan(dims: TorusDims, raw: &[u64]) -> Vec<(u32, u32, u32)> {
@@ -72,10 +74,9 @@ fn decode_plan(dims: TorusDims, raw: &[u64]) -> Vec<(u32, u32, u32)> {
         .collect()
 }
 
-fn build_graph(dims: TorusDims, rec: &SharedFlightRecorder) -> CausalGraph {
+fn build_graph(dims: TorusDims, flight: &[FlightEvent]) -> CausalGraph {
     let timing = Timing::default();
-    let rec = rec.borrow();
-    CausalGraph::build(dims, rec.events(), |b| timing.injection_occupancy(b))
+    CausalGraph::build(dims, flight.iter(), |b| timing.injection_occupancy(b))
 }
 
 /// Independent acyclicity check: Kahn's algorithm must consume every
@@ -127,8 +128,7 @@ proptest! {
         // The latest recorded delivery, computed from the raw stream
         // independently of the graph.
         let last_deliver = rec
-            .borrow()
-            .events()
+            .iter()
             .filter_map(|e| match e {
                 FlightEvent::Deliver { at, .. } => Some(at.as_ps()),
                 _ => None,

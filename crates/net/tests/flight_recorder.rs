@@ -7,7 +7,7 @@ use anton_net::{
     ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
     Simulation, Timing,
 };
-use anton_obs::{fold_lifecycles, ChromeTraceBuilder, FlightRecorder, SharedFlightRecorder, Stage};
+use anton_obs::{fold_lifecycles, ChromeTraceBuilder, FlightEvent, Stage};
 use anton_topo::{NodeId, TorusDims};
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -40,17 +40,18 @@ impl NodeProgram for PlannedTraffic {
     }
 }
 
-/// Run a plan and return (end time, traffic stats, metrics JSON) — the
-/// metrics come from `Fabric::export_metrics`, covering the `net.*`
-/// counters and the `mem.*` FIFO/counter aggregates.
+/// Run a plan and return (end time, traffic stats, metrics JSON, flight
+/// events) — the metrics come from `Fabric::export_metrics`, covering
+/// the `net.*` counters and the `mem.*` FIFO/counter aggregates; the
+/// flight events are empty unless `record`.
 fn run_planned(
     dims: TorusDims,
     plan: Rc<Vec<(u32, u32, u32)>>,
-    recorder: Option<SharedFlightRecorder>,
-) -> (SimTime, anton_net::NetStats, String) {
+    record: bool,
+) -> (SimTime, anton_net::NetStats, String, Vec<FlightEvent>) {
     let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
-    if let Some(rec) = recorder {
-        fabric.set_recorder(Box::new(rec));
+    if record {
+        fabric.attach_owned_flight_recorder();
     }
     let p2 = plan.clone();
     let mut sim = Simulation::new(fabric, move |_| PlannedTraffic { plan: p2.clone() });
@@ -59,10 +60,17 @@ fn run_planned(
         .is_completed());
     let mut reg = anton_obs::MetricsRegistry::new();
     sim.world.fabric.export_metrics(&mut reg);
+    let flight = sim
+        .world
+        .fabric
+        .take_flight_recorder()
+        .map(|mut rec| rec.take_events())
+        .unwrap_or_default();
     (
         sim.now(),
         sim.world.fabric.stats.clone(),
         reg.snapshot().to_json(),
+        flight,
     )
 }
 
@@ -94,13 +102,11 @@ proptest! {
     ) {
         let dims = TorusDims::new(x, y, z);
         let plan = Rc::new(decode_plan(dims, &raw));
-        let rec = FlightRecorder::new().into_shared();
-        let (_, _, metrics) = run_planned(dims, plan.clone(), Some(rec.clone()));
+        let (_, _, metrics, flight) = run_planned(dims, plan.clone(), true);
         prop_assert!(metrics.contains("\"net.packets_sent\""));
         prop_assert!(metrics.contains("\"mem.counter_increments\""));
 
-        let rec = rec.borrow();
-        let (lives, fold) = fold_lifecycles(rec.events());
+        let (lives, fold) = fold_lifecycles(flight.iter());
         // Unicast writes only: every planned packet completes.
         prop_assert_eq!(fold.incomplete, 0);
         prop_assert_eq!(fold.multicast, 0);
@@ -127,9 +133,8 @@ proptest! {
         let dims = TorusDims::new(x, y, z);
         let plan = Rc::new(decode_plan(dims, &raw));
 
-        let export = |rec: &SharedFlightRecorder| {
-            let rec = rec.borrow();
-            let (lives, _) = fold_lifecycles(rec.events());
+        let export = |flight: &[FlightEvent]| {
+            let (lives, _) = fold_lifecycles(flight.iter());
             let mut trace = ChromeTraceBuilder::new();
             for lc in &lives {
                 trace.add_lifecycle(1, lc);
@@ -137,18 +142,16 @@ proptest! {
             trace.finish()
         };
 
-        let rec_a = FlightRecorder::new().into_shared();
-        let (end_a, stats_a, metrics_a) = run_planned(dims, plan.clone(), Some(rec_a.clone()));
-        let rec_b = FlightRecorder::new().into_shared();
-        let (end_b, stats_b, metrics_b) = run_planned(dims, plan.clone(), Some(rec_b.clone()));
-        let json_a = export(&rec_a);
-        prop_assert_eq!(json_a.clone(), export(&rec_b), "same run, same bytes");
+        let (end_a, stats_a, metrics_a, flight_a) = run_planned(dims, plan.clone(), true);
+        let (end_b, stats_b, metrics_b, flight_b) = run_planned(dims, plan.clone(), true);
+        let json_a = export(&flight_a);
+        prop_assert_eq!(json_a.clone(), export(&flight_b), "same run, same bytes");
         prop_assert_eq!(end_a, end_b);
         anton_obs::validate_json(&json_a).expect("export is well-formed JSON");
         anton_obs::validate_json(&metrics_a).expect("metrics are well-formed JSON");
 
         // Observer effect: none. The unrecorded run matches exactly.
-        let (end_plain, stats_plain, metrics_plain) = run_planned(dims, plan, None);
+        let (end_plain, stats_plain, metrics_plain, _) = run_planned(dims, plan, false);
         prop_assert_eq!(end_a, end_plain);
         prop_assert_eq!(format!("{stats_a:?}"), format!("{stats_plain:?}"));
         prop_assert_eq!(format!("{stats_a:?}"), format!("{stats_b:?}"));

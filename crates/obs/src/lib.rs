@@ -92,10 +92,7 @@ pub use observatory::{
     TrajectoryIndex, OBSERVATORY_SCHEMA_VERSION, SEC_ATTRIBUTION, SEC_BLAME, SEC_CONGESTION,
     SEC_RECOVERY,
 };
-pub use recorder::{
-    FlightEvent, FlightRecorder, NopRecorder, PacketId, Recorder, SharedFlightRecorder,
-    VerdictCause,
-};
+pub use recorder::{FlightEvent, FlightRecorder, NopRecorder, PacketId, Recorder, VerdictCause};
 pub use regress::{BenchReport, Direction, RegressFinding, RegressReport, BENCH_SCHEMA_VERSION};
 pub use retime::{retime, retime_blamed, Perturbation, Retimed};
 pub use runtime::{profile_chrome_trace, RuntimeSummary, SpeedupAttribution};

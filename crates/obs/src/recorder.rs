@@ -14,7 +14,6 @@
 use anton_des::SimTime;
 use anton_topo::{LinkDir, NodeId};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifies one injected packet. Assigned densely by the fabric at
 /// injection, in deterministic injection order; multicast copies share
@@ -314,13 +313,16 @@ pub trait Recorder {
     fn on_duplicate_suppressed(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {}
 
     /// Read access to the underlying [`FlightRecorder`], when this
-    /// recorder directly owns one. Lets a host that installed an owned
-    /// recorder behind a `Box<dyn Recorder>` read the captured events
-    /// back without dynamic downcasting — the lock-free alternative to
-    /// routing every hook through a [`SharedFlightRecorder`] mutex.
-    /// Wrappers that cannot hand out a plain reference (e.g. the shared
-    /// mutex handle) keep the default `None`.
+    /// recorder is one. Lets a host that installed a recorder behind a
+    /// `Box<dyn Recorder>` read the captured events back without
+    /// dynamic downcasting.
     fn as_flight(&self) -> Option<&FlightRecorder> {
+        None
+    }
+
+    /// Mutable access to the underlying [`FlightRecorder`], when this
+    /// recorder is one — how a host takes the recorder back after a run.
+    fn as_flight_mut(&mut self) -> Option<&mut FlightRecorder> {
         None
     }
 
@@ -404,12 +406,6 @@ impl FlightRecorder {
         assert!(every > 0, "sampling period must be positive");
         self.sample_every = every;
         self
-    }
-
-    /// Wrap in the shared handle the fabric's `Box<dyn Recorder>` slot
-    /// accepts while the caller keeps access for analysis after the run.
-    pub fn into_shared(self) -> SharedFlightRecorder {
-        SharedFlightRecorder(Arc::new(Mutex::new(self)))
     }
 
     #[inline]
@@ -607,128 +603,9 @@ impl Recorder for FlightRecorder {
     fn as_flight(&self) -> Option<&FlightRecorder> {
         Some(self)
     }
-}
 
-/// The shape the fabric's recorder slot usually holds: the fabric owns a
-/// `Box<dyn Recorder>` wrapping this handle while the test or tool keeps
-/// a clone to inspect after the run. Backed by `Arc<Mutex<…>>` so a
-/// recorder-carrying fabric is `Send` and can live inside a parallel-DES
-/// shard; in the common single-threaded case the mutex is uncontended
-/// (each shard's fabric has its own recorder — merged deterministically
-/// afterwards — so there is no cross-thread locking during a run either).
-#[derive(Clone)]
-pub struct SharedFlightRecorder(Arc<Mutex<FlightRecorder>>);
-
-impl SharedFlightRecorder {
-    /// Lock and read the recorder (panics if a writer panicked mid-push).
-    ///
-    /// Named for source compatibility with the `Rc<RefCell<…>>` shape
-    /// this type previously aliased.
-    #[allow(clippy::should_implement_trait)]
-    pub fn borrow(&self) -> MutexGuard<'_, FlightRecorder> {
-        self.0.lock().expect("flight recorder poisoned")
-    }
-
-    /// Lock the recorder for mutation (draining events, clearing).
-    pub fn borrow_mut(&self) -> MutexGuard<'_, FlightRecorder> {
-        self.0.lock().expect("flight recorder poisoned")
-    }
-}
-
-impl Recorder for SharedFlightRecorder {
-    fn on_inject(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        client: u8,
-        dst: Option<NodeId>,
-        at: SimTime,
-        inj_ready: SimTime,
-        inj_start: SimTime,
-        wire_ready: SimTime,
-        payload_bytes: u32,
-    ) {
-        self.borrow_mut().on_inject(
-            pkt,
-            node,
-            client,
-            dst,
-            at,
-            inj_ready,
-            inj_start,
-            wire_ready,
-            payload_bytes,
-        );
-    }
-
-    fn on_link_reserve(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        link: LinkDir,
-        ready: SimTime,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.borrow_mut()
-            .on_link_reserve(pkt, node, link, ready, start, end);
-    }
-
-    fn on_retransmit(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        link: LinkDir,
-        attempt: u32,
-        at: SimTime,
-    ) {
-        self.borrow_mut()
-            .on_retransmit(pkt, node, link, attempt, at);
-    }
-
-    fn on_hop_enter(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        self.borrow_mut().on_hop_enter(pkt, node, at);
-    }
-
-    fn on_hop_exit(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        self.borrow_mut().on_hop_exit(pkt, node, at);
-    }
-
-    fn on_deliver(&mut self, pkt: PacketId, node: NodeId, client: u8, at: SimTime) {
-        self.borrow_mut().on_deliver(pkt, node, client, at);
-    }
-
-    fn on_counter_update(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        client: u8,
-        counter: u16,
-        at: SimTime,
-        fire_at: Option<SimTime>,
-    ) {
-        self.borrow_mut()
-            .on_counter_update(pkt, node, client, counter, at, fire_at);
-    }
-
-    fn on_phase(&mut self, label: &str, at: SimTime) {
-        self.borrow_mut().on_phase(label, at);
-    }
-
-    fn on_link_down(&mut self, node: NodeId, link: LinkDir, cause: VerdictCause, at: SimTime) {
-        self.borrow_mut().on_link_down(node, link, cause, at);
-    }
-
-    fn on_node_down(&mut self, node: NodeId, at: SimTime) {
-        self.borrow_mut().on_node_down(node, at);
-    }
-
-    fn on_reinject(&mut self, pkt: PacketId, node: NodeId, attempt: u32, at: SimTime) {
-        self.borrow_mut().on_reinject(pkt, node, attempt, at);
-    }
-
-    fn on_duplicate_suppressed(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        self.borrow_mut().on_duplicate_suppressed(pkt, node, at);
+    fn as_flight_mut(&mut self) -> Option<&mut FlightRecorder> {
+        Some(self)
     }
 }
 
@@ -770,13 +647,5 @@ mod tests {
         // Phase marks bypass sampling.
         r.on_phase("forces", t(99));
         assert_eq!(r.len(), 5);
-    }
-
-    #[test]
-    fn shared_handle_observes_pushes() {
-        let shared = FlightRecorder::new().into_shared();
-        let mut hook: Box<dyn Recorder> = Box::new(shared.clone());
-        hook.on_deliver(PacketId(3), NodeId(1), 2, t(7));
-        assert_eq!(shared.borrow().len(), 1);
     }
 }

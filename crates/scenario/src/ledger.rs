@@ -19,13 +19,10 @@ use crate::spec::ScenarioSpec;
 /// Environment knobs captured into every run record. These are the
 /// engine-behavior knobs: anything here that differs between two hosts
 /// can explain a fingerprint mismatch, which is why they're snapshotted.
-pub const CAPTURED_ENV: [&str; 9] = [
+pub const CAPTURED_ENV: [&str; 6] = [
     "ANTON_THREADS",
     "ANTON_SHARDS",
     "ANTON_LOOKAHEAD",
-    "ANTON_OBS_MODE",
-    "ANTON_OBS_RESERVOIR",
-    "ANTON_OBS_TOPK",
     "ANTON_CHAOS_SEED",
     "ANTON_CHAOS_LEVEL",
     "ANTON_CHAOS_EXTENDED",

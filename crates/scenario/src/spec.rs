@@ -683,9 +683,28 @@ impl ScenarioSpec {
     }
 
     /// Structural checks beyond per-field types: coordinates inside the
-    /// torus, death nodes in range.
-    fn validate(&self) -> Result<(), String> {
+    /// torus, death nodes in range, and no field the workload would
+    /// ignore. The MD exchange takes no fault rates (its skeleton reuses
+    /// its six receive slots every step, so a retransmitted write from
+    /// one step can land in the next), and only the recovering
+    /// collective runs the recovery subsystem. [`ScenarioSpec::from_toml_str`]
+    /// calls this; runners call it for specs built in code.
+    pub fn validate(&self) -> Result<(), String> {
         let count = (self.dims.0 as u64) * (self.dims.1 as u64) * (self.dims.2 as u64);
+        let faulty = self.fault.drop_rate != 0.0 || self.fault.corrupt_rate != 0.0;
+        if faulty && matches!(self.workload, Workload::MdExchange { .. }) {
+            return Err(
+                "`fault.drop_rate` and `fault.corrupt_rate` must be 0 for an \
+                 md_exchange workload"
+                    .to_owned(),
+            );
+        }
+        if self.recovery.enabled && !matches!(self.workload, Workload::Recovering { .. }) {
+            return Err(format!(
+                "`recovery.enabled` applies only to a recovering workload, not {}",
+                self.workload.kind()
+            ));
+        }
         match &self.workload {
             Workload::PingPong { from, to, .. } => {
                 for (label, c) in [("from", from), ("to", to)] {
@@ -951,6 +970,50 @@ ny = 2
             deaths: vec![(512, 900)],
         };
         assert!(ScenarioSpec::from_toml_str(&spec.to_toml()).is_err());
+    }
+
+    #[test]
+    fn fields_the_workload_would_ignore_are_rejected() {
+        let reject = |spec: &ScenarioSpec| {
+            assert!(spec.validate().is_err(), "should reject: {spec:?}");
+            assert!(ScenarioSpec::from_toml_str(&spec.to_toml()).is_err());
+        };
+        let accept = |spec: &ScenarioSpec| {
+            spec.validate().expect("valid");
+            ScenarioSpec::from_toml_str(&spec.to_toml()).expect("parses");
+        };
+        let all_reduce = Workload::AllReduce {
+            algorithm: AlgorithmSpec::DimensionOrdered,
+            vlen: 4,
+            seed: 42,
+            reps: 1,
+        };
+        let recovering = Workload::Recovering {
+            vlen: 2,
+            seed: 1,
+            deaths: Vec::new(),
+        };
+
+        // Fault rates: rejected on the MD exchange, run by the others.
+        let mut dropping = md_spec();
+        dropping.fault.drop_rate = 0.01;
+        reject(&dropping);
+        let mut corrupting = md_spec();
+        corrupting.fault.corrupt_rate = 0.01;
+        reject(&corrupting);
+        dropping.workload = all_reduce.clone();
+        accept(&dropping);
+        dropping.workload = recovering.clone();
+        accept(&dropping);
+
+        // Recovery: only the recovering collective runs it.
+        let mut healing = md_spec();
+        healing.recovery.enabled = true;
+        reject(&healing);
+        healing.workload = all_reduce;
+        reject(&healing);
+        healing.workload = recovering;
+        accept(&healing);
     }
 
     #[test]

@@ -81,16 +81,28 @@ proptest! {
     ) {
         let (timing, lookahead, obs) = knobs;
         let (chaos_seed, fault_seed) = seeds;
-        let spec = build_spec(
+        let spec = |drop_milli: u32, workload: Workload| build_spec(
             (nx, ny, nz), timing, threads, lookahead, obs,
-            chaos_seed, chaos_seed as u32 % 4, fault_seed, fault_seed as u32 % 1000,
-            md_workload(steps, 4, compute_ns, 0.0),
+            chaos_seed, chaos_seed as u32 % 4, fault_seed, drop_milli, workload,
         );
-        let parsed = ScenarioSpec::from_toml_str(&spec.to_toml())
-            .expect("canonical TOML re-parses");
-        prop_assert_eq!(&spec, &parsed);
-        prop_assert_eq!(spec.content_hash(), parsed.content_hash());
-        prop_assert_eq!(spec.hash_hex().len(), 16);
+        // The MD exchange takes no fault rates; the all-reduce carries
+        // the drawn one.
+        let all_reduce = Workload::AllReduce {
+            algorithm: AlgorithmSpec::DimensionOrdered,
+            vlen: steps,
+            seed: chaos_seed,
+            reps: 1,
+        };
+        for spec in [
+            spec(0, md_workload(steps, 4, compute_ns, 0.0)),
+            spec(fault_seed as u32 % 1000, all_reduce),
+        ] {
+            let parsed = ScenarioSpec::from_toml_str(&spec.to_toml())
+                .expect("canonical TOML re-parses");
+            prop_assert_eq!(&spec, &parsed);
+            prop_assert_eq!(spec.content_hash(), parsed.content_hash());
+            prop_assert_eq!(spec.hash_hex().len(), 16);
+        }
     }
 
     /// Hash is formatting-independent: rewriting the canonical TOML

@@ -8,8 +8,9 @@
 //! ```
 
 use anton_baseline::IbModel;
-use anton_bench::{one_way_latency, split_transfer_time};
-use anton_collectives::{random_inputs, run_all_reduce, Algorithm};
+use anton_bench::{ping_pong, split_transfer_time};
+use anton_collectives::{all_reduce, random_inputs, Algorithm};
+use anton_net::{FaultPlan, RunConfig};
 use anton_topo::{Coord, TorusDims};
 
 fn main() {
@@ -22,7 +23,18 @@ fn main() {
         ("8 hops (X+Y)", Coord::new(4, 4, 0)),
         ("12 hops (diameter)", Coord::new(4, 4, 4)),
     ] {
-        let d = one_way_latency(dims, Coord::new(0, 0, 0), dst, 0, false, 4);
+        let d = ping_pong(
+            dims,
+            Coord::new(0, 0, 0),
+            dst,
+            0,
+            false,
+            4,
+            FaultPlan::none(),
+            &RunConfig::default(),
+        )
+        .expect("fault-free ping-pong completes")
+        .0;
         println!("  {label:>20}: {d}");
     }
 
@@ -44,12 +56,16 @@ fn main() {
         TorusDims::new(8, 8, 8),
         TorusDims::new(8, 8, 16),
     ] {
-        let out = run_all_reduce(
+        let out = all_reduce(
             dims,
             Algorithm::DimensionOrdered,
             Default::default(),
             &random_inputs(dims, 4, 1),
-        );
+            FaultPlan::none(),
+            &RunConfig::default(),
+        )
+        .expect("fault-free all-reduce completes")
+        .0;
         println!(
             "  {:>4} nodes ({}x{}x{}): {:.2} us, {} packets",
             dims.node_count(),

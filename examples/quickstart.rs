@@ -6,16 +6,28 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use anton_bench::one_way_latency;
+use anton_bench::ping_pong;
 use anton_core::{AntonConfig, AntonMdEngine};
 use anton_md::{MdParams, SystemBuilder};
+use anton_net::{FaultPlan, RunConfig};
 use anton_topo::{Coord, TorusDims};
 
 fn main() {
     // 1. The headline measurement: a counted remote write between
     //    neighboring nodes of an 8×8×8 machine.
     let dims = TorusDims::anton_512();
-    let latency = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 8);
+    let latency = ping_pong(
+        dims,
+        Coord::new(0, 0, 0),
+        Coord::new(1, 0, 0),
+        0,
+        false,
+        8,
+        FaultPlan::none(),
+        &RunConfig::default(),
+    )
+    .expect("fault-free ping-pong completes")
+    .0;
     println!("one-hop counted remote write: {latency}  (paper: 162 ns)");
 
     // 2. A small solvated system on a 2×2×2 machine: every force travels

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 fast_gate() {
   cargo fmt --all -- --check
   cargo build --release
-  cargo test -q
+  cargo test --workspace -q
   cargo clippy --workspace -- -D warnings
   RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p anton-obs
 }
@@ -36,7 +36,9 @@ full_gate() {
   # Parallel-engine determinism cross-check: the same workload mix run
   # sequentially and with 4 worker threads must fingerprint identically,
   # byte for byte — and the adaptive per-pair lookahead must fingerprint
-  # identically to the uniform global bound.
+  # identically to the uniform global bound. The binary names the window
+  # mode its runs used, so the last stanza also proves the knob reached
+  # them (an adaptive-vs-adaptive comparison would pass vacuously).
   ANTON_THREADS=1 cargo run -q --release -p anton-bench --bin par_determinism
   cp target/obs/par_fingerprint.txt target/obs/par_fingerprint_t1.txt
   ANTON_THREADS=4 cargo run -q --release -p anton-bench --bin par_determinism
@@ -45,7 +47,12 @@ full_gate() {
     exit 1
   fi
   ANTON_THREADS=4 ANTON_LOOKAHEAD=global \
-    cargo run -q --release -p anton-bench --bin par_determinism
+    cargo run -q --release -p anton-bench --bin par_determinism \
+    | tee target/obs/par_determinism_global.txt
+  grep -q "lookahead=global" target/obs/par_determinism_global.txt || {
+    echo "ci: ANTON_LOOKAHEAD=global did not reach par_determinism's runs" >&2
+    exit 1
+  }
   if ! diff -u target/obs/par_fingerprint_t1.txt target/obs/par_fingerprint.txt; then
     echo "ci: adaptive lookahead changed the simulation vs the global bound" >&2
     exit 1

@@ -5,7 +5,8 @@
 //! without the full CI script.
 
 use anton_bench::scenario::run_scenario;
-use anton_collectives::{random_inputs, run_all_reduce_recovering_timed, RecoveringParams};
+use anton_collectives::{all_reduce_recovering, random_inputs, RecoveringParams};
+use anton_net::RunConfig;
 use anton_scenario::{presets, LedgerIndex, ScenarioSpec, Workload};
 
 const LEDGER: &str = include_str!("../LEDGER.json");
@@ -47,16 +48,19 @@ fn chaos_cell_matches_the_sequential_engine() {
         panic!("chaos cell is a recovering all-reduce");
     };
     let dims = spec.torus_dims();
-    let sequential = run_all_reduce_recovering_timed(
+    let (sequential, _) = all_reduce_recovering(
         dims,
         &random_inputs(dims, vlen as usize, seed),
         spec.fault_plan(),
         &spec.deaths(),
         spec.recovery_config(),
         RecoveringParams::default(),
-        spec.timing_table(),
-    );
-    assert!(sequential.completed, "sequential reference completes");
+        &RunConfig {
+            timing: spec.timing_table(),
+            ..RunConfig::default()
+        },
+    )
+    .expect("sequential reference completes");
     let want = format!("{:016x}", sequential.fingerprint());
     for threads in [1, 2] {
         let out = run_scenario(&spec, threads);

@@ -2,17 +2,26 @@
 //! asserted end-to-end across crates through the umbrella API.
 
 use anton::baseline::{ANTON_LATENCY_US, LATENCY_SURVEY, MEASURED_IB_ALLREDUCE_512_US};
-use anton::bench::{one_way_latency, split_transfer_time, streaming_bandwidth_gbps};
-use anton::collectives::{random_inputs, run_all_reduce, Algorithm};
+use anton::bench::{ping_pong, split_transfer_time, streaming_bandwidth_gbps};
+use anton::collectives::{all_reduce, random_inputs, Algorithm};
 use anton::des::SimDuration;
+use anton::net::{FaultPlan, RunConfig};
 use anton::topo::{Coord, TorusDims};
+
+/// Fault-free 0-byte one-way latency over `iters` round trips.
+fn one_way(dims: TorusDims, src: Coord, dst: Coord, iters: u32) -> SimDuration {
+    let (none, run) = (FaultPlan::none(), RunConfig::default());
+    ping_pong(dims, src, dst, 0, false, iters, none, &run)
+        .expect("fault-free ping-pong completes")
+        .0
+}
 
 /// §III.D / Table 1: 162 ns software-to-software latency, significantly
 /// lower than any surveyed machine.
 #[test]
 fn headline_162ns_and_survey_margin() {
     let dims = TorusDims::anton_512();
-    let lat = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 8);
+    let lat = one_way(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 8);
     assert_eq!(lat, SimDuration::from_ns(162));
     let us = lat.as_us_f64();
     assert!((us - ANTON_LATENCY_US).abs() < 1e-6);
@@ -31,7 +40,7 @@ fn headline_162ns_and_survey_margin() {
 fn figure5_per_hop_slopes() {
     let dims = TorusDims::anton_512();
     let src = Coord::new(0, 0, 0);
-    let at = |dst: Coord| one_way_latency(dims, src, dst, 0, false, 4).as_ns_f64();
+    let at = |dst: Coord| one_way(dims, src, dst, 4).as_ns_f64();
     assert_eq!(at(Coord::new(2, 0, 0)) - at(Coord::new(1, 0, 0)), 76.0);
     assert_eq!(at(Coord::new(4, 1, 0)) - at(Coord::new(4, 0, 0)), 54.0);
     assert_eq!(at(Coord::new(4, 4, 1)) - at(Coord::new(4, 4, 0)), 54.0);
@@ -80,12 +89,16 @@ fn table2_allreduce_scaling_and_cluster_margin() {
         TorusDims::new(8, 8, 8),
         TorusDims::new(8, 8, 16),
     ] {
-        let out = run_all_reduce(
+        let out = all_reduce(
             dims,
             Algorithm::DimensionOrdered,
             Default::default(),
             &random_inputs(dims, 4, 9),
-        );
+            FaultPlan::none(),
+            &RunConfig::default(),
+        )
+        .expect("fault-free all-reduce completes")
+        .0;
         assert!(out.latency >= last, "monotone in machine size");
         last = out.latency;
         if dims.node_count() == 512 {
