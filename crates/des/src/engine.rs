@@ -10,12 +10,12 @@
 //! by insertion sequence number: two events scheduled for the same
 //! picosecond fire in the order they were scheduled.
 
-use crate::calendar::CalendarQueue;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled event: fires at `at`, with `seq` breaking ties. The queue
-/// itself ([`CalendarQueue`]) orders on `(at, seq)`; this struct is the
-/// staging format handlers fill through a [`Scheduler`].
+/// A scheduled event: fires at `at`, with `seq` breaking ties. This is
+/// the staging format handlers fill through a [`Scheduler`]; the engine
+/// moves each into its queue after the handler returns.
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
@@ -88,26 +88,6 @@ pub trait EventHandler<E> {
     fn handle(&mut self, event: E, sched: &mut Scheduler<E>);
 }
 
-/// An observer called once per processed event, before the world's
-/// handler runs. Probes feed instrumentation (event-rate counters,
-/// queue-depth gauges) without the world knowing; the default body is a
-/// no-op and [`Engine::run_until`] monomorphizes with [`NopProbe`], so
-/// an unprobed run pays nothing.
-pub trait Probe {
-    /// Called for each event: its firing time and the queue depth
-    /// *before* the event is popped.
-    #[inline]
-    fn on_event(&mut self, at: SimTime, pending: usize) {
-        let _ = (at, pending);
-    }
-}
-
-/// The probe that observes nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NopProbe;
-
-impl Probe for NopProbe {}
-
 /// Outcome of [`Engine::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -121,11 +101,10 @@ pub enum RunOutcome {
 
 /// The event queue plus clock. Generic over the event type.
 ///
-/// The queue is a [`CalendarQueue`] keyed on `(time, insertion seq)` —
-/// pop order is identical to the binary heap it replaced (property-tested
-/// in `tests/calendar_order.rs`), so every tie-break below still holds.
+/// The queue is keyed on `(time, insertion seq)`, so events at the same
+/// picosecond fire in the order they were scheduled.
 pub struct Engine<E> {
-    queue: CalendarQueue<u64, E>,
+    queue: EventQueue<u64, E>,
     now: SimTime,
     next_seq: u64,
     events_processed: u64,
@@ -141,7 +120,7 @@ impl<E> Engine<E> {
     /// Fresh engine at time zero.
     pub fn new() -> Self {
         Engine {
-            queue: CalendarQueue::new(),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             events_processed: 0,
@@ -175,11 +154,6 @@ impl<E> Engine<E> {
         self.queue.push(at, seq, event);
     }
 
-    /// Seed the queue with an event `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Run until the queue drains. `world` handles each event.
     /// Panics if more than `u64::MAX` events are processed (never, in
     /// practice); use [`Engine::run_until`] to bound runaway simulations.
@@ -199,21 +173,8 @@ impl<E> Engine<E> {
         horizon: SimTime,
         max_events: u64,
     ) -> RunOutcome {
-        self.run_until_probed(world, horizon, max_events, &mut NopProbe)
-    }
-
-    /// [`Engine::run_until`] with an instrumentation [`Probe`] called
-    /// once per event. Monomorphized per probe type, so the
-    /// [`NopProbe`]-instantiated path is identical to an unprobed run.
-    pub fn run_until_probed<W: EventHandler<E>, P: Probe>(
-        &mut self,
-        world: &mut W,
-        horizon: SimTime,
-        max_events: u64,
-        probe: &mut P,
-    ) -> RunOutcome {
         let mut budget = max_events;
-        while let Some(head_at) = self.queue.peek_at() {
+        while let Some((head_at, _)) = self.queue.peek() {
             if head_at > horizon {
                 return RunOutcome::HorizonReached;
             }
@@ -221,7 +182,6 @@ impl<E> Engine<E> {
                 return RunOutcome::BudgetExhausted;
             }
             budget -= 1;
-            probe.on_event(head_at, self.queue.len());
             let (at, _seq, event) = self.queue.pop().expect("peeked");
             debug_assert!(at >= self.now, "event queue emitted out of order");
             self.now = at;
@@ -354,46 +314,6 @@ mod tests {
         };
         eng.run(&mut w);
         eng.schedule_at(SimTime::from_ns(5), Ev::Stop);
-    }
-
-    /// A probe sees every processed event, and the probed run's outcome
-    /// and world state match the unprobed run exactly.
-    #[test]
-    fn probe_observes_each_event_without_perturbing() {
-        struct CountProbe {
-            events: u64,
-            max_pending: usize,
-        }
-        impl Probe for CountProbe {
-            fn on_event(&mut self, _at: SimTime, pending: usize) {
-                self.events += 1;
-                self.max_pending = self.max_pending.max(pending);
-            }
-        }
-
-        let run = |probed: bool| {
-            let mut eng = Engine::new();
-            eng.schedule_at(SimTime::ZERO, Ev::Ping(0));
-            let mut w = Recorder {
-                seen: vec![],
-                chain: 9,
-            };
-            let mut p = CountProbe {
-                events: 0,
-                max_pending: 0,
-            };
-            let out = if probed {
-                eng.run_until_probed(&mut w, SimTime(u64::MAX), u64::MAX, &mut p)
-            } else {
-                eng.run_until(&mut w, SimTime(u64::MAX), u64::MAX)
-            };
-            (out, w.seen, p.events)
-        };
-        let (out_p, seen_p, counted) = run(true);
-        let (out_n, seen_n, _) = run(false);
-        assert_eq!(out_p, out_n);
-        assert_eq!(seen_p, seen_n);
-        assert_eq!(counted, seen_p.len() as u64);
     }
 
     /// `now_event` calls made while handling an event at time T fire at

@@ -36,18 +36,17 @@
 
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod engine;
 pub mod par;
 pub mod profile;
+mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use calendar::{CalendarQueue, EventArena, DEFAULT_DAY_SHIFT};
-pub use engine::{Engine, EventHandler, NopProbe, Probe, RunOutcome, Scheduler};
-pub use par::{Executor, LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
+pub use engine::{Engine, EventHandler, RunOutcome, Scheduler};
+pub use par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
 pub use profile::{
     Heartbeat, ParProfile, StderrTelemetry, TelemetryConfig, TelemetrySink, WindowSample,
     WorkerProfile, DEFAULT_SAMPLE_CAP,

@@ -45,11 +45,11 @@
 //! the *global* `(time, birth_key)` order like the sequential
 //! [`Engine`](crate::Engine) does (with the shard-aware tie-break).
 
-use crate::calendar::{CalendarQueue, EventArena};
 use crate::engine::{EventHandler, RunOutcome, Scheduler};
 use crate::profile::{
     Heartbeat, ParProfile, TelemetryConfig, WindowSample, WorkerProfile, DEFAULT_SAMPLE_CAP,
 };
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrd};
 use std::sync::Mutex;
@@ -80,41 +80,6 @@ pub trait ShardMap<E>: Sync {
     /// cross-shard assertion checks the per-pair bound in both modes.
     fn lookahead_matrix(&self) -> LookaheadMatrix {
         LookaheadMatrix::uniform(self.shard_count(), self.lookahead())
-    }
-}
-
-/// Common executor interface over the sequential [`Engine`](crate::Engine)
-/// (`W = world`) and the parallel [`ParEngine`] (`W = [world per shard]`).
-pub trait Executor<E, W: ?Sized> {
-    /// Run until the queue drains, `horizon` passes, or `max_events`
-    /// events have executed. Events stamped exactly at the horizon fire.
-    fn run_until_on(&mut self, world: &mut W, horizon: SimTime, max_events: u64) -> RunOutcome;
-
-    /// Time of the last event processed.
-    fn now(&self) -> SimTime;
-
-    /// Total events processed so far.
-    fn events_processed(&self) -> u64;
-
-    /// Events currently pending.
-    fn pending(&self) -> usize;
-}
-
-impl<E, W: EventHandler<E>> Executor<E, W> for crate::Engine<E> {
-    fn run_until_on(&mut self, world: &mut W, horizon: SimTime, max_events: u64) -> RunOutcome {
-        self.run_until(world, horizon, max_events)
-    }
-
-    fn now(&self) -> SimTime {
-        crate::Engine::now(self)
-    }
-
-    fn events_processed(&self) -> u64 {
-        crate::Engine::events_processed(self)
-    }
-
-    fn pending(&self) -> usize {
-        crate::Engine::pending(self)
     }
 }
 
@@ -263,21 +228,18 @@ struct BirthKey {
     seq: u64,
 }
 
-/// A staged cross-shard event in flight between windows: fires at `at`;
-/// ties in time break by birth key. Queue ordering itself lives in the
-/// per-shard [`CalendarQueue`], which keys on `(at, birth)`.
+/// A cross-shard event in flight between windows: fires at `at`; ties in
+/// time break by birth key.
 struct ParScheduled<E> {
     at: SimTime,
     birth: BirthKey,
     event: E,
 }
 
-/// One shard's queue plus its deterministic counters. The queue holds
-/// 4-byte arena handles keyed by `(at, birth)`; payloads live in the
-/// arena and move exactly twice (in at schedule, out at execute).
+/// One shard's queue, keyed by `(at, birth)`, plus its deterministic
+/// counters.
 struct Shard<E> {
-    queue: CalendarQueue<BirthKey, u32>,
-    arena: EventArena<E>,
+    queue: EventQueue<BirthKey, E>,
     /// Per-shard schedule counter feeding birth keys.
     birth_seq: u64,
     /// Time of the last event this shard executed.
@@ -287,36 +249,16 @@ struct Shard<E> {
 impl<E> Shard<E> {
     fn new() -> Shard<E> {
         Shard {
-            queue: CalendarQueue::new(),
-            arena: EventArena::new(),
+            queue: EventQueue::new(),
             birth_seq: 0,
             last_at: SimTime::ZERO,
         }
     }
 
-    fn push(&mut self, at: SimTime, birth: BirthKey, event: E) {
-        let handle = self.arena.insert(event);
-        self.queue.push(at, birth, handle);
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, BirthKey, E)> {
-        self.queue
-            .pop()
-            .map(|(at, birth, handle)| (at, birth, self.arena.take(handle)))
-    }
-
-    fn peek(&mut self) -> Option<(SimTime, BirthKey)> {
-        self.queue.peek_key()
-    }
-
     /// Head time in picoseconds, `u64::MAX` when drained — the exact
     /// value published to the coordination snapshot.
-    fn head_ps(&mut self) -> u64 {
-        self.queue.peek_at().map_or(u64::MAX, |t| t.0)
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
+    fn head_ps(&self) -> u64 {
+        self.queue.peek().map_or(u64::MAX, |(at, _)| at.0)
     }
 }
 
@@ -337,8 +279,8 @@ pub struct ParEngine<E, M> {
     seed_seq: u64,
     events_processed: u64,
     now: SimTime,
-    /// `Some(sample_cap)` when runtime profiling is enabled.
-    profiling: Option<usize>,
+    /// Whether runtime profiling is enabled.
+    profiling: bool,
     /// Accumulated profile across `run_until` calls (profiling enabled).
     profile: Option<ParProfile>,
     /// Live heartbeat configuration, if any.
@@ -392,7 +334,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
             seed_seq: 0,
             events_processed: 0,
             now: SimTime::ZERO,
-            profiling: None,
+            profiling: false,
             profile: None,
             telemetry: None,
         }
@@ -403,11 +345,6 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     /// barrier count and wall time) changes.
     pub fn set_lookahead_mode(&mut self, mode: LookaheadMode) {
         self.mode = mode;
-    }
-
-    /// The window bound mode in force.
-    pub fn lookahead_mode(&self) -> LookaheadMode {
-        self.mode
     }
 
     /// The validated per-pair lookahead matrix.
@@ -434,19 +371,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     /// touches event ordering, so simulated results are bit-identical
     /// with profiling on or off.
     pub fn enable_profiling(&mut self) {
-        self.enable_profiling_with_cap(DEFAULT_SAMPLE_CAP);
-    }
-
-    /// Enable runtime profiling, retaining at most `sample_cap` window
-    /// samples per worker (`0` keeps summary counters only).
-    pub fn enable_profiling_with_cap(&mut self, sample_cap: usize) {
-        self.profiling = Some(sample_cap);
-    }
-
-    /// The accumulated runtime profile, if profiling was enabled before
-    /// a run.
-    pub fn profile(&self) -> Option<&ParProfile> {
-        self.profile.as_ref()
+        self.profiling = true;
     }
 
     /// Take the accumulated profile, leaving the accumulator empty for
@@ -464,11 +389,6 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         self.telemetry = Some(cfg);
     }
 
-    /// Disable live telemetry.
-    pub fn disable_telemetry(&mut self) {
-        self.telemetry = None;
-    }
-
     /// The shard map in force.
     pub fn map(&self) -> &M {
         &self.map
@@ -477,11 +397,6 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Worker threads the run methods will use.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Time of the last event processed (max across shards).
@@ -496,7 +411,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
 
     /// Events currently pending across all shards.
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.shards.iter().map(|s| s.queue.len()).sum()
     }
 
     /// Seed an event at absolute time `at`, routed by the shard map.
@@ -515,7 +430,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
             seq: self.seed_seq,
         };
         self.seed_seq += 1;
-        self.shards[shard].push(at, birth, event);
+        self.shards[shard].queue.push(at, birth, event);
     }
 
     /// Run until every shard's queue drains. Panics if the run stops for
@@ -550,7 +465,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         let t0 = Instant::now();
         let mut run_prof = self
             .profiling
-            .map(|cap| ParProfile::new(nworkers, self.shards.len(), cap));
+            .then(|| ParProfile::new(nworkers, self.shards.len(), DEFAULT_SAMPLE_CAP));
         let outcome = if nworkers <= 1 {
             self.run_merged(worlds, horizon, max_events, &mut run_prof, t0)
         } else {
@@ -603,7 +518,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         // Per-shard "this window reached past the global bound" flags.
         let mut recovered = vec![false; nshards];
         let outcome = loop {
-            for (i, s) in self.shards.iter_mut().enumerate() {
+            for (i, s) in self.shards.iter().enumerate() {
                 heads[i] = s.head_ps();
             }
             let t = *heads.iter().min().expect("at least one shard");
@@ -623,7 +538,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
                     windows,
                     self.events_processed - already,
                     horizon,
-                    || self.shards.iter().map(|s| s.len() as u64).collect(),
+                    || self.shards.iter().map(|s| s.queue.len() as u64).collect(),
                 );
                 b.windows_seen += 1;
             }
@@ -636,13 +551,13 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
             // Global minimum (at, birth) head below its shard's end.
             while let Some((_, sidx)) = self
                 .shards
-                .iter_mut()
+                .iter()
                 .enumerate()
-                .filter_map(|(i, s)| s.peek().map(|h| (h, i)))
+                .filter_map(|(i, s)| s.queue.peek().map(|h| (h, i)))
                 .filter(|((at, _), i)| at.0 < ends[*i])
                 .min()
             {
-                let (at, _birth, event) = self.shards[sidx].pop().expect("peeked");
+                let (at, _birth, event) = self.shards[sidx].queue.pop().expect("peeked");
                 self.shards[sidx].last_at = at;
                 let born = at;
                 let mut sched = Scheduler::fresh(born);
@@ -672,7 +587,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
                             p.traffic[sidx * p.shards + dst] += 1;
                         }
                     }
-                    self.shards[dst].push(eat, birth, event);
+                    self.shards[dst].queue.push(eat, birth, event);
                 }
             }
             if let (Some(w), Some(start)) = (wp.as_mut(), exec_start) {
@@ -743,9 +658,6 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
             executed: (0..nworkers).map(|_| AtomicU64::new(0)).collect(),
             outboxes: (0..nshards * nshards)
                 .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            outbox_full: (0..nshards * nshards)
-                .map(|_| AtomicBool::new(false))
                 .collect(),
             pending: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
             track_pending: self.telemetry.is_some(),
@@ -1026,24 +938,6 @@ struct WorkerOut {
     traffic: Vec<u64>,
 }
 
-impl<E: Send, M: ShardMap<E>, W: EventHandler<E> + Send> Executor<E, [W]> for ParEngine<E, M> {
-    fn run_until_on(&mut self, worlds: &mut [W], horizon: SimTime, max_events: u64) -> RunOutcome {
-        self.run_until(worlds, horizon, max_events)
-    }
-
-    fn now(&self) -> SimTime {
-        ParEngine::now(self)
-    }
-
-    fn events_processed(&self) -> u64 {
-        ParEngine::events_processed(self)
-    }
-
-    fn pending(&self) -> usize {
-        ParEngine::pending(self)
-    }
-}
-
 /// Shared state coordinating the workers of one windowed run.
 struct Coordination<E> {
     nshards: usize,
@@ -1055,14 +949,11 @@ struct Coordination<E> {
     heads: Vec<AtomicU64>,
     /// Per-worker cumulative executed-event count.
     executed: Vec<AtomicU64>,
-    /// Flattened `src * nshards + dst`: cross-shard events staged during
-    /// a window, drained by `dst`'s worker at the next boundary. Senders
-    /// batch locally and take each lock once per touched cell per window;
-    /// importers skip cells whose `outbox_full` flag is clear without
-    /// locking at all.
+    /// Flattened `src * nshards + dst`: cross-shard events sent during a
+    /// window, drained by `dst`'s worker at the next boundary. A barrier
+    /// separates every window's sends from the imports before and after
+    /// it, so a cell's sender and importer never contend for its lock.
     outboxes: Vec<Mutex<Vec<ParScheduled<E>>>>,
-    /// One dirty flag per outbox cell (see `outboxes`).
-    outbox_full: Vec<AtomicBool>,
     /// Per-shard pending-queue depth, published in phase 1 when
     /// `track_pending` is set so worker 0's heartbeat can report
     /// occupancy without touching other workers' queues.
@@ -1120,41 +1011,31 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
     // Exclusive end of each owned shard's previous window; imports must
     // land at or after it or the window protocol was violated.
     let mut prev_ends = vec![0u64; shards.len()];
-    // Sender-local outbox staging, one cell per (owned shard, dst):
-    // events batch here during execution and flush with a single
-    // lock + append per touched cell per window.
-    let mut stage: Vec<Vec<ParScheduled<E>>> =
-        (0..shards.len() * nshards).map(|_| Vec::new()).collect();
-    let mut touched: Vec<usize> = Vec::new();
     let mut heads_buf = vec![u64::MAX; nshards];
     let outcome = loop {
-        // Phase 1: import cross-shard events staged in the previous
-        // window, then publish per-shard heads and this worker's event
-        // count.
+        // Phase 1: import cross-shard events sent in the previous window,
+        // then publish per-shard heads and this worker's event count.
         let phase_start = out.is_some().then(|| elapsed_ns(t0));
         for (i, shard) in shards.iter_mut().enumerate() {
             let dst = first_shard + i;
             for src in 0..nshards {
-                if !co.outbox_full[src * nshards + dst].swap(false, MemOrd::Acquire) {
-                    continue;
-                }
-                let mut staged = co.outboxes[src * nshards + dst]
+                let mut sent = co.outboxes[src * nshards + dst]
                     .lock()
                     .expect("outbox poisoned");
-                for item in staged.drain(..) {
+                for item in sent.drain(..) {
                     debug_assert!(
                         item.at.0 >= prev_ends[i],
                         "conservative window violated by an import at {}",
                         item.at
                     );
-                    shard.push(item.at, item.birth, item.event);
+                    shard.queue.push(item.at, item.birth, item.event);
                 }
             }
             co.heads[dst].store(shard.head_ps(), MemOrd::SeqCst);
         }
         if co.track_pending {
             for (i, shard) in shards.iter().enumerate() {
-                co.pending[first_shard + i].store(shard.len() as u64, MemOrd::Relaxed);
+                co.pending[first_shard + i].store(shard.queue.len() as u64, MemOrd::Relaxed);
             }
         }
         co.executed[widx].store(executed_total, MemOrd::SeqCst);
@@ -1191,7 +1072,7 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
         let g_end = policy.global_end(t, horizon);
 
         // Phase 3: execute each owned shard to its own window end,
-        // staging cross-shard events locally and flushing per cell.
+        // pushing each cross-shard event into its (src, dst) outbox.
         let exec_start = out.is_some().then(|| elapsed_ns(t0));
         let mut window_events = 0u64;
         for (i, shard) in shards.iter_mut().enumerate() {
@@ -1201,7 +1082,7 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
             let mut shard_executed = 0u64;
             let mut recovered_here = false;
             while shard.head_ps() < end_i {
-                let (at, _birth, event) = shard.pop().expect("nonempty below end");
+                let (at, _birth, event) = shard.queue.pop().expect("nonempty below end");
                 shard.last_at = at;
                 let born = at;
                 let mut sched = Scheduler::fresh(born);
@@ -1223,21 +1104,20 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
                     shard.birth_seq += 1;
                     let dst = map.shard_of(&event);
                     if dst == sidx {
-                        shard.push(eat, birth, event);
+                        shard.queue.push(eat, birth, event);
                     } else {
                         policy.assert_cross(sidx, dst, born, eat);
                         if let Some((o, _)) = out.as_mut() {
                             o.traffic[i * nshards + dst] += 1;
                         }
-                        let cell = i * nshards + dst;
-                        if stage[cell].is_empty() {
-                            touched.push(cell);
-                        }
-                        stage[cell].push(ParScheduled {
-                            at: eat,
-                            birth,
-                            event,
-                        });
+                        co.outboxes[sidx * nshards + dst]
+                            .lock()
+                            .expect("outbox poisoned")
+                            .push(ParScheduled {
+                                at: eat,
+                                birth,
+                                event,
+                            });
                     }
                 }
             }
@@ -1253,17 +1133,6 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
             }
             window_events += shard_executed;
         }
-        // Flush staged cross-shard events: one lock + append per touched
-        // cell, then raise its dirty flag for the importer.
-        for &cell in &touched {
-            let flat = (first_shard + cell / nshards) * nshards + cell % nshards;
-            co.outboxes[flat]
-                .lock()
-                .expect("outbox poisoned")
-                .append(&mut stage[cell]);
-            co.outbox_full[flat].store(true, MemOrd::Release);
-        }
-        touched.clear();
         let exec_end = out.is_some().then(|| elapsed_ns(t0));
         if let (Some((o, cap)), Some(es), Some(ee)) = (out.as_mut(), exec_start, exec_end) {
             let exec_ns = ee.saturating_sub(es);
@@ -1681,34 +1550,6 @@ mod tests {
                 assert!(pair[1].events >= pair[0].events);
             }
         }
-    }
-
-    #[test]
-    fn executor_trait_unifies_engines() {
-        fn drive<X: Executor<Token, [RingWorld]> + ?Sized>(
-            x: &mut X,
-            worlds: &mut [RingWorld],
-        ) -> RunOutcome {
-            x.run_until_on(worlds, SimTime(u64::MAX), u64::MAX)
-        }
-        let mut eng = ParEngine::new(RingMap { n: 2 }, 2);
-        let mut worlds: Vec<RingWorld> = (0..2)
-            .map(|s| RingWorld {
-                shard: s,
-                nshards: 2,
-                log: Vec::new(),
-            })
-            .collect();
-        eng.schedule_at(
-            SimTime::ZERO,
-            Token {
-                shard: 0,
-                hops_left: 3,
-                tag: 0,
-            },
-        );
-        assert_eq!(drive(&mut eng, &mut worlds), RunOutcome::Drained);
-        assert_eq!(Executor::<Token, [RingWorld]>::pending(&eng), 0);
     }
 
     #[test]

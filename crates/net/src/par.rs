@@ -59,7 +59,7 @@ use crate::world::{Ctx, NodeProgram, RunReport, SimWorld, StallReport, StuckWatc
 use anton_des::par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
 use anton_des::{
     EventHandler, ParProfile, RunOutcome, Scheduler, SimDuration, SimTime, StderrTelemetry,
-    TelemetryConfig, Tracer,
+    TelemetryConfig,
 };
 use anton_obs::{FlightEvent, StreamConfig, StreamFootprint, StreamSummary};
 use anton_topo::{Dim, NodeId, TorusDims};
@@ -566,11 +566,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         self.engine.set_lookahead_mode(mode);
     }
 
-    /// The window-bound mode in force.
-    pub fn lookahead_mode(&self) -> LookaheadMode {
-        self.engine.lookahead_mode()
-    }
-
     /// The per-shard-pair lookahead matrix the plan induced.
     pub fn lookahead_matrix(&self) -> &LookaheadMatrix {
         self.engine.lookahead_matrix()
@@ -578,16 +573,11 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
 
     /// Enable runtime profiling on the underlying [`ParEngine`]:
     /// per-worker phase accounting, per-shard event counts, and the
-    /// cross-shard traffic matrix, readable after a run through
-    /// [`ParSimulation::runtime_profile`]. Profiling never changes
+    /// cross-shard traffic matrix, taken after a run through
+    /// [`ParSimulation::take_runtime_profile`]. Profiling never changes
     /// simulated results (asserted by fingerprint tests).
     pub fn enable_runtime_profiling(&mut self) {
         self.engine.enable_profiling();
-    }
-
-    /// The accumulated runtime profile, if profiling was enabled.
-    pub fn runtime_profile(&self) -> Option<&ParProfile> {
-        self.engine.profile()
     }
 
     /// Take the accumulated runtime profile, resetting the accumulator.
@@ -600,13 +590,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     /// which streams JSON lines to stderr).
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.engine.enable_telemetry(cfg);
-    }
-
-    /// Enable activity tracing on every shard replica.
-    pub fn enable_tracing(&mut self) {
-        for w in &mut self.worlds {
-            w.fabric.enable_tracing();
-        }
     }
 
     /// The shard plan in force.
@@ -758,27 +741,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         Some(acc)
     }
 
-    /// One tracer holding every shard's activity intervals, labels
-    /// re-interned in deterministic shard order. Track names and units
-    /// are taken from shard 0 (identical on every replica).
-    pub fn merged_tracer(&self) -> Tracer {
-        let mut merged = Tracer::enabled();
-        if let Some(first) = self.worlds.first() {
-            for (track, name) in first.fabric.tracer.tracks() {
-                merged.name_track(track, name);
-                merged.set_track_units(track, first.fabric.tracer.track_units(track));
-            }
-        }
-        for w in &self.worlds {
-            let t = &w.fabric.tracer;
-            for iv in t.intervals() {
-                let label = merged.intern_label(t.label(iv.label));
-                merged.record(iv.track, iv.activity, iv.start, iv.end, label);
-            }
-        }
-        merged
-    }
-
     /// Still-pending counter watches across all shards, in node order
     /// (watches only ever exist on a node's owning replica).
     pub fn stuck_watches(&self) -> Vec<StuckWatch> {
@@ -803,16 +765,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         self.worlds
             .iter()
             .flat_map(|w| w.fabric.watchdog_reports().iter().cloned())
-            .collect()
-    }
-
-    /// Recoverable errors concatenated in shard order (each replica's
-    /// log is capped independently, so ordering *across* shards is by
-    /// shard, not time — use for diagnosis, not cross-run comparison).
-    pub fn merged_errors(&self) -> Vec<crate::fault::FabricError> {
-        self.worlds
-            .iter()
-            .flat_map(|w| w.fabric.errors().iter().cloned())
             .collect()
     }
 

@@ -398,20 +398,6 @@ impl<P: NodeProgram> Simulation<P> {
         self.engine.run_until(&mut self.world, horizon, max_events)
     }
 
-    /// [`Simulation::run_until`] with an engine-level instrumentation
-    /// probe (see [`anton_des::Probe`]): the probe observes every
-    /// processed event's time and the queue depth, feeding event-rate
-    /// and queue-occupancy metrics without touching the fabric model.
-    pub fn run_until_probed<Pr: anton_des::Probe>(
-        &mut self,
-        horizon: SimTime,
-        max_events: u64,
-        probe: &mut Pr,
-    ) -> RunOutcome {
-        self.engine
-            .run_until_probed(&mut self.world, horizon, max_events, probe)
-    }
-
     /// Run with a horizon and event budget, then diagnose: a run counts
     /// as completed only if the event queue drained with *no* counter
     /// watch left pending. Anything else — queue drained but programs

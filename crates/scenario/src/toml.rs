@@ -13,6 +13,11 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest array nesting a value may have. No spec field nests deeper
+/// than 2 (`deaths = [[node, ns], ...]`); the limit bounds the parser's
+/// recursion, so a hostile file gets an `Err`, not a stack overflow.
+const MAX_ARRAY_DEPTH: usize = 8;
+
 /// One parsed TOML value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -108,7 +113,7 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, String> {
             format!("{prefix}.{key}")
         };
         let (value, rest) =
-            parse_value(line[eq + 1..].trim()).map_err(|e| format!("line {ln}: {e}"))?;
+            parse_value(line[eq + 1..].trim(), 0).map_err(|e| format!("line {ln}: {e}"))?;
         if !rest.trim().is_empty() {
             return Err(format!("line {ln}: trailing characters after value"));
         }
@@ -140,18 +145,22 @@ fn is_bare_key(k: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-/// Parse one value at the head of `s`; return it plus the unconsumed
-/// tail (arrays recurse through here for their elements).
-fn parse_value(s: &str) -> Result<(Value, &str), String> {
+/// Parse one value at the head of `s`, nested `depth` arrays deep;
+/// return it plus the unconsumed tail (arrays recurse through here for
+/// their elements).
+fn parse_value(s: &str, depth: usize) -> Result<(Value, &str), String> {
     let s = s.trim_start();
     if let Some(rest) = s.strip_prefix('[') {
+        if depth == MAX_ARRAY_DEPTH {
+            return Err(format!("arrays nest deeper than {MAX_ARRAY_DEPTH}"));
+        }
         let mut items = Vec::new();
         let mut rest = rest.trim_start();
         if let Some(r) = rest.strip_prefix(']') {
             return Ok((Value::Arr(items), r));
         }
         loop {
-            let (v, r) = parse_value(rest)?;
+            let (v, r) = parse_value(rest, depth + 1)?;
             items.push(v);
             rest = r.trim_start();
             if let Some(r) = rest.strip_prefix(',') {
@@ -293,6 +302,15 @@ deaths = [[5, 900], [12, 1400]]
         ] {
             assert!(parse(doc).is_err(), "{doc:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("name = \"x\"\nk = {}", "[".repeat(100_000));
+        let err = parse(&deep).expect_err("100,000 nested arrays must be rejected");
+        assert!(err.starts_with("line 2: arrays nest deeper than"), "{err}");
+        let limit = format!("k = {}1{}", "[".repeat(8), "]".repeat(8));
+        assert!(parse(&limit).is_ok(), "nesting at the limit parses");
     }
 
     #[test]

@@ -16,7 +16,7 @@ fast_gate() {
   cargo build --release
   cargo test --workspace -q
   cargo clippy --workspace -- -D warnings
-  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p anton-obs
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 }
 
 full_gate() {
