@@ -21,29 +21,35 @@
 //! outboxes and exchanged at window boundaries.
 //!
 //! In the default [`LookaheadMode::Adaptive`], the uniform `T + L` end is
-//! replaced per shard `b` by the minimum over *other live* shards `a` of
+//! replaced per shard `b` by the minimum over live shards `a` of
 //! `head(a) + dist(a, b)`, where `dist` is the min-plus closure of the
-//! per-pair [`LookaheadMatrix`]: shard pairs coupled only through slow
-//! paths get windows far wider than the single cheapest link allows, and
-//! a shard whose peers have drained runs clear to the horizon instead of
-//! spinning at the barrier (demand-driven window extension). Every
-//! per-pair bound is at least the global one, so each adaptive window
-//! executes a superset of the uniform window starting at the same `T` —
-//! same events, same per-shard order, fewer barriers.
+//! per-pair [`LookaheadMatrix`] and `dist(b, b)` is `b`'s shortest round
+//! trip through a peer (an event `b` sends can come back). Shard pairs
+//! coupled only through slow paths get windows far wider than the single
+//! cheapest link allows, and a shard whose peers have drained runs ahead
+//! until its own round trip could return instead of stopping at the
+//! cheapest link (demand-driven window extension). Every bound is at
+//! least the global one, so each adaptive window executes a superset of
+//! the uniform window starting at the same `T` — same events, same
+//! per-shard order, fewer barriers.
+//!
+//! One worker loop executes every run: with one worker it runs on the
+//! calling thread, with more each runs on its own scoped thread, and all
+//! of them cross the same barriers and exchange the same outboxes.
 //!
 //! ## Determinism
 //!
 //! Every event carries a **birth key** `(birth_time, origin_shard, seq)`
 //! assigned when it is scheduled: `birth_time` is the simulated time of
 //! the scheduling handler, `origin_shard` the shard that scheduled it
-//! (0 for pre-run seeds), and `seq` a per-shard schedule counter. Events
-//! execute in `(time, birth_key)` order, a total order independent of
-//! thread interleaving. Because shard worlds are disjoint, a shard's
-//! execution depends only on its own event sequence — which the window
-//! protocol makes identical whatever the worker count — so an N-thread
-//! run is bit-identical to the 1-thread run, which in turn executes in
-//! the *global* `(time, birth_key)` order like the sequential
-//! [`Engine`](crate::Engine) does (with the shard-aware tie-break).
+//! (0 for pre-run seeds), and `seq` a per-shard schedule counter. Each
+//! shard executes its events in `(time, birth_key)` order, and the
+//! conservative windows make that order the one a single global queue
+//! over all shards would produce. Because shard worlds are disjoint, a
+//! shard's execution depends only on its own event sequence — which the
+//! window protocol makes identical whatever the worker count — so runs
+//! are bit-identical at every thread count. `tests/par_equivalence.rs`
+//! checks every thread count against such a global queue.
 
 use crate::engine::{EventHandler, RunOutcome, Scheduler};
 use crate::profile::{
@@ -51,7 +57,7 @@ use crate::profile::{
 };
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrd};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as MemOrd};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -91,11 +97,12 @@ pub enum LookaheadMode {
     /// maps whose matrix adds nothing over the global bound.
     Global,
     /// Per-shard windows from the lookahead matrix: shard `b` runs to the
-    /// minimum over other live shards `a` of `head(a) + dist(a, b)`.
-    /// Never narrower than a Global window at the same start time, and
+    /// minimum over live shards `a` of `head(a) + dist(a, b)`, where
+    /// `dist(b, b)` is `b`'s shortest round trip through a peer. Never
+    /// narrower than a Global window at the same start time, and
     /// bit-identical in simulated results (the window partition is a pure
     /// function of published heads and the static matrix, so it is the
-    /// same at every thread count and in the merged reference executor).
+    /// same at every thread count).
     #[default]
     Adaptive,
 }
@@ -273,7 +280,8 @@ pub struct ParEngine<E, M> {
     mode: LookaheadMode,
     /// The map's per-pair direct bounds (validated at construction).
     matrix: LookaheadMatrix,
-    /// Min-plus closure of `matrix`, feeding adaptive window ends.
+    /// Adaptive window bounds: the min-plus closure of `matrix` off the
+    /// diagonal, each shard's shortest round trip through a peer on it.
     dist: Vec<u64>,
     /// Seeds (pre-run scheduled events) number from a single counter.
     seed_seq: u64,
@@ -289,8 +297,8 @@ pub struct ParEngine<E, M> {
 
 impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     /// Build an engine over `map`'s shards, executing with `threads`
-    /// workers (clamped to the shard count; 1 runs the sequential
-    /// global-order reference executor).
+    /// workers (clamped to the shard count; a single worker runs on the
+    /// calling thread).
     pub fn new(map: M, threads: usize) -> ParEngine<E, M> {
         let n = map.shard_count();
         assert!(n > 0, "shard map must define at least one shard");
@@ -323,7 +331,16 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
                 );
             }
         }
-        let dist = matrix.closure_ps();
+        // An event a shard sends can come back through a peer, so the
+        // shard's own head bounds its window at its shortest round trip.
+        let mut dist = matrix.closure_ps();
+        for b in 0..n {
+            dist[b * n + b] = (0..n)
+                .filter(|&a| a != b)
+                .map(|a| dist[b * n + a].saturating_add(dist[a * n + b]))
+                .min()
+                .unwrap_or(u64::MAX);
+        }
         ParEngine {
             map,
             threads: threads.max(1),
@@ -466,11 +483,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         let mut run_prof = self
             .profiling
             .then(|| ParProfile::new(nworkers, self.shards.len(), DEFAULT_SAMPLE_CAP));
-        let outcome = if nworkers <= 1 {
-            self.run_merged(worlds, horizon, max_events, &mut run_prof, t0)
-        } else {
-            self.run_windowed(worlds, horizon, max_events, nworkers, &mut run_prof, t0)
-        };
+        let outcome = self.run_windowed(worlds, horizon, max_events, nworkers, &mut run_prof, t0);
         if let Some(mut p) = run_prof {
             p.wall_ns = elapsed_ns(t0);
             match &mut self.profile {
@@ -487,153 +500,10 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         outcome
     }
 
-    /// The 1-thread reference executor: global `(time, birth)` order
-    /// across all shards, window-granular horizon/budget checks. This is
-    /// the "sequential engine" the windowed executor must match
-    /// bit-for-bit: it computes the identical per-shard window ends from
-    /// the identical head snapshot, so each window executes the identical
-    /// event set. Profiling and telemetry hooks fire at window boundaries
-    /// only, exactly like the windowed executor's.
-    fn run_merged<W: EventHandler<E>>(
-        &mut self,
-        worlds: &mut [W],
-        horizon: SimTime,
-        max_events: u64,
-        run_prof: &mut Option<ParProfile>,
-        t0: Instant,
-    ) -> RunOutcome {
-        let policy = self.window_policy();
-        let nshards = self.shards.len();
-        let loop_start = run_prof.is_some().then(|| elapsed_ns(t0));
-        let mut wp = run_prof.as_ref().map(|_| WorkerProfile {
-            worker: 0,
-            first_shard: 0,
-            shards: nshards,
-            ..Default::default()
-        });
-        let already = self.events_processed;
-        let mut beat = self.telemetry.clone().map(|cfg| BeatState::new(cfg, t0));
-        let mut heads = vec![u64::MAX; nshards];
-        let mut ends = vec![0u64; nshards];
-        // Per-shard "this window reached past the global bound" flags.
-        let mut recovered = vec![false; nshards];
-        let outcome = loop {
-            for (i, s) in self.shards.iter().enumerate() {
-                heads[i] = s.head_ps();
-            }
-            let t = *heads.iter().min().expect("at least one shard");
-            if t == u64::MAX {
-                break RunOutcome::Drained;
-            }
-            if t > horizon.0 {
-                break RunOutcome::HorizonReached;
-            }
-            if self.events_processed >= max_events {
-                break RunOutcome::BudgetExhausted;
-            }
-            if let Some(b) = beat.as_mut() {
-                let windows = wp.as_ref().map_or(b.windows_seen, |w| w.windows);
-                b.maybe_emit(
-                    SimTime(t),
-                    windows,
-                    self.events_processed - already,
-                    horizon,
-                    || self.shards.iter().map(|s| s.queue.len() as u64).collect(),
-                );
-                b.windows_seen += 1;
-            }
-            for (b, end) in ends.iter_mut().enumerate() {
-                *end = policy.shard_end(&heads, b, t, horizon);
-            }
-            let g_end = policy.global_end(t, horizon);
-            let exec_start = wp.is_some().then(|| elapsed_ns(t0));
-            let mut window_events = 0u64;
-            // Global minimum (at, birth) head below its shard's end.
-            while let Some((_, sidx)) = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.queue.peek().map(|h| (h, i)))
-                .filter(|((at, _), i)| at.0 < ends[*i])
-                .min()
-            {
-                let (at, _birth, event) = self.shards[sidx].queue.pop().expect("peeked");
-                self.shards[sidx].last_at = at;
-                let born = at;
-                let mut sched = Scheduler::fresh(born);
-                worlds[sidx].handle(event, &mut sched);
-                self.events_processed += 1;
-                window_events += 1;
-                if let Some(p) = run_prof.as_mut() {
-                    p.shard_events[sidx] += 1;
-                }
-                if wp.is_some() && policy.mode == LookaheadMode::Adaptive && at.0 >= g_end {
-                    recovered[sidx] = true;
-                    if let Some(w) = wp.as_mut() {
-                        w.recovered_events += 1;
-                    }
-                }
-                for (eat, event) in sched.into_pending() {
-                    let birth = BirthKey {
-                        time: born,
-                        origin: sidx as u32 + 1,
-                        seq: self.shards[sidx].birth_seq,
-                    };
-                    self.shards[sidx].birth_seq += 1;
-                    let dst = self.map.shard_of(&event);
-                    if dst != sidx {
-                        policy.assert_cross(sidx, dst, born, eat);
-                        if let Some(p) = run_prof.as_mut() {
-                            p.traffic[sidx * p.shards + dst] += 1;
-                        }
-                    }
-                    self.shards[dst].queue.push(eat, birth, event);
-                }
-            }
-            if let (Some(w), Some(start)) = (wp.as_mut(), exec_start) {
-                let exec_ns = elapsed_ns(t0).saturating_sub(start);
-                w.busy_ns += exec_ns;
-                w.windows += 1;
-                w.active_windows += u64::from(window_events > 0);
-                w.events += window_events;
-                for f in recovered.iter_mut() {
-                    w.extended_shard_windows += u64::from(*f);
-                    *f = false;
-                }
-                let cap = run_prof.as_ref().map_or(0, |p| p.sample_cap);
-                if w.samples.len() < cap {
-                    w.samples.push(WindowSample {
-                        window: w.windows - 1,
-                        start_ns: start,
-                        exec_ns,
-                        events: window_events,
-                        sim_ps: t,
-                    });
-                }
-            }
-        };
-        if let (Some(p), Some(mut w), Some(start)) = (run_prof.as_mut(), wp, loop_start) {
-            w.loop_ns = elapsed_ns(t0).saturating_sub(start);
-            p.windows = w.windows;
-            p.events = w.events;
-            p.recovered_events = w.recovered_events;
-            p.extended_shard_windows = w.extended_shard_windows;
-            // All shards execute on the single worker; attribute its
-            // busy time to shards by their event share (exact per-shard
-            // wall spans are only meaningful with one worker per block).
-            if w.events > 0 {
-                for (s, &ev) in p.shard_events.clone().iter().enumerate() {
-                    p.shard_busy_ns[s] = (w.busy_ns as u128 * ev as u128 / w.events as u128) as u64;
-                }
-            }
-            p.workers.push(w);
-        }
-        outcome
-    }
-
-    /// The windowed multi-worker executor. Shards are block-partitioned
-    /// across persistent scoped workers; two spin-barrier crossings per
-    /// window (import+reduce, execute).
+    /// The windowed executor. Shards are block-partitioned across
+    /// persistent workers; two spin-barrier crossings per window
+    /// (import+reduce, execute). A single worker runs on the calling
+    /// thread; two or more run on scoped threads.
     fn run_windowed<W: EventHandler<E> + Send>(
         &mut self,
         worlds: &mut [W],
@@ -653,7 +523,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         let coord = Coordination::<E> {
             nshards,
             barrier: SpinBarrier::new(nworkers),
-            poison: AtomicBool::new(false),
+            poison: AtomicUsize::new(UNPOISONED),
             heads: (0..nshards).map(|_| AtomicU64::new(u64::MAX)).collect(),
             executed: (0..nworkers).map(|_| AtomicU64::new(0)).collect(),
             outboxes: (0..nshards * nshards)
@@ -665,86 +535,82 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
 
         let prof_cap = run_prof.as_ref().map(|p| p.sample_cap);
         let telemetry = self.telemetry.clone();
-        let shards = std::mem::take(&mut self.shards);
         let map = &self.map;
 
-        // Carve (shards, worlds) into per-worker chunks.
-        let mut shard_chunks: Vec<Vec<Shard<E>>> = Vec::with_capacity(nworkers);
-        {
-            let mut rest = shards;
-            for w in (0..nworkers).rev() {
-                shard_chunks.push(rest.split_off(bounds[w]));
-            }
-            shard_chunks.reverse();
+        // Carve (shards, worlds) into per-worker jobs.
+        let mut jobs = Vec::with_capacity(nworkers);
+        let mut shard_rest = std::mem::take(&mut self.shards);
+        let mut world_rest = worlds;
+        for w in (0..nworkers).rev() {
+            let (rest, mine) = world_rest.split_at_mut(bounds[w]);
+            world_rest = rest;
+            jobs.push((w, shard_rest.split_off(bounds[w]), mine));
+        }
+        jobs.reverse();
+
+        let run = |(w, chunk, mine): (usize, Vec<Shard<E>>, &mut [W])| {
+            let opts = WorkerOpts {
+                prof_cap,
+                t0,
+                // Worker 0 owns the heartbeat; others stay silent.
+                telemetry: if w == 0 { telemetry.clone() } else { None },
+            };
+            worker_loop(
+                w, bounds[w], chunk, mine, map, &policy, horizon, max_events, &coord, opts,
+            )
+        };
+        let mut joined: Vec<std::thread::Result<_>> = if nworkers == 1 {
+            jobs.into_iter().map(|job| Ok(run(job))).collect()
+        } else {
+            let run = &run;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = jobs
+                    .into_iter()
+                    .map(|job| scope.spawn(move || run(job)))
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            })
+        };
+        let poisoner = coord.poison.load(MemOrd::SeqCst);
+        if poisoner != UNPOISONED {
+            // Re-raise the first panicking worker's own payload: its
+            // siblings only carry the abort notice.
+            let cause = joined.swap_remove(poisoner).err();
+            std::panic::resume_unwind(cause.expect("the poisoning worker panicked"));
         }
 
-        let (outcome, shards_back, total_executed) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nworkers);
-            let mut world_rest = worlds;
-            for (w, chunk) in shard_chunks.into_iter().enumerate() {
-                let (mine, rest) = world_rest.split_at_mut(bounds[w + 1] - bounds[w]);
-                world_rest = rest;
-                let co = &coord;
-                let pol = &policy;
-                let first_shard = bounds[w];
-                let opts = WorkerOpts {
-                    prof_cap,
-                    t0,
-                    // Worker 0 owns the heartbeat; others stay silent.
-                    telemetry: if w == 0 { telemetry.clone() } else { None },
-                };
-                handles.push(scope.spawn(move || {
-                    worker_loop(
-                        w,
-                        first_shard,
-                        chunk,
-                        mine,
-                        map,
-                        pol,
-                        horizon,
-                        max_events,
-                        co,
-                        opts,
-                    )
-                }));
-            }
-            let mut outcome = None;
-            let mut shards_back: Vec<Shard<E>> = Vec::with_capacity(nshards);
-            let mut total = 0u64;
-            // Join in spawn order, so worker profiles merge in worker
-            // order — the deterministic merge the profile docs promise.
-            for h in handles {
-                let (out, chunk, executed, wout) = h.join().expect("parallel DES worker panicked");
-                // Every worker reaches the identical decision; keep one.
-                outcome.get_or_insert(out);
-                debug_assert_eq!(outcome, Some(out));
-                if let (Some(p), Some(wo)) = (run_prof.as_mut(), wout) {
-                    let first = wo.wp.first_shard;
-                    for (i, &ev) in wo.shard_events.iter().enumerate() {
-                        p.shard_events[first + i] += ev;
-                    }
-                    for (i, &b) in wo.shard_busy_ns.iter().enumerate() {
-                        p.shard_busy_ns[first + i] += b;
-                    }
-                    for (i, &tr) in wo.traffic.iter().enumerate() {
-                        p.traffic[(first + i / nshards) * nshards + i % nshards] += tr;
-                    }
-                    // Every worker participates in every window.
-                    p.windows = p.windows.max(wo.wp.windows);
-                    p.events += wo.wp.events;
-                    p.recovered_events += wo.wp.recovered_events;
-                    p.extended_shard_windows += wo.wp.extended_shard_windows;
-                    p.workers.push(wo.wp);
+        let mut outcome = None;
+        let mut total_executed = 0u64;
+        // Merge in worker order — the deterministic merge the profile
+        // docs promise.
+        for done in joined {
+            let (out, chunk, executed, wout) = done.expect("no worker panicked");
+            // Every worker reaches the identical decision; keep one.
+            outcome.get_or_insert(out);
+            debug_assert_eq!(outcome, Some(out));
+            if let (Some(p), Some(wo)) = (run_prof.as_mut(), wout) {
+                let first = wo.wp.first_shard;
+                for (i, &ev) in wo.shard_events.iter().enumerate() {
+                    p.shard_events[first + i] += ev;
                 }
-                shards_back.extend(chunk);
-                total += executed;
+                for (i, &b) in wo.shard_busy_ns.iter().enumerate() {
+                    p.shard_busy_ns[first + i] += b;
+                }
+                for (i, &tr) in wo.traffic.iter().enumerate() {
+                    p.traffic[(first + i / nshards) * nshards + i % nshards] += tr;
+                }
+                // Every worker participates in every window.
+                p.windows = p.windows.max(wo.wp.windows);
+                p.events += wo.wp.events;
+                p.recovered_events += wo.wp.recovered_events;
+                p.extended_shard_windows += wo.wp.extended_shard_windows;
+                p.workers.push(wo.wp);
             }
-            (outcome.expect("at least one worker"), shards_back, total)
-        });
-
-        self.shards = shards_back;
+            self.shards.extend(chunk);
+            total_executed += executed;
+        }
         self.events_processed = already + total_executed;
-        outcome
+        outcome.expect("at least one worker")
     }
 }
 
@@ -759,7 +625,7 @@ struct WindowPolicy {
     nshards: usize,
     /// Direct per-pair bounds, row-major (`u64::MAX` = unreachable).
     direct: Vec<u64>,
-    /// Min-plus closure of `direct`.
+    /// Adaptive window bounds (see [`ParEngine`]'s `dist`).
     dist: Vec<u64>,
 }
 
@@ -782,29 +648,29 @@ impl WindowPolicy {
     /// into `b` — directly or through any relay chain — fires at or after
     /// `head(a) + dist(a, b)`, because every event `a` executes this
     /// window is at `head(a)` or later and every hop adds at least its
-    /// direct bound (asserted at schedule time). Taking the min over
-    /// *other* live shards therefore bounds everything `b` cannot yet
-    /// know about; `b`'s own events never constrain `b`. Drained shards
-    /// (`head == u64::MAX`) impose no bound — that is the demand-driven
-    /// window extension, decided purely from the published snapshot so it
-    /// is identical at every thread count. Since `dist >= look` entrywise
-    /// and every live head is `>= t`, the result is never below
-    /// [`WindowPolicy::global_end`]; the shard holding the minimum head
-    /// always gets an end past its own head, so every window progresses.
+    /// direct bound (asserted at schedule time). That holds for `a == b`
+    /// too: an event `b` sends can return through a peer, at or after
+    /// `head(b) + dist(b, b)`, its shortest round trip. The min over live
+    /// shards therefore bounds everything `b` cannot yet know about.
+    /// Drained shards (`head == u64::MAX`) impose no bound, so a shard
+    /// whose peers have drained runs until its own round trip could
+    /// return — the demand-driven window extension, decided purely from
+    /// the published snapshot so it is identical at every thread count.
+    /// Since every off-diagonal `dist >= look`, every round trip is at
+    /// least `2 * look`, and every live head is `>= t`, the result is
+    /// never below [`WindowPolicy::global_end`]; the shard holding the
+    /// minimum head always gets an end past its own head, so every window
+    /// progresses. A lone shard has no round trip and runs to the horizon.
     fn shard_end(&self, heads: &[u64], b: usize, t: u64, horizon: SimTime) -> u64 {
         match self.mode {
             LookaheadMode::Global => self.global_end(t, horizon),
             LookaheadMode::Adaptive => {
                 let n = self.nshards;
-                if n == 1 {
-                    return self.global_end(t, horizon);
-                }
                 let mut end = u64::MAX;
                 for (a, &head) in heads.iter().enumerate() {
-                    if a == b || head == u64::MAX {
-                        continue;
+                    if head != u64::MAX {
+                        end = end.min(head.saturating_add(self.dist[a * n + b]));
                     }
-                    end = end.min(head.saturating_add(self.dist[a * n + b]));
                 }
                 end.min(horizon.0.saturating_add(1))
             }
@@ -838,8 +704,7 @@ fn elapsed_ns(t0: Instant) -> u64 {
 }
 
 /// Heartbeat throttle: tracks the last emission and computes rates over
-/// the interval since. Shared by the merged executor (main thread) and
-/// worker 0 of the windowed executor.
+/// the interval since. Worker 0 owns it.
 struct BeatState {
     cfg: TelemetryConfig,
     t0: Instant,
@@ -942,7 +807,8 @@ struct WorkerOut {
 struct Coordination<E> {
     nshards: usize,
     barrier: SpinBarrier,
-    poison: AtomicBool,
+    /// The first worker to panic, or [`UNPOISONED`].
+    poison: AtomicUsize,
     /// Per-*shard* head time (`u64::MAX` = drained), published in phase 1
     /// — the snapshot every worker derives the identical per-shard window
     /// ends from.
@@ -986,7 +852,10 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
 ) -> (RunOutcome, Vec<Shard<E>>, u64, Option<WorkerOut>) {
     // If this worker panics (handler bug, lookahead violation), poison
     // the barrier so the others panic out instead of spinning forever.
-    let _guard = PoisonGuard(&co.poison);
+    let _guard = PoisonGuard {
+        poison: &co.poison,
+        worker: widx,
+    };
     let t0 = opts.t0;
     let nshards = co.nshards;
     let loop_start = opts.prof_cap.map(|_| elapsed_ns(t0));
@@ -1179,7 +1048,7 @@ impl SpinBarrier {
         }
     }
 
-    fn wait(&self, poison: &AtomicBool) {
+    fn wait(&self, poison: &AtomicUsize) {
         let gen = self.generation.load(MemOrd::SeqCst);
         if self.arrived.fetch_add(1, MemOrd::SeqCst) + 1 == self.total {
             self.arrived.store(0, MemOrd::SeqCst);
@@ -1187,7 +1056,7 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(MemOrd::SeqCst) == gen {
-                if poison.load(MemOrd::SeqCst) {
+                if poison.load(MemOrd::SeqCst) != UNPOISONED {
                     panic!("parallel DES worker aborted: a sibling worker panicked");
                 }
                 // Spin briefly for the common in-cache handoff, then
@@ -1204,13 +1073,25 @@ impl SpinBarrier {
     }
 }
 
-/// Sets the poison flag if dropped during a panic unwind.
-struct PoisonGuard<'a>(&'a AtomicBool);
+/// [`Coordination::poison`] while no worker has panicked.
+const UNPOISONED: usize = usize::MAX;
+
+/// Records its worker as the poisoner if dropped during a panic unwind
+/// and no sibling panicked first.
+struct PoisonGuard<'a> {
+    poison: &'a AtomicUsize,
+    worker: usize,
+}
 
 impl Drop for PoisonGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.store(true, MemOrd::SeqCst);
+            let _ = self.poison.compare_exchange(
+                UNPOISONED,
+                self.worker,
+                MemOrd::SeqCst,
+                MemOrd::SeqCst,
+            );
         }
     }
 }
@@ -1386,8 +1267,26 @@ mod tests {
         assert_eq!(eng.now(), SimTime(4 * 50_000));
     }
 
+    /// Run `run` at 1, 2 and 4 threads; each must panic with a message
+    /// containing `expected` — the failing worker's own message, not a
+    /// sibling's abort notice.
+    fn panics_at_every_thread_count(expected: &str, run: impl Fn(usize)) {
+        for threads in [1, 2, 4] {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(threads)))
+                .expect_err("the run must panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains(expected),
+                "{threads} threads: panic {msg:?} lacks {expected:?}"
+            );
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "lookahead violation")]
     fn undeclared_cross_shard_event_panics() {
         struct Cheater;
         impl EventHandler<Token> for Cheater {
@@ -1405,17 +1304,44 @@ mod tests {
                 }
             }
         }
+        panics_at_every_thread_count("less than 50.000 ns after", |threads| {
+            let mut eng = ParEngine::new(RingMap { n: 2 }, threads);
+            let mut worlds = vec![Cheater, Cheater];
+            eng.schedule_at(
+                SimTime::ZERO,
+                Token {
+                    shard: 0,
+                    hops_left: 1,
+                    tag: 0,
+                },
+            );
+            eng.run(&mut worlds);
+        });
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        struct Where(Vec<std::thread::ThreadId>);
+        impl EventHandler<Token> for Where {
+            fn handle(&mut self, _: Token, _: &mut Scheduler<Token>) {
+                self.0.push(std::thread::current().id());
+            }
+        }
         let mut eng = ParEngine::new(RingMap { n: 2 }, 1);
-        let mut worlds = vec![Cheater, Cheater];
-        eng.schedule_at(
-            SimTime::ZERO,
-            Token {
-                shard: 0,
-                hops_left: 1,
+        for shard in [0, 1] {
+            let ev = Token {
+                shard,
+                hops_left: 0,
                 tag: 0,
-            },
-        );
+            };
+            eng.schedule_at(SimTime::ZERO, ev);
+        }
+        let mut worlds = vec![Where(Vec::new()), Where(Vec::new())];
         eng.run(&mut worlds);
+        let here = std::thread::current().id();
+        for w in &worlds {
+            assert_eq!(w.0, [here]);
+        }
     }
 
     fn run_ring_profiled(
@@ -1720,7 +1646,7 @@ mod tests {
                     tag: ev.tag + 1,
                 },
             );
-            if ev.hops_left % 7 == 0 {
+            if ev.hops_left.is_multiple_of(7) {
                 sched.after(
                     SimDuration::from_ns(200),
                     Token {
@@ -1785,7 +1711,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unreachable")]
     fn event_across_unreachable_pair_panics() {
         // RingWorld only sends a -> a+1; sending backwards crosses a pair
         // the matrix declares unreachable.
@@ -1804,22 +1729,66 @@ mod tests {
                 }
             }
         }
-        let mut eng = ParEngine::new(MatrixRingMap { n: 4 }, 1);
-        let mut worlds = vec![
-            BackwardsWorld,
-            BackwardsWorld,
-            BackwardsWorld,
-            BackwardsWorld,
-        ];
-        eng.schedule_at_shard(
-            3,
-            SimTime::ZERO,
-            Token {
-                shard: 3,
-                hops_left: 1,
-                tag: 0,
-            },
-        );
-        eng.run(&mut worlds);
+        // At 2 threads the violation happens on worker 1, so worker 0's
+        // abort notice is joined first and must not be what surfaces.
+        panics_at_every_thread_count("declares unreachable", |threads| {
+            let mut eng = ParEngine::new(MatrixRingMap { n: 4 }, threads);
+            let mut worlds = vec![
+                BackwardsWorld,
+                BackwardsWorld,
+                BackwardsWorld,
+                BackwardsWorld,
+            ];
+            eng.schedule_at_shard(
+                3,
+                SimTime::ZERO,
+                Token {
+                    shard: 3,
+                    hops_left: 1,
+                    tag: 0,
+                },
+            );
+            eng.run(&mut worlds);
+        });
+    }
+
+    /// Shard 0 pings shard 1, which replies one lookahead later. The
+    /// reply lands before shard 0's next local event, though no peer is
+    /// live early enough to bound shard 0's window: only shard 0's own
+    /// round trip does.
+    #[test]
+    fn a_reply_through_a_peer_runs_in_time_order() {
+        struct PingWorld(Vec<u64>);
+        impl EventHandler<Token> for PingWorld {
+            fn handle(&mut self, ev: Token, sched: &mut Scheduler<Token>) {
+                self.0.push(sched.now().as_ps() / 1_000);
+                if ev.hops_left > 0 {
+                    let back = Token {
+                        shard: 1 - ev.shard,
+                        hops_left: ev.hops_left - 1,
+                        tag: 0,
+                    };
+                    sched.after(LOOK, back);
+                }
+            }
+        }
+        for mode in [LookaheadMode::Adaptive, LookaheadMode::Global] {
+            for threads in [1, 2] {
+                let mut eng = ParEngine::new(RingMap { n: 2 }, threads);
+                eng.set_lookahead_mode(mode);
+                for (shard, t_ns, hops_left) in [(0, 0, 2), (0, 500, 0), (1, 1_000, 0)] {
+                    let ev = Token {
+                        shard,
+                        hops_left,
+                        tag: 0,
+                    };
+                    eng.schedule_at(SimTime::from_ns(t_ns), ev);
+                }
+                let mut worlds = vec![PingWorld(Vec::new()), PingWorld(Vec::new())];
+                eng.run(&mut worlds);
+                assert_eq!(worlds[0].0, [0, 100, 500], "{mode}, {threads} threads");
+                assert_eq!(worlds[1].0, [50, 1_000], "{mode}, {threads} threads");
+            }
+        }
     }
 }

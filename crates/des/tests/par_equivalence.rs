@@ -1,11 +1,13 @@
-//! Property tests: the parallel engine is bit-identical to the
-//! sequential reference at every thread count, under randomized
-//! workloads with same-timestamp chains, `now_event` calls, and
-//! cross-shard traffic at the lookahead bound.
+//! Property tests: the parallel engine executes every event in the
+//! global `(time, birth key)` order of one windowless queue over all
+//! shards, at every thread count and in both lookahead modes, under
+//! randomized workloads with same-timestamp chains, `now_event` calls,
+//! and cross-shard traffic at the lookahead bound.
 
 use anton_des::par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
 use anton_des::{EventHandler, RunOutcome, Scheduler, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const LOOK_NS: u64 = 54;
 
@@ -14,22 +16,6 @@ struct Msg {
     shard: usize,
     depth: u32,
     tag: u64,
-}
-
-struct Map {
-    n: usize,
-}
-
-impl ShardMap<Msg> for Map {
-    fn shard_count(&self) -> usize {
-        self.n
-    }
-    fn shard_of(&self, ev: &Msg) -> usize {
-        ev.shard
-    }
-    fn lookahead(&self) -> SimDuration {
-        SimDuration::from_ns(LOOK_NS)
-    }
 }
 
 /// Splittable hash so handler behavior is a pure function of the event —
@@ -42,108 +28,66 @@ fn mix(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Each event spawns 0–2 children: possibly a local child at a small
-/// (often zero) delay, possibly a cross-shard child at the lookahead
-/// bound plus jitter. Every shard logs (time, tag, depth).
-struct World {
-    shard: usize,
-    nshards: usize,
-    log: Vec<(u64, u64, u32)>,
+/// A sharded test machine. Without a salt every pair is reachable at the
+/// uniform lookahead; with one, only the forward ring `a -> a+1` is, at
+/// randomized per-pair bounds of at least the global floor (a pure
+/// function of `(salt, src)`, so the workload can respect them exactly).
+#[derive(Clone, Copy)]
+struct Net {
+    n: usize,
+    salt: Option<u64>,
 }
 
-impl EventHandler<Msg> for World {
-    fn handle(&mut self, ev: Msg, sched: &mut Scheduler<Msg>) {
-        assert_eq!(ev.shard, self.shard);
-        self.log.push((sched.now().as_ps(), ev.tag, ev.depth));
+impl Net {
+    fn ring_bound_ps(salt: u64, src: usize) -> u64 {
+        LOOK_NS * 1_000 + mix(salt, src as u64) % 50_000
+    }
+
+    /// The workload, as a pure function of the event and its time. Each
+    /// event spawns 0–2 children: possibly a local child at a small (often
+    /// zero) delay, possibly a cross-shard child at its pair's bound plus
+    /// jitter, and on the uniform machine possibly a same-instant
+    /// `now_event`.
+    fn children(&self, ev: &Msg, now: SimTime) -> Vec<(SimTime, Msg)> {
+        let mut out = Vec::new();
         if ev.depth == 0 {
-            return;
+            return out;
         }
-        let h = mix(ev.tag, sched.now().as_ps());
+        let h = mix(ev.tag, now.as_ps());
+        let child = |shard, tag| Msg {
+            shard,
+            depth: ev.depth - 1,
+            tag,
+        };
         if h & 1 == 0 {
             // Local child; delay 0 exercises same-timestamp FIFO chains.
-            let delay = SimDuration::from_ps((h >> 8) % 3_000);
-            sched.after(
-                delay,
-                Msg {
-                    shard: self.shard,
-                    depth: ev.depth - 1,
-                    tag: mix(h, 11),
-                },
-            );
+            let at = now + SimDuration::from_ps((h >> 8) % 3_000);
+            out.push((at, child(ev.shard, mix(h, 11))));
         }
-        if h & 2 == 0 && self.nshards > 1 {
-            let dst = (self.shard + 1 + (h >> 16) as usize % (self.nshards - 1)) % self.nshards;
-            let delay = SimDuration::from_ps(LOOK_NS * 1_000 + (h >> 24) % 40_000);
-            sched.after(
-                delay,
-                Msg {
-                    shard: dst,
-                    depth: ev.depth - 1,
-                    tag: mix(h, 13),
-                },
-            );
+        if h & 2 == 0 && self.n > 1 {
+            let (dst, bound) = match self.salt {
+                None => (
+                    (ev.shard + 1 + (h >> 16) as usize % (self.n - 1)) % self.n,
+                    LOOK_NS * 1_000,
+                ),
+                Some(salt) => ((ev.shard + 1) % self.n, Net::ring_bound_ps(salt, ev.shard)),
+            };
+            let at = now + SimDuration(bound + (h >> 24) % 40_000);
+            out.push((at, child(dst, mix(h, 13))));
         }
-        if h & 4 == 0 {
-            sched.now_event(Msg {
-                shard: self.shard,
+        if h & 4 == 0 && self.salt.is_none() {
+            let ev = Msg {
+                shard: ev.shard,
                 depth: 0,
                 tag: mix(h, 17),
-            });
+            };
+            out.push((now, ev));
         }
+        out
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn run(
-    threads: usize,
-    nshards: usize,
-    seeds: &[(u64, usize, u32)],
-    horizon: SimTime,
-    budget: u64,
-) -> (RunOutcome, Vec<Vec<(u64, u64, u32)>>, u64, SimTime) {
-    let mut eng = ParEngine::new(Map { n: nshards }, threads);
-    let mut worlds: Vec<World> = (0..nshards)
-        .map(|s| World {
-            shard: s,
-            nshards,
-            log: Vec::new(),
-        })
-        .collect();
-    for (i, &(t_ns, shard, depth)) in seeds.iter().enumerate() {
-        eng.schedule_at(
-            SimTime::from_ns(t_ns),
-            Msg {
-                shard: shard % nshards,
-                depth,
-                tag: mix(i as u64, 997),
-            },
-        );
-    }
-    let out = eng.run_until(&mut worlds, horizon, budget);
-    (
-        out,
-        worlds.into_iter().map(|w| w.log).collect(),
-        eng.events_processed(),
-        eng.now(),
-    )
-}
-
-/// A map with randomized per-pair direct bounds along a forward ring
-/// (everything else unreachable), at least the global floor. The bounds
-/// are a pure function of `(salt, src)`, so the paired world can respect
-/// them exactly.
-struct JitterMap {
-    n: usize,
-    salt: u64,
-}
-
-impl JitterMap {
-    fn bound_ps(&self, src: usize) -> u64 {
-        LOOK_NS * 1_000 + mix(self.salt, src as u64) % 50_000
-    }
-}
-
-impl ShardMap<Msg> for JitterMap {
+impl ShardMap<Msg> for Net {
     fn shard_count(&self) -> usize {
         self.n
     }
@@ -154,89 +98,74 @@ impl ShardMap<Msg> for JitterMap {
         SimDuration::from_ns(LOOK_NS)
     }
     fn lookahead_matrix(&self) -> LookaheadMatrix {
+        let Some(salt) = self.salt else {
+            return LookaheadMatrix::uniform(self.n, self.lookahead());
+        };
         let mut m = LookaheadMatrix::unreachable(self.n);
         for a in 0..self.n {
-            m.set(a, (a + 1) % self.n, SimDuration(self.bound_ps(a)));
+            let bound = SimDuration(Net::ring_bound_ps(salt, a));
+            m.set(a, (a + 1) % self.n, bound);
         }
         m
     }
 }
 
-/// Like [`World`] but cross-shard children go only forward along the
-/// ring, delayed by that pair's declared bound plus jitter — so the
-/// engine's per-pair runtime assertion stays armed and never fires.
-struct MatrixWorld {
+/// Every shard logs (time, tag, depth), then schedules the workload's
+/// children.
+struct World {
+    net: Net,
     shard: usize,
-    nshards: usize,
-    salt: u64,
     log: Vec<(u64, u64, u32)>,
 }
 
-impl EventHandler<Msg> for MatrixWorld {
+impl EventHandler<Msg> for World {
     fn handle(&mut self, ev: Msg, sched: &mut Scheduler<Msg>) {
         assert_eq!(ev.shard, self.shard);
         self.log.push((sched.now().as_ps(), ev.tag, ev.depth));
-        if ev.depth == 0 {
-            return;
-        }
-        let h = mix(ev.tag, sched.now().as_ps());
-        if h & 1 == 0 {
-            sched.after(
-                SimDuration::from_ps((h >> 8) % 3_000),
-                Msg {
-                    shard: self.shard,
-                    depth: ev.depth - 1,
-                    tag: mix(h, 11),
-                },
-            );
-        }
-        if h & 2 == 0 && self.nshards > 1 {
-            let bound = JitterMap {
-                n: self.nshards,
-                salt: self.salt,
-            }
-            .bound_ps(self.shard);
-            sched.after(
-                SimDuration(bound + (h >> 24) % 40_000),
-                Msg {
-                    shard: (self.shard + 1) % self.nshards,
-                    depth: ev.depth - 1,
-                    tag: mix(h, 13),
-                },
-            );
+        for (at, child) in self.net.children(&ev, sched.now()) {
+            sched.at(at, child);
         }
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn run_matrix(
+type Run = (RunOutcome, Vec<Vec<(u64, u64, u32)>>, u64, SimTime);
+
+fn seed_msgs(net: Net, seeds: &[(u64, usize, u32)]) -> Vec<(SimTime, Msg)> {
+    seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &(t_ns, shard, depth))| {
+            let msg = Msg {
+                shard: shard % net.n,
+                depth,
+                tag: mix(i as u64, 997),
+            };
+            (SimTime::from_ns(t_ns), msg)
+        })
+        .collect()
+}
+
+fn run(
+    net: Net,
     threads: usize,
-    nshards: usize,
-    salt: u64,
     mode: LookaheadMode,
     seeds: &[(u64, usize, u32)],
-) -> (RunOutcome, Vec<Vec<(u64, u64, u32)>>, u64, SimTime) {
-    let mut eng = ParEngine::new(JitterMap { n: nshards, salt }, threads);
+    horizon: SimTime,
+    budget: u64,
+) -> Run {
+    let mut eng = ParEngine::new(net, threads);
     eng.set_lookahead_mode(mode);
-    let mut worlds: Vec<MatrixWorld> = (0..nshards)
-        .map(|s| MatrixWorld {
-            shard: s,
-            nshards,
-            salt,
+    let mut worlds: Vec<World> = (0..net.n)
+        .map(|shard| World {
+            net,
+            shard,
             log: Vec::new(),
         })
         .collect();
-    for (i, &(t_ns, shard, depth)) in seeds.iter().enumerate() {
-        eng.schedule_at(
-            SimTime::from_ns(t_ns),
-            Msg {
-                shard: shard % nshards,
-                depth,
-                tag: mix(i as u64, 997),
-            },
-        );
+    for (at, msg) in seed_msgs(net, seeds) {
+        eng.schedule_at(at, msg);
     }
-    let out = eng.run_until(&mut worlds, SimTime(u64::MAX), u64::MAX);
+    let out = eng.run_until(&mut worlds, horizon, budget);
     (
         out,
         worlds.into_iter().map(|w| w.log).collect(),
@@ -245,10 +174,37 @@ fn run_matrix(
     )
 }
 
+/// The reference: one global queue ordered by `(time, birth time,
+/// origin, seq)`, with no windows. Seeds take origin 0 and a global
+/// counter; events scheduled by shard `s` take origin `s + 1` and a
+/// per-shard counter.
+fn oracle(net: Net, seeds: &[(u64, usize, u32)]) -> Run {
+    let mut queue = BTreeMap::new();
+    for (seq, (at, msg)) in seed_msgs(net, seeds).into_iter().enumerate() {
+        queue.insert((at, SimTime::ZERO, 0, seq as u64), msg);
+    }
+    let mut logs = vec![Vec::new(); net.n];
+    let mut birth_seq = vec![0u64; net.n];
+    let (mut events, mut now) = (0, SimTime::ZERO);
+    while let Some(((at, ..), ev)) = queue.pop_first() {
+        logs[ev.shard].push((at.as_ps(), ev.tag, ev.depth));
+        events += 1;
+        now = at;
+        for (child_at, child) in net.children(&ev, at) {
+            let key = (child_at, at, ev.shard as u32 + 1, birth_seq[ev.shard]);
+            birth_seq[ev.shard] += 1;
+            queue.insert(key, child);
+        }
+    }
+    (RunOutcome::Drained, logs, events, now)
+}
+
+const MODES: [LookaheadMode; 2] = [LookaheadMode::Adaptive, LookaheadMode::Global];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Unbounded runs agree bit-for-bit at 1, 2, 4, and 8 threads.
+    /// Unbounded runs match the oracle at 1, 2, 4, and 8 threads.
     #[test]
     fn parallel_matches_sequential(
         nshards in 1usize..6,
@@ -256,17 +212,21 @@ proptest! {
         d0 in 1u32..12, d1 in 1u32..12, d2 in 1u32..12,
         p0 in 0usize..6, p1 in 0usize..6, p2 in 0usize..6,
     ) {
+        let net = Net { n: nshards, salt: None };
         let seeds = [(s0, p0, d0), (s1, p1, d1), (s2, p2, d2)];
-        let reference = run(1, nshards, &seeds, SimTime(u64::MAX), u64::MAX);
-        for threads in [2, 4, 8] {
-            let par = run(threads, nshards, &seeds, SimTime(u64::MAX), u64::MAX);
-            prop_assert_eq!(&reference, &par, "diverged at {} threads", threads);
+        let reference = oracle(net, &seeds);
+        for mode in MODES {
+            for threads in [1, 2, 4, 8] {
+                let par = run(net, threads, mode, &seeds, SimTime(u64::MAX), u64::MAX);
+                prop_assert_eq!(&reference, &par, "{} diverged at {} threads", mode, threads);
+            }
         }
-        prop_assert_eq!(reference.0, RunOutcome::Drained);
     }
 
     /// Bounded runs (horizon and event budget) stop at the same point and
-    /// with the same state at every thread count.
+    /// with the same state at every thread count. The budget is checked
+    /// at window boundaries, which the oracle does not have, so these
+    /// compare thread counts with each other.
     #[test]
     fn bounded_runs_agree(
         nshards in 2usize..5,
@@ -275,13 +235,16 @@ proptest! {
         horizon_ns in 50u64..600,
         budget in 1u64..60,
     ) {
+        let net = Net { n: nshards, salt: None };
         let seeds = [(s0, 0, d0), (s1, 1, d1)];
         let h = SimTime::from_ns(horizon_ns);
-        let by_horizon = run(1, nshards, &seeds, h, u64::MAX);
-        let by_budget = run(1, nshards, &seeds, SimTime(u64::MAX), budget);
+        let unbounded = SimTime(u64::MAX);
+        let mode = LookaheadMode::default();
+        let by_horizon = run(net, 1, mode, &seeds, h, u64::MAX);
+        let by_budget = run(net, 1, mode, &seeds, unbounded, budget);
         for threads in [2, 4] {
-            prop_assert_eq!(&by_horizon, &run(threads, nshards, &seeds, h, u64::MAX));
-            prop_assert_eq!(&by_budget, &run(threads, nshards, &seeds, SimTime(u64::MAX), budget));
+            prop_assert_eq!(&by_horizon, &run(net, threads, mode, &seeds, h, u64::MAX));
+            prop_assert_eq!(&by_budget, &run(net, threads, mode, &seeds, unbounded, budget));
         }
         // Nothing past the horizon fired.
         for &(t, _, _) in by_horizon.1.iter().flatten() {
@@ -289,10 +252,10 @@ proptest! {
         }
     }
 
-    /// Under random per-pair matrices, adaptive and global-bound windows
-    /// produce bit-identical results at every thread count — and the
-    /// per-pair runtime assertion (armed in both modes) never fires,
-    /// i.e. no event crosses shards faster than the matrix claims.
+    /// Under random per-pair matrices, both window modes match the oracle
+    /// at every thread count — and the per-pair runtime assertion (armed
+    /// in both modes) never fires, i.e. no event crosses shards faster
+    /// than the matrix claims.
     #[test]
     fn adaptive_matrix_matches_global_at_every_thread_count(
         nshards in 2usize..6,
@@ -301,20 +264,18 @@ proptest! {
         d0 in 1u32..12, d1 in 1u32..12,
         p0 in 0usize..6, p1 in 0usize..6,
     ) {
+        let net = Net { n: nshards, salt: Some(salt) };
         let seeds = [(s0, p0, d0), (s1, p1, d1)];
-        let reference = run_matrix(1, nshards, salt, LookaheadMode::Global, &seeds);
-        for threads in [1, 2, 4, 8] {
-            let adaptive = run_matrix(threads, nshards, salt, LookaheadMode::Adaptive, &seeds);
-            prop_assert_eq!(&reference, &adaptive, "adaptive diverged at {} threads", threads);
-            if threads > 1 {
-                let global = run_matrix(threads, nshards, salt, LookaheadMode::Global, &seeds);
-                prop_assert_eq!(&reference, &global, "global diverged at {} threads", threads);
+        let reference = oracle(net, &seeds);
+        for mode in MODES {
+            for threads in [1, 2, 4, 8] {
+                let par = run(net, threads, mode, &seeds, SimTime(u64::MAX), u64::MAX);
+                prop_assert_eq!(&reference, &par, "{} diverged at {} threads", mode, threads);
             }
         }
         // Every adaptive per-pair bound dominates the global floor, so
         // the closure the windows use can never dip below it.
-        let m = JitterMap { n: nshards, salt }.lookahead_matrix();
-        let dist = m.closure_ps();
+        let dist = net.lookahead_matrix().closure_ps();
         for a in 0..nshards {
             for b in 0..nshards {
                 if a != b {

@@ -505,10 +505,6 @@ impl Fabric {
         recovery: RecoveryConfig,
     ) -> Fabric {
         let n = dims.node_count() as usize;
-        let mut tracer = Tracer::disabled();
-        for (i, l) in LinkDir::ALL.iter().enumerate() {
-            tracer.name_track(TrackId(i as u16), format!("{l} links"));
-        }
         let link_dead_at = fault.link_death_times(dims);
         let (route_mask, pending_deaths) = if fault.has_permanent() {
             let mut mask = LinkMask::none(dims);
@@ -548,7 +544,7 @@ impl Fabric {
                 delivered_by_node: vec![0; n],
                 ..Default::default()
             },
-            tracer,
+            tracer: Tracer::disabled(),
             current_label: 0,
             recorder: None,
             next_uid: 0,

@@ -17,7 +17,7 @@
 //! cross into a *ring-adjacent* slab, so non-adjacent slabs are bounded
 //! by the slab ring distance times the per-axis hop minimum
 //! ([`Timing::min_hop_delay`]). The engine's adaptive mode (the default;
-//! `ANTON_LOOKAHEAD=global` selects the uniform baseline) uses those
+//! [`LookaheadMode::Global`] selects the uniform baseline) uses those
 //! per-pair bounds to open wider windows for distant slabs and to extend
 //! a shard's window when its upstream shards have drained — without
 //! changing any simulated result.
@@ -83,7 +83,7 @@ fn parse_env_count(raw: Option<&str>) -> Result<Option<usize>, String> {
 
 /// Resolve a raw env-var value through `parse`, falling back to
 /// `fallback` on an unset or invalid value. An invalid value (silently
-/// accepting it would mask a typo'd `ANTON_SHARDS=abc` forever) warns on
+/// accepting it would mask a typo'd `ANTON_THREADS=abc` forever) warns on
 /// stderr — once per variable per process, so loops over simulations
 /// don't spam. Every `ANTON_*` knob resolves through this one helper so
 /// they all share the same warn-once contract.
@@ -125,7 +125,6 @@ fn env_count(var: &str, fallback: usize, warned: &AtomicBool) -> usize {
     resolve_count(var, raw.as_deref(), fallback, warned)
 }
 
-static SHARDS_WARNED: AtomicBool = AtomicBool::new(false);
 static THREADS_WARNED: AtomicBool = AtomicBool::new(false);
 static LOOKAHEAD_WARNED: AtomicBool = AtomicBool::new(false);
 static TELEMETRY_WARNED: AtomicBool = AtomicBool::new(false);
@@ -175,14 +174,13 @@ impl ShardPlan {
     }
 
     /// The default plan: one shard per plane of the longest axis (8 for
-    /// an 8×8×8 machine), overridable via the `ANTON_SHARDS` env var
-    /// (invalid values warn once on stderr and fall back to the default).
-    /// The shard count is part of the *simulation configuration* — it
-    /// must not depend on the worker-thread count, or different thread
-    /// counts would partition events differently.
+    /// an 8×8×8 machine). The shard count is part of the *simulation
+    /// configuration* — a pure function of the dims, never of the
+    /// worker-thread count, or different thread counts would partition
+    /// events differently. [`ParSimulation::with_plan`] takes any other.
     pub fn auto(dims: TorusDims) -> ShardPlan {
-        let default = Dim::ALL.iter().map(|&d| dims.len(d)).max().unwrap() as usize;
-        ShardPlan::new(dims, env_count("ANTON_SHARDS", default, &SHARDS_WARNED))
+        let planes = Dim::ALL.iter().map(|&d| dims.len(d)).max().unwrap() as usize;
+        ShardPlan::new(dims, planes)
     }
 
     /// Machine dimensions.
@@ -243,8 +241,8 @@ impl ShardPlan {
 }
 
 /// Worker-thread count for parallel runs: the `ANTON_THREADS` env var,
-/// defaulting to 1 (sequential reference execution); invalid values warn
-/// once on stderr and fall back to 1. Thread count never affects
+/// defaulting to 1 (one worker, on the calling thread); invalid values
+/// warn once on stderr and fall back to 1. Thread count never affects
 /// simulated results — only wall-clock time.
 pub fn threads_from_env() -> usize {
     env_count("ANTON_THREADS", 1, &THREADS_WARNED)
@@ -464,8 +462,9 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     /// fault plan, and pre-registered multicast patterns — register
     /// patterns inside the closure, not afterwards); `make` is called per
     /// shard per node and must be a pure function of the node id.
-    /// `threads` picks the worker count (1 = sequential reference
-    /// execution).
+    /// `threads` picks the worker count (1 runs on the calling thread).
+    /// Windows start in the default [`LookaheadMode::Adaptive`]; see
+    /// [`ParSimulation::set_lookahead_mode`].
     ///
     /// Mid-run mutation of *other* nodes' fabric state through
     /// [`Ctx::fabric_mut`] (e.g. re-registering a multicast pattern
@@ -484,8 +483,8 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
 
     /// [`ParSimulation::new`] with an explicit [`ShardPlan`] instead of
     /// [`ShardPlan::auto`] — for tests and experiments that sweep shard
-    /// counts or axes without touching the process environment. The
-    /// plan's dims must match the fabric the closure builds.
+    /// counts or axes. The plan's dims must match the fabric the closure
+    /// builds.
     pub fn with_plan(
         threads: usize,
         plan: ShardPlan,
@@ -509,7 +508,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         assert_eq!(dims, plan.dims(), "shard plan built for different dims");
         let map = EvShardMap::new(plan, first.timing());
         let mut engine = ParEngine::new(map, threads);
-        engine.set_lookahead_mode(lookahead_mode_from_env());
         let n = dims.node_count();
         let mut worlds = Vec::with_capacity(plan.shard_count());
         let mut first = Some(first);
@@ -558,8 +556,8 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         }
     }
 
-    /// Select which window bound the engine applies (overriding the
-    /// `ANTON_LOOKAHEAD` env default). Call before running. Mode never
+    /// Select which window bound the engine applies (default
+    /// [`LookaheadMode::Adaptive`]). Call before running. Mode never
     /// changes simulated results — adaptive windows are provably
     /// conservative — only how often shards synchronize.
     pub fn set_lookahead_mode(&mut self, mode: LookaheadMode) {

@@ -203,7 +203,7 @@ proptest! {
         let mut bc = StreamingMoments::new();
         bc.merge(&b);
         bc.merge(&c);
-        let mut assoc = a.clone();
+        let mut assoc = a;
         assoc.merge(&bc);
         prop_assert_eq!(&assoc, &base);
     }

@@ -296,7 +296,7 @@ mod tests {
             let nodes: std::collections::BTreeSet<u32> = deaths.iter().map(|&(n, _)| n).collect();
             assert_eq!(nodes.len(), 3, "victims are distinct");
             for &(node, at_ns) in &deaths {
-                assert!(node >= 1 && node < 64, "victim on-torus, never root");
+                assert!((1..64).contains(&node), "victim on-torus, never root");
                 assert!((200..3_700).contains(&at_ns), "death inside the window");
             }
             assert!(

@@ -15,7 +15,7 @@ fast_gate() {
   cargo fmt --all -- --check
   cargo build --release
   cargo test --workspace -q
-  cargo clippy --workspace -- -D warnings
+  cargo clippy --workspace --all-targets -- -D warnings
   RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 }
 
