@@ -3,8 +3,8 @@
 //! Regenerates every table and figure of the paper (see DESIGN.md's
 //! experiment index). Each `src/bin/` binary prints one table or figure
 //! as the paper reports it, with paper-published values alongside for
-//! comparison; the Criterion benches exercise the same code paths for
-//! host-side performance tracking.
+//! comparison. Host-side performance is measured separately, by the
+//! `hostbench` package in `benchmark/`.
 
 #![warn(missing_docs)]
 

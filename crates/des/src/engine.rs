@@ -14,8 +14,9 @@ use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A scheduled event: fires at `at`, with `seq` breaking ties. This is
-/// the staging format handlers fill through a [`Scheduler`]; the engine
-/// moves each into its queue after the handler returns.
+/// the staging format handlers fill through a [`Scheduler`]; after each
+/// handler returns, the executor drains them into its queue and the
+/// buffer is reused for the next event.
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
@@ -64,21 +65,34 @@ impl<E> Scheduler<E> {
         self.at(self.now, event);
     }
 
-    /// A scheduler positioned at `now` with an empty pending list. Used
-    /// by the executors ([`Engine`] builds one per event inline; the
-    /// parallel engine in [`crate::par`] builds one per event per shard).
-    pub(crate) fn fresh(now: SimTime) -> Scheduler<E> {
+    /// An empty scheduler. Each executor builds one per run call
+    /// ([`Engine::run_until`], and each worker of the parallel engine in
+    /// [`crate::par`]) and moves it to every event's time with
+    /// [`Scheduler::reset`], so the pending buffer is allocated once and
+    /// reused instead of once per event.
+    pub(crate) fn new() -> Scheduler<E> {
         Scheduler {
-            now,
+            now: SimTime::ZERO,
             next_seq: 0,
             pending: Vec::new(),
         }
     }
 
-    /// Consume the scheduler, yielding the pending events in the exact
-    /// order the handler scheduled them (`seq` order == push order).
-    pub(crate) fn into_pending(self) -> impl Iterator<Item = (SimTime, E)> {
-        self.pending.into_iter().map(|s| (s.at, s.event))
+    /// Position the scheduler at `now` for the next handler call, with
+    /// sequence numbers continuing from `next_seq`. The previous event's
+    /// pending list must have been drained.
+    #[inline]
+    pub(crate) fn reset(&mut self, now: SimTime, next_seq: u64) {
+        debug_assert!(self.pending.is_empty(), "pending events not drained");
+        self.now = now;
+        self.next_seq = next_seq;
+    }
+
+    /// Yield the pending events in the exact order the handler scheduled
+    /// them (`seq` order == push order), leaving the buffer empty with
+    /// its capacity kept.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (SimTime, E)> + '_ {
+        self.pending.drain(..).map(|s| (s.at, s.event))
     }
 }
 
@@ -174,6 +188,7 @@ impl<E> Engine<E> {
         max_events: u64,
     ) -> RunOutcome {
         let mut budget = max_events;
+        let mut sched = Scheduler::new();
         while let Some((head_at, _)) = self.queue.peek() {
             if head_at > horizon {
                 return RunOutcome::HorizonReached;
@@ -187,14 +202,10 @@ impl<E> Engine<E> {
             self.now = at;
             self.events_processed += 1;
 
-            let mut sched = Scheduler {
-                now: at,
-                next_seq: self.next_seq,
-                pending: Vec::new(),
-            };
+            sched.reset(at, self.next_seq);
             world.handle(event, &mut sched);
             self.next_seq = sched.next_seq;
-            for s in sched.pending {
+            for s in sched.pending.drain(..) {
                 self.queue.push(s.at, s.seq, s.event);
             }
         }

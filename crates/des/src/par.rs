@@ -881,6 +881,7 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
     // land at or after it or the window protocol was violated.
     let mut prev_ends = vec![0u64; shards.len()];
     let mut heads_buf = vec![u64::MAX; nshards];
+    let mut sched = Scheduler::new();
     let outcome = loop {
         // Phase 1: import cross-shard events sent in the previous window,
         // then publish per-shard heads and this worker's event count.
@@ -954,7 +955,7 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
                 let (at, _birth, event) = shard.queue.pop().expect("nonempty below end");
                 shard.last_at = at;
                 let born = at;
-                let mut sched = Scheduler::fresh(born);
+                sched.reset(born, 0);
                 worlds[i].handle(event, &mut sched);
                 executed_total += 1;
                 shard_executed += 1;
@@ -964,7 +965,7 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
                         o.wp.recovered_events += 1;
                     }
                 }
-                for (eat, event) in sched.into_pending() {
+                for (eat, event) in sched.drain() {
                     let birth = BirthKey {
                         time: born,
                         origin: sidx as u32 + 1,

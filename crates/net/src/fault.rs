@@ -9,12 +9,15 @@
 //!   wrong: transient packet drops and payload corruptions at configurable
 //!   per-traversal rates, plus permanent link/cable/node failures at
 //!   configurable simulation times.
-//! - Transient faults are detected by the link-layer CRC (corruption) or
-//!   an ack timeout (drop) and recovered by retransmission with
-//!   exponential backoff, up to a per-traversal retry budget. The fabric
-//!   folds the retransmission delay into the link reservation, so the
-//!   fault-free plan ([`FaultPlan::none`]) is *bit-identical* to a fabric
-//!   with no fault layer at all.
+//! - Transient faults stand for what the hardware's link CRC (corruption)
+//!   or ack timeout (drop) would catch, recovered by retransmission with
+//!   exponential backoff, up to a per-traversal retry budget. No per-hop
+//!   checksum is computed: the plan draws each traversal's outcome and the
+//!   fabric folds the retransmission delay into the link reservation, so
+//!   the fault-free plan ([`FaultPlan::none`]) is *bit-identical* to a
+//!   fabric with no fault layer at all. The only CRC the simulator
+//!   computes is the end-to-end [`payload_crc`], once at packet
+//!   construction and once at delivery.
 //! - Fault decisions are pure functions of `(seed, link, per-link tx
 //!   sequence number)` — no RNG stream is consumed — so the same seed and
 //!   plan reproduce the same event trace exactly.
@@ -303,8 +306,43 @@ pub(crate) fn hash_unit(seed: u64, link: u64, seq: u64) -> f64 {
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte stream — the
-/// payload integrity check of the link layer and of end-to-end delivery.
+/// Slice-by-8 lookup tables for [`Crc32`], built at compile time.
+/// `CRC_TABLES[k][b]` is the CRC step of byte `b` followed by `k` zero
+/// bytes (`CRC_TABLES[0]` is the classic byte-at-a-time table), so the
+/// byte at offset `j` of an 8-byte block looks up table `7 - j`, and one
+/// block costs eight independent lookups instead of 64 dependent
+/// shift/xor steps.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3 polynomial 0xEDB88320, reflected, init and final
+/// xor `!0`; the same function as zlib's `crc32`) over a byte stream —
+/// the end-to-end payload check of [`payload_crc`].
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,
@@ -322,15 +360,27 @@ impl Crc32 {
         Crc32 { state: !0 }
     }
 
-    /// Feed bytes.
+    /// Feed bytes: eight at a time through the slice-by-8 tables, then the
+    /// tail byte by byte.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u32;
-            for _ in 0..8 {
-                let mask = (self.state & 1).wrapping_neg();
-                self.state = (self.state >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        let t = &CRC_TABLES;
+        let mut c = self.state;
+        let mut blocks = bytes.chunks_exact(8);
+        for b in &mut blocks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][b[4] as usize]
+                ^ t[2][b[5] as usize]
+                ^ t[1][b[6] as usize]
+                ^ t[0][b[7] as usize];
         }
+        for &b in blocks.remainder() {
+            c = (c >> 8) ^ t[0][((c ^ b as u32) & 0xff) as usize];
+        }
+        self.state = c;
     }
 
     /// Finish and return the checksum.
@@ -660,6 +710,48 @@ mod tests {
         // IEEE CRC-32 of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition the tables compute: one shift/xor step per bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut state = !0u32;
+        for &b in bytes {
+            state ^= b as u32;
+            for _ in 0..8 {
+                let mask = (state & 1).wrapping_neg();
+                state = (state >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !state
+    }
+
+    #[test]
+    fn table_crc32_equals_the_bitwise_definition() {
+        let bytes: Vec<u8> = (0..300u64)
+            .map(|i| (hash_unit(7, 0, i) * 256.0) as u8)
+            .collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]), "{len}");
+        }
+        // Streaming across a split gives the one-shot value.
+        let block = &bytes[..64];
+        for split in 0..=block.len() {
+            let mut c = Crc32::new();
+            c.update(&block[..split]);
+            c.update(&block[split..]);
+            assert_eq!(c.finish(), crc32(block), "split at {split}");
+        }
+        // One payload of each kind, pinned (these equal zlib's crc32 of
+        // the kind tag followed by the little-endian contents).
+        for (payload, want) in [
+            (Payload::F64s(vec![1.0, 2.0]), 0x0d6d_6833),
+            (Payload::I32s(vec![1, -2]), 0x1148_02ba),
+            (Payload::Empty, 0xd202_ef8d),
+            (Payload::Token(7), 0xfbb7_09f4),
+            (Payload::Bytes(vec![1, 2, 3]), 0x21b0_4e98),
+        ] {
+            assert_eq!(payload_crc(&payload), want, "{payload:?}");
+        }
     }
 
     #[test]

@@ -204,9 +204,10 @@ pub struct Packet {
     /// Application tag dispatched back to the receiving node program.
     pub tag: u64,
     /// End-to-end payload integrity checksum, computed at construction
-    /// ([`crate::fault::payload_crc`]) and verified on delivery. The link
-    /// layer additionally CRCs every traversal; this one catches anything
-    /// that slips through.
+    /// ([`crate::fault::payload_crc`]) and verified on delivery. It is the
+    /// only CRC the simulator computes: link traversals compute none, as
+    /// each one's drop or corruption is drawn from the seeded fault plan
+    /// and its retry charged to the link reservation.
     pub crc: u32,
     /// Source route installed by the fabric when permanent link failures
     /// are active: the precomputed surviving path and the index of the

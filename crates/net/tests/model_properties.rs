@@ -115,6 +115,19 @@ impl NodeProgram for BadProgram {
                     .into_multicast(PatternId(99), ClientKind::Slice(0));
                 ctx.send(pkt);
             }
+            // A counted write whose payload changed after construction
+            // computed its CRC.
+            4 => {
+                let mut pkt = Packet::write(
+                    me,
+                    ClientAddr::new(NodeId(1), ClientKind::Slice(0)),
+                    8,
+                    Payload::F64s(vec![1.0, 2.0]),
+                )
+                .with_counter(CounterId(3));
+                pkt.payload = Payload::F64s(vec![1.0, 3.0]);
+                ctx.send(pkt);
+            }
             _ => unreachable!(),
         }
     }
@@ -173,6 +186,27 @@ fn unregistered_multicast_pattern_is_recorded() {
             node: NodeId(0)
         }]
     ));
+}
+
+/// A payload that no longer matches the CRC computed at construction
+/// is discarded at delivery with a recorded error: nothing is written
+/// and the packet's counter never moves.
+#[test]
+fn corrupt_payload_is_discarded_at_delivery() {
+    let mut sim = run_bad(4);
+    let fabric = &mut sim.world.fabric;
+    let dst = ClientAddr::new(NodeId(1), ClientKind::Slice(0));
+    assert_eq!(fabric.stats.delivery_errors, 1);
+    assert_eq!(fabric.stats.packets_delivered, 0);
+    assert_eq!(
+        fabric.errors(),
+        [FabricError::CorruptDelivery {
+            node: NodeId(1),
+            client: ClientKind::Slice(0)
+        }]
+    );
+    assert!(fabric.mem_drain_range(dst, 0, u64::MAX).is_empty());
+    assert_eq!(fabric.counter_read(dst, CounterId(3)), 0);
 }
 
 #[test]

@@ -1,14 +1,15 @@
 //! Every workload runner under every run configuration: the sequential
 //! engine and the sharded engine at 1 and 4 threads, each with no
 //! observer, a flight recorder, and the stream observer (and the runtime
-//! profile on one sharded run). Each runner must fingerprint identically
-//! across the whole matrix — thread-count invariance and zero observer
-//! effect in one check — and hand back exactly the observations its
+//! profile on two sharded runs, one of them streamed as `run_scenario`
+//! runs Stream specs). Each runner must fingerprint identically across
+//! the whole matrix — thread-count invariance and zero observer effect
+//! in one check — and hand back exactly the observations its
 //! configuration asked for. A run that cannot complete must come back as
 //! a stall report from either engine.
 
 use anton_bench::ping_pong;
-use anton_bench::scenario::md_fingerprint;
+use anton_bench::scenario::{md_fingerprint, run_scenario};
 use anton_collectives::{
     all_reduce, all_reduce_recovering, random_inputs, Algorithm, RecoveringParams,
 };
@@ -27,7 +28,8 @@ const EXECUTORS: [Executor; 3] = [
 const OBSERVERS: [ObsMode; 3] = [ObsMode::Off, ObsMode::Flight, ObsMode::Stream];
 
 /// The matrix: every executor under every observer, profiled on the
-/// observer-free 4-thread run.
+/// observer-free 4-thread run, plus a profiled stream-observed 4-thread
+/// run (how `run_scenario` runs a Stream MD spec).
 fn matrix() -> Vec<RunConfig> {
     let mut out = Vec::new();
     for executor in EXECUTORS {
@@ -40,6 +42,12 @@ fn matrix() -> Vec<RunConfig> {
             });
         }
     }
+    out.push(RunConfig {
+        executor: EXECUTORS[2],
+        obs: ObsMode::Stream,
+        profile: true,
+        ..RunConfig::default()
+    });
     out
 }
 
@@ -213,4 +221,20 @@ fn a_starved_all_reduce_stalls_on_both_engines() {
         reports.push(stuck);
     }
     assert!(reports.iter().all(|r| *r == reports[0]), "{reports:?}");
+}
+
+/// `run_scenario` runs a Stream spec once, profiled and streamed
+/// together: the stream section comes from that run, and the observer
+/// leaves the fingerprint where the observer-free spec puts it.
+#[test]
+fn a_stream_scenario_runs_once_with_its_observer() {
+    let streamed = presets::scale_md(8);
+    let mut quiet = streamed.clone();
+    quiet.obs = ObsMode::Off;
+    let with = run_scenario(&streamed, 1);
+    let without = run_scenario(&quiet, 1);
+    assert_eq!(with.fingerprint, without.fingerprint);
+    assert!(with.observatory.section("stream").is_some());
+    assert!(without.observatory.section("stream").is_none());
+    assert!(with.observatory.section("runtime").is_some());
 }
