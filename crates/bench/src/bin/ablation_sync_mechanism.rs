@@ -10,12 +10,10 @@
 use anton_bench::report::section;
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation,
+    ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, ParSimulation, Payload,
+    ProgEvent,
 };
 use anton_topo::{Coord, NodeId, TorusDims};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mechanism {
@@ -29,7 +27,7 @@ struct Gather {
     target: NodeId,
     senders: Vec<NodeId>,
     received: u32,
-    done: Rc<RefCell<Option<SimTime>>>,
+    done: Option<SimTime>,
 }
 
 fn slice0(node: NodeId) -> ClientAddr {
@@ -88,12 +86,12 @@ impl NodeProgram for Gather {
                 }
             }
             ProgEvent::CounterReached { .. } => {
-                *self.done.borrow_mut() = Some(ctx.now());
+                self.done = Some(ctx.now());
             }
             ProgEvent::FifoMessage { .. } => {
                 self.received += 1;
                 if self.received == self.senders.len() as u32 {
-                    *self.done.borrow_mut() = Some(ctx.now());
+                    self.done = Some(ctx.now());
                 }
             }
             _ => unreachable!(),
@@ -108,18 +106,17 @@ fn run(mechanism: Mechanism, n_senders: u32) -> (SimDuration, u64) {
         .map(|i| NodeId((i * 7919) % dims.node_count()))
         .filter(|&n| n != target)
         .collect();
-    let done = Rc::new(RefCell::new(None));
-    let (d2, s2) = (done.clone(), senders.clone());
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| Gather {
+    let make = |_| Gather {
         mechanism,
         target,
-        senders: s2.clone(),
+        senders: senders.clone(),
         received: 0,
-        done: d2.clone(),
-    });
+        done: None,
+    };
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), make);
     sim.run();
-    let t = done.borrow().expect("gather completes");
-    (t - SimTime::ZERO, sim.world.fabric.stats.packets_sent)
+    let t = sim.program(target).done.expect("gather completes");
+    (t - SimTime::ZERO, sim.merged_stats().packets_sent)
 }
 
 fn main() {

@@ -8,24 +8,30 @@
 //! recovery config, and victims this binary ran — `scenario run` on the
 //! same preset ledgers the identical execution.
 //!
-//! Every cell runs the collective on the sequential engine, on the
-//! 2-thread sharded engine, and (sequential only) a second time as a
-//! replay, then asserts:
+//! Every campaign cell runs the collective on one slab, on the auto plan
+//! at 2 threads, and (one slab only) a second time as a replay, then
+//! asserts:
 //!
 //!   1. **No lost completions** — every node that stays alive holds a
 //!      result, and that result is the bit-exact sum over the root's
 //!      contributor set (which includes every live node).
 //!   2. **Bounded degradation** — completion latency stays within
 //!      [`RecoveringParams::completion_bound`] for the tree height.
-//!   3. **Bit-identical replay** — the sequential run, its replay, and
+//!   3. **Bit-identical replay** — the one-slab run, its replay, and
 //!      the parallel run all share one
 //!      [`RecoveringOutcome::fingerprint`]; fault handling is a pure
 //!      function of the seed, never of scheduling.
 //!
+//! The full campaign then sweeps 40 seeds × every fault level (160
+//! cells), each on one slab, two slabs, and the auto plan at 1 and 2
+//! threads, and asserts that every plan gives the one-slab fingerprint:
+//! a shard plan must never change a result.
+//!
 //! Any violation panics, which fails CI. The per-level degradation
 //! curve (latency, reinjections, verdicts, losses — all event-level
-//! and deterministic, never wall clock) is written to `BENCH_pr6.json`,
-//! which is committed and drift-gated by `scripts/ci.sh`.
+//! and deterministic, never wall clock) of the campaign cells is
+//! written to `BENCH_pr6.json`, which is committed and drift-gated by
+//! `scripts/ci.sh`.
 //!
 //! Knobs (all optional):
 //!
@@ -39,7 +45,7 @@
 use anton_collectives::{
     all_reduce_recovering, random_inputs, RecoveringOutcome, RecoveringParams,
 };
-use anton_net::{chaos_level_from_env, chaos_seed_from_env, RunConfig};
+use anton_net::{chaos_level_from_env, chaos_seed_from_env, RunConfig, Slabs};
 use anton_obs::BenchReport;
 use anton_scenario::{presets, ScenarioSpec, Workload};
 
@@ -96,10 +102,33 @@ fn check_invariants(
     out.latency.as_us_f64()
 }
 
-/// Run one campaign cell on every engine and assert bit-identity. The
-/// cell's entire configuration — inputs seed, fault plan, death
-/// schedule, recovery config — is read off its scenario spec.
-fn run_cell(seed: u64, level: usize, extended: bool) -> (ScenarioSpec, RecoveringOutcome) {
+/// The runs of one campaign cell, as (slabs, threads): one slab, the
+/// same again as a replay, and the auto plan at 2 threads.
+const CAMPAIGN: [(Slabs, usize); 3] = [(Slabs::ONE, 1), (Slabs::ONE, 1), (Slabs::Auto, 2)];
+
+/// [`CAMPAIGN`] plus the auto plan at 4 threads.
+const EXTENDED: [(Slabs, usize); 4] = [
+    (Slabs::ONE, 1),
+    (Slabs::ONE, 1),
+    (Slabs::Auto, 2),
+    (Slabs::Auto, 4),
+];
+
+/// The shard plans the plan sweep compares: one slab (the reference),
+/// two slabs, and the auto plan at 1 and 2 threads.
+const PLANS: [(Slabs, usize); 4] = [
+    (Slabs::ONE, 1),
+    (Slabs::Count(2), 1),
+    (Slabs::Auto, 1),
+    (Slabs::Auto, 2),
+];
+
+/// Run one campaign cell once per `(slabs, threads)` in `runs`, assert
+/// every recovery invariant on the first run, and fail on any later run
+/// whose fingerprint differs from it. The cell's entire configuration —
+/// inputs seed, fault plan, death schedule, recovery config — is read
+/// off its scenario spec.
+fn run_cell(seed: u64, level: usize, runs: &[(Slabs, usize)]) -> (ScenarioSpec, RecoveringOutcome) {
     let spec = presets::chaos_cell(seed, level as u32);
     let dims = spec.torus_dims();
     let (vlen, in_seed) = match &spec.workload {
@@ -107,51 +136,37 @@ fn run_cell(seed: u64, level: usize, extended: bool) -> (ScenarioSpec, Recoverin
         _ => unreachable!("chaos cells are recovering specs"),
     };
     let inputs = random_inputs(dims, vlen, in_seed);
-    let deaths = spec.deaths();
-    let fault = spec.fault_plan();
-    let recovery = spec.recovery_config();
-    let params = RecoveringParams::default();
     let label = format!("L{level}/seed{seed}");
-
-    let run = |cfg: RunConfig| {
-        all_reduce_recovering(
+    let mut first: Option<RecoveringOutcome> = None;
+    for &(slabs, threads) in runs {
+        let cfg = RunConfig {
+            slabs,
+            threads,
+            ..RunConfig::default()
+        };
+        let (out, _) = all_reduce_recovering(
             dims,
             &inputs,
-            fault.clone(),
-            &deaths,
-            recovery,
-            params,
+            spec.fault_plan(),
+            &spec.deaths(),
+            spec.recovery_config(),
+            RecoveringParams::default(),
             &cfg,
         )
-        .unwrap_or_else(|stall| panic!("{label}: simulation wedged:\n{stall}"))
-        .0
-    };
-    let seq = run(RunConfig::default());
-    check_invariants(&spec, &seq, &inputs, &label);
-
-    let replay = run(RunConfig::default());
-    assert_eq!(
-        seq.fingerprint(),
-        replay.fingerprint(),
-        "{label}: replay diverged"
-    );
-
-    let par = run(RunConfig::sharded(2));
-    assert_eq!(
-        seq.fingerprint(),
-        par.fingerprint(),
-        "{label}: 2-thread run diverged"
-    );
-
-    if extended {
-        let par4 = run(RunConfig::sharded(4));
-        assert_eq!(
-            seq.fingerprint(),
-            par4.fingerprint(),
-            "{label}: 4-thread run diverged"
-        );
+        .unwrap_or_else(|stall| panic!("{label}: simulation wedged:\n{stall}"));
+        match &first {
+            None => {
+                check_invariants(&spec, &out, &inputs, &label);
+                first = Some(out);
+            }
+            Some(want) => assert_eq!(
+                out.fingerprint(),
+                want.fingerprint(),
+                "{label}: {slabs:?} at {threads} threads diverged from the first run"
+            ),
+        }
     }
-    (spec, seq)
+    (spec, first.expect("at least one run"))
 }
 
 fn main() {
@@ -159,6 +174,7 @@ fn main() {
     let extended = std::env::var("ANTON_CHAOS_EXTENDED").is_ok_and(|v| v == "1");
     let base_seed = chaos_seed_from_env();
     let max_level = chaos_level_from_env() as usize;
+    let runs: &[(Slabs, usize)] = if extended { &EXTENDED } else { &CAMPAIGN };
 
     if smoke {
         // The fast gate: 3 seeds × 2 fault levels (the quiet baseline
@@ -166,7 +182,7 @@ fn main() {
         let hot = max_level.min(presets::CHAOS_LEVEL_COUNT as usize - 1);
         for level in [0, hot] {
             for seed in base_seed..base_seed + 3 {
-                let (spec, out) = run_cell(seed, level, false);
+                let (spec, out) = run_cell(seed, level, &CAMPAIGN);
                 println!(
                     "chaos smoke L{level}/seed{seed} ({}): latency {:.2} us, {} verdicts, ok",
                     spec.hash_hex(),
@@ -192,7 +208,7 @@ fn main() {
         let mut suppressed = 0u64;
         let mut unrecovered = 0u64;
         for seed in base_seed..base_seed + seeds_per_level {
-            let (spec, out) = run_cell(seed, level, extended);
+            let (spec, out) = run_cell(seed, level, runs);
             let (vlen, in_seed) = match &spec.workload {
                 Workload::Recovering { vlen, seed, .. } => (*vlen as usize, *seed),
                 _ => unreachable!(),
@@ -235,11 +251,25 @@ fn main() {
         // committed report always reflects the standard matrix).
         for level in 0..=max_level {
             for seed in base_seed + seeds_per_level..base_seed + seeds_per_level + 10 {
-                run_cell(seed, level, true);
+                run_cell(seed, level, &EXTENDED);
             }
             println!("chaos extended L{level}: 10 extra seeds ok");
         }
     }
+
+    // The plan sweep: invariants and one fingerprint across shard plans
+    // (not reported; the committed curve is the campaign cells').
+    let sweep_seeds = 40;
+    for level in 0..=max_level {
+        for seed in base_seed..base_seed + sweep_seeds {
+            run_cell(seed, level, &PLANS);
+        }
+    }
+    println!(
+        "chaos plan sweep: {} cells agree on {} plans",
+        sweep_seeds * (max_level as u64 + 1),
+        PLANS.len()
+    );
 
     // Only the default seed block regenerates the committed baseline;
     // a shifted ANTON_CHAOS_SEED run is exploratory.

@@ -7,17 +7,17 @@
 
 use anton_des::{SimDuration, SimTime, TrackId};
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation, Timing,
+    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation, Payload,
+    ProgEvent, Timing,
 };
 use anton_obs::{validate_json, ChromeTraceBuilder, CongestionMap};
 use anton_topo::{LinkDir, NodeId, TorusDims};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Every node showers its +X/+Y neighbors and one far corner with
 /// writes at start — enough cross-traffic to contend on links.
 struct Shower {
-    plan: Rc<Vec<(u32, u32, u32)>>,
+    plan: Arc<Vec<(u32, u32, u32)>>,
 }
 
 impl NodeProgram for Shower {
@@ -64,30 +64,27 @@ fn make_plan(dims: TorusDims) -> Vec<(u32, u32, u32)> {
 
 fn main() {
     let dims = TorusDims::new(4, 4, 4);
-    let plan = Rc::new(make_plan(dims));
+    let plan = Arc::new(make_plan(dims));
     println!(
         "running {} planned writes across {} nodes...",
         plan.len(),
         dims.node_count()
     );
 
+    // One slab: its single replica holds the whole machine's tracer.
     let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
     fabric.enable_tracing();
     fabric.attach_owned_flight_recorder();
-    let p2 = plan.clone();
-    let mut sim = Simulation::new(fabric, move |_| Shower { plan: p2.clone() });
+    let mut sim = ParSimulation::one_slab(fabric, |_| Shower { plan: plan.clone() });
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
     let end = sim.now();
+    let fabric = &sim.worlds()[0].fabric;
 
     // ---- build the congestion map from the recorded lifecycles ----
     let bin = SimDuration::from_ns(50);
-    let rec = sim
-        .world
-        .fabric
-        .flight_recorder()
-        .expect("recorder attached");
+    let rec = fabric.flight_recorder().expect("recorder attached");
     let map = CongestionMap::build(rec.events(), bin);
     println!(
         "{} links saw traffic over {} bins of {}; peak queue depth {}",
@@ -98,7 +95,7 @@ fn main() {
     );
 
     // ---- cross-check against the independent activity tracer ----
-    let tracer = &sim.world.fabric.tracer;
+    let tracer = &fabric.tracer;
     for (i, dir) in LinkDir::ALL.iter().enumerate() {
         let from_map = map.busy_for_direction(*dir);
         let from_tracer = tracer.busy_time(TrackId(i as u16), SimTime::ZERO, end);

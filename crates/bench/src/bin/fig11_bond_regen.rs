@@ -60,7 +60,7 @@ fn main() {
             let mut times = Vec::new();
             for _ in 0..4 {
                 {
-                    let mut st = eng.state.borrow_mut();
+                    let mut st = eng.state.lock().unwrap();
                     st.sys.thermalize(300.0, &mut therm_rng);
                     let n = st.sys.atoms.len();
                     st.forces_prev = vec![Vec3::ZERO; n];
@@ -82,7 +82,7 @@ fn main() {
                     checkpoint - REGEN_LAG_STEPS,
                     &mut rng,
                 );
-                eng.state.borrow_mut().regenerate_bond_program();
+                eng.state.lock().unwrap().regenerate_bond_program();
                 advance(&mut eng, &groups, &diffusion, REGEN_LAG_STEPS, &mut rng);
             } else {
                 advance(&mut eng, &groups, &diffusion, checkpoint, &mut rng);
@@ -125,7 +125,7 @@ fn advance(
     steps: u64,
     rng: &mut Rng,
 ) {
-    let mut st = eng.state.borrow_mut();
+    let mut st = eng.state.lock().unwrap();
     let mut positions: Vec<Vec3> = st.sys.atoms.iter().map(|a| a.pos).collect();
     let pbox = st.sys.pbox;
     fast_forward(
@@ -145,7 +145,7 @@ fn advance(
 /// Group atoms into rigid molecules (waters, chains) for the Brownian
 /// fast-forward, with per-group diffusion constants.
 fn molecule_groups(eng: &AntonMdEngine) -> (Vec<Vec<usize>>, Vec<f64>) {
-    let st = eng.state.borrow();
+    let st = eng.state.lock().unwrap();
     let n = st.sys.atoms.len();
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], i: usize) -> usize {

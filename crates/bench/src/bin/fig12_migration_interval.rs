@@ -40,7 +40,7 @@ fn main() {
             total += t.total.as_us_f64();
             if t.migration {
                 mig_span = t.migration_span.as_us_f64();
-                migrated = eng.state.borrow().last_migrated;
+                migrated = eng.state.lock().unwrap().last_migrated;
             }
         }
         let avg = total / steps as f64;

@@ -122,7 +122,7 @@ fn main() {
         .is_completed());
     fp.update(&sim.now());
     fp.update(&sim.merged_stats());
-    for ev in sim.merged_flight_events() {
+    for ev in sim.take_merged_flight_events() {
         fp.update(&ev);
     }
 

@@ -17,7 +17,7 @@
 //! Part two is the PR-9 A/B gate: the same MD exchange under
 //! **global** (uniform 54 ns) and **adaptive** (per-slab-pair matrix)
 //! windows at 1, 2, 4, and 8 threads. Every run must fingerprint
-//! identically to the sequential engine; adaptive must never need more
+//! identically to one slab; adaptive must never need more
 //! windows than global (a deterministic invariant, asserted
 //! unconditionally); and on hosts with ≥ 8 cores the 8-thread adaptive
 //! wall clock must not lose to global. Deterministic window/recovery
@@ -107,7 +107,7 @@ struct ModeRun {
 }
 
 /// The PR-9 A/B: MD exchange under global vs adaptive windows at every
-/// thread count, checked against the sequential engine's fingerprint.
+/// thread count, checked against the one-slab (sequential) fingerprint.
 /// The workload is `spec` (one of the committed MD presets), so the
 /// sequential fingerprint printed here is exactly what `scenario run`
 /// ledgers for that spec hash.
@@ -146,7 +146,7 @@ fn run_mode_comparison(
             assert_eq!(
                 md_fingerprint(&out),
                 seq_fp,
-                "{mode} windows at {threads} threads diverged from the sequential engine"
+                "{mode} windows at {threads} threads diverged from one slab"
             );
             let mut fp = Fingerprint::new();
             fp.update(&out.makespan);

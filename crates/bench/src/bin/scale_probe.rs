@@ -55,8 +55,8 @@ const APPROX_BUDGET_BYTES_PER_NODE: u64 = 4 * 1024;
 /// checked when the instrumented allocator is installed).
 const ALLOC_BUDGET_BYTES_PER_NODE: i64 = 16 * 1024;
 
-/// The MD exchange under observer `obs`: on the sequential engine for
-/// one thread, else on the sharded engine.
+/// The MD exchange under observer `obs`: on one slab for one thread,
+/// else on the auto plan.
 fn run(
     dims: TorusDims,
     params: MdExchangeParams,
@@ -192,7 +192,7 @@ fn reference_checks(report: &mut BenchReport) -> (StreamSummary, MetricsSnapshot
         assert_eq!(ge.err, 0, "below capacity the table is exact");
     }
 
-    // Shard-merged summaries are bit-identical to the sequential one.
+    // Shard-merged summaries are bit-identical to the one-slab one.
     for threads in [2, 4] {
         let (_, observed) = run(dims, params, ObsMode::Stream, threads);
         let (par_summary, _) = observed.stream.expect("stream observed");

@@ -4,11 +4,10 @@
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
     drive, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Observed,
-    Packet, PatternId, Payload, ProgEvent, RunConfig, Simulation, StallReport, MAX_PAYLOAD_BYTES,
+    Packet, ParSimulation, PatternId, Payload, ProgEvent, RunConfig, StallReport,
+    MAX_PAYLOAD_BYTES,
 };
 use anton_topo::{Coord, MulticastPattern, NodeId, TorusDims};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn slice0(node: NodeId) -> ClientAddr {
     ClientAddr::new(node, ClientKind::Slice(0))
@@ -140,7 +139,7 @@ pub fn one_way_latency_local(
         payload: u32,
         bidirectional: bool,
         remaining: [u32; 2],
-        finished: Rc<RefCell<Vec<Option<SimTime>>>>,
+        finished: [Option<SimTime>; 2],
     }
     impl LocalPing {
         fn send(&self, stream: usize, from: u8, to: u8, ctx: &mut Ctx<'_, '_>) {
@@ -186,7 +185,7 @@ pub fn one_way_latency_local(
                     if me == initiator {
                         self.remaining[s] -= 1;
                         if self.remaining[s] == 0 {
-                            self.finished.borrow_mut()[s] = Some(ctx.now());
+                            self.finished[s] = Some(ctx.now());
                             return;
                         }
                     }
@@ -200,18 +199,16 @@ pub fn one_way_latency_local(
             }
         }
     }
-    let finished = Rc::new(RefCell::new(vec![None; 2]));
-    let f2 = finished.clone();
     let id = node_coord.node_id(dims);
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| LocalPing {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| LocalPing {
         node: id,
         payload: payload_bytes,
         bidirectional,
         remaining: [iters, iters],
-        finished: f2.clone(),
+        finished: [None; 2],
     });
     sim.run();
-    let t = finished.borrow()[0].expect("stream 0 completes");
+    let t = sim.program(id).finished[0].expect("stream 0 completes");
     SimDuration::from_ps((t - SimTime::ZERO).as_ps() / (2 * iters as u64))
 }
 
@@ -223,7 +220,7 @@ struct SplitTransfer {
     dst: NodeId,
     total_bytes: u32,
     k: u32,
-    done: Rc<RefCell<Option<SimTime>>>,
+    done: Option<SimTime>,
 }
 
 /// Number of packets and their sizes for one application message.
@@ -270,7 +267,7 @@ impl NodeProgram for SplitTransfer {
                 }
             }
             ProgEvent::CounterReached { .. } => {
-                *self.done.borrow_mut() = Some(ctx.now());
+                self.done = Some(ctx.now());
             }
             _ => unreachable!(),
         }
@@ -282,18 +279,16 @@ impl NodeProgram for SplitTransfer {
 pub fn split_transfer_time(dims: TorusDims, hops: u32, total_bytes: u32, k: u32) -> SimDuration {
     let src = Coord::new(0, 0, 0);
     let dst = Coord::new(hops, 0, 0);
-    let done = Rc::new(RefCell::new(None));
-    let d2 = done.clone();
     let (s, d) = (src.node_id(dims), dst.node_id(dims));
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| SplitTransfer {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| SplitTransfer {
         src: s,
         dst: d,
         total_bytes,
         k,
-        done: d2.clone(),
+        done: None,
     });
     sim.run();
-    let t = done.borrow().expect("transfer completes");
+    let t = sim.program(d).done.expect("transfer completes");
     t - SimTime::ZERO
 }
 
@@ -313,23 +308,23 @@ struct Exchange {
     style: ExchangeStyle,
     /// Payload bytes each node contributes (its "block").
     block_bytes: u32,
-    done: Rc<RefCell<Vec<Option<SimTime>>>>,
+    done: Option<SimTime>,
     stage: usize,
     /// Application-level messages this node has sent (a message may span
     /// several packets).
-    app_messages: Rc<RefCell<u64>>,
+    app_messages: u64,
 }
 
 impl Exchange {
     fn send_block(
-        &self,
+        &mut self,
         from: NodeId,
         to: Coord,
         bytes: u32,
         counter: CounterId,
         ctx: &mut Ctx<'_, '_>,
     ) {
-        *self.app_messages.borrow_mut() += 1;
+        self.app_messages += 1;
         let dims = ctx.dims();
         let mut addr = 0x4000 + from.0 as u64 * 0x40;
         for p in packetize(bytes) {
@@ -400,12 +395,12 @@ impl NodeProgram for Exchange {
             ProgEvent::CounterReached { counter, .. } => match self.style {
                 ExchangeStyle::Direct => {
                     debug_assert_eq!(counter, CounterId(0));
-                    self.done.borrow_mut()[node.index()] = Some(ctx.now());
+                    self.done = Some(ctx.now());
                 }
                 ExchangeStyle::Staged => {
                     self.stage += 1;
                     if self.stage >= 3 {
-                        self.done.borrow_mut()[node.index()] = Some(ctx.now());
+                        self.done = Some(ctx.now());
                         return;
                     }
                     let targets = Self::staged_targets(dims, me, self.stage);
@@ -440,24 +435,21 @@ pub fn neighbor_exchange(
     block_bytes: u32,
 ) -> ExchangeOutcome {
     let n = dims.node_count() as usize;
-    let done = Rc::new(RefCell::new(vec![None; n]));
-    let app = Rc::new(RefCell::new(0u64));
-    let (d2, a2) = (done.clone(), app.clone());
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| Exchange {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Exchange {
         style,
         block_bytes,
-        done: d2.clone(),
+        done: None,
         stage: 0,
-        app_messages: a2.clone(),
+        app_messages: 0,
     });
     sim.run();
-    let latest = done
-        .borrow()
+    let programs = sim.into_programs();
+    let latest = programs
         .iter()
-        .map(|t| t.expect("all nodes complete"))
+        .map(|p| p.done.expect("all nodes complete"))
         .max()
         .expect("nonempty");
-    let total_app = *app.borrow();
+    let total_app: u64 = programs.iter().map(|p| p.app_messages).sum();
     ExchangeOutcome {
         completion: latest - SimTime::ZERO,
         messages_per_node: total_app as f64 / n as f64,
@@ -468,8 +460,6 @@ pub fn neighbor_exchange(
 /// of `payload_bytes` across one link.
 pub fn streaming_bandwidth_gbps(payload_bytes: u32, count: u64) -> f64 {
     let dims = TorusDims::new(4, 1, 1);
-    let done = Rc::new(RefCell::new(None));
-    let d2 = done.clone();
     let (s, d) = (
         Coord::new(0, 0, 0).node_id(dims),
         Coord::new(1, 0, 0).node_id(dims),
@@ -479,7 +469,7 @@ pub fn streaming_bandwidth_gbps(payload_bytes: u32, count: u64) -> f64 {
         dst: NodeId,
         payload: u32,
         count: u64,
-        done: Rc<RefCell<Option<SimTime>>>,
+        done: Option<SimTime>,
     }
     impl NodeProgram for Stream {
         fn on_event(&mut self, node: NodeId, pe: ProgEvent, ctx: &mut Ctx<'_, '_>) {
@@ -506,21 +496,21 @@ pub fn streaming_bandwidth_gbps(payload_bytes: u32, count: u64) -> f64 {
                     }
                 }
                 ProgEvent::CounterReached { .. } => {
-                    *self.done.borrow_mut() = Some(ctx.now());
+                    self.done = Some(ctx.now());
                 }
                 _ => unreachable!(),
             }
         }
     }
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| Stream {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Stream {
         src: s,
         dst: d,
         payload: payload_bytes,
         count,
-        done: d2.clone(),
+        done: None,
     });
     sim.run();
-    let t = done.borrow().expect("completes");
+    let t = sim.program(d).done.expect("completes");
     let ns = (t - SimTime::ZERO).as_ns_f64();
     payload_bytes as f64 * count as f64 * 8.0 / ns
 }
@@ -540,7 +530,7 @@ pub fn multicast_vs_unicast(
         dests: Vec<NodeId>,
         payload: u32,
         multicast: bool,
-        done: Rc<RefCell<Vec<Option<SimTime>>>>,
+        done: Option<SimTime>,
     }
     impl NodeProgram for Fanout {
         fn on_event(&mut self, node: NodeId, pe: ProgEvent, ctx: &mut Ctx<'_, '_>) {
@@ -577,12 +567,8 @@ pub fn multicast_vs_unicast(
                     }
                 }
                 ProgEvent::CounterReached { .. } => {
-                    let i = self
-                        .dests
-                        .iter()
-                        .position(|&d| d == node)
-                        .expect("a destination");
-                    self.done.borrow_mut()[i] = Some(ctx.now());
+                    assert!(self.dests.contains(&node), "a destination");
+                    self.done = Some(ctx.now());
                 }
                 _ => unreachable!(),
             }
@@ -594,28 +580,25 @@ pub fn multicast_vs_unicast(
             let p = MulticastPattern::build(src, dests, dims);
             fabric.register_pattern(PatternId(0), &p);
         }
-        let done = Rc::new(RefCell::new(vec![None; dests.len()]));
-        let d2 = done.clone();
         let dest_ids: Vec<NodeId> = dests.iter().map(|c| c.node_id(dims)).collect();
         let s = src.node_id(dims);
         let payload = payload_bytes;
-        let mut sim = Simulation::new(fabric, move |_| Fanout {
+        let mut sim = ParSimulation::one_slab(fabric, |_| Fanout {
             src: s,
             dests: dest_ids.clone(),
             payload,
             multicast,
-            done: d2.clone(),
+            done: None,
         });
         sim.run();
-        let latest = done
-            .borrow()
+        let latest = dest_ids
             .iter()
-            .map(|t| t.expect("delivered"))
+            .map(|&d| sim.program(d).done.expect("delivered"))
             .max()
             .expect("nonempty");
         (
             latest - SimTime::ZERO,
-            sim.world.fabric.stats.link_traversals,
+            sim.worlds()[0].fabric.stats.link_traversals,
         )
     };
     let (t_multi, trav_multi) = run(true);

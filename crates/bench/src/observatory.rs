@@ -29,8 +29,8 @@ use anton_collectives::{all_reduce_recovering, random_inputs, RecoveringParams};
 use anton_core::md_exchange;
 use anton_des::{ParProfile, SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet, Payload,
-    ProgEvent, RunConfig, Simulation, Timing,
+    drive, ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet, Payload,
+    ProgEvent, RunConfig,
 };
 use anton_obs::runtime::{RuntimeSummary, SpeedupAttribution};
 use anton_obs::{
@@ -40,7 +40,7 @@ use anton_obs::{
 use anton_scenario::{presets, Workload};
 use anton_topo::{Coord, NodeId, TorusDims};
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::microbench::ping_pong;
 use crate::suite::run_suite;
@@ -173,7 +173,7 @@ fn parallel_runtime(obs: &mut ObservatoryReport) {
 /// a large diagonal write — the same contended mix as the
 /// `congestion_heatmap` experiment.
 struct Shower {
-    plan: Rc<Vec<(u32, u32, u32)>>,
+    plan: Arc<Vec<(u32, u32, u32)>>,
 }
 
 impl NodeProgram for Shower {
@@ -215,22 +215,21 @@ fn congestion(obs: &mut ObservatoryReport) {
             plan.push((src, far.node_id(dims).0, 256));
         }
     }
-    let plan = Rc::new(plan);
+    let plan = Arc::new(plan);
 
-    let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
-    fabric.attach_owned_flight_recorder();
-    let p2 = plan.clone();
-    let mut sim = Simulation::new(fabric, move |_| Shower { plan: p2.clone() });
-    assert!(sim
-        .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
-        .is_completed());
-
-    let rec = sim
-        .world
-        .fabric
-        .flight_recorder()
-        .expect("recorder attached");
-    let map = CongestionMap::build(rec.events(), SimDuration::from_ns(50));
+    let cfg = RunConfig {
+        obs: ObsMode::Flight,
+        ..RunConfig::default()
+    };
+    let done = drive(
+        &cfg,
+        |timing| Fabric::with_faults(dims, timing.clone(), FaultPlan::none()),
+        |_| Shower { plan: plan.clone() },
+        10_000_000,
+    )
+    .unwrap_or_else(|stall| panic!("shower stalled:\n{stall}"));
+    let events = done.observed.flight.expect("flight recorded");
+    let map = CongestionMap::build(events.iter(), SimDuration::from_ns(50));
     let mut values = BTreeMap::new();
     for (i, ((_, _), busy)) in map.hottest_links(5).into_iter().enumerate() {
         values.insert(format!("hot{i}_busy_ns"), busy.as_ns_f64());

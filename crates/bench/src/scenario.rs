@@ -9,17 +9,17 @@
 //! same execution.
 //!
 //! Fingerprint recipes are chosen to be **thread-invariant**: they
-//! cover only observables the sequential and sharded engines agree on
-//! bit-for-bit (simulated times, per-node checksums and traffic
-//! counts), never bookkeeping like total DES event counts, which differ
-//! by one `Start` event per shard. `scenario run` exploits this by
+//! cover only observables every shard plan agrees on bit-for-bit
+//! (simulated times, per-node checksums and traffic counts), never
+//! bookkeeping like total DES event counts, which differ by one `Start`
+//! event per slab. `scenario run` exploits this by
 //! executing every spec at 1 and 4 threads and refusing to write a
 //! ledger record unless the fingerprints match.
 
 use anton_collectives::{all_reduce, all_reduce_recovering, random_inputs, RecoveringParams};
 use anton_core::{md_exchange, MdExchangeOutcome};
 use anton_des::SimTime;
-use anton_net::{Executor, ObsMode, RunConfig, StallReport};
+use anton_net::{ObsMode, RunConfig, Slabs, StallReport};
 use anton_obs::runtime::RuntimeSummary;
 use anton_obs::{
     fold_lifecycles, BreakdownSummary, Fingerprint, ObservatoryReport, Section, Stage, SEC_RECOVERY,
@@ -39,14 +39,15 @@ pub struct ScenarioOutcome {
 }
 
 /// The engine configuration `spec` runs under at `threads` workers.
-/// Every workload runs sharded, at every thread count, except the
-/// ping-pong microbenchmark: it is sequential by construction and
+/// Every workload runs on the auto plan, at every thread count, except
+/// the ping-pong microbenchmark: it runs on one slab and is
 /// flight-recorded for its stage breakdown. MD runs are profiled for
 /// the runtime section, and a Stream MD spec streams in that same run
 /// (`tests/run_matrix.rs` checks that the observer moves nothing).
 fn run_config(spec: &ScenarioSpec, threads: usize) -> RunConfig {
     let sharded = RunConfig {
-        executor: Executor::Sharded { threads },
+        slabs: Slabs::Auto,
+        threads,
         timing: spec.timing_table(),
         lookahead: spec.lookahead,
         obs: ObsMode::Off,
@@ -63,7 +64,7 @@ fn run_config(spec: &ScenarioSpec, threads: usize) -> RunConfig {
             ..sharded
         },
         Workload::PingPong { .. } => RunConfig {
-            executor: Executor::Sequential,
+            slabs: Slabs::ONE,
             obs: ObsMode::Flight,
             ..sharded
         },
@@ -74,8 +75,10 @@ fn run_config(spec: &ScenarioSpec, threads: usize) -> RunConfig {
 /// Run `spec`'s workload at the given worker-thread count and reduce
 /// it to a [`ScenarioOutcome`]. The spec's own `threads` field is the
 /// *default* run configuration; callers probing determinism pass
-/// explicit counts. Panics on a spec [`ScenarioSpec::validate`]
-/// rejects, and on a run that stalls.
+/// explicit counts. The fingerprint leaves out DES event counts, which
+/// differ by shard plan (one `Start` per slab), never by thread count.
+/// Panics on a spec [`ScenarioSpec::validate`] rejects, and on a run
+/// that stalls.
 pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
     if let Err(e) = spec.validate() {
         panic!("scenario {}: {e}", spec.name);
@@ -191,7 +194,7 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
             bidirectional,
             reps,
         } => {
-            // The microbenchmark runs sequentially at every thread
+            // The microbenchmark runs on one slab at every thread
             // count, so its fingerprint is trivially thread-invariant.
             let (latency, observed) = completed(
                 spec,
@@ -237,9 +240,9 @@ fn completed<T>(spec: &ScenarioSpec, run: Result<T, Box<StallReport>>) -> T {
 }
 
 /// The thread-invariant MD-exchange fingerprint: simulated times,
-/// checksums, and traffic counts shared bit-exactly by the sequential
-/// and sharded engines (total event counts excluded — the sharded
-/// engine seeds one `Start` per shard, a bookkeeping difference).
+/// checksums, and traffic counts shared bit-exactly by every shard plan
+/// (total event counts excluded — each slab seeds one `Start`, so event
+/// counts differ by plan, a bookkeeping difference).
 pub fn md_fingerprint(md: &MdExchangeOutcome) -> String {
     let mut fp = Fingerprint::new();
     fp.update(&md.makespan);

@@ -559,7 +559,7 @@ fn stalled<T>(stall: Box<StallReport>) -> T {
 // The host-time benchmark (`benchmark/`) links against these two
 // fixed-signature configurations of `all_reduce_recovering`.
 
-/// [`all_reduce_recovering`] on the sequential engine under `timing`.
+/// [`all_reduce_recovering`] on one slab under `timing`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_all_reduce_recovering_timed(
     dims: TorusDims,
@@ -586,7 +586,7 @@ pub fn run_all_reduce_recovering_timed(
     .0
 }
 
-/// [`all_reduce_recovering`] on the sharded engine under `timing`.
+/// [`all_reduce_recovering`] on the auto plan under `timing`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_all_reduce_recovering_par_timed(
     dims: TorusDims,

@@ -13,7 +13,7 @@ fn main() {
     let config = AntonConfig::new(md);
     let mut eng = AntonMdEngine::new(sys, config, TorusDims::anton_512());
     {
-        let st = eng.state.borrow();
+        let st = eng.state.lock().unwrap();
         println!(
             "capacity {} max_atoms {} htis_target {} force_target {}",
             st.plan.capacity,
@@ -43,7 +43,7 @@ fn main() {
             s.link_traversals / (512 * 6)
         );
         {
-            let st = eng.state.borrow();
+            let st = eng.state.lock().unwrap();
             println!(
                 "  hpos fire {:?} us, force fire {:?} us",
                 st.scratch

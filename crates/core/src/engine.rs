@@ -3,20 +3,23 @@
 //! paper's tables and figures report.
 
 use crate::program::MdNode;
-use crate::state::{AntonConfig, MachineState, StepTiming};
+use crate::state::{lock, AntonConfig, MachineState, StepTiming};
 use anton_des::{SimDuration, SimTime, Tracer, TrackId};
 use anton_md::integrate::verlet_first_half;
 use anton_md::{ChemicalSystem, Vec3};
-use anton_net::{Fabric, NetStats, RunReport, Simulation, StallReport};
+use anton_net::{Fabric, NetStats, ParSimulation, RunReport, StallReport};
 use anton_obs::{FlightRecorder, MetricsRegistry};
 use anton_topo::TorusDims;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// The machine + application. One instance simulates one MD run.
+///
+/// Every step runs on one slab: the node programs share the
+/// [`MachineState`] (see [`MdNode`]), so the one-replica plan is the only
+/// one on which their answer cannot depend on the shard plan.
 pub struct AntonMdEngine {
     /// The shared machine state (systems, plans, per-step scratch).
-    pub state: Rc<RefCell<MachineState>>,
+    pub state: Arc<Mutex<MachineState>>,
     dims: TorusDims,
     /// Timing of every completed step (bootstrap excluded).
     pub timings: Vec<StepTiming>,
@@ -30,8 +33,8 @@ pub struct AntonMdEngine {
     /// (bootstrap included). Snapshot it before a window of steps and
     /// call [`NetStats::diff`] afterwards for per-window numbers.
     pub stats_total: NetStats,
-    /// Flight recorder to install on the next step's fabric.
-    record_next: Option<FlightRecorder>,
+    /// Install a flight recorder on the next step's fabric.
+    record_next: bool,
     /// The flight recorder of the last recorded step, with every event
     /// it captured (see [`AntonMdEngine::record_next_step`]).
     pub last_recording: Option<FlightRecorder>,
@@ -64,7 +67,7 @@ impl AntonMdEngine {
     /// initial forces every velocity-Verlet scheme needs), entirely
     /// through the simulated machine.
     pub fn new(sys: ChemicalSystem, config: AntonConfig, dims: TorusDims) -> AntonMdEngine {
-        let state = Rc::new(RefCell::new(MachineState::new(sys, config, dims)));
+        let state = Arc::new(Mutex::new(MachineState::new(sys, config, dims)));
         let mut eng = AntonMdEngine {
             state,
             dims,
@@ -73,7 +76,7 @@ impl AntonMdEngine {
             last_trace: None,
             last_stats: None,
             stats_total: NetStats::default(),
-            record_next: None,
+            record_next: false,
             last_recording: None,
             last_energies: Energies::default(),
         };
@@ -89,16 +92,16 @@ impl AntonMdEngine {
     /// Record every packet lifecycle of the next step into a flight
     /// recorder, handed back in [`AntonMdEngine::last_recording`] once
     /// the step has run. Recording one step of a large system can
-    /// produce millions of events — use
-    /// [`AntonMdEngine::record_next_step_with`] to bound or sample.
+    /// produce millions of events.
     pub fn record_next_step(&mut self) {
-        self.record_next_step_with(FlightRecorder::new());
+        self.record_next = true;
     }
 
-    /// Like [`AntonMdEngine::record_next_step`] but with a
-    /// pre-configured recorder (ring-buffer capacity, sampling).
-    pub fn record_next_step_with(&mut self, rec: FlightRecorder) {
-        self.record_next = Some(rec);
+    /// Run one DES pass of the node programs over `fabric` on one slab.
+    fn simulate(&self, fabric: Fabric) -> (ParSimulation<MdNode>, RunReport) {
+        let mut sim = ParSimulation::one_slab(fabric, |_| MdNode::new(self.state.clone()));
+        let report = sim.run_guarded(SimTime(u64::MAX / 2), 500_000_000);
+        (sim, report)
     }
 
     /// Export cumulative traffic statistics, step counters, and the
@@ -118,14 +121,14 @@ impl AntonMdEngine {
 
     /// Number of completed MD steps.
     pub fn steps(&self) -> u64 {
-        self.state.borrow().step_count
+        lock(&self.state).step_count
     }
 
     /// The fabric timing model the engine's steps run under — what a
     /// causal-graph builder needs to reconstruct injection-port
     /// occupancy from a recorded step.
     pub fn timing(&self) -> anton_net::Timing {
-        self.state.borrow().config.timing.clone()
+        lock(&self.state).config.timing.clone()
     }
 
     /// Advance one time step; returns its timing record. Panics with the
@@ -150,18 +153,18 @@ impl AntonMdEngine {
 
     /// Instantaneous temperature, K.
     pub fn temperature(&self) -> f64 {
-        anton_md::integrate::instantaneous_temperature(&self.state.borrow().sys)
+        anton_md::integrate::instantaneous_temperature(&lock(&self.state).sys)
     }
 
     /// Current total kinetic energy, kcal/mol.
     pub fn kinetic_energy(&self) -> f64 {
-        anton_md::integrate::total_kinetic(&self.state.borrow().sys)
+        anton_md::integrate::total_kinetic(&lock(&self.state).sys)
     }
 
     /// Mean bond-destination hops given the current atom placement — the
     /// Figure 11 staleness metric.
     pub fn bond_staleness_hops(&self) -> f64 {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         st.bond_program
             .mean_destination_hops(&st.owners, &st.decomp)
     }
@@ -176,7 +179,7 @@ impl AntonMdEngine {
     fn try_run_des_step(&mut self, bootstrap: bool) -> Result<StepTiming, Box<StallReport>> {
         // ---- host-side pre-step ----
         let (thermostat, _long_range, migration) = {
-            let mut st = self.state.borrow_mut();
+            let mut st = lock(&self.state);
             let k = st.step_count + 1;
             let lr = bootstrap || k.is_multiple_of(st.config.md.long_range_interval as u64);
             // The global reduction runs when the thermostat or barostat
@@ -243,7 +246,7 @@ impl AntonMdEngine {
 
         // ---- build the fabric for this step ----
         let mut fabric = {
-            let st = self.state.borrow();
+            let st = lock(&self.state);
             let mut fabric =
                 Fabric::with_faults(self.dims, st.config.timing.clone(), st.config.fault.clone());
             st.patterns.register(&mut fabric, thermostat, migration);
@@ -263,30 +266,29 @@ impl AntonMdEngine {
             self.trace_next = false;
         }
         let tracing = fabric.tracer.is_enabled();
-        let recording = self.record_next.is_some();
-        if let Some(rec) = self.record_next.take() {
-            fabric.attach_owned_flight_recorder_with(rec);
+        let recording = std::mem::take(&mut self.record_next);
+        if recording {
+            fabric.attach_owned_flight_recorder();
         }
 
         // ---- run the DES ----
-        let state = self.state.clone();
-        let mut sim = Simulation::new(fabric, move |_| MdNode::new(state.clone()));
-        let report = sim.run_guarded(SimTime(u64::MAX / 2), 500_000_000);
+        let (mut sim, report) = self.simulate(fabric);
+        let replica = &mut sim.worlds_mut()[0].fabric;
         if recording {
-            self.last_recording = sim.world.fabric.take_flight_recorder();
+            self.last_recording = replica.take_flight_recorder();
         }
-        match report {
-            RunReport::Completed(_) => {}
-            RunReport::Stalled(stall) => {
-                let stats = sim.world.fabric.stats.clone();
-                self.stats_total.merge(&stats);
-                self.last_stats = Some(stats);
-                return Err(Box::new(stall));
-            }
+        let stats = replica.stats.clone();
+        self.stats_total.merge(&stats);
+        self.last_stats = Some(stats);
+        if let RunReport::Stalled(stall) = report {
+            return Err(Box::new(stall));
+        }
+        if tracing {
+            self.last_trace = Some(std::mem::replace(&mut replica.tracer, Tracer::disabled()));
         }
 
         // ---- host-side post-step ----
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         let n_nodes = self.dims.node_count() as usize;
         assert_eq!(
             st.scratch.nodes_done, n_nodes as u32,
@@ -354,17 +356,6 @@ impl AntonMdEngine {
             reduce_span: span(st.scratch.reduce_first, st.scratch.reduce_last),
             migration_span: span(Some(0), st.scratch.migration_last_sync),
         };
-        drop(st);
-
-        let stats = sim.world.fabric.stats.clone();
-        self.stats_total.merge(&stats);
-        self.last_stats = Some(stats);
-        if tracing {
-            self.last_trace = Some(std::mem::replace(
-                &mut sim.world.fabric.tracer,
-                Tracer::disabled(),
-            ));
-        }
         Ok(timing)
     }
 
@@ -375,7 +366,7 @@ impl AntonMdEngine {
     /// FFT until every HTIS holds its halo potentials.
     pub fn measure_fft_convolution(&mut self) -> anton_des::SimDuration {
         {
-            let mut st = self.state.borrow_mut();
+            let mut st = lock(&self.state);
             let n_nodes = self.dims.node_count() as usize;
             let n_atoms = st.sys.atoms.len();
             st.scratch.reset(n_nodes, n_atoms);
@@ -415,18 +406,17 @@ impl AntonMdEngine {
             }
         }
         let fabric = {
-            let st = self.state.borrow();
+            let st = lock(&self.state);
             let mut fabric =
                 Fabric::with_faults(self.dims, st.config.timing.clone(), st.config.fault.clone());
             st.patterns.register(&mut fabric, false, false);
             fabric
         };
-        let state = self.state.clone();
-        let mut sim = Simulation::new(fabric, move |_| MdNode::new(state.clone()));
-        if let RunReport::Stalled(stall) = sim.run_guarded(SimTime(u64::MAX / 2), 500_000_000) {
+        let (sim, report) = self.simulate(fabric);
+        if let RunReport::Stalled(stall) = report {
             panic!("FFT convolution stalled:\n{stall}");
         }
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         assert_eq!(
             st.scratch.nodes_done,
             self.dims.node_count(),
@@ -437,12 +427,12 @@ impl AntonMdEngine {
 
     /// The system snapshot (positions, velocities).
     pub fn system(&self) -> ChemicalSystem {
-        self.state.borrow().sys.clone()
+        lock(&self.state).sys.clone()
     }
 
     /// Forces at the current positions (as decoded from the accumulation
     /// memories in the last step).
     pub fn current_forces(&self) -> Vec<Vec3> {
-        self.state.borrow().forces_prev.clone()
+        lock(&self.state).forces_prev.clone()
     }
 }

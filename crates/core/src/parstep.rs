@@ -1,13 +1,13 @@
-//! A `Send`-able MD time-step skeleton for the parallel engine.
+//! An MD time-step skeleton that runs on any shard plan.
 //!
 //! The full per-node MD program ([`MdNode`](crate::program::MdNode))
-//! shares one `Rc<RefCell<MachineState>>` across all nodes, which pins
-//! it to the sequential simulation. This module distills the *shape* of
-//! an MD step that matters for parallel-engine benchmarking — the
-//! position-export / force-return neighbor exchange of Figure 2, with
-//! its counted remote writes and per-step compute phase — into a
-//! self-contained program whose only state is per-node, so it runs
-//! unchanged (and bit-identically) on [`ParSimulation`](anton_net::ParSimulation).
+//! shares one `MachineState` across all nodes, which pins it to one
+//! slab. This module distills the *shape* of an MD step that matters for
+//! parallel-engine benchmarking — the position-export / force-return
+//! neighbor exchange of Figure 2, with its counted remote writes and
+//! per-step compute phase — into a self-contained program whose only
+//! state is per-node, so it runs unchanged (and bit-identically) on every
+//! shard plan of [`ParSimulation`](anton_net::ParSimulation).
 //!
 //! Per step, every node:
 //!
@@ -20,8 +20,8 @@
 //! 4. starts the next step.
 //!
 //! All payload values are pure functions of `(node, step, direction)`,
-//! so every run — sequential or sharded, any thread count — produces
-//! identical folds and identical completion times.
+//! so every run — any shard plan, any thread count — produces identical
+//! folds and identical completion times.
 
 use anton_des::{LookaheadMode, ParProfile, SimDuration, SimTime};
 use anton_net::{
@@ -192,28 +192,18 @@ fn make_node(params: MdExchangeParams) -> impl FnMut(NodeId) -> MdExchangeNode {
     }
 }
 
-/// Run the exchange workload on the engine `cfg` names, under its
-/// observer. The simulated outcome is bit-identical across executors,
-/// thread counts, window modes and observers; only host time and the
-/// DES event count (one `Start` per shard) differ.
+/// Run the exchange workload on the shard plan and thread count `cfg`
+/// names, under its observer. The simulated outcome is bit-identical
+/// across shard plans, thread counts, window modes and observers; only
+/// host time and the DES event count (one `Start` per slab) differ.
 pub fn md_exchange(
     dims: TorusDims,
     params: MdExchangeParams,
     cfg: &RunConfig,
 ) -> Result<(MdExchangeOutcome, Observed), Box<StallReport>> {
-    // An observed sequential run uses node-scoped uids, as the sharded
-    // engine always does, so packet identities (and with them the
-    // stream observer's reservoir) compare bit-for-bit across engines.
-    let node_scoped = cfg.obs != ObsMode::Off;
     let done = drive(
         cfg,
-        |timing| {
-            let mut fabric = Fabric::with_faults(dims, timing.clone(), FaultPlan::none());
-            if node_scoped {
-                fabric.enable_node_scoped_uids();
-            }
-            fabric
-        },
+        |timing| Fabric::with_faults(dims, timing.clone(), FaultPlan::none()),
         make_node(params),
         1_000_000_000,
     )?;
@@ -240,14 +230,14 @@ fn stalled<T>(stall: Box<StallReport>) -> T {
 // benchmark (`benchmark/`) links against; each is one configuration of
 // `md_exchange`.
 
-/// [`md_exchange`] on the sequential engine.
+/// [`md_exchange`] on one slab.
 pub fn run_md_exchange(dims: TorusDims, params: MdExchangeParams) -> MdExchangeOutcome {
     md_exchange(dims, params, &RunConfig::default())
         .unwrap_or_else(stalled)
         .0
 }
 
-/// [`md_exchange`] on the sequential engine under `timing`.
+/// [`md_exchange`] on one slab under `timing`.
 pub fn run_md_exchange_timed(
     dims: TorusDims,
     params: MdExchangeParams,
@@ -265,7 +255,7 @@ pub fn run_md_exchange_timed(
     .0
 }
 
-/// [`md_exchange`] on the sequential engine with a flight recorder.
+/// [`md_exchange`] on one slab with a flight recorder.
 pub fn run_md_exchange_recorded(
     dims: TorusDims,
     params: MdExchangeParams,
@@ -282,7 +272,7 @@ pub fn run_md_exchange_recorded(
     .unwrap_or_else(stalled)
 }
 
-/// [`md_exchange`] on the sharded engine under the stream observer,
+/// [`md_exchange`] on the auto plan under the stream observer,
 /// which only runs at its default configuration.
 pub fn run_md_exchange_streamed_par_timed(
     dims: TorusDims,
@@ -309,7 +299,7 @@ pub fn run_md_exchange_streamed_par_timed(
     .unwrap_or_else(stalled)
 }
 
-/// [`md_exchange`] on the sharded engine with window-bound mode `mode`.
+/// [`md_exchange`] on the auto plan with window-bound mode `mode`.
 pub fn run_md_exchange_par_mode(
     dims: TorusDims,
     params: MdExchangeParams,
@@ -328,8 +318,8 @@ pub fn run_md_exchange_par_mode(
     .0
 }
 
-/// [`md_exchange`] on the sharded engine with window-bound mode `mode`
-/// under `timing`, profiled.
+/// [`md_exchange`] on the auto plan with window-bound mode `mode` under
+/// `timing`, profiled.
 pub fn run_md_exchange_par_mode_profiled_timed(
     dims: TorusDims,
     params: MdExchangeParams,
@@ -436,7 +426,7 @@ mod tests {
     /// With spatial load imbalance (per-slab compute skew) the shard
     /// event streams stagger, and the adaptive per-pair bounds genuinely
     /// widen windows past the uniform global bound — while the simulated
-    /// outcome stays bit-identical to the sequential engine.
+    /// outcome stays bit-identical to one slab.
     #[test]
     fn compute_skew_lets_adaptive_windows_recover_events() {
         let dims = TorusDims::new(4, 4, 4);

@@ -8,7 +8,7 @@
 //! topology) and per-node working storage.
 
 use crate::fftplan;
-use crate::state::MachineState;
+use crate::state::{lock, MachineState};
 use anton_des::{SimDuration, TrackId};
 use anton_fft::{Complex, Direction, Fft1d, Layout};
 use anton_md::grid::{ScalarGrid, SpreadParams};
@@ -19,8 +19,7 @@ use anton_net::{
     ClientAddr, ClientKind, CounterId, Ctx, NodeProgram, Packet, PacketKind, Payload, ProgEvent,
 };
 use anton_topo::{hop_count, Coord, Dim, NodeId};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 // ---- trace tracks (0–5 are the torus link directions, in anton-net) ----
 /// Tensilica cores.
@@ -105,9 +104,14 @@ struct HtisState {
 
 /// The per-node program. Most state lives in the shared
 /// [`MachineState`]; the struct itself only keeps tiny per-node cursors.
+///
+/// Every node reads and writes the one shared state, so an `MdNode`
+/// machine must run on one slab ([`anton_net::Slabs::ONE`]): there its
+/// handlers run one at a time on one thread, and the lock is never
+/// contended.
 pub struct MdNode {
     /// The shared machine state.
-    pub state: Rc<RefCell<MachineState>>,
+    pub state: Arc<Mutex<MachineState>>,
     /// Set when this node finished its part of the step.
     done: bool,
     /// All-reduce working values during the thermostat/barostat
@@ -125,7 +129,7 @@ pub struct MdNode {
 
 impl MdNode {
     /// A fresh per-node program sharing `state`.
-    pub fn new(state: Rc<RefCell<MachineState>>) -> MdNode {
+    pub fn new(state: Arc<Mutex<MachineState>>) -> MdNode {
         MdNode {
             state,
             done: false,
@@ -141,21 +145,21 @@ impl MdNode {
     fn mark_done(&mut self) {
         debug_assert!(!self.done, "node completed twice");
         self.done = true;
-        self.state.borrow_mut().scratch.nodes_done += 1;
+        lock(&self.state).scratch.nodes_done += 1;
     }
 
     fn add_compute(&self, node: NodeId, d: SimDuration) {
-        self.state.borrow_mut().compute_time[node.index()] += d;
+        lock(&self.state).compute_time[node.index()] += d;
     }
 
     // ---------------- step start ----------------
 
     fn on_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        if self.state.borrow().scratch.fft_only {
+        if lock(&self.state).scratch.fft_only {
             self.start_fft_only(node, ctx);
             return;
         }
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let dims = st.decomp.dims;
         let lr = st.scratch.long_range;
         let bootstrap = st.scratch.bootstrap;
@@ -271,7 +275,7 @@ impl MdNode {
         } else {
             // First-half integration (math already applied host-side;
             // model the arithmetic time on all four slices).
-            let st = self.state.borrow();
+            let st = lock(&self.state);
             let cost = &st.config.cost;
             let share = n_atoms.div_ceil(4) as u64;
             let d = cost.integrate(share);
@@ -301,11 +305,11 @@ impl MdNode {
 
     fn start_migration(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         ctx.set_phase("migration");
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let leavers = st.scratch.leavers[node.index()].clone();
         drop(st);
         for (atom, new_owner) in &leavers {
-            let st = self.state.borrow();
+            let st = lock(&self.state);
             let a = &st.sys.atoms[*atom as usize];
             let payload = Payload::F64s(vec![a.pos.x, a.pos.y, a.pos.z, a.vel.x, a.vel.y, a.vel.z]);
             drop(st);
@@ -321,7 +325,7 @@ impl MdNode {
             uid: 0,
             src: slice(node, 0),
             dest: anton_net::Destination::Multicast {
-                pattern: self.state.borrow().patterns.mig_id(dims_coord),
+                pattern: lock(&self.state).patterns.mig_id(dims_coord),
                 client: ClientKind::Slice(0),
             },
             kind: PacketKind::Write,
@@ -340,7 +344,7 @@ impl MdNode {
     }
 
     fn migration_synced(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         st.scratch.migration_last_sync = Some(
             st.scratch
                 .migration_last_sync
@@ -365,7 +369,7 @@ impl MdNode {
 
     fn distribute(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         ctx.set_phase("position send");
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let decomp = &st.decomp;
         let me = node.coord(decomp.dims);
         let pos_pattern = st.patterns.pos_id(me);
@@ -413,7 +417,7 @@ impl MdNode {
         // Bonded unicasts: one atom per packet (§IV.B.2), including
         // node-local deliveries so receiver counts stay fixed.
         for (atom, dest, dslice) in bond_sends {
-            let st = self.state.borrow();
+            let st = lock(&self.state);
             let p = st.sys.atoms[atom as usize].pos;
             let slot = st.slots[atom as usize] as usize;
             drop(st);
@@ -442,14 +446,14 @@ impl MdNode {
     /// box pairs that just became computable.
     fn htis_buffer_ready(&mut self, node: NodeId, idx: usize, ctx: &mut Ctx<'_, '_>) {
         {
-            let mut st = self.state.borrow_mut();
+            let mut st = lock(&self.state);
             let t = ctx.now().as_ps();
             st.scratch.ts_hpos = Some(match st.scratch.ts_hpos {
                 None => (t, t),
                 Some((a, b)) => (a.min(t), b.max(t)),
             });
         }
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let dims = st.decomp.dims;
         let h = self.htis.as_mut().expect("HTIS state built at start");
         debug_assert!(!h.ready[idx]);
@@ -493,7 +497,7 @@ impl MdNode {
     /// travel farthest (§IV.B.1) — compute its interactions, and model
     /// the pipeline time.
     fn htis_process_next(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let priority = st.config.priority_queue;
         let h = self.htis.as_mut().expect("built");
         if h.busy {
@@ -584,7 +588,7 @@ impl MdNode {
         }
         let cost = st.config.cost.htis_pairs(pairs_examined, 1);
         drop(st);
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         st.scratch.e_lj[node.index()] += e_lj;
         st.scratch.e_coulomb[node.index()] += e_coul;
         st.scratch.e_long_range[node.index()] += e_lr;
@@ -629,7 +633,7 @@ impl MdNode {
     /// always; erf corrections on long-range steps).
     fn htis_send_source(&mut self, node: NodeId, idx: usize, ctx: &mut Ctx<'_, '_>) {
         ctx.set_phase("force return");
-        let lr_step = self.state.borrow().scratch.long_range;
+        let lr_step = lock(&self.state).scratch.long_range;
         let h = self.htis.as_mut().expect("built");
         debug_assert!(!h.sent[idx]);
         h.sent[idx] = true;
@@ -653,7 +657,7 @@ impl MdNode {
         forces: &[Vec3],
         base: u64,
     ) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let dims = st.decomp.dims;
         let capacity = st.plan.capacity as usize;
         let pack = st.config.force_pack;
@@ -679,7 +683,7 @@ impl MdNode {
 
     fn bonded_compute(&mut self, node: NodeId, s: u8, ctx: &mut Ctx<'_, '_>) {
         ctx.set_phase("bonded");
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let nt = &st.bond_program.terms_at[node.index()];
         let pbox = st.sys.pbox;
         let fetch = |atom: usize| -> Vec3 {
@@ -757,7 +761,7 @@ impl MdNode {
             .map(|&a| (a, forces.get(&a).copied().unwrap_or(Vec3::ZERO)))
             .collect();
         out.sort_by_key(|&(a, _)| a);
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         st.scratch.e_bonded[node.index()] += e_bonded;
         st.scratch.bond_forces[node.index()][s as usize] = out;
         drop(st);
@@ -773,7 +777,7 @@ impl MdNode {
     }
 
     fn bonded_send(&mut self, node: NodeId, s: u8, ctx: &mut Ctx<'_, '_>) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let dims = st.decomp.dims;
         let returns = st.scratch.bond_forces[node.index()][s as usize].clone();
         let owners = returns
@@ -798,7 +802,7 @@ impl MdNode {
     // ---------------- long range: spreading, FFT, interpolation ----------------
 
     fn start_spread(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let atoms = st.node_atoms(node).len() as u64;
         let spread = SpreadParams::for_ewald_sigma(st.config.md.ewald_sigma);
         let h = st.sys.pbox.lengths.x / st.config.md.grid[0] as f64;
@@ -819,7 +823,7 @@ impl MdNode {
 
     fn spread_send(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         ctx.set_phase("charge spread");
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         let dims = st.decomp.dims;
         let me = node.coord(dims);
@@ -866,7 +870,7 @@ impl MdNode {
                 let pkt = Packet::accumulate(htis(node), accum1(dst.node_id(map.dims)), addr, vals)
                     .with_counter(C_CHARGE);
                 if first_send {
-                    let mut stm = self.state.borrow_mut();
+                    let mut stm = lock(&self.state);
                     let t = ctx.now().as_ps();
                     stm.scratch.fft_first_send =
                         Some(stm.scratch.fft_first_send.map_or(t, |v| v.min(t)));
@@ -879,7 +883,7 @@ impl MdNode {
 
     fn charge_gathered(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         // Slice 0 reads the brick from accumulation memory 1.
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         let b = map.brick();
         let n_points = b[0] * b[1] * b[2];
@@ -890,7 +894,7 @@ impl MdNode {
             .iter()
             .map(|&w| fixed::decode(w, fixed::CHARGE_SCALE))
             .collect();
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         st.scratch.brick_charges[node.index()] = decoded;
         drop(st);
         self.add_compute(node, cost);
@@ -925,7 +929,7 @@ impl MdNode {
         points: &[([usize; 3], Complex)],
     ) {
         ctx.set_phase("FFT");
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         drop(st);
         for (k, &(g, v)) in points.iter().enumerate() {
@@ -975,7 +979,7 @@ impl MdNode {
 
     fn charge_scatter(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         // Send the decoded brick charges into X pencils (stage 0).
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         let me = node.coord(st.decomp.dims);
         let charges = st.scratch.brick_charges[node.index()].clone();
@@ -990,7 +994,7 @@ impl MdNode {
     }
 
     fn fft_stage_compute(&mut self, node: NodeId, s: u8, stage: usize, ctx: &mut Ctx<'_, '_>) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         let dim = [Dim::X, Dim::Y, Dim::Z, Dim::Y, Dim::X][stage];
         let dir = if stage <= 2 {
@@ -1053,7 +1057,7 @@ impl MdNode {
         // the program itself via a closure-free mechanism — reuse the
         // scratch: store in a per-(node,slice,stage) map.
         let key = (node, s, send_stage);
-        FFT_OUTBOX.with(|o| o.borrow_mut().insert(key, out_points));
+        lock(&self.state).scratch.fft_outbox.insert(key, out_points);
         ctx.compute(
             node,
             ClientKind::Slice(s),
@@ -1066,8 +1070,10 @@ impl MdNode {
 
     fn fft_stage_send(&mut self, node: NodeId, s: u8, stage: usize, ctx: &mut Ctx<'_, '_>) {
         let send_stage = stage + 1;
-        let points = FFT_OUTBOX
-            .with(|o| o.borrow_mut().remove(&(node, s, send_stage)))
+        let points = lock(&self.state)
+            .scratch
+            .fft_outbox
+            .remove(&(node, s, send_stage))
             .expect("FFT outbox populated");
         self.send_fft_points(node, ctx, send_stage, &points);
     }
@@ -1075,7 +1081,7 @@ impl MdNode {
     fn potentials_gathered(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         // Slice 0 assembles the potential brick and multicasts its rows
         // to the HTIS halo (Figure 9: "positions/potentials … multicast").
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         let me = node.coord(st.decomp.dims);
         let cost = st
@@ -1092,7 +1098,7 @@ impl MdNode {
                 other => panic!("missing potential point {g:?}: {other:?}"),
             }
         }
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         st.scratch.potential_brick[node.index()] = brick;
         drop(st);
         self.add_compute(node, cost);
@@ -1107,7 +1113,7 @@ impl MdNode {
     }
 
     fn potential_multicast(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         let dims = st.decomp.dims;
         let me = node.coord(dims);
@@ -1139,7 +1145,7 @@ impl MdNode {
     /// pre-seeded brick charges immediately (Table 3's isolated row and
     /// the 4-µs comparison of [47]).
     fn start_fft_only(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         for (stage, dim) in [Dim::X, Dim::Y, Dim::Z, Dim::Y, Dim::X].iter().enumerate() {
             let targets = fftplan::pencil_targets(&map, *dim);
@@ -1167,8 +1173,8 @@ impl MdNode {
     }
 
     fn interpolate(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        if self.state.borrow().scratch.fft_only {
-            let mut st = self.state.borrow_mut();
+        if lock(&self.state).scratch.fft_only {
+            let mut st = lock(&self.state);
             let t = ctx.now().as_ps();
             st.scratch.fft_last_pot = Some(st.scratch.fft_last_pot.map_or(t, |v| v.max(t)));
             drop(st);
@@ -1176,7 +1182,7 @@ impl MdNode {
             return;
         }
         ctx.set_phase("force interpolation");
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let map = st.grid_map;
         let dims = st.decomp.dims;
         let me = node.coord(dims);
@@ -1238,12 +1244,12 @@ impl MdNode {
         let q_sq: f64 = charges.iter().map(|&q| q * q).sum();
         e -= COULOMB * q_sq / ((2.0 * std::f64::consts::PI).sqrt() * sigma);
 
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         st.scratch.e_long_range[node.index()] += e;
         let t = ctx.now().as_ps();
         st.scratch.fft_last_pot = Some(st.scratch.fft_last_pot.map_or(t, |v| v.max(t)));
+        st.scratch.fft_interp.insert(node, lr_forces);
         drop(st);
-        FFT_INTERP.with(|o| o.borrow_mut().insert(node, lr_forces));
         self.add_compute(node, cost);
         ctx.compute(
             node,
@@ -1256,11 +1262,13 @@ impl MdNode {
     }
 
     fn interp_send(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        let forces = FFT_INTERP
-            .with(|o| o.borrow_mut().remove(&node))
+        let forces = lock(&self.state)
+            .scratch
+            .fft_interp
+            .remove(&node)
             .expect("interpolation results present");
         let me = {
-            let st = self.state.borrow();
+            let st = lock(&self.state);
             node.coord(st.decomp.dims)
         };
         self.send_force_chunks(node, ctx, me, &forces, A_LR);
@@ -1274,14 +1282,14 @@ impl MdNode {
             ctx.record_stall(TRACK_TS, from, "wait for forces");
         }
         {
-            let mut st = self.state.borrow_mut();
+            let mut st = lock(&self.state);
             let t = ctx.now().as_ps();
             st.scratch.ts_force = Some(match st.scratch.ts_force {
                 None => (t, t),
                 Some((a, b)) => (a.min(t), b.max(t)),
             });
         }
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let capacity = st.plan.capacity as u64;
         let cost = st.config.cost.accum_read(capacity);
         drop(st);
@@ -1297,7 +1305,7 @@ impl MdNode {
     }
 
     fn decode_and_integrate(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let atoms = st.node_atoms(node).to_vec();
         let lr_step = st.scratch.long_range;
         let bootstrap = st.scratch.bootstrap;
@@ -1311,7 +1319,7 @@ impl MdNode {
         } else {
             Vec::new()
         };
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         for (slot, &atom) in atoms.iter().enumerate() {
             let f_rl = fixed::decode_force([
                 rl_words[slot * 3],
@@ -1348,7 +1356,7 @@ impl MdNode {
 
     fn second_half_done(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         // Apply the second half-kick for this node's atoms.
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         let dt = st.config.md.dt;
         let atoms = st.node_atoms(node).to_vec();
         for &atom in &atoms {
@@ -1420,7 +1428,7 @@ impl MdNode {
             Payload::F64s(vec![self.ar_value, self.ar_virial]),
         )
         .with_counter(c_ar(self.ar_round))
-        .into_multicast(self.state.borrow().patterns.ar_id(dim, me), s);
+        .into_multicast(lock(&self.state).patterns.ar_id(dim, me), s);
         ctx.send(pkt);
     }
 
@@ -1442,7 +1450,7 @@ impl MdNode {
         self.ar_value = sum;
         self.ar_virial = vsum;
         self.ar_round += 1;
-        let st = self.state.borrow();
+        let st = lock(&self.state);
         let cost = SimDuration::from_ns_f64(10.0 + 4.5 * dims.len(dim) as f64);
         drop(st);
         self.add_compute(node, cost);
@@ -1451,7 +1459,7 @@ impl MdNode {
 
     fn ar_finish(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         // Every node now holds the identical global kinetic energy.
-        let mut st = self.state.borrow_mut();
+        let mut st = lock(&self.state);
         let ke_total = self.ar_value;
         let n_total = st.sys.atoms.len();
         let k = st.step_count + 1;
@@ -1480,21 +1488,6 @@ impl MdNode {
         drop(st);
         self.mark_done();
     }
-}
-
-/// Grid points (coordinates + values) staged between an FFT compute and
-/// its send.
-type FftPoints = Vec<([usize; 3], Complex)>;
-
-thread_local! {
-    /// FFT stage outputs awaiting their post-compute send, keyed by
-    /// (node, slice, next stage). Thread-local because the DES is
-    /// single-threaded and the data is transient within one step.
-    static FFT_OUTBOX: RefCell<std::collections::HashMap<(NodeId, u8, usize), FftPoints>> =
-        RefCell::new(Default::default());
-    /// Interpolated long-range forces awaiting their send.
-    static FFT_INTERP: RefCell<std::collections::HashMap<NodeId, Vec<Vec3>>> =
-        RefCell::new(Default::default());
 }
 
 /// Apply the Poisson/Gaussian kernel to one z-line in k-space.
@@ -1538,7 +1531,7 @@ impl NodeProgram for MdNode {
             ProgEvent::Timer { tag, .. } => match tag {
                 u64::MAX => {}
                 TAG_INTEG1 => {
-                    let migration = self.state.borrow().scratch.migration;
+                    let migration = lock(&self.state).scratch.migration;
                     if migration {
                         self.start_migration(node, ctx);
                     } else {
@@ -1582,7 +1575,7 @@ impl NodeProgram for MdNode {
             ProgEvent::FifoMessage { .. } => {
                 // Migration messages: bookkeeping was pre-applied by the
                 // engine; count the message for the migration cost model.
-                let mut st = self.state.borrow_mut();
+                let mut st = lock(&self.state);
                 st.scratch.mig_received[node.index()] += 1;
             }
         }

@@ -1,6 +1,8 @@
 //! Shared machine state and the per-epoch communication plan.
 //!
-//! The DES node programs share one `MachineState` behind `Rc<RefCell>`.
+//! The DES node programs share one `MachineState` behind `Arc<Mutex>`,
+//! which pins them to one slab: nodes on different slabs would read one
+//! another's writes in an order that depends on the shard plan.
 //! Discipline: programs may freely read *static program data* (topology,
 //! plans, expected counts — things Anton's software also knows ahead of
 //! time) and their own node's data, but dynamic values produced by other
@@ -12,9 +14,22 @@ use crate::cost::CostModel;
 use crate::decomp::Decomposition;
 use crate::patterns::MdPatterns;
 use anton_des::SimDuration;
-use anton_fft::GridMap;
+use anton_fft::{Complex, GridMap};
 use anton_md::{ChemicalSystem, MdParams, Vec3};
 use anton_topo::{Coord, NodeId};
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
+
+/// Lock the shared machine state. The engine and the node programs take
+/// it one at a time on one thread — the engine between DES runs, each
+/// handler inside its own event — so it is always free: a failed
+/// `try_lock` means a re-entrant use, or a machine run on several slabs,
+/// and panics instead of deadlocking.
+pub(crate) fn lock(state: &Mutex<MachineState>) -> MutexGuard<'_, MachineState> {
+    state
+        .try_lock()
+        .expect("the MD machine state is shared and must run on one slab")
+}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -250,7 +265,16 @@ pub struct StepScratch {
     /// Nodes that have finished the step (completion barrier for
     /// assertions).
     pub nodes_done: u32,
+    /// FFT stage outputs awaiting their post-compute send, keyed by
+    /// (node, slice, next stage).
+    pub fft_outbox: HashMap<(NodeId, u8, usize), FftPoints>,
+    /// Interpolated long-range forces awaiting their send, per node.
+    pub fft_interp: HashMap<NodeId, Vec<Vec3>>,
 }
+
+/// Grid points (coordinates + values) staged between an FFT compute and
+/// its send.
+pub type FftPoints = Vec<([usize; 3], Complex)>;
 
 impl StepScratch {
     /// Fresh scratch for a machine of `n_nodes` nodes and `n_atoms` atoms.

@@ -61,7 +61,7 @@ fn reduced_virial_matches_host_side_sum() {
     let mut anton = AntonMdEngine::new(sys, config, TorusDims::new(2, 2, 2));
     anton.step(); // step 1: no reduce (interval 2)
     anton.step(); // step 2: reduce runs
-    let st = anton.state.borrow();
+    let st = anton.state.lock().unwrap();
     let (ke, virial) = st.scratch.reduced.expect("reduction ran on step 2");
     // The reduced virial equals the per-node partials' sum.
     let host: f64 = st.scratch.virial.iter().sum();

@@ -91,7 +91,7 @@ fn regeneration_mid_run_preserves_physics() {
     a.step();
     b.step();
     // Force a regeneration on engine `a` only.
-    a.state.borrow_mut().regenerate_bond_program();
+    a.state.lock().unwrap().regenerate_bond_program();
     for _ in 0..3 {
         a.step();
         b.step();
@@ -125,11 +125,11 @@ fn automatic_bond_program_regeneration_fires_on_schedule() {
     let mut config = AntonConfig::new(md);
     config.regen_interval = Some(2);
     let mut eng = AntonMdEngine::new(sys, config, TorusDims::new(2, 2, 2));
-    assert_eq!(eng.state.borrow().bond_program_age, 0);
+    assert_eq!(eng.state.lock().unwrap().bond_program_age, 0);
     eng.step(); // k=1: 1-0 ≤ 2, no regen
     eng.step(); // k=2
     eng.step(); // k=3: 3-0 > 2 → regenerate
-    let age = eng.state.borrow().bond_program_age;
+    let age = eng.state.lock().unwrap().bond_program_age;
     assert!(age >= 2, "regeneration should have fired, age={age}");
     // And the run keeps going cleanly afterwards.
     eng.step();

@@ -17,13 +17,13 @@ fn distributed_nve_conserves_energy() {
     let config = AntonConfig::new(md);
     let mut eng = AntonMdEngine::new(sys, config, TorusDims::new(2, 2, 2));
 
-    let e0 = eng.last_energies.potential() + total_kinetic(&eng.state.borrow().sys);
+    let e0 = eng.last_energies.potential() + total_kinetic(&eng.state.lock().unwrap().sys);
     let mut kes = Vec::new();
     for _ in 0..80 {
         eng.step();
-        kes.push(total_kinetic(&eng.state.borrow().sys));
+        kes.push(total_kinetic(&eng.state.lock().unwrap().sys));
     }
-    let e1 = eng.last_energies.potential() + total_kinetic(&eng.state.borrow().sys);
+    let e1 = eng.last_energies.potential() + total_kinetic(&eng.state.lock().unwrap().sys);
     let ke_scale = kes.iter().cloned().fold(f64::MIN, f64::max).max(1.0);
     let drift = (e1 - e0).abs() / ke_scale;
     assert!(

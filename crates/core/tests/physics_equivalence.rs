@@ -155,7 +155,7 @@ fn migration_keeps_physics_consistent() {
     }
     assert!(worst < 0.05, "migration perturbed the physics: {worst} Å");
     // All atoms still owned consistently.
-    let st = anton.state.borrow();
+    let st = anton.state.lock().unwrap();
     let total: usize = st.local_atoms.iter().map(Vec::len).sum();
     assert_eq!(total, asys.atoms.len());
 }

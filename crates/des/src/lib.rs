@@ -6,15 +6,24 @@
 //! for Anton's on-chip logic analyzer) and a fixed, reproducible PRNG.
 //!
 //! Determinism is the load-bearing property: figure regeneration must be
-//! bit-identical across runs. The classic [`Engine`] drains one global
-//! queue on one core; [`par::ParEngine`] shards the queue and executes
-//! conservatively in parallel — exploiting the paper's own observation
-//! that a fixed minimum link latency bounds how soon one region of the
-//! machine can affect another — while producing bit-identical results at
-//! any thread count (see the [`par`] module docs for the argument).
+//! bit-identical across runs. [`ParEngine`] is the one engine. It shards
+//! the queue and executes conservatively in parallel — exploiting the
+//! paper's own observation that a fixed minimum link latency bounds how
+//! soon one region of the machine can affect another — while producing
+//! bit-identical results at any thread count (see the [`par`] module docs
+//! for the argument). A sequential run is its one-shard case, drained on
+//! the calling thread.
 //!
 //! ```
-//! use anton_des::{Engine, EventHandler, Scheduler, SimDuration, SimTime};
+//! use anton_des::{EventHandler, ParEngine, Scheduler, ShardMap, SimDuration, SimTime};
+//!
+//! /// Everything runs on one shard.
+//! struct OneShard;
+//! impl ShardMap<&'static str> for OneShard {
+//!     fn shard_count(&self) -> usize { 1 }
+//!     fn shard_of(&self, _: &&'static str) -> usize { 0 }
+//!     fn lookahead(&self) -> SimDuration { SimDuration::ZERO }
+//! }
 //!
 //! struct World { fired: u32 }
 //! impl EventHandler<&'static str> for World {
@@ -26,41 +35,32 @@
 //!     }
 //! }
 //!
-//! let mut engine = Engine::new();
+//! let mut engine = ParEngine::new(OneShard, 1);
 //! engine.schedule_at(SimTime::ZERO, "first");
-//! let mut world = World { fired: 0 };
-//! engine.run(&mut world);
-//! assert_eq!(world.fired, 2);
+//! let mut worlds = [World { fired: 0 }];
+//! engine.run(&mut worlds);
+//! assert_eq!(worlds[0].fired, 2);
 //! assert_eq!(engine.now(), SimTime::from_ns(162));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod par;
 pub mod profile;
 mod queue;
 pub mod rng;
+pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Engine, EventHandler, RunOutcome, Scheduler};
 pub use par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
 pub use profile::{
     Heartbeat, ParProfile, StderrTelemetry, TelemetryConfig, TelemetrySink, WindowSample,
     WorkerProfile, DEFAULT_SAMPLE_CAP,
 };
 pub use rng::Rng;
+pub use sched::{EventHandler, RunOutcome, Scheduler};
 pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Activity, BinnedUtilization, Interval, Tracer, TrackId};
-
-/// Re-exported so dependents don't need to spell the module path.
-pub mod prelude {
-    pub use crate::engine::{Engine, EventHandler, RunOutcome, Scheduler};
-    pub use crate::rng::Rng;
-    pub use crate::stats::{Histogram, Summary};
-    pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Activity, BinnedUtilization, Tracer, TrackId};
-}

@@ -35,7 +35,9 @@
 //!
 //! One worker loop executes every run: with one worker it runs on the
 //! calling thread, with more each runs on its own scoped thread, and all
-//! of them cross the same barriers and exchange the same outboxes.
+//! of them cross the same barriers and exchange the same outboxes. A
+//! sequential run is the one-shard case: a single window that drains one
+//! queue in `(time, birth_key)` order on the calling thread.
 //!
 //! ## Determinism
 //!
@@ -51,11 +53,11 @@
 //! are bit-identical at every thread count. `tests/par_equivalence.rs`
 //! checks every thread count against such a global queue.
 
-use crate::engine::{EventHandler, RunOutcome, Scheduler};
 use crate::profile::{
     Heartbeat, ParProfile, TelemetryConfig, WindowSample, WorkerProfile, DEFAULT_SAMPLE_CAP,
 };
 use crate::queue::EventQueue;
+use crate::sched::{EventHandler, RunOutcome, Scheduler};
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as MemOrd};
 use std::sync::Mutex;
@@ -460,10 +462,14 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     }
 
     /// Run until drained, past `horizon`, or `max_events` processed.
-    /// Events stamped exactly at the horizon fire (same boundary rule as
-    /// [`Engine::run_until`](crate::Engine::run_until)). The event budget
-    /// is checked at window boundaries — deterministically, at the same
-    /// points whatever the thread count.
+    /// Events stamped exactly at the horizon fire. The event budget is
+    /// checked before every event: in each window a shard may run at
+    /// most its share, `ceil(left / nshards)`, of the budget left when
+    /// the window opened, and the run stops at the first window start
+    /// that finds the budget spent. So a one-shard run stops after
+    /// exactly `max_events` events, an `n`-shard run after at least
+    /// `max_events` and fewer than `max_events + n`, and every shard
+    /// stops at the same event whatever the thread count.
     ///
     /// `worlds` holds one world per shard; worlds must be disjoint (no
     /// shared mutable state) for the determinism guarantee to hold.
@@ -923,6 +929,11 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
         }
         let t = *heads_buf.iter().min().expect("at least one shard");
         let total: u64 = co.executed.iter().map(|h| h.load(MemOrd::SeqCst)).sum();
+        // Each shard may spend its even share of what is left of the
+        // budget at the window start; a pure function of the snapshot,
+        // so deterministic. A shard stopped by its share resumes in the
+        // next window, whose bounds come from the new heads as always.
+        let share = max_events.saturating_sub(total).div_ceil(nshards as u64);
         if t == u64::MAX {
             break RunOutcome::Drained;
         }
@@ -951,11 +962,11 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
             let shard_start = out.is_some().then(|| elapsed_ns(t0));
             let mut shard_executed = 0u64;
             let mut recovered_here = false;
-            while shard.head_ps() < end_i {
+            while shard.head_ps() < end_i && shard_executed < share {
                 let (at, _birth, event) = shard.queue.pop().expect("nonempty below end");
                 shard.last_at = at;
                 let born = at;
-                sched.reset(born, 0);
+                sched.reset(born);
                 worlds[i].handle(event, &mut sched);
                 executed_total += 1;
                 shard_executed += 1;
@@ -1232,11 +1243,48 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.0, RunOutcome::HorizonReached);
         assert!(a.1.iter().flatten().any(|&(t, _)| t == h.as_ps()));
-        // Budget exhaustion is window-granular but thread-count-invariant.
+        // Budget exhaustion is thread-count-invariant, and three shards
+        // overshoot a budget by fewer than three events.
         let c = run(1, SimTime(u64::MAX), 9);
         let d = run(4, SimTime(u64::MAX), 9);
         assert_eq!(c, d);
         assert_eq!(c.0, RunOutcome::BudgetExhausted);
+        assert!((9..12).contains(&c.2), "{} events", c.2);
+    }
+
+    /// In each window a shard runs at most its share of the budget left,
+    /// and a shard stopped by its share resumes in the next window: one
+    /// same-instant loop on three shards under a budget of 100 stops
+    /// after exactly 100 events, and three loops stop after 3 × 34, not
+    /// 3 × 100, at every thread count.
+    #[test]
+    fn budget_bounds_a_multi_shard_run() {
+        struct Spin;
+        impl EventHandler<Token> for Spin {
+            fn handle(&mut self, ev: Token, sched: &mut Scheduler<Token>) {
+                sched.now_event(ev);
+            }
+        }
+        for (loops, want) in [(1, 100), (3, 102)] {
+            for threads in [1, 3] {
+                let mut eng = ParEngine::new(RingMap { n: 3 }, threads);
+                for shard in 0..loops {
+                    let token = Token {
+                        shard,
+                        hops_left: 0,
+                        tag: 0,
+                    };
+                    eng.schedule_at(SimTime::ZERO, token);
+                }
+                let out = eng.run_until(&mut [Spin, Spin, Spin], SimTime(u64::MAX), 100);
+                assert_eq!(out, RunOutcome::BudgetExhausted);
+                assert_eq!(
+                    eng.events_processed(),
+                    want,
+                    "{loops} loops at {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1791,5 +1839,266 @@ mod tests {
                 assert_eq!(worlds[1].0, [50, 1_000], "{mode}, {threads} threads");
             }
         }
+    }
+
+    // The sequential semantics, on one shard: a single window that drains
+    // one queue in `(time, birth_key)` order on the calling thread.
+
+    #[derive(Debug, PartialEq, Eq, Clone)]
+    enum Ev {
+        Ping(u32),
+        Stop,
+    }
+
+    /// The whole event space on one shard.
+    struct OneShard;
+
+    impl ShardMap<Ev> for OneShard {
+        fn shard_count(&self) -> usize {
+            1
+        }
+        fn shard_of(&self, _: &Ev) -> usize {
+            0
+        }
+        fn lookahead(&self) -> SimDuration {
+            SimDuration::ZERO
+        }
+    }
+
+    fn one_shard() -> ParEngine<Ev, OneShard> {
+        ParEngine::new(OneShard, 1)
+    }
+
+    struct Recorder {
+        seen: Vec<(u64, Ev)>,
+        chain: u32,
+    }
+
+    impl Recorder {
+        fn new(chain: u32) -> [Recorder; 1] {
+            [Recorder {
+                seen: vec![],
+                chain,
+            }]
+        }
+    }
+
+    impl EventHandler<Ev> for Recorder {
+        fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
+            self.seen.push((sched.now().as_ps(), event.clone()));
+            if let Ev::Ping(n) = event {
+                if n < self.chain {
+                    sched.after(SimDuration::from_ns(10), Ev::Ping(n + 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn events_fire_in_time_order() {
+        let mut eng = one_shard();
+        eng.schedule_at(SimTime::from_ns(30), Ev::Ping(3));
+        eng.schedule_at(SimTime::from_ns(10), Ev::Ping(1));
+        eng.schedule_at(SimTime::from_ns(20), Ev::Ping(2));
+        let mut w = Recorder::new(0);
+        eng.run(&mut w);
+        let times: Vec<u64> = w[0].seen.iter().map(|(t, _)| *t).collect();
+        assert_eq!(times, vec![10_000, 20_000, 30_000]);
+    }
+
+    #[test]
+    fn ties_break_by_insertion_order() {
+        let mut eng = one_shard();
+        let t = SimTime::from_ns(5);
+        eng.schedule_at(t, Ev::Ping(100));
+        eng.schedule_at(t, Ev::Ping(200));
+        eng.schedule_at(t, Ev::Stop);
+        let mut w = Recorder::new(0);
+        eng.run(&mut w);
+        assert_eq!(
+            w[0].seen.iter().map(|(_, e)| e.clone()).collect::<Vec<_>>(),
+            vec![Ev::Ping(100), Ev::Ping(200), Ev::Stop]
+        );
+    }
+
+    #[test]
+    fn handlers_can_chain_events() {
+        let mut eng = one_shard();
+        eng.schedule_at(SimTime::ZERO, Ev::Ping(0));
+        let mut w = Recorder::new(5);
+        eng.run(&mut w);
+        assert_eq!(w[0].seen.len(), 6); // Ping(0)..Ping(5)
+        assert_eq!(eng.now(), SimTime::from_ns(50));
+        assert_eq!(eng.events_processed(), 6);
+    }
+
+    #[test]
+    fn horizon_stops_the_run() {
+        let mut eng = one_shard();
+        eng.schedule_at(SimTime::ZERO, Ev::Ping(0));
+        let mut w = Recorder::new(1000);
+        let out = eng.run_until(&mut w, SimTime::from_ns(25), u64::MAX);
+        assert_eq!(out, RunOutcome::HorizonReached);
+        // Events at 0, 10, 20 ns fired; 30 ns is pending.
+        assert_eq!(w[0].seen.len(), 3);
+        assert_eq!(eng.pending(), 1);
+    }
+
+    /// A budget of `k` stops a one-shard run after exactly `k` events,
+    /// though the whole run is a single window, and it stops a handler
+    /// that reschedules itself at the same instant forever.
+    #[test]
+    fn budget_stops_the_run() {
+        let mut eng = one_shard();
+        eng.schedule_at(SimTime::ZERO, Ev::Ping(0));
+        let mut w = Recorder::new(1000);
+        let out = eng.run_until(&mut w, SimTime(u64::MAX), 4);
+        assert_eq!(out, RunOutcome::BudgetExhausted);
+        assert_eq!(w[0].seen.len(), 4);
+        assert_eq!(eng.events_processed(), 4);
+
+        let mut ring = ParEngine::new(RingMap { n: 1 }, 1);
+        let mut worlds = [RingWorld {
+            shard: 0,
+            nshards: 1,
+            log: Vec::new(),
+        }];
+        let token = Token {
+            shard: 0,
+            hops_left: 30,
+            tag: 0,
+        };
+        ring.schedule_at(SimTime::ZERO, token);
+        let out = ring.run_until(&mut worlds, SimTime(u64::MAX), 9);
+        assert_eq!(out, RunOutcome::BudgetExhausted);
+        assert_eq!(ring.events_processed(), 9);
+        assert_eq!(worlds[0].log.len(), 9);
+
+        struct Forever;
+        impl EventHandler<Ev> for Forever {
+            fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
+                sched.now_event(event);
+            }
+        }
+        let mut eng = one_shard();
+        eng.schedule_at(SimTime::ZERO, Ev::Stop);
+        let out = eng.run_until(&mut [Forever], SimTime(u64::MAX), 100);
+        assert_eq!(out, RunOutcome::BudgetExhausted);
+        assert_eq!(eng.events_processed(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "causality")]
+    fn scheduling_in_the_past_panics() {
+        let mut eng = one_shard();
+        eng.schedule_at(SimTime::from_ns(10), Ev::Stop);
+        let mut w = Recorder::new(0);
+        eng.run(&mut w);
+        eng.schedule_at(SimTime::from_ns(5), Ev::Stop);
+    }
+
+    /// `now_event` calls made while handling an event at time T fire at
+    /// T, *after* every event already queued for T that was scheduled
+    /// earlier.
+    #[test]
+    fn now_event_fires_after_earlier_same_time_events() {
+        struct Chainer {
+            seen: Vec<Ev>,
+        }
+        impl EventHandler<Ev> for Chainer {
+            fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
+                if event == Ev::Ping(0) {
+                    // Queued behind Ping(1)/Ping(2), which were scheduled
+                    // for this same instant before this handler ran.
+                    sched.now_event(Ev::Ping(99));
+                }
+                self.seen.push(event);
+            }
+        }
+        let mut eng = one_shard();
+        let t = SimTime::from_ns(7);
+        eng.schedule_at(t, Ev::Ping(0));
+        eng.schedule_at(t, Ev::Ping(1));
+        eng.schedule_at(t, Ev::Ping(2));
+        let mut w = [Chainer { seen: vec![] }];
+        eng.run(&mut w);
+        assert_eq!(
+            w[0].seen,
+            vec![Ev::Ping(0), Ev::Ping(1), Ev::Ping(2), Ev::Ping(99)]
+        );
+        assert_eq!(eng.now(), t);
+    }
+
+    /// A `now_event` scheduled by a handler firing exactly at the horizon
+    /// still executes: horizon semantics are "events stamped at the
+    /// horizon fire", including same-timestamp chains.
+    #[test]
+    fn now_event_chain_at_horizon_still_fires() {
+        struct AtHorizon {
+            fired: Vec<Ev>,
+        }
+        impl EventHandler<Ev> for AtHorizon {
+            fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
+                if event == Ev::Ping(0) {
+                    sched.now_event(Ev::Stop);
+                }
+                self.fired.push(event);
+            }
+        }
+        let horizon = SimTime::from_ns(25);
+        let mut eng = one_shard();
+        eng.schedule_at(horizon, Ev::Ping(0));
+        // An event strictly beyond the horizon stays pending.
+        eng.schedule_at(SimTime::from_ns(26), Ev::Ping(1));
+        let mut w = [AtHorizon { fired: vec![] }];
+        let out = eng.run_until(&mut w, horizon, u64::MAX);
+        assert_eq!(out, RunOutcome::HorizonReached);
+        assert_eq!(w[0].fired, vec![Ev::Ping(0), Ev::Stop]);
+        assert_eq!(eng.pending(), 1);
+    }
+
+    /// Deep same-timestamp chains execute FIFO: each `now_event` goes to
+    /// the back of the current instant's queue.
+    #[test]
+    fn same_timestamp_chains_are_fifo() {
+        struct Deep {
+            seen: Vec<u32>,
+        }
+        impl EventHandler<Ev> for Deep {
+            fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
+                if let Ev::Ping(n) = event {
+                    self.seen.push(n);
+                    if n < 5 {
+                        sched.now_event(Ev::Ping(n + 10));
+                        sched.now_event(Ev::Ping(n + 1));
+                    }
+                }
+            }
+        }
+        let mut eng = one_shard();
+        eng.schedule_at(SimTime::ZERO, Ev::Ping(0));
+        let mut w = [Deep { seen: vec![] }];
+        eng.run(&mut w);
+        // Breadth-first through the instant: 0 spawns (10, 1); 10 is
+        // inert; 1 spawns (11, 2); and so on.
+        assert_eq!(w[0].seen, vec![0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 5]);
+        assert_eq!(eng.now(), SimTime::ZERO);
+    }
+
+    /// Two identical runs produce identical event sequences (determinism).
+    #[test]
+    fn determinism() {
+        let run = || {
+            let mut eng = one_shard();
+            eng.schedule_at(SimTime::ZERO, Ev::Ping(0));
+            eng.schedule_at(SimTime::ZERO, Ev::Ping(7));
+            let [w] = {
+                let mut w = Recorder::new(9);
+                eng.run(&mut w);
+                w
+            };
+            w.seen
+        };
+        assert_eq!(run(), run());
     }
 }

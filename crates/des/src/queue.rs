@@ -1,10 +1,9 @@
-//! The event queue both engines use: a binary heap of `(time, key,
-//! handle)` entries over a free-list arena that holds the payloads.
+//! The event queue of each [`ParEngine`](crate::ParEngine) shard: a
+//! binary heap of `(time, key, handle)` entries over a free-list arena
+//! that holds the payloads.
 //!
 //! Pops are totally ordered by `(time, key)`. Every key a queue sees is
-//! unique (an insertion sequence number in [`Engine`](crate::Engine), a
-//! birth key in each [`ParEngine`](crate::ParEngine) shard), so the
-//! handle never decides an order. Sifts move the small entries while
+//! unique (a birth key), so the handle never decides an order. Sifts move the small entries while
 //! payloads stay put in the arena: a popped event moves exactly twice,
 //! in at push and out at pop.
 

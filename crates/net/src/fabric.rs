@@ -377,7 +377,10 @@ pub struct Fabric {
     link_dead_at: Vec<Option<SimTime>>,
     /// Mask of links whose permanent failure has already struck, used to
     /// route around them. `None` when the plan has no permanent failures
-    /// (the routing fast path).
+    /// (the routing fast path). Advanced lazily: every reader calls
+    /// `advance_deaths` at its own `now` first, so the mask a node routes
+    /// by is a pure function of the plan and `now`, never of which other
+    /// nodes' events this replica happened to run.
     route_mask: Option<LinkMask>,
     /// Permanent failures not yet applied to `route_mask`, sorted by
     /// activation time descending (pop from the back as time advances).
@@ -408,19 +411,9 @@ pub struct Fabric {
     /// disabled, which the microbench guard verifies. `Send` so a fabric
     /// can live inside a parallel-DES shard.
     recorder: Option<Box<dyn Recorder + Send>>,
-    /// Next flight-recorder packet id, assigned densely in injection
-    /// order (deterministic, so ids are stable across identical runs).
-    next_uid: u64,
-    /// When set, packet uids are scoped per source node
-    /// (`node_index << 40 | per-node counter`) instead of drawn from the
-    /// global dense counter. The parallel simulation enables this: each
-    /// shard only observes its own nodes' sends, so a global counter
-    /// would diverge between shardings — node-scoped ids depend only on
-    /// the sending node's own deterministic history. Plain sequential
-    /// runs keep the dense ids (sampling `every`-th packet and existing
-    /// traces rely on them).
-    uid_node_scoped: bool,
-    /// Per-node uid counters for the node-scoped mode.
+    /// Per-node packet-uid counters: node `n`'s `k`-th send gets uid
+    /// `n << 40 | k`. A uid depends only on the sending node's own
+    /// history, so every shard plan labels packets identically.
     next_uid_by_node: Vec<u64>,
     /// Runtime fault-recovery policy ([`RecoveryConfig::disabled`] by
     /// default, which keeps every path bit-identical to the
@@ -433,9 +426,8 @@ pub struct Fabric {
     /// outgoing links condemned by a failure detector. Strictly
     /// node-local knowledge: a verdict is produced only by events at the
     /// owning node and consulted only when routing at that node, which
-    /// is what keeps sequential and sharded-parallel runs bit-identical
-    /// (a shard never observes another shard's verdicts, and neither do
-    /// we).
+    /// is what keeps every shard plan bit-identical (a shard never
+    /// observes another shard's verdicts, and neither does the one slab).
     detected_links: Vec<u8>,
     /// Failure-detector verdicts in detection order (diagnosis; also
     /// surfaced as flight-recorder events).
@@ -547,9 +539,7 @@ impl Fabric {
             tracer: Tracer::disabled(),
             current_label: 0,
             recorder: None,
-            next_uid: 0,
-            uid_node_scoped: false,
-            next_uid_by_node: Vec::new(),
+            next_uid_by_node: vec![0; n],
             recovery,
             recovery_stats: RecoveryStats::default(),
             detected_links: vec![0; n],
@@ -574,19 +564,6 @@ impl Fabric {
         &self.verdicts
     }
 
-    /// Switch packet-uid assignment to node-scoped ids
-    /// (`node_index << 40 | counter`). Used by the parallel simulation,
-    /// where uids must be derivable from per-node history alone; call
-    /// before any packet is sent.
-    pub fn enable_node_scoped_uids(&mut self) {
-        assert_eq!(
-            self.next_uid, 0,
-            "uid mode must be chosen before the first send"
-        );
-        self.uid_node_scoped = true;
-        self.next_uid_by_node = vec![0; self.dims.node_count() as usize];
-    }
-
     /// Enable activity tracing (disabled by default; costs memory).
     pub fn enable_tracing(&mut self) {
         let mut tracer = Tracer::enabled();
@@ -604,13 +581,7 @@ impl Fabric {
     /// [`Fabric::flight_recorder`], or take the recorder out with
     /// [`Fabric::take_flight_recorder`].
     pub fn attach_owned_flight_recorder(&mut self) {
-        self.attach_owned_flight_recorder_with(FlightRecorder::new());
-    }
-
-    /// Like [`Fabric::attach_owned_flight_recorder`] but with a
-    /// caller-built recorder (ring-buffered, sampled, …).
-    pub fn attach_owned_flight_recorder_with(&mut self, rec: FlightRecorder) {
-        self.recorder = Some(Box::new(rec));
+        self.recorder = Some(Box::new(FlightRecorder::new()));
     }
 
     /// The installed recorder's [`FlightRecorder`] view, when the
@@ -860,12 +831,13 @@ impl Fabric {
         }
     }
 
-    /// The routing mask as seen *from `node`*: the globally-known plan
-    /// mask (replica-identical by construction) plus this node's own
-    /// detected links. `LinkMask` is updated incrementally — the plan
-    /// mask is cloned and at most six `kill_link` calls are applied, not
-    /// rebuilt from the fault plan.
-    fn local_mask(&self, node: NodeId) -> LinkMask {
+    /// The routing mask as seen *from `node`* at `now`: the plan mask
+    /// advanced to `now` (replica-identical by construction) plus this
+    /// node's own detected links. `LinkMask` is updated incrementally —
+    /// the plan mask is cloned and at most six `kill_link` calls are
+    /// applied, not rebuilt from the fault plan.
+    fn local_mask(&mut self, node: NodeId, now: SimTime) -> LinkMask {
+        self.advance_deaths(now);
         let mut mask = match &self.route_mask {
             Some(m) => m.clone(),
             None => LinkMask::none(self.dims),
@@ -989,7 +961,7 @@ impl Fabric {
         let det = self.detected_links[node.index()];
         let plan_dead = self.route_mask.as_ref().is_some_and(|m| m.any_dead());
         let link = if det != 0 || plan_dead {
-            let mask = self.local_mask(node);
+            let mask = self.local_mask(node, now);
             match Route::compute_avoiding(cur, dst_c, self.dims, &mask) {
                 Ok(route) => {
                     let steps = route.steps().to_vec();
@@ -1050,7 +1022,8 @@ impl Fabric {
     }
 
     /// Apply permanent failures whose activation time has passed to the
-    /// routing mask (no-op unless the plan schedules any).
+    /// routing mask (no-op unless the plan schedules any). Every read of
+    /// `route_mask` is preceded by this call at the reader's `now`.
     fn advance_deaths(&mut self, now: SimTime) {
         while let Some(&(t, idx)) = self.pending_deaths.last() {
             if t > now {
@@ -1093,16 +1066,9 @@ impl Fabric {
         assert!(pkt.src.client.can_send(), "client cannot send packets");
         self.advance_deaths(now);
         let src_node = pkt.src.node;
-        pkt.uid = if self.uid_node_scoped {
-            let c = &mut self.next_uid_by_node[src_node.index()];
-            let uid = ((src_node.index() as u64) << 40) | *c;
-            *c += 1;
-            uid
-        } else {
-            let uid = self.next_uid;
-            self.next_uid += 1;
-            uid
-        };
+        let c = &mut self.next_uid_by_node[src_node.index()];
+        pkt.uid = ((src_node.index() as u64) << 40) | *c;
+        *c += 1;
         self.stats.packets_sent += 1;
         self.stats.sent_by_node[src_node.index()] += 1;
 
@@ -1174,14 +1140,14 @@ impl Fabric {
                     // fault-free per-hop dimension-ordered decision.
                     // Runtime verdicts about *this node's own* links
                     // fold into the mask — strictly local knowledge, so
-                    // sequential and sharded runs route identically.
+                    // every shard plan routes identically.
                     let det = if self.recovery.enabled {
                         self.detected_links[src_node.index()]
                     } else {
                         0
                     };
                     let link = if det != 0 {
-                        let mask = self.local_mask(src_node);
+                        let mask = self.local_mask(src_node, now);
                         match Route::compute_avoiding(src_c, dst_c, self.dims, &mask) {
                             Ok(route) => {
                                 let steps = route.steps().to_vec();
@@ -1401,7 +1367,7 @@ impl Fabric {
                         // links: detour around them from here (and pin
                         // the rest of the path so a later hop cannot
                         // route back into the detour).
-                        let mask = self.local_mask(node);
+                        let mask = self.local_mask(node, now);
                         match Route::compute_avoiding(cur, dst_c, self.dims, &mask) {
                             Ok(route) => {
                                 let steps = route.steps().to_vec();
@@ -1951,7 +1917,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::par::{ParSimulation, ShardPlan};
-    use crate::world::{Ctx, NodeProgram, Simulation};
+    use crate::world::{Ctx, NodeProgram};
 
     const C_EXCH: CounterId = CounterId(30);
     const A_EXCH: u64 = 0x600;
@@ -2079,13 +2045,13 @@ mod tests {
             }
         }
 
-        // The sequential engine creates the same clients, all on one fabric.
-        let mut seq = Simulation::new(Fabric::new(dims), exchange);
-        assert!(seq
+        // One slab creates the same clients, all on its one replica.
+        let mut one = ParSimulation::one_slab(Fabric::new(dims), exchange);
+        assert!(one
             .run_guarded(SimTime(u64::MAX / 2), 1_000_000)
             .is_completed());
         for i in 0..dims.node_count() {
-            assert_eq!(seq.world.fabric.clients_created_on(NodeId(i)), 1);
+            assert_eq!(one.worlds()[0].fabric.clients_created_on(NodeId(i)), 1);
         }
     }
 }

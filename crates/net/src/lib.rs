@@ -40,9 +40,9 @@ pub use recovery::{
     chaos_level_from_env, chaos_seed_from_env, FailureVerdict, RecoveryConfig, RecoveryStats,
     CHAOS_LEVEL_MAX, CHAOS_SEED_DEFAULT,
 };
-pub use run::{drive, Executor, Finished, Observed, RunConfig};
+pub use run::{drive, Finished, Observed, RunConfig, Slabs};
 pub use timing::{
     Timing, HEADER_BYTES, IN_HEADER_PAYLOAD_BYTES, LINK_EFFECTIVE_GBPS, LINK_RAW_GBPS,
     MAX_PAYLOAD_BYTES, RING_GBPS, WIRE_ENCODING_FACTOR,
 };
-pub use world::{Ctx, NodeProgram, RunReport, SimWorld, Simulation, StallReport, StuckWatch};
+pub use world::{Ctx, NodeProgram, RunReport, StallReport, StuckWatch};

@@ -34,28 +34,34 @@
 //! FIFOs) is created on first mutation, so a replica only allocates it
 //! for the nodes whose events it runs; untouched clients read as empty.
 //! Per-link fault draws are keyed on per-link attempt sequence numbers,
-//! which advance only on the owning replica — so a sharded run draws the
-//! same faults the sequential run does. Statistics, recorded flight
-//! events, trace intervals, error logs, and watchdog reports are merged
-//! across replicas in deterministic shard order after the run.
+//! which advance only on the owning replica — so every plan draws the
+//! same faults. Packet uids are `node << 40 | counter`, derived from the
+//! sending node's own history, so every plan labels packets alike.
+//! Statistics, recorded flight events, trace intervals, error logs, and
+//! watchdog reports are merged across replicas in deterministic shard
+//! order after the run.
 //!
-//! Packet uids are node-scoped in this mode
-//! ([`Fabric::enable_node_scoped_uids`]): a uid must be derivable from
-//! the sending node's own history, or different shardings would label
-//! packets differently.
+//! A decision at node *n* may read only *n*'s own state plus pure
+//! functions of the plan and `now` (DESIGN.md §12). State that is
+//! replica-wide — written by one node and read by another — would make
+//! the answer depend on which nodes share a replica. A program that
+//! shares state across nodes outside the fabric (as the full MD program
+//! shares its machine state) is only correct on one slab.
 //!
 //! ## Determinism
 //!
-//! [`ParSimulation`] runs bit-identically at any thread count, and its
-//! merged statistics equal a sequential [`Simulation`](crate::Simulation) of the same
-//! machine (asserted in `tests/par_sim.rs` and in the CI determinism
-//! cross-check). The shard *count* is part of the plan, not derived from
-//! the thread count, precisely so that thread count never influences
-//! event partitioning.
+//! [`ParSimulation`] runs bit-identically at any thread count, and every
+//! shard plan gives the same simulated result as the one-slab plan,
+//! whose single replica is the whole machine: it is the reference for
+//! fabric state, as the global-order oracle in `anton-des` is for event
+//! order (asserted in `tests/par_sim.rs`, `tests/run_matrix.rs` and the
+//! CI chaos sweep). The shard *count* is part of the plan, not derived
+//! from the thread count, precisely so that thread count never
+//! influences event partitioning.
 
 use crate::fabric::{Ev, Fabric, NetStats, ProgEvent};
 use crate::timing::Timing;
-use crate::world::{Ctx, NodeProgram, RunReport, SimWorld, StallReport, StuckWatch};
+use crate::world::{Ctx, NodeProgram, RunReport, StallReport, StuckWatch};
 use anton_des::par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
 use anton_des::{
     EventHandler, ParProfile, RunOutcome, Scheduler, SimDuration, SimTime, StderrTelemetry,
@@ -401,8 +407,7 @@ impl<P: NodeProgram> EventHandler<Ev> for NodeShardWorld<P> {
         match event {
             Ev::Start => {
                 // Each shard's Start dispatches only its own nodes, in
-                // node-id order (the same relative order the sequential
-                // world uses).
+                // node-id order (the relative order one slab uses).
                 for i in 0..self.programs.len() {
                     let node = NodeId(i as u32);
                     if self.owns(node) {
@@ -446,11 +451,10 @@ impl<P: NodeProgram> EventHandler<Ev> for NodeShardWorld<P> {
     }
 }
 
-/// The parallel counterpart of [`Simulation`]: a sharded machine driven
-/// by [`ParEngine`]. Same event model, same results, N-way wall-clock
+/// The simulated machine: fabric replicas and node programs, sliced by a
+/// [`ShardPlan`] and driven by [`ParEngine`]. One slab is the sequential
+/// run; more slabs give the same results with N-way wall-clock
 /// parallelism.
-///
-/// [`Simulation`]: crate::world::Simulation
 pub struct ParSimulation<P: NodeProgram> {
     engine: ParEngine<Ev, EvShardMap>,
     worlds: Vec<NodeShardWorld<P>>,
@@ -495,9 +499,19 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         ParSimulation::from_first_replica(threads, plan, first, build_fabric, make)
     }
 
+    /// The one-slab machine over an already-built `fabric`, run on the
+    /// calling thread. Its single replica is the whole machine, so the
+    /// caller can read the fabric after the run; it is also the only
+    /// plan on which programs that share state across nodes are correct.
+    pub fn one_slab(fabric: Fabric, make: impl FnMut(NodeId) -> P) -> ParSimulation<P> {
+        let plan = ShardPlan::new(fabric.dims(), 1);
+        let more = || -> Fabric { unreachable!("one slab builds one replica") };
+        ParSimulation::from_first_replica(1, plan, fabric, more, make)
+    }
+
     /// Shared constructor: `first` (already built, and read for dims and
     /// timing) becomes shard 0's replica; `build_fabric` builds the rest.
-    fn from_first_replica(
+    pub(crate) fn from_first_replica(
         threads: usize,
         plan: ShardPlan,
         first: Fabric,
@@ -512,9 +526,8 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         let mut worlds = Vec::with_capacity(plan.shard_count());
         let mut first = Some(first);
         for shard in 0..plan.shard_count() {
-            let mut fabric = first.take().unwrap_or_else(&mut build_fabric);
+            let fabric = first.take().unwrap_or_else(&mut build_fabric);
             assert_eq!(fabric.dims(), dims, "build_fabric must be deterministic");
-            fabric.enable_node_scoped_uids();
             let programs = (0..n).map(|i| make(NodeId(i))).collect();
             worlds.push(NodeShardWorld {
                 shard,
@@ -538,7 +551,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     /// recorder — every hook is a direct push, with no shared-mutex
     /// round trip on the hot path — and the streams are merged
     /// deterministically in shard order by
-    /// [`ParSimulation::merged_flight_events`] after the run.
+    /// [`ParSimulation::take_merged_flight_events`] after the run.
     pub fn attach_flight_recorders(&mut self) {
         for w in &mut self.worlds {
             w.fabric.attach_owned_flight_recorder();
@@ -600,6 +613,12 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         &self.worlds
     }
 
+    /// The per-shard worlds, mutably: for taking state (a tracer, a
+    /// flight recorder) back out of a replica after the run.
+    pub fn worlds_mut(&mut self) -> &mut [NodeShardWorld<P>] {
+        &mut self.worlds
+    }
+
     /// The program instance that actually ran for `node` (the one on the
     /// owning shard — the other replicas' instances never saw an event).
     pub fn program(&self, node: NodeId) -> &P {
@@ -636,19 +655,22 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         self.engine.run(&mut self.worlds);
     }
 
-    /// Run with a horizon and event budget. Same boundary semantics as
-    /// the sequential engine (horizon-stamped events fire); the budget
-    /// is enforced at window granularity, identically at every thread
-    /// count.
+    /// Run with a horizon and event budget. Horizon-stamped events fire;
+    /// the budget is checked before every event, identically at every
+    /// thread count: one slab stops after exactly `max_events` events,
+    /// an `n`-slab plan after at least `max_events` and fewer than
+    /// `max_events + n` (see [`ParEngine::run_until`]).
     pub fn run_until(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
         self.engine.run_until(&mut self.worlds, horizon, max_events)
     }
 
-    /// Run with a horizon and budget, then diagnose stalls exactly like
-    /// [`Simulation::run_guarded`]: completed only if the queues drained
-    /// with no counter watch pending anywhere.
-    ///
-    /// [`Simulation::run_guarded`]: crate::world::Simulation::run_guarded
+    /// Run with a horizon and event budget, then diagnose: a run counts
+    /// as completed only if the queues drained with *no* counter watch
+    /// left pending anywhere. Anything else — queues drained but
+    /// programs still waiting (a lost packet starved them), horizon
+    /// reached, budget exhausted — yields a [`StallReport`] naming every
+    /// stuck counter and expired watchdog deadline instead of hanging or
+    /// panicking.
     pub fn run_guarded(&mut self, horizon: SimTime, max_events: u64) -> RunReport {
         let outcome = self.run_until(horizon, max_events);
         let stuck = self.stuck_watches();
@@ -677,7 +699,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
 
     /// Machine-wide statistics: the shard replicas' counters summed in
     /// shard order. Each event executes on exactly one replica, so the
-    /// sum equals the sequential run's single-fabric totals.
+    /// sum equals the one-slab run's single-replica totals.
     pub fn merged_stats(&self) -> NetStats {
         let mut total = NetStats {
             sent_by_node: vec![0; self.plan().dims().node_count() as usize],
@@ -690,19 +712,20 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         total
     }
 
-    /// All recorded flight events, merged across shards into one
-    /// chronological stream: a stable k-way merge keyed on
-    /// `(event time, shard index)`, so the result is deterministic and
+    /// Take every recorded flight event out of the shard replicas,
+    /// merged into one chronological stream: a stable k-way merge keyed
+    /// on `(event time, shard index)`, so the result is deterministic and
     /// respects both time order and (within a timestamp) a fixed shard
-    /// order. Requires [`ParSimulation::attach_flight_recorders`].
-    pub fn merged_flight_events(&self) -> Vec<FlightEvent> {
-        let per_shard: Vec<Vec<FlightEvent>> = self
+    /// order. The events move out, and the recorders are removed.
+    /// Requires [`ParSimulation::attach_flight_recorders`].
+    pub fn take_merged_flight_events(&mut self) -> Vec<FlightEvent> {
+        let per_shard = self
             .worlds
-            .iter()
+            .iter_mut()
             .map(|w| {
                 w.fabric
-                    .flight_recorder()
-                    .map(|r| r.events().cloned().collect())
+                    .take_flight_recorder()
+                    .map(|mut r| r.take_events())
                     .unwrap_or_default()
             })
             .collect();
@@ -711,7 +734,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
 
     /// The per-shard streaming summaries merged in deterministic shard
     /// order — cross-shard partial lifecycles are joined and the result
-    /// is finalized, so it is bit-identical to a sequential run's
+    /// is finalized, so it is bit-identical to a one-slab run's
     /// finalized summary. `None` unless
     /// [`ParSimulation::attach_stream_observers`] was called.
     pub fn merged_stream_summary(&self) -> Option<StreamSummary> {
@@ -768,7 +791,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
 
     /// Recovery counters summed across shard replicas (each verdict,
     /// reinjection, and suppression executes on exactly one replica, so
-    /// the sum equals the sequential run's totals).
+    /// the sum equals the one-slab run's totals).
     pub fn merged_recovery_stats(&self) -> crate::recovery::RecoveryStats {
         let mut total = crate::recovery::RecoveryStats::default();
         for w in &self.worlds {
@@ -812,7 +835,6 @@ fn _assert_send<T: Send>() {}
 #[allow(dead_code)]
 fn _shard_world_is_send<P: NodeProgram + Send>() {
     _assert_send::<NodeShardWorld<P>>();
-    let _ = _assert_send::<SimWorld<P>>;
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Node programs and the simulation world.
+//! Node programs and their machine interface.
 //!
 //! Application logic (the MD schedule, microbenchmarks, collectives) is
 //! expressed as a [`NodeProgram`] — one instance per node, reacting to
@@ -10,9 +10,7 @@
 use crate::fabric::{Ev, Fabric, ProgEvent};
 use crate::fault::WatchdogReport;
 use crate::packet::{ClientAddr, ClientKind, CounterId, Packet, Payload};
-use anton_des::{
-    Activity, Engine, EventHandler, RunOutcome, Scheduler, SimDuration, SimTime, TrackId,
-};
+use anton_des::{Activity, RunOutcome, Scheduler, SimDuration, SimTime, TrackId};
 use anton_topo::{NodeId, TorusDims};
 use std::fmt;
 
@@ -32,7 +30,7 @@ pub struct Ctx<'a, 'b> {
 
 impl<'a, 'b> Ctx<'a, 'b> {
     /// Assemble a context around a fabric and scheduler (used by the
-    /// sequential [`SimWorld`] and the sharded worlds in [`crate::par`]).
+    /// shard worlds in [`crate::par`]).
     pub(crate) fn new(fabric: &'a mut Fabric, sched: &'a mut Scheduler<Ev>) -> Ctx<'a, 'b> {
         Ctx {
             fabric,
@@ -204,71 +202,6 @@ impl<'a, 'b> Ctx<'a, 'b> {
     }
 }
 
-/// The complete simulated machine: fabric plus one program per node.
-pub struct SimWorld<P: NodeProgram> {
-    /// The communication fabric.
-    pub fabric: Fabric,
-    /// One program per node, indexed by node id.
-    pub programs: Vec<P>,
-}
-
-impl<P: NodeProgram> SimWorld<P> {
-    /// Build from a fabric and a program constructor invoked per node id.
-    pub fn new(fabric: Fabric, mut make: impl FnMut(NodeId) -> P) -> Self {
-        let n = fabric.dims().node_count();
-        let programs = (0..n).map(|i| make(NodeId(i))).collect();
-        SimWorld { fabric, programs }
-    }
-
-    fn dispatch(&mut self, node: NodeId, pe: ProgEvent, sched: &mut Scheduler<Ev>) {
-        let mut ctx = Ctx {
-            fabric: &mut self.fabric,
-            sched,
-            _marker: std::marker::PhantomData,
-        };
-        self.programs[node.index()].on_event(node, pe, &mut ctx);
-    }
-}
-
-impl<P: NodeProgram> EventHandler<Ev> for SimWorld<P> {
-    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::Start => {
-                for i in 0..self.programs.len() {
-                    self.dispatch(NodeId(i as u32), ProgEvent::Start, sched);
-                }
-            }
-            Ev::HopArrive { pkt, node, in_dim } => {
-                let now = sched.now();
-                self.fabric.hop_arrive(pkt, node, in_dim, now, sched);
-            }
-            Ev::Deliver { pkt, node, client } => {
-                let now = sched.now();
-                self.fabric.deliver(pkt, node, client, now, sched);
-            }
-            Ev::FifoService { node, client } => {
-                let now = sched.now();
-                self.fabric.fifo_service(node, client, now, sched);
-            }
-            Ev::Prog { node, pe } => {
-                self.dispatch(node, pe, sched);
-            }
-            Ev::WatchdogCheck {
-                addr,
-                counter,
-                target,
-            } => {
-                let now = sched.now();
-                self.fabric.watchdog_check(addr, counter, target, now);
-            }
-            Ev::Reinject { pkt, node } => {
-                let now = sched.now();
-                self.fabric.reinject(pkt, node, now, sched);
-            }
-        }
-    }
-}
-
 /// One still-pending counter watch at the end of a guarded run: evidence
 /// of who is stuck waiting for what.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -344,8 +277,9 @@ impl fmt::Display for StallReport {
     }
 }
 
-/// Outcome of [`Simulation::run_guarded`]: either the run completed (all
-/// watches satisfied before quiescence) or it stalled with a diagnosis.
+/// Outcome of [`ParSimulation::run_guarded`](crate::ParSimulation::run_guarded):
+/// either the run completed (all watches satisfied before quiescence) or
+/// it stalled with a diagnosis.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunReport {
     /// The run completed; no watch was left pending.
@@ -366,80 +300,5 @@ impl RunReport {
             RunReport::Completed(_) => None,
             RunReport::Stalled(s) => Some(s),
         }
-    }
-}
-
-/// Convenience wrapper owning the engine and the world.
-pub struct Simulation<P: NodeProgram> {
-    /// The event queue and clock.
-    pub engine: Engine<Ev>,
-    /// The machine and its programs.
-    pub world: SimWorld<P>,
-}
-
-impl<P: NodeProgram> Simulation<P> {
-    /// Build and seed the `Start` event.
-    pub fn new(fabric: Fabric, make: impl FnMut(NodeId) -> P) -> Self {
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::ZERO, Ev::Start);
-        Simulation {
-            engine,
-            world: SimWorld::new(fabric, make),
-        }
-    }
-
-    /// Run to quiescence.
-    pub fn run(&mut self) {
-        self.engine.run(&mut self.world);
-    }
-
-    /// Run with a horizon and event budget.
-    pub fn run_until(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
-        self.engine.run_until(&mut self.world, horizon, max_events)
-    }
-
-    /// Run with a horizon and event budget, then diagnose: a run counts
-    /// as completed only if the event queue drained with *no* counter
-    /// watch left pending. Anything else — queue drained but programs
-    /// still waiting (a lost packet starved them), horizon reached,
-    /// budget exhausted — yields a [`StallReport`] naming every stuck
-    /// counter and expired watchdog deadline instead of hanging or
-    /// panicking.
-    pub fn run_guarded(&mut self, horizon: SimTime, max_events: u64) -> RunReport {
-        let outcome = self.run_until(horizon, max_events);
-        let stuck: Vec<StuckWatch> = self
-            .world
-            .fabric
-            .stuck_watches()
-            .into_iter()
-            .map(|(node, client, counter, target, current)| StuckWatch {
-                node,
-                client,
-                counter,
-                target,
-                current,
-            })
-            .collect();
-        if outcome == RunOutcome::Drained && stuck.is_empty() {
-            RunReport::Completed(outcome)
-        } else {
-            RunReport::Stalled(StallReport {
-                outcome,
-                at: self.now(),
-                stuck,
-                watchdog: self.world.fabric.watchdog_reports().to_vec(),
-                stats: self.world.fabric.stats.clone(),
-            })
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    /// Total events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.engine.events_processed()
     }
 }

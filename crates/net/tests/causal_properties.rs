@@ -7,14 +7,14 @@
 
 use anton_des::SimTime;
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation, Timing,
+    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation, Payload,
+    ProgEvent, Timing,
 };
 use anton_obs::{retime, CausalGraph, FlightEvent, Perturbation};
 use anton_topo::{NodeId, TorusDims};
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn slice0(node: NodeId) -> ClientAddr {
     ClientAddr::new(node, ClientKind::Slice(0))
@@ -23,7 +23,7 @@ fn slice0(node: NodeId) -> ClientAddr {
 /// Every node fires its planned unicast writes at start; contention on
 /// injection ports and links makes the causal structure interesting.
 struct PlannedTraffic {
-    plan: Rc<Vec<(u32, u32, u32)>>,
+    plan: Arc<Vec<(u32, u32, u32)>>,
 }
 
 impl NodeProgram for PlannedTraffic {
@@ -44,18 +44,16 @@ impl NodeProgram for PlannedTraffic {
 
 fn run_planned(
     dims: TorusDims,
-    plan: Rc<Vec<(u32, u32, u32)>>,
+    plan: Arc<Vec<(u32, u32, u32)>>,
     fault: FaultPlan,
 ) -> Vec<FlightEvent> {
     let mut fabric = Fabric::with_faults(dims, Timing::default(), fault);
     fabric.attach_owned_flight_recorder();
-    let p2 = plan.clone();
-    let mut sim = Simulation::new(fabric, move |_| PlannedTraffic { plan: p2.clone() });
+    let mut sim = ParSimulation::one_slab(fabric, |_| PlannedTraffic { plan: plan.clone() });
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
-    let mut rec = sim
-        .world
+    let mut rec = sim.worlds_mut()[0]
         .fabric
         .take_flight_recorder()
         .expect("recorder attached");
@@ -118,7 +116,7 @@ proptest! {
         raw in prop::collection::vec(0u64..u64::MAX, 1..40),
     ) {
         let dims = TorusDims::new(x, y, z);
-        let plan = Rc::new(decode_plan(dims, &raw));
+        let plan = Arc::new(decode_plan(dims, &raw));
         let rec = run_planned(dims, plan.clone(), FaultPlan::none());
         let g = build_graph(dims, &rec);
         prop_assert!(!g.is_empty());
@@ -167,7 +165,7 @@ proptest! {
         raw in prop::collection::vec(0u64..u64::MAX, 1..30),
     ) {
         let dims = TorusDims::new(x, y, z);
-        let plan = Rc::new(decode_plan(dims, &raw));
+        let plan = Arc::new(decode_plan(dims, &raw));
         let rec = run_planned(dims, plan, FaultPlan::none());
         let g = build_graph(dims, &rec);
         let replay = retime(&g, &Perturbation::none());
@@ -191,7 +189,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let dims = TorusDims::new(x, y, 2);
-        let plan = Rc::new(decode_plan(dims, &raw));
+        let plan = Arc::new(decode_plan(dims, &raw));
         let fault = FaultPlan::seeded(seed).with_drop_rate(0.08);
         let rec = run_planned(dims, plan, fault);
         let g = build_graph(dims, &rec);

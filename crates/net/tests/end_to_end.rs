@@ -4,8 +4,8 @@
 
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, PatternId, Payload,
-    ProgEvent, Simulation,
+    ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, ParSimulation, PatternId,
+    Payload, ProgEvent,
 };
 use anton_topo::{Coord, Dim, MulticastPattern, NodeId, TorusDims};
 
@@ -19,7 +19,7 @@ struct OneWay {
     src: NodeId,
     dst: NodeId,
     payload_bytes: u32,
-    fired_at: std::rc::Rc<std::cell::Cell<Option<SimTime>>>,
+    fired_at: Option<SimTime>,
 }
 
 impl NodeProgram for OneWay {
@@ -39,7 +39,7 @@ impl NodeProgram for OneWay {
             }
             ProgEvent::CounterReached { .. } => {
                 assert_eq!(node, self.dst);
-                self.fired_at.set(Some(ctx.now()));
+                self.fired_at = Some(ctx.now());
             }
             _ => {}
         }
@@ -47,18 +47,15 @@ impl NodeProgram for OneWay {
 }
 
 fn one_way(dims: TorusDims, src: Coord, dst: Coord, payload: u32) -> SimDuration {
-    let fired = std::rc::Rc::new(std::cell::Cell::new(None));
-    let fabric = Fabric::new(dims);
-    let f2 = fired.clone();
     let (s, d) = (src.node_id(dims), dst.node_id(dims));
-    let mut sim = Simulation::new(fabric, move |_| OneWay {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| OneWay {
         src: s,
         dst: d,
         payload_bytes: payload,
-        fired_at: f2.clone(),
+        fired_at: None,
     });
     sim.run();
-    fired.get().expect("message must arrive") - SimTime::ZERO
+    sim.program(d).fired_at.expect("message must arrive") - SimTime::ZERO
 }
 
 #[test]
@@ -73,7 +70,7 @@ fn local_write_is_106_ns() {
     // 0-hop case of Figure 5: between clients on the same node we still
     // cross the on-chip ring. Use two different slices on one node.
     struct Local {
-        fired: std::rc::Rc<std::cell::Cell<Option<SimTime>>>,
+        fired: Option<SimTime>,
     }
     impl NodeProgram for Local {
         fn on_event(&mut self, node: NodeId, pe: ProgEvent, ctx: &mut Ctx<'_, '_>) {
@@ -85,18 +82,15 @@ fn local_write_is_106_ns() {
                         .with_counter(CounterId(0));
                     ctx.send(pkt);
                 }
-                ProgEvent::CounterReached { .. } => self.fired.set(Some(ctx.now())),
+                ProgEvent::CounterReached { .. } => self.fired = Some(ctx.now()),
                 _ => {}
             }
         }
     }
-    let fired = std::rc::Rc::new(std::cell::Cell::new(None));
-    let f2 = fired.clone();
-    let mut sim = Simulation::new(Fabric::new(TorusDims::new(1, 1, 1)), move |_| Local {
-        fired: f2.clone(),
-    });
+    let dims = TorusDims::new(1, 1, 1);
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Local { fired: None });
     sim.run();
-    assert_eq!(fired.get().unwrap(), SimTime::from_ns(106));
+    assert_eq!(sim.program(NodeId(0)).fired.unwrap(), SimTime::from_ns(106));
 }
 
 #[test]
@@ -134,7 +128,7 @@ fn twelve_hop_zero_byte_latency_is_822_ns() {
 struct Gather {
     target: NodeId,
     senders: Vec<NodeId>,
-    fired: std::rc::Rc<std::cell::Cell<Option<(SimTime, u64)>>>,
+    fired: Option<(SimTime, u64)>,
 }
 
 impl NodeProgram for Gather {
@@ -159,7 +153,7 @@ impl NodeProgram for Gather {
                 assert_eq!(client, ClientKind::Slice(0));
                 assert_eq!(counter, CounterId(7));
                 let v = ctx.read_counter(slice0(node), counter);
-                self.fired.set(Some((ctx.now(), v)));
+                self.fired = Some((ctx.now(), v));
             }
             _ => {}
         }
@@ -174,15 +168,13 @@ fn counter_fires_exactly_at_target_from_multiple_sources() {
         .iter()
         .map(|&(x, y, z)| Coord::new(x, y, z).node_id(dims))
         .collect();
-    let fired = std::rc::Rc::new(std::cell::Cell::new(None));
-    let (f2, s2) = (fired.clone(), senders.clone());
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| Gather {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Gather {
         target,
-        senders: s2.clone(),
-        fired: f2.clone(),
+        senders: senders.clone(),
+        fired: None,
     });
     sim.run();
-    let (t, count) = fired.get().expect("gather must complete");
+    let (t, count) = sim.program(target).fired.expect("gather must complete");
     assert_eq!(count, 4);
     // The last arrival dominates: sender (1,4,4) is 3+0+0... check it's at
     // least the farthest sender's uncontended latency.
@@ -197,7 +189,7 @@ fn counter_fires_exactly_at_target_from_multiple_sources() {
     // All four payloads landed at distinct addresses.
     let mem_count = (0..4)
         .filter(|i| {
-            sim.world
+            sim.worlds()[0]
                 .fabric
                 .mem_read(slice0(target), 0x1000 + *i as u64 * 0x20)
                 .is_some()
@@ -211,7 +203,7 @@ fn counter_fires_exactly_at_target_from_multiple_sources() {
 struct Mcast {
     src: NodeId,
     members: Vec<NodeId>,
-    arrivals: std::rc::Rc<std::cell::RefCell<Vec<(NodeId, SimTime)>>>,
+    arrivals: Vec<SimTime>,
 }
 
 impl NodeProgram for Mcast {
@@ -234,7 +226,7 @@ impl NodeProgram for Mcast {
                 }
             }
             ProgEvent::CounterReached { .. } => {
-                self.arrivals.borrow_mut().push((node, ctx.now()));
+                self.arrivals.push(ctx.now());
             }
             _ => {}
         }
@@ -248,26 +240,27 @@ fn multicast_delivers_to_every_member_once() {
     // Broadcast along the X ring (the all-reduce building block).
     let pattern = MulticastPattern::line_broadcast(src, Dim::X, dims, false);
     let members: Vec<NodeId> = pattern.delivery_set();
+    let src_id = src.node_id(dims);
     let mut fabric = Fabric::new(dims);
     fabric.register_pattern(PatternId(0), &pattern);
-    let arrivals = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let (a2, m2) = (arrivals.clone(), members.clone());
-    let src_id = src.node_id(dims);
-    let mut sim = Simulation::new(fabric, move |_| Mcast {
+    let mut sim = ParSimulation::one_slab(fabric, |_| Mcast {
         src: src_id,
-        members: m2.clone(),
-        arrivals: a2.clone(),
+        members: members.clone(),
+        arrivals: Vec::new(),
     });
     sim.run();
-    let mut got = arrivals.borrow().clone();
-    got.sort_by_key(|&(n, _)| n);
+    let got: Vec<(NodeId, SimTime)> = (0..dims.node_count())
+        .map(NodeId)
+        .flat_map(|n| sim.program(n).arrivals.iter().map(move |&t| (n, t)))
+        .collect();
     assert_eq!(got.len(), 7);
     assert_eq!(got.iter().map(|&(n, _)| n).collect::<Vec<_>>(), members);
     // One injection, one packet per tree edge: 7 link traversals, not
     // 1+2+3+4+3+2+1 = 16 as unicasts would need.
-    assert_eq!(sim.world.fabric.stats.packets_sent, 1);
-    assert_eq!(sim.world.fabric.stats.link_traversals, 7);
-    assert_eq!(sim.world.fabric.stats.packets_delivered, 7);
+    let stats = &sim.worlds()[0].fabric.stats;
+    assert_eq!(stats.packets_sent, 1);
+    assert_eq!(stats.link_traversals, 7);
+    assert_eq!(stats.packets_delivered, 7);
     // Nearest members (1 hop) arrive at 162 ns + payload tail; farthest
     // (4 hops) at 162+3*76 + tail.
     let tail = anton_net::Timing::default().payload_tail(8);
@@ -292,7 +285,7 @@ fn multicast_delivers_to_every_member_once() {
 struct Accumulators {
     target: NodeId,
     senders: Vec<NodeId>,
-    done: std::rc::Rc<std::cell::Cell<Option<SimTime>>>,
+    done: Option<SimTime>,
 }
 
 impl NodeProgram for Accumulators {
@@ -312,7 +305,7 @@ impl NodeProgram for Accumulators {
             }
             ProgEvent::CounterReached { client, .. } => {
                 assert_eq!(client, ClientKind::Accum(0));
-                self.done.set(Some(ctx.now()));
+                self.done = Some(ctx.now());
             }
             _ => {}
         }
@@ -324,20 +317,21 @@ fn accumulation_sums_and_polling_penalty_applies() {
     let dims = TorusDims::new(4, 4, 4);
     let target = Coord::new(0, 0, 0).node_id(dims);
     let senders: Vec<NodeId> = (1..=3).map(|x| Coord::new(x, 0, 0).node_id(dims)).collect();
-    let done = std::rc::Rc::new(std::cell::Cell::new(None));
-    let (d2, s2) = (done.clone(), senders.clone());
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| Accumulators {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Accumulators {
         target,
-        senders: s2.clone(),
-        done: d2.clone(),
+        senders: senders.clone(),
+        done: None,
     });
     sim.run();
-    let t = done.get().expect("accumulation must complete");
+    let t = sim
+        .program(target)
+        .done
+        .expect("accumulation must complete");
     // Sum: (100-0+7)+(200-1+7)+(300-2+7) = [600, -3, 21].
-    let sums = sim
-        .world
-        .fabric
-        .accum_read(ClientAddr::new(target, ClientKind::Accum(0)), 0x200, 3);
+    let sums =
+        sim.worlds()[0]
+            .fabric
+            .accum_read(ClientAddr::new(target, ClientKind::Accum(0)), 0x200, 3);
     assert_eq!(sums, vec![600, -3, 21]);
     // Farthest sender: 2 X hops with wrap (x=3 in a 4-ring is 1 hop... take
     // x=2: 2 hops). The fire time must include the 100 ns accumulation
@@ -354,7 +348,7 @@ struct FifoTest {
     src: NodeId,
     dst: NodeId,
     n: u32,
-    got: std::rc::Rc<std::cell::RefCell<Vec<(u64, SimTime)>>>,
+    got: Vec<(u64, SimTime)>,
 }
 
 impl NodeProgram for FifoTest {
@@ -374,7 +368,7 @@ impl NodeProgram for FifoTest {
             }
             ProgEvent::FifoMessage { pkt, .. } => {
                 assert_eq!(node, self.dst);
-                self.got.borrow_mut().push((pkt.tag, ctx.now()));
+                self.got.push((pkt.tag, ctx.now()));
             }
             _ => {}
         }
@@ -386,16 +380,14 @@ fn fifo_messages_arrive_in_order_and_serially() {
     let dims = TorusDims::new(4, 4, 4);
     let src = Coord::new(0, 0, 0).node_id(dims);
     let dst = Coord::new(1, 0, 0).node_id(dims);
-    let got = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let g2 = got.clone();
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| FifoTest {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| FifoTest {
         src,
         dst,
         n: 10,
-        got: g2.clone(),
+        got: Vec::new(),
     });
     sim.run();
-    let msgs = got.borrow();
+    let msgs = &sim.program(dst).got;
     assert_eq!(msgs.len(), 10);
     // In-order delivery (fixed pair, in_order flag set).
     let tags: Vec<u64> = msgs.iter().map(|&(t, _)| t).collect();
@@ -414,7 +406,7 @@ struct Burst {
     src: NodeId,
     dst: NodeId,
     n: u64,
-    done: std::rc::Rc<std::cell::Cell<Option<SimTime>>>,
+    done: Option<SimTime>,
 }
 
 impl NodeProgram for Burst {
@@ -438,7 +430,7 @@ impl NodeProgram for Burst {
                     }
                 }
             }
-            ProgEvent::CounterReached { .. } => self.done.set(Some(ctx.now())),
+            ProgEvent::CounterReached { .. } => self.done = Some(ctx.now()),
             _ => {}
         }
     }
@@ -450,16 +442,14 @@ fn bursts_serialize_at_link_bandwidth() {
     let src = Coord::new(0, 0, 0).node_id(dims);
     let dst = Coord::new(1, 0, 0).node_id(dims);
     let n = 64u64;
-    let done = std::rc::Rc::new(std::cell::Cell::new(None));
-    let d2 = done.clone();
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| Burst {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Burst {
         src,
         dst,
         n,
-        done: d2.clone(),
+        done: None,
     });
     sim.run();
-    let t = done.get().unwrap().as_ns_f64();
+    let t = sim.program(dst).done.unwrap().as_ns_f64();
     // 64 × 256 B data at the 36.8 Gbit/s effective rate = 3562 ns of
     // serialization, plus one base latency. Allow small slack for the
     // pipelined first/last packet accounting.
@@ -480,19 +470,18 @@ fn fabric_is_deterministic() {
         let dims = TorusDims::anton_512();
         let target = Coord::new(4, 4, 4).node_id(dims);
         let senders: Vec<NodeId> = (0..64u32).map(NodeId).collect();
-        let fired = std::rc::Rc::new(std::cell::Cell::new(None));
-        let (f2, s2) = (fired.clone(), senders.clone());
-        let mut sim = Simulation::new(Fabric::new(dims), move |_| Gather {
+        let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Gather {
             target,
-            senders: s2.clone(),
-            fired: f2.clone(),
+            senders: senders.clone(),
+            fired: None,
         });
         sim.run();
+        let stats = &sim.worlds()[0].fabric.stats;
         (
-            fired.get(),
-            sim.world.fabric.stats.packets_delivered,
-            sim.world.fabric.stats.link_traversals,
-            sim.engine.events_processed(),
+            sim.program(target).fired,
+            stats.packets_delivered,
+            stats.link_traversals,
+            sim.events_processed(),
         )
     };
     assert_eq!(run(), run());
@@ -505,7 +494,7 @@ struct Flood {
     src: NodeId,
     dst: NodeId,
     n: u64,
-    got: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
+    got: Vec<u64>,
 }
 
 impl NodeProgram for Flood {
@@ -521,7 +510,7 @@ impl NodeProgram for Flood {
                 }
             }
             ProgEvent::FifoMessage { pkt, .. } => {
-                self.got.borrow_mut().push(pkt.tag);
+                self.got.push(pkt.tag);
             }
             _ => {}
         }
@@ -534,20 +523,18 @@ fn fifo_backpressure_preserves_order_and_loses_nothing() {
     let src = Coord::new(0, 0, 0).node_id(dims);
     let dst = Coord::new(1, 0, 0).node_id(dims);
     let n = 3 * anton_net::FIFO_CAPACITY as u64; // 3x overload
-    let got = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let g2 = got.clone();
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| Flood {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| Flood {
         src,
         dst,
         n,
-        got: g2.clone(),
+        got: Vec::new(),
     });
     sim.run();
-    let tags = got.borrow().clone();
+    let tags = sim.program(dst).got.clone();
     assert_eq!(tags.len(), n as usize, "lossless under backpressure");
     assert_eq!(tags, (0..n).collect::<Vec<_>>(), "in order");
     assert!(
-        sim.world.fabric.fifo_backpressure_events(slice0(dst)) > 0,
+        sim.worlds()[0].fabric.fifo_backpressure_events(slice0(dst)) > 0,
         "the FIFO must actually have filled"
     );
 }
@@ -557,7 +544,7 @@ fn fifo_backpressure_preserves_order_and_loses_nothing() {
 struct BySource {
     target: NodeId,
     senders: Vec<NodeId>,
-    fires: std::rc::Rc<std::cell::RefCell<Vec<u16>>>,
+    fires: Vec<u16>,
 }
 
 impl NodeProgram for BySource {
@@ -591,7 +578,7 @@ impl NodeProgram for BySource {
             }
             ProgEvent::CounterReached { counter, client } => {
                 assert_eq!(client, ClientKind::Htis);
-                self.fires.borrow_mut().push(counter.0);
+                self.fires.push(counter.0);
             }
             _ => {}
         }
@@ -606,15 +593,13 @@ fn per_source_buffer_counters_fire_independently() {
         .iter()
         .map(|&(x, y)| Coord::new(x, y, 0).node_id(dims))
         .collect();
-    let fires = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let (f2, s2) = (fires.clone(), senders.clone());
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| BySource {
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| BySource {
         target,
-        senders: s2.clone(),
-        fires: f2.clone(),
+        senders: senders.clone(),
+        fires: Vec::new(),
     });
     sim.run();
-    let mut got = fires.borrow().clone();
+    let mut got = sim.program(target).fires.clone();
     got.sort_unstable();
     assert_eq!(got, vec![16, 17, 18], "one fire per source buffer");
 }

@@ -5,7 +5,7 @@
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
     ClientAddr, ClientKind, CounterId, Ctx, Fabric, FabricError, FaultPlan, NetStats, NodeProgram,
-    Packet, Payload, ProgEvent, RetryPolicy, RunReport, Simulation,
+    Packet, ParSimulation, Payload, ProgEvent, RetryPolicy, RunReport,
 };
 use anton_topo::{Coord, Dim, Dir, LinkDir, NodeId, TorusDims};
 use proptest::prelude::*;
@@ -53,16 +53,16 @@ fn run_counted(
     n: u32,
     dst: NodeId,
     deadline_ns: Option<f64>,
-) -> (RunReport, SimTime, NetStats, Simulation<CountedWrites>) {
+) -> (RunReport, SimTime, NetStats, ParSimulation<CountedWrites>) {
     let fabric = Fabric::with_faults(dims, anton_net::Timing::default(), fault);
-    let mut sim = Simulation::new(fabric, move |_| CountedWrites {
+    let mut sim = ParSimulation::one_slab(fabric, |_| CountedWrites {
         n,
         dst,
         deadline_ns,
     });
     let report = sim.run_guarded(SimTime(u64::MAX / 2), 10_000_000);
     let now = sim.now();
-    let stats = sim.world.fabric.stats.clone();
+    let stats = sim.merged_stats();
     (report, now, stats, sim)
 }
 
@@ -156,8 +156,7 @@ fn lost_packet_triggers_watchdog_and_stall_report() {
     );
     assert_eq!(wd.at, SimTime::ZERO + SimDuration::from_ns_f64(10_000.0));
     // The error log explains *why*: retry budgets ran out.
-    assert!(sim
-        .world
+    assert!(sim.worlds()[0]
         .fabric
         .errors()
         .iter()
@@ -204,8 +203,7 @@ fn isolated_destination_is_unreachable_not_a_hang() {
     let stall = report.stall().expect("stall must be diagnosed");
     assert_eq!(stall.stuck.len(), 1);
     assert_eq!(stall.stuck[0].node, dst);
-    assert!(sim
-        .world
+    assert!(sim.worlds()[0]
         .fabric
         .errors()
         .iter()
@@ -256,7 +254,7 @@ proptest! {
         let plan = FaultPlan::seeded(seed).with_drop_rate(rate);
         let (ra, ta, sa, sim_a) = run_counted(dims, plan.clone(), n, dst, None);
         let addr = ClientAddr::new(dst, ClientKind::Slice(0));
-        let count = sim_a.world.fabric.counter_read(addr, CounterId(0));
+        let count = sim_a.worlds()[0].fabric.counter_read(addr, CounterId(0));
         // Never overshoot: drops can only lose increments, not mint them.
         prop_assert!(count <= n as u64);
         prop_assert_eq!(count, sa.packets_delivered);

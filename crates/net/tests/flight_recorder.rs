@@ -4,13 +4,13 @@
 
 use anton_des::SimTime;
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation, Timing,
+    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation, Payload,
+    ProgEvent, Timing,
 };
 use anton_obs::{fold_lifecycles, ChromeTraceBuilder, FlightEvent, Stage};
 use anton_topo::{NodeId, TorusDims};
 use proptest::prelude::*;
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn slice0(node: NodeId) -> ClientAddr {
     ClientAddr::new(node, ClientKind::Slice(0))
@@ -21,7 +21,7 @@ fn slice0(node: NodeId) -> ClientAddr {
 /// interesting.
 struct PlannedTraffic {
     /// (src, dst, payload_bytes) per planned packet.
-    plan: Rc<Vec<(u32, u32, u32)>>,
+    plan: Arc<Vec<(u32, u32, u32)>>,
 }
 
 impl NodeProgram for PlannedTraffic {
@@ -46,32 +46,26 @@ impl NodeProgram for PlannedTraffic {
 /// flight events are empty unless `record`.
 fn run_planned(
     dims: TorusDims,
-    plan: Rc<Vec<(u32, u32, u32)>>,
+    plan: Arc<Vec<(u32, u32, u32)>>,
     record: bool,
 ) -> (SimTime, anton_net::NetStats, String, Vec<FlightEvent>) {
     let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
     if record {
         fabric.attach_owned_flight_recorder();
     }
-    let p2 = plan.clone();
-    let mut sim = Simulation::new(fabric, move |_| PlannedTraffic { plan: p2.clone() });
+    let mut sim = ParSimulation::one_slab(fabric, |_| PlannedTraffic { plan: plan.clone() });
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
+    let now = sim.now();
+    let fabric = &mut sim.worlds_mut()[0].fabric;
     let mut reg = anton_obs::MetricsRegistry::new();
-    sim.world.fabric.export_metrics(&mut reg);
-    let flight = sim
-        .world
-        .fabric
+    fabric.export_metrics(&mut reg);
+    let flight = fabric
         .take_flight_recorder()
         .map(|mut rec| rec.take_events())
         .unwrap_or_default();
-    (
-        sim.now(),
-        sim.world.fabric.stats.clone(),
-        reg.snapshot().to_json(),
-        flight,
-    )
+    (now, fabric.stats.clone(), reg.snapshot().to_json(), flight)
 }
 
 /// Derive a traffic plan from raw random words: (src, dst,
@@ -101,7 +95,7 @@ proptest! {
         raw in prop::collection::vec(0u64..u64::MAX, 1..40),
     ) {
         let dims = TorusDims::new(x, y, z);
-        let plan = Rc::new(decode_plan(dims, &raw));
+        let plan = Arc::new(decode_plan(dims, &raw));
         let (_, _, metrics, flight) = run_planned(dims, plan.clone(), true);
         prop_assert!(metrics.contains("\"net.packets_sent\""));
         prop_assert!(metrics.contains("\"mem.counter_increments\""));
@@ -131,7 +125,7 @@ proptest! {
         raw in prop::collection::vec(0u64..u64::MAX, 1..40),
     ) {
         let dims = TorusDims::new(x, y, z);
-        let plan = Rc::new(decode_plan(dims, &raw));
+        let plan = Arc::new(decode_plan(dims, &raw));
 
         let export = |flight: &[FlightEvent]| {
             let (lives, _) = fold_lifecycles(flight.iter());

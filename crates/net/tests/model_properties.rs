@@ -2,8 +2,8 @@
 //! the fabric's guard rails.
 
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FabricError, NodeProgram, Packet, PatternId,
-    Payload, ProgEvent, Simulation, Timing,
+    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FabricError, NodeProgram, Packet,
+    ParSimulation, PatternId, Payload, ProgEvent, Timing,
 };
 use anton_topo::{Coord, MulticastPattern, NodeId, TorusDims};
 use proptest::prelude::*;
@@ -133,9 +133,9 @@ impl NodeProgram for BadProgram {
     }
 }
 
-fn run_bad(mode: u8) -> Simulation<BadProgram> {
+fn run_bad(mode: u8) -> ParSimulation<BadProgram> {
     let dims = TorusDims::new(2, 1, 1);
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| BadProgram { mode });
+    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| BadProgram { mode });
     sim.run();
     sim
 }
@@ -158,7 +158,7 @@ fn accumulation_memory_cannot_send() {
 #[test]
 fn by_source_counter_without_mapping_is_recorded() {
     let sim = run_bad(2);
-    let fabric = &sim.world.fabric;
+    let fabric = &sim.worlds()[0].fabric;
     assert_eq!(fabric.stats.delivery_errors, 1);
     assert!(matches!(
         fabric.errors(),
@@ -176,7 +176,7 @@ fn by_source_counter_without_mapping_is_recorded() {
 #[test]
 fn unregistered_multicast_pattern_is_recorded() {
     let sim = run_bad(3);
-    let fabric = &sim.world.fabric;
+    let fabric = &sim.worlds()[0].fabric;
     assert_eq!(fabric.stats.packets_unreachable, 1);
     assert_eq!(fabric.stats.packets_delivered, 0);
     assert!(matches!(
@@ -194,7 +194,7 @@ fn unregistered_multicast_pattern_is_recorded() {
 #[test]
 fn corrupt_payload_is_discarded_at_delivery() {
     let mut sim = run_bad(4);
-    let fabric = &mut sim.world.fabric;
+    let fabric = &mut sim.worlds_mut()[0].fabric;
     let dst = ClientAddr::new(NodeId(1), ClientKind::Slice(0));
     assert_eq!(fabric.stats.delivery_errors, 1);
     assert_eq!(fabric.stats.packets_delivered, 0);

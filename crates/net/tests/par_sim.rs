@@ -1,11 +1,12 @@
-//! Sharded-parallel simulation vs. the sequential reference: the merged
+//! Sharded-parallel simulation vs. the one-slab reference: the merged
 //! observables must be *bit-identical* at every thread count, and equal
-//! to a plain [`Simulation`] of the same machine.
+//! to a one-slab run of the same machine, whose single replica is the
+//! whole fabric.
 
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
     merge_flight_events, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram,
-    Packet, ParSimulation, Payload, ProgEvent, ShardPlan, Simulation,
+    Packet, ParSimulation, Payload, ProgEvent, ShardPlan,
 };
 use anton_obs::FlightEvent;
 use anton_topo::{NodeId, TorusDims};
@@ -90,7 +91,7 @@ fn run_par(dims: TorusDims, rounds: u32, threads: usize) -> Observables {
         finished: (0..dims.node_count())
             .map(|i| sim.program(NodeId(i)).finished_at.expect("finished"))
             .collect(),
-        flight: sim.merged_flight_events(),
+        flight: sim.take_merged_flight_events(),
     }
 }
 
@@ -116,34 +117,21 @@ fn par_matches_the_sequential_simulation() {
     let dims = TorusDims::new(4, 4, 4);
     let par = run_par(dims, 3, 4);
 
-    let mut seq = Simulation::new(build(dims), make(3));
-    assert!(seq
+    let mut one = ParSimulation::one_slab(build(dims), make(3));
+    assert!(one
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
-    // Same per-node traffic, same latencies. (Total event counts differ
-    // by bookkeeping: the sharded run seeds one Start per shard.)
-    assert_eq!(par.stats.packets_sent, seq.world.fabric.stats.packets_sent);
-    assert_eq!(
-        par.stats.packets_delivered,
-        seq.world.fabric.stats.packets_delivered
-    );
-    assert_eq!(
-        par.stats.link_traversals,
-        seq.world.fabric.stats.link_traversals
-    );
-    assert_eq!(par.stats.sent_by_node, seq.world.fabric.stats.sent_by_node);
-    assert_eq!(
-        par.stats.delivered_by_node,
-        seq.world.fabric.stats.delivered_by_node
-    );
-    assert_eq!(par.now, seq.now());
-    let seq_finished: Vec<SimTime> = seq
-        .world
-        .programs
-        .iter()
-        .map(|p| p.finished_at.expect("finished"))
+    // Same traffic, same latencies. (Total event counts differ by
+    // bookkeeping: each slab seeds one Start.)
+    let fabric = &one.worlds()[0].fabric;
+    assert_eq!(par.stats, fabric.stats);
+    assert_eq!(par.stats, one.merged_stats());
+    assert_eq!(par.now, one.now());
+    assert_eq!(par.events, one.events_processed() + 3);
+    let one_finished: Vec<SimTime> = (0..dims.node_count())
+        .map(|i| one.program(NodeId(i)).finished_at.expect("finished"))
         .collect();
-    assert_eq!(par.finished, seq_finished);
+    assert_eq!(par.finished, one_finished);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload,
-    ProgEvent, RecoveryConfig, RetryPolicy, Simulation,
+    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation,
+    Payload, ProgEvent, RecoveryConfig, RetryPolicy,
 };
 use anton_obs::VerdictCause;
 use anton_topo::{Coord, Dim, Dir, LinkDir, NodeId, TorusDims};
@@ -57,22 +57,31 @@ impl NodeProgram for Streams {
     }
 }
 
+/// [`Streams`] over `fabric`, run on one slab; a stall is left for the
+/// test to inspect.
+fn run_streams_on(fabric: Fabric, pairs: &[(NodeId, NodeId)], n: u32) -> ParSimulation<Streams> {
+    let mut sim = ParSimulation::one_slab(fabric, |_| Streams {
+        n,
+        pairs: pairs.to_vec(),
+        received: Vec::new(),
+    });
+    sim.run_guarded(SimTime(u64::MAX / 2), 50_000_000);
+    sim
+}
+
 fn run_streams(
     dims: TorusDims,
     plan: FaultPlan,
     recovery: RecoveryConfig,
     pairs: &[(NodeId, NodeId)],
     n: u32,
-) -> Simulation<Streams> {
-    let fabric = Fabric::with_recovery(dims, anton_net::Timing::default(), plan, recovery);
-    let pairs = pairs.to_vec();
-    let mut sim = Simulation::new(fabric, move |_| Streams {
+) -> ParSimulation<Streams> {
+    let timing = anton_net::Timing::default();
+    run_streams_on(
+        Fabric::with_recovery(dims, timing, plan, recovery),
+        pairs,
         n,
-        pairs: pairs.clone(),
-        received: Vec::new(),
-    });
-    sim.run_guarded(SimTime(u64::MAX / 2), 50_000_000);
-    sim
+    )
 }
 
 /// Node 0 streams `n` counted writes to `dst`; used to exercise the
@@ -103,9 +112,10 @@ fn run_counted(
     recovery: RecoveryConfig,
     n: u32,
     dst: NodeId,
-) -> Simulation<Counted> {
-    let fabric = Fabric::with_recovery(dims, anton_net::Timing::default(), plan, recovery);
-    let mut sim = Simulation::new(fabric, move |_| Counted { n, dst });
+) -> ParSimulation<Counted> {
+    let timing = anton_net::Timing::default();
+    let fabric = Fabric::with_recovery(dims, timing, plan, recovery);
+    let mut sim = ParSimulation::one_slab(fabric, |_| Counted { n, dst });
     sim.run_guarded(SimTime(u64::MAX / 2), 50_000_000);
     sim
 }
@@ -122,7 +132,7 @@ fn heartbeat_detector_promotes_a_dead_link_to_a_verdict() {
     let death = SimTime(1_000_000); // 1 µs, inside the stream's window
     let plan = FaultPlan::none().fail_link_at(Coord::new(0, 0, 0), xp(), death);
     let sim = run_streams(dims, plan, rec, &[(NodeId(0), NodeId(1))], 100);
-    let verdicts = sim.world.fabric.verdicts();
+    let verdicts = sim.worlds()[0].fabric.verdicts();
     assert!(!verdicts.is_empty(), "a dead link must produce a verdict");
     let v = &verdicts[0];
     assert_eq!(v.node, NodeId(0));
@@ -159,7 +169,7 @@ fn six_link_verdicts_escalate_to_a_node_down_verdict() {
     let neighbors = [22u32, 20, 25, 17, 37, 5]; // X± Y± Z± of (1,1,1)
     let pairs: Vec<(NodeId, NodeId)> = neighbors.iter().map(|&d| (dead, NodeId(d))).collect();
     let sim = run_streams(dims, plan, rec, &pairs, 80);
-    let verdicts = sim.world.fabric.verdicts();
+    let verdicts = sim.worlds()[0].fabric.verdicts();
     assert_eq!(
         verdicts
             .iter()
@@ -172,7 +182,7 @@ fn six_link_verdicts_escalate_to_a_node_down_verdict() {
         verdicts.iter().any(|v| v.node == dead && v.link.is_none()),
         "all-links-dead must escalate to NodeDown: {verdicts:?}"
     );
-    assert_eq!(sim.world.fabric.recovery_stats().node_verdicts, 1);
+    assert_eq!(sim.worlds()[0].fabric.recovery_stats().node_verdicts, 1);
 }
 
 #[test]
@@ -186,7 +196,7 @@ fn retry_budget_exhaustion_promotes_with_the_retry_budget_cause() {
             ..RetryPolicy::default()
         });
     let sim = run_streams(dims, plan, rec, &[(NodeId(0), NodeId(2))], 3);
-    let verdicts = sim.world.fabric.verdicts();
+    let verdicts = sim.worlds()[0].fabric.verdicts();
     assert!(verdicts
         .iter()
         .any(|v| v.cause == VerdictCause::RetryBudget));
@@ -203,13 +213,13 @@ fn mid_run_link_death_reroutes_and_loses_nothing() {
     let plan = FaultPlan::none().fail_link_at(Coord::new(0, 0, 0), xp(), SimTime(1_000_000));
     let rec = RecoveryConfig::recovering(4);
     let sim = run_streams(dims, plan, rec, &[(NodeId(0), NodeId(1))], 100);
-    let stats = &sim.world.fabric.stats;
-    let recovery = sim.world.fabric.recovery_stats();
+    let stats = &sim.worlds()[0].fabric.stats;
+    let recovery = sim.worlds()[0].fabric.recovery_stats();
     assert_eq!(stats.packets_delivered, 100, "{recovery:?}");
     assert_eq!(stats.packets_lost + stats.packets_unreachable, 0);
     assert!(recovery.reinjections > 0, "in-flight packets were re-sent");
     assert!(recovery.link_verdicts >= 1);
-    let received = &sim.world.programs[1].received;
+    let received = &sim.program(NodeId(1)).received;
     assert_eq!(received.len(), 100);
     // In-order reassembly: tokens arrive in send order despite the
     // detoured packets racing the originals.
@@ -237,8 +247,8 @@ fn ack_ambiguous_duplicates_are_forked_and_suppressed() {
     let rec = RecoveryConfig::recovering(5).with_dup_delivery_rate(1.0);
     let n = 80;
     let sim = run_counted(dims, plan, rec, n, NodeId(2));
-    let stats = &sim.world.fabric.stats;
-    let recovery = sim.world.fabric.recovery_stats();
+    let stats = &sim.worlds()[0].fabric.stats;
+    let recovery = sim.worlds()[0].fabric.recovery_stats();
     assert!(recovery.duplicate_forks > 0, "exhaustions must fork");
     assert!(
         recovery.duplicates_suppressed > 0,
@@ -247,7 +257,7 @@ fn ack_ambiguous_duplicates_are_forked_and_suppressed() {
     // Exactly-once effect: the counter saw each distinct packet exactly
     // once — duplicates never mint increments — and every packet is
     // either delivered or accounted lost.
-    let count = sim.world.fabric.counter_read(
+    let count = sim.worlds()[0].fabric.counter_read(
         ClientAddr::new(NodeId(2), ClientKind::Slice(0)),
         CounterId(0),
     );
@@ -271,40 +281,22 @@ fn disabled_recovery_is_bit_identical_to_the_baseline_constructor() {
     let dims = TorusDims::new(4, 2, 1);
     let plan = FaultPlan::seeded(9).with_drop_rate(0.08);
     let pairs = [(NodeId(0), NodeId(5)), (NodeId(3), NodeId(6))];
-    let run = |fabric: Fabric| {
-        let pairs = pairs.to_vec();
-        let mut sim = Simulation::new(fabric, move |_| Streams {
-            n: 40,
-            pairs: pairs.clone(),
-            received: Vec::new(),
-        });
-        sim.run_guarded(SimTime(u64::MAX / 2), 50_000_000);
-        sim
-    };
-    let a = run(Fabric::with_faults(
-        dims,
-        anton_net::Timing::default(),
-        plan.clone(),
-    ));
-    let b = run(Fabric::with_recovery(
-        dims,
-        anton_net::Timing::default(),
-        plan,
-        RecoveryConfig::disabled(),
-    ));
+    let timing = anton_net::Timing::default();
+    let a = run_streams_on(Fabric::with_faults(dims, timing, plan.clone()), &pairs, 40);
+    let b = run_streams(dims, plan.clone(), RecoveryConfig::disabled(), &pairs, 40);
     assert_eq!(a.now(), b.now());
-    assert_eq!(a.world.fabric.stats, b.world.fabric.stats);
+    assert_eq!(a.worlds()[0].fabric.stats, b.worlds()[0].fabric.stats);
     assert_eq!(
-        format!("{:?}", a.world.fabric.stats),
-        format!("{:?}", b.world.fabric.stats)
+        format!("{:?}", a.worlds()[0].fabric.stats),
+        format!("{:?}", b.worlds()[0].fabric.stats)
     );
     // No recovery machinery may have engaged in either run.
     assert_eq!(
-        b.world.fabric.recovery_stats(),
-        a.world.fabric.recovery_stats()
+        b.worlds()[0].fabric.recovery_stats(),
+        a.worlds()[0].fabric.recovery_stats()
     );
-    assert_eq!(b.world.fabric.verdicts().len(), 0);
-    assert_eq!(b.world.fabric.recovery_stats().reinjections, 0);
+    assert_eq!(b.worlds()[0].fabric.verdicts().len(), 0);
+    assert_eq!(b.worlds()[0].fabric.recovery_stats().reinjections, 0);
 }
 
 // ---- properties ----
@@ -328,13 +320,13 @@ proptest! {
         let a = run_streams(dims, plan.clone(), rec, &pairs, 40);
         let b = run_streams(dims, plan, rec, &pairs, 40);
         prop_assert_eq!(
-            format!("{:?}", a.world.fabric.verdicts()),
-            format!("{:?}", b.world.fabric.verdicts())
+            format!("{:?}", a.worlds()[0].fabric.verdicts()),
+            format!("{:?}", b.worlds()[0].fabric.verdicts())
         );
-        prop_assert_eq!(a.world.fabric.recovery_stats(), b.world.fabric.recovery_stats());
+        prop_assert_eq!(a.worlds()[0].fabric.recovery_stats(), b.worlds()[0].fabric.recovery_stats());
         prop_assert_eq!(a.now(), b.now());
         // The dead link is eventually noticed (traffic crosses it).
-        prop_assert!(a.world.fabric.recovery_stats().link_verdicts >= 1);
+        prop_assert!(a.worlds()[0].fabric.recovery_stats().link_verdicts >= 1);
     }
 
     /// Rerouted + reinjected delivery preserves per-(src, dst) payload
@@ -357,14 +349,14 @@ proptest! {
             (NodeId(1), NodeId(6)),
         ];
         let sim = run_streams(dims, plan, rec, &pairs, n);
-        let stats = &sim.world.fabric.stats;
+        let stats = &sim.worlds()[0].fabric.stats;
         prop_assert_eq!(
             stats.packets_delivered,
             (pairs.len() as u64) * n as u64,
             "recovery must deliver every message"
         );
         for &(src, dst) in &pairs {
-            let got: Vec<u64> = sim.world.programs[dst.index()]
+            let got: Vec<u64> = sim.program(dst)
                 .received
                 .iter()
                 .filter(|(s, _)| *s == src)
@@ -390,9 +382,9 @@ proptest! {
             .with_retry(RetryPolicy { max_retries: 1, ..RetryPolicy::default() });
         let rec = RecoveryConfig::recovering(seed).with_dup_delivery_rate(dup_rate);
         let sim = run_counted(dims, plan, rec, n, NodeId(2));
-        let stats = &sim.world.fabric.stats;
-        let recovery = sim.world.fabric.recovery_stats();
-        let count = sim.world.fabric.counter_read(
+        let stats = &sim.worlds()[0].fabric.stats;
+        let recovery = sim.worlds()[0].fabric.recovery_stats();
+        let count = sim.worlds()[0].fabric.counter_read(
             ClientAddr::new(NodeId(2), ClientKind::Slice(0)),
             CounterId(0),
         );
@@ -417,21 +409,12 @@ proptest! {
         let dims = TorusDims::new(4, 2, 1);
         let plan = FaultPlan::seeded(seed).with_drop_rate(rate);
         let pairs = [(NodeId(0), NodeId(5))];
-        let base = {
-            let fabric = Fabric::with_faults(dims, anton_net::Timing::default(), plan.clone());
-            let pairs = pairs.to_vec();
-            let mut sim = Simulation::new(fabric, move |_| Streams {
-                n,
-                pairs: pairs.clone(),
-                received: Vec::new(),
-            });
-            sim.run_guarded(SimTime(u64::MAX / 2), 50_000_000);
-            sim
-        };
+        let timing = anton_net::Timing::default();
+        let base = run_streams_on(Fabric::with_faults(dims, timing, plan.clone()), &pairs, n);
         let off = run_streams(dims, plan, RecoveryConfig::disabled(), &pairs, n);
         prop_assert_eq!(base.now(), off.now());
-        prop_assert_eq!(&base.world.fabric.stats, &off.world.fabric.stats);
-        prop_assert_eq!(off.world.fabric.verdicts().len(), 0);
-        prop_assert_eq!(off.world.fabric.recovery_stats(), &Default::default());
+        prop_assert_eq!(&base.worlds()[0].fabric.stats, &off.worlds()[0].fabric.stats);
+        prop_assert_eq!(off.worlds()[0].fabric.verdicts().len(), 0);
+        prop_assert_eq!(off.worlds()[0].fabric.recovery_stats(), &Default::default());
     }
 }

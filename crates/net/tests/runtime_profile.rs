@@ -102,7 +102,7 @@ fn run_relay(
         finished: (0..dims.node_count())
             .map(|i| sim.program(NodeId(i)).finished_at.expect("finished"))
             .collect(),
-        flight_len: sim.merged_flight_events().len(),
+        flight_len: sim.take_merged_flight_events().len(),
     };
     (obs, sim.take_runtime_profile())
 }

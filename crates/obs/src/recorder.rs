@@ -363,16 +363,13 @@ enum Storage {
 /// latency attribution ([`crate::breakdown`]), Chrome-trace export
 /// ([`crate::chrome_trace`]), and the tests' lifecycle invariants.
 ///
-/// Memory is bounded two ways: [`FlightRecorder::with_ring`] keeps only
-/// the newest events, and [`FlightRecorder::with_sampling`] records only
-/// every k-th packet's lifecycle (phase marks are always kept).
+/// Memory is bounded by [`FlightRecorder::with_ring`], which keeps only
+/// the newest events.
 #[derive(Debug)]
 pub struct FlightRecorder {
     events: VecDeque<FlightEvent>,
     storage: Storage,
-    /// Record packets whose id satisfies `id % sample_every == 0`.
-    sample_every: u64,
-    /// Events dropped by the ring buffer (not by sampling).
+    /// Events dropped by the ring buffer.
     dropped: u64,
 }
 
@@ -388,7 +385,6 @@ impl FlightRecorder {
         FlightRecorder {
             events: VecDeque::new(),
             storage: Storage::Unbounded,
-            sample_every: 1,
             dropped: 0,
         }
     }
@@ -398,19 +394,6 @@ impl FlightRecorder {
         assert!(cap > 0, "ring capacity must be positive");
         self.storage = Storage::Ring(cap);
         self
-    }
-
-    /// Sampling mode: record only packets whose id is a multiple of
-    /// `every` (1 = record everything).
-    pub fn with_sampling(mut self, every: u64) -> FlightRecorder {
-        assert!(every > 0, "sampling period must be positive");
-        self.sample_every = every;
-        self
-    }
-
-    #[inline]
-    fn keeps(&self, pkt: PacketId) -> bool {
-        self.sample_every == 1 || pkt.0.is_multiple_of(self.sample_every)
     }
 
     fn push(&mut self, ev: FlightEvent) {
@@ -462,19 +445,17 @@ impl Recorder for FlightRecorder {
         wire_ready: SimTime,
         payload_bytes: u32,
     ) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::Inject {
-                pkt,
-                node,
-                client,
-                dst,
-                at,
-                inj_ready,
-                inj_start,
-                wire_ready,
-                payload_bytes,
-            });
-        }
+        self.push(FlightEvent::Inject {
+            pkt,
+            node,
+            client,
+            dst,
+            at,
+            inj_ready,
+            inj_start,
+            wire_ready,
+            payload_bytes,
+        });
     }
 
     fn on_link_reserve(
@@ -486,16 +467,14 @@ impl Recorder for FlightRecorder {
         start: SimTime,
         end: SimTime,
     ) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::LinkReserve {
-                pkt,
-                node,
-                link,
-                ready,
-                start,
-                end,
-            });
-        }
+        self.push(FlightEvent::LinkReserve {
+            pkt,
+            node,
+            link,
+            ready,
+            start,
+            end,
+        });
     }
 
     fn on_retransmit(
@@ -506,38 +485,30 @@ impl Recorder for FlightRecorder {
         attempt: u32,
         at: SimTime,
     ) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::Retransmit {
-                pkt,
-                node,
-                link,
-                attempt,
-                at,
-            });
-        }
+        self.push(FlightEvent::Retransmit {
+            pkt,
+            node,
+            link,
+            attempt,
+            at,
+        });
     }
 
     fn on_hop_enter(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::HopEnter { pkt, node, at });
-        }
+        self.push(FlightEvent::HopEnter { pkt, node, at });
     }
 
     fn on_hop_exit(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::HopExit { pkt, node, at });
-        }
+        self.push(FlightEvent::HopExit { pkt, node, at });
     }
 
     fn on_deliver(&mut self, pkt: PacketId, node: NodeId, client: u8, at: SimTime) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::Deliver {
-                pkt,
-                node,
-                client,
-                at,
-            });
-        }
+        self.push(FlightEvent::Deliver {
+            pkt,
+            node,
+            client,
+            at,
+        });
     }
 
     fn on_counter_update(
@@ -549,16 +520,14 @@ impl Recorder for FlightRecorder {
         at: SimTime,
         fire_at: Option<SimTime>,
     ) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::CounterUpdate {
-                pkt,
-                node,
-                client,
-                counter,
-                at,
-                fire_at,
-            });
-        }
+        self.push(FlightEvent::CounterUpdate {
+            pkt,
+            node,
+            client,
+            counter,
+            at,
+            fire_at,
+        });
     }
 
     fn on_phase(&mut self, label: &str, at: SimTime) {
@@ -568,8 +537,6 @@ impl Recorder for FlightRecorder {
         });
     }
 
-    // Failure verdicts are rare and diagnostic gold: like phase marks
-    // they bypass packet sampling.
     fn on_link_down(&mut self, node: NodeId, link: LinkDir, cause: VerdictCause, at: SimTime) {
         self.push(FlightEvent::LinkDown {
             node,
@@ -584,20 +551,16 @@ impl Recorder for FlightRecorder {
     }
 
     fn on_reinject(&mut self, pkt: PacketId, node: NodeId, attempt: u32, at: SimTime) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::Reinject {
-                pkt,
-                node,
-                attempt,
-                at,
-            });
-        }
+        self.push(FlightEvent::Reinject {
+            pkt,
+            node,
+            attempt,
+            at,
+        });
     }
 
     fn on_duplicate_suppressed(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        if self.keeps(pkt) {
-            self.push(FlightEvent::DuplicateSuppressed { pkt, node, at });
-        }
+        self.push(FlightEvent::DuplicateSuppressed { pkt, node, at });
     }
 
     fn as_flight(&self) -> Option<&FlightRecorder> {
@@ -634,18 +597,5 @@ mod tests {
         assert_eq!(r.dropped(), 7);
         let first = r.events().next().unwrap();
         assert_eq!(first.packet(), Some(PacketId(7)));
-    }
-
-    #[test]
-    fn sampling_keeps_every_kth_packet() {
-        let mut r = FlightRecorder::new().with_sampling(4);
-        for i in 0..16 {
-            r.on_deliver(PacketId(i), NodeId(0), 0, t(i));
-        }
-        assert_eq!(r.len(), 4); // ids 0, 4, 8, 12
-        assert!(r.events().all(|e| e.packet().unwrap().0 % 4 == 0));
-        // Phase marks bypass sampling.
-        r.on_phase("forces", t(99));
-        assert_eq!(r.len(), 5);
     }
 }

@@ -236,7 +236,8 @@ pub struct ScenarioSpec {
     pub dims: (u32, u32, u32),
     /// Machine-generation timing profile.
     pub timing: TimingProfile,
-    /// Worker-thread budget for the parallel engine (1 = sequential).
+    /// Worker-thread budget for the engine (1 runs every slab on the
+    /// calling thread).
     pub threads: u32,
     /// Conservative-window lookahead mode.
     pub lookahead: LookaheadMode,

@@ -13,28 +13,14 @@
 
 use anton::des::{SimDuration, SimTime};
 use anton::net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation,
+    drive, ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, Payload, ProgEvent,
+    RunConfig,
 };
 use anton::topo::{face_neighbors, Coord, Dim, LinkDir, MulticastPattern, NodeId, TorusDims};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Subdomain edge (points per node per axis); global grid is periodic.
 const B: usize = 6;
 const ITERS: u32 = 40;
-
-struct Shared {
-    /// Per node, with halo: x, r, p, Ap as flat (B+2)³ arrays.
-    x: Vec<Vec<f64>>,
-    r: Vec<Vec<f64>>,
-    p: Vec<Vec<f64>>,
-    b: Vec<Vec<f64>>,
-    /// Global scalars of the in-flight iteration.
-    rr: f64,
-    done: Vec<Option<SimTime>>,
-    iterations: u32,
-}
 
 fn idx(x: usize, y: usize, z: usize) -> usize {
     x + (B + 2) * (y + (B + 2) * z)
@@ -47,7 +33,17 @@ fn slice0(node: NodeId) -> ClientAddr {
 /// Per-node CG state machine: HALO(p) → Ap & local dots → all-reduce →
 /// update → repeat.
 struct CgNode {
-    shared: Rc<RefCell<Shared>>,
+    /// This node's subdomain, with halo: x, r, p, and b (which holds Ap
+    /// once the right-hand side is consumed) as flat (B+2)³ arrays.
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    b: Vec<f64>,
+    /// Global r·r of the last finished iteration (identical on every
+    /// node after the all-reduce).
+    rr: f64,
+    done: Option<SimTime>,
+    iterations: u32,
     phase: Phase,
     /// Scratch for the all-reduce rounds: [p·Ap, r·r].
     ar_value: [f64; 2],
@@ -71,8 +67,7 @@ impl CgNode {
         let parity = (self.halo_round % 2) as u16;
         // Faces are B² = 36 f64 = 288 B → two packets each.
         ctx.watch_counter(slice0(node), CounterId(parity), neighbors.len() as u64 * 2);
-        let g = self.shared.borrow();
-        let p = &g.p[node.index()];
+        let p = &self.p;
         for (link, nb) in &neighbors {
             let mut face = Vec::with_capacity(B * B);
             let fixed = match link.dir {
@@ -100,7 +95,6 @@ impl CgNode {
         let me = node.coord(dims);
         let parity = self.halo_round % 2;
         {
-            let mut g = self.shared.borrow_mut();
             for (link, _) in face_neighbors(me, dims) {
                 let side = match link.dir {
                     anton::topo::Dir::Plus => B + 1,
@@ -115,7 +109,7 @@ impl CgNode {
                         other => panic!("missing p halo: {other:?}"),
                     }
                 }
-                let cells = &mut g.p[node.index()];
+                let cells = &mut self.p;
                 let mut it = face.into_iter();
                 for bq in 0..B {
                     for aq in 0..B {
@@ -131,25 +125,24 @@ impl CgNode {
             // Ap and partial dots.
             let mut p_ap = 0.0;
             let mut r_r = 0.0;
-            let ni = node.index();
             let mut ap = vec![0.0; (B + 2) * (B + 2) * (B + 2)];
             for z in 1..=B {
                 for y in 1..=B {
                     for x in 1..=B {
-                        let lap = 6.0 * g.p[ni][idx(x, y, z)]
-                            - g.p[ni][idx(x - 1, y, z)]
-                            - g.p[ni][idx(x + 1, y, z)]
-                            - g.p[ni][idx(x, y - 1, z)]
-                            - g.p[ni][idx(x, y + 1, z)]
-                            - g.p[ni][idx(x, y, z - 1)]
-                            - g.p[ni][idx(x, y, z + 1)];
+                        let lap = 6.0 * self.p[idx(x, y, z)]
+                            - self.p[idx(x - 1, y, z)]
+                            - self.p[idx(x + 1, y, z)]
+                            - self.p[idx(x, y - 1, z)]
+                            - self.p[idx(x, y + 1, z)]
+                            - self.p[idx(x, y, z - 1)]
+                            - self.p[idx(x, y, z + 1)];
                         ap[idx(x, y, z)] = lap;
-                        p_ap += g.p[ni][idx(x, y, z)] * lap;
-                        r_r += g.r[ni][idx(x, y, z)] * g.r[ni][idx(x, y, z)];
+                        p_ap += self.p[idx(x, y, z)] * lap;
+                        r_r += self.r[idx(x, y, z)] * self.r[idx(x, y, z)];
                     }
                 }
             }
-            g.b[ni].clone_from(&ap); // stash Ap in the spare buffer
+            self.b.clone_from(&ap); // stash Ap in the spare buffer
             self.ar_value = [p_ap, r_r];
         }
         // Model the stencil arithmetic on a geometry core.
@@ -220,17 +213,15 @@ impl CgNode {
     fn cg_update(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         let [p_ap, r_r] = self.ar_value;
         let alpha = if p_ap.abs() > 1e-300 { r_r / p_ap } else { 0.0 };
-        let mut g = self.shared.borrow_mut();
-        let ni = node.index();
         let mut r_r_new = 0.0;
         for z in 1..=B {
             for y in 1..=B {
                 for x in 1..=B {
                     let i = idx(x, y, z);
-                    let ap = g.b[ni][i];
-                    g.x[ni][i] += alpha * g.p[ni][i];
-                    g.r[ni][i] -= alpha * ap;
-                    r_r_new += g.r[ni][i] * g.r[ni][i];
+                    let ap = self.b[i];
+                    self.x[i] += alpha * self.p[i];
+                    self.r[i] -= alpha * ap;
+                    r_r_new += self.r[i] * self.r[i];
                 }
             }
         }
@@ -239,7 +230,6 @@ impl CgNode {
         // global value on the next round's completion. For simplicity
         // each iteration does one extra reduce of [r_r_new, r_r_new].
         let beta_denominator = r_r;
-        drop(g);
         // Second reduce for r_r_new (same machinery, counter offset 12).
         self.ar_value = [r_r_new, beta_denominator];
         self.second_reduce(node, ctx, 0);
@@ -302,23 +292,20 @@ impl CgNode {
         } else {
             0.0
         };
-        let mut g = self.shared.borrow_mut();
-        let ni = node.index();
         for z in 1..=B {
             for y in 1..=B {
                 for x in 1..=B {
                     let i = idx(x, y, z);
-                    g.p[ni][i] = g.r[ni][i] + beta * g.p[ni][i];
+                    self.p[i] = self.r[i] + beta * self.p[i];
                 }
             }
         }
-        g.rr = r_r_new;
-        g.iterations = g.iterations.max(self.halo_round + 1);
+        self.rr = r_r_new;
+        self.iterations = self.halo_round + 1;
         let done = self.halo_round + 1 >= ITERS;
         if done {
-            g.done[ni] = Some(ctx.now());
+            self.done = Some(ctx.now());
         }
-        drop(g);
         if !done {
             self.halo_round += 1;
             self.ar_round = 0;
@@ -386,40 +373,40 @@ fn main() {
     b0[src][idx(2, 2, 2)] = 1.0;
     b0[sink][idx(3, 3, 3)] = -1.0;
 
-    let shared = Rc::new(RefCell::new(Shared {
-        x: vec![vec![0.0; vol]; n],
-        r: b0.clone(),
-        p: b0.clone(),
-        b: b0,
-        rr: f64::INFINITY,
-        done: vec![None; n],
-        iterations: 0,
-    }));
-
-    let mut fabric = Fabric::new(dims);
-    for dim in Dim::ALL {
-        for c in dims.iter_coords() {
-            let p = MulticastPattern::line_broadcast(c, dim, dims, true);
-            fabric.register_pattern(ar_pattern_id(dim, c.get(dim)), &p);
+    let build = |_: &_| {
+        let mut fabric = Fabric::new(dims);
+        for dim in Dim::ALL {
+            for c in dims.iter_coords() {
+                let p = MulticastPattern::line_broadcast(c, dim, dims, true);
+                fabric.register_pattern(ar_pattern_id(dim, c.get(dim)), &p);
+            }
         }
-    }
-    let s2 = shared.clone();
-    let mut sim = Simulation::new(fabric, move |_| CgNode {
-        shared: s2.clone(),
+        fabric
+    };
+    let make = |node: NodeId| CgNode {
+        x: vec![0.0; vol],
+        r: b0[node.index()].clone(),
+        p: b0[node.index()].clone(),
+        b: b0[node.index()].clone(),
+        rr: f64::INFINITY,
+        done: None,
+        iterations: 0,
         phase: Phase::Halo,
         ar_value: [0.0; 2],
         ar_round: 0,
         halo_round: 0,
-    });
-    sim.run();
+    };
+    let nodes = drive(&RunConfig::default(), build, make, u64::MAX)
+        .unwrap_or_else(|stall| panic!("CG solve stalled:\n{stall}"))
+        .programs;
 
-    let g = shared.borrow();
-    let finish = g
-        .done
+    let finish = nodes
         .iter()
-        .map(|t| t.expect("all nodes finish"))
+        .map(|p| p.done.expect("all nodes finish"))
         .max()
         .expect("nonempty");
+    let rr = nodes[0].rr;
+    let iterations = nodes.iter().map(|p| p.iterations).max().unwrap_or(0);
     let us = (finish - SimTime::ZERO).as_us_f64();
     println!(
         "CG on the simulated machine: {} iterations over {}^3 points/node × {} nodes",
@@ -429,9 +416,9 @@ fn main() {
         "  wall (simulated): {us:.2} us  ({:.0} ns/iteration incl. halo + 2 all-reduces)",
         us * 1000.0 / ITERS as f64
     );
-    println!("  final global residual |r|^2 = {:.3e}", g.rr);
-    assert!(g.rr < 1e-5, "CG must converge: |r|^2 = {}", g.rr);
-    assert!(g.iterations == ITERS);
+    println!("  final global residual |r|^2 = {rr:.3e}");
+    assert!(rr < 1e-5, "CG must converge: |r|^2 = {rr}");
+    assert!(iterations == ITERS);
     println!("  converged. counted remote writes + multicast all-reduce compose. ✓");
-    let _ = g.x; // solution lives here if a caller wants it
+    let _ = &nodes[0].x; // the solution lives in each node's x
 }

@@ -51,12 +51,12 @@ fn main() {
             t.critical_compute().as_us_f64(),
             engine.temperature(),
             kind,
-            engine.state.borrow().last_migrated,
+            engine.state.lock().unwrap().last_migrated,
         );
     }
 
     let stats = engine.last_stats.as_ref().expect("stats available");
-    let n = engine.state.borrow().decomp.dims.node_count() as u64;
+    let n = engine.state.lock().unwrap().decomp.dims.node_count() as u64;
     println!(
         "\nlast step's traffic: {} packets sent machine-wide (~{} per node),\n\
          {} deliveries (~{} per node), {} link traversals",

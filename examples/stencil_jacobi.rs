@@ -19,12 +19,10 @@
 
 use anton::des::{SimDuration, SimTime};
 use anton::net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation,
+    drive, ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Packet, Payload, ProgEvent,
+    RunConfig,
 };
 use anton::topo::{face_neighbors, LinkDir, NodeId, TorusDims};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Subdomain edge (points per node per axis).
 const B: usize = 8;
@@ -39,16 +37,12 @@ const UPDATE_NS: f64 = 0.5;
 /// by fixed cold walls for a well-posed Dirichlet problem, so the torus
 /// wrap links simply carry the wall values.
 struct JacobiNode {
-    grid: Rc<RefCell<Shared>>,
-}
-
-struct Shared {
-    /// Per node: current subdomain values, (B+2)³ with halo.
-    cells: Vec<Vec<f64>>,
-    /// Per node: sweep counter.
-    sweep: Vec<u32>,
-    /// Completion times.
-    done: Vec<Option<SimTime>>,
+    /// Current subdomain values, (B+2)³ with halo.
+    cells: Vec<f64>,
+    /// Sweeps completed.
+    sweep: u32,
+    /// Completion time.
+    done: Option<SimTime>,
 }
 
 fn idx(x: usize, y: usize, z: usize) -> usize {
@@ -70,10 +64,9 @@ fn wall_value(gz: i64, _nz_points: i64) -> f64 {
 }
 
 impl JacobiNode {
-    fn face_payload(&self, node: NodeId, link: LinkDir) -> Vec<f64> {
+    fn face_payload(&self, link: LinkDir) -> Vec<f64> {
         // The face of our interior adjacent to `link`, row-major.
-        let g = self.grid.borrow();
-        let cells = &g.cells[node.index()];
+        let cells = &self.cells;
         let mut out = Vec::with_capacity(B * B);
         let fixed = |d: anton::topo::Dir| match d {
             anton::topo::Dir::Minus => 1,
@@ -98,13 +91,13 @@ impl JacobiNode {
         let dims = ctx.dims();
         let me = node.coord(dims);
         let neighbors = face_neighbors(me, dims);
-        let sweep = self.grid.borrow().sweep[node.index()];
+        let sweep = self.sweep;
         let counter = CounterId((sweep % 2) as u16);
         // Expect 2 packets per adjacent neighbor face.
         let expected: u64 = neighbors.len() as u64 * 2;
         ctx.watch_counter(slice0(node), counter, expected);
         for (link, nb) in neighbors {
-            let face = self.face_payload(node, link);
+            let face = self.face_payload(link);
             // The receiver stores it under the direction it arrives from.
             let from = link.reverse();
             for (half, chunk) in face.chunks(B * B / 2).enumerate() {
@@ -128,7 +121,7 @@ impl JacobiNode {
     fn sweep(&mut self, node: NodeId, ctx: &mut Ctx<'_, '_>) {
         let dims = ctx.dims();
         let me = node.coord(dims);
-        let sweep_no = self.grid.borrow().sweep[node.index()];
+        let sweep_no = self.sweep;
         // 1. Install received halos. The +X neighbor addressed its face
         //    to our X+ halo slot (it sent with its own X− link and tagged
         //    the slot with that link's reverse), so we read slot `link`.
@@ -145,8 +138,7 @@ impl JacobiNode {
                     other => panic!("missing halo face: {other:?}"),
                 }
             }
-            let mut g = self.grid.borrow_mut();
-            let cells = &mut g.cells[node.index()];
+            let cells = &mut self.cells;
             // `link` points toward the neighbor; its face lands in our
             // halo layer on that side.
             let side = match link.dir {
@@ -168,9 +160,8 @@ impl JacobiNode {
         // 2. Overwrite wrap-link halos on the global z walls with the
         //    Dirichlet values (the global problem is a slab).
         {
-            let mut g = self.grid.borrow_mut();
             let nz_points = (dims.nz as usize * B) as i64;
-            let cells = &mut g.cells[node.index()];
+            let cells = &mut self.cells;
             if me.z == 0 {
                 for y in 0..B + 2 {
                     for x in 0..B + 2 {
@@ -188,9 +179,8 @@ impl JacobiNode {
         }
         // 3. Jacobi sweep (real arithmetic) + modeled compute time.
         {
-            let mut g = self.grid.borrow_mut();
-            let old = g.cells[node.index()].clone();
-            let cells = &mut g.cells[node.index()];
+            let old = self.cells.clone();
+            let cells = &mut self.cells;
             for z in 1..=B {
                 for y in 1..=B {
                     for x in 1..=B {
@@ -204,7 +194,7 @@ impl JacobiNode {
                     }
                 }
             }
-            g.sweep[node.index()] += 1;
+            self.sweep += 1;
         }
         let cost = SimDuration::from_ns_f64(UPDATE_NS * (B * B * B) as f64);
         ctx.compute(
@@ -231,13 +221,8 @@ impl NodeProgram for JacobiNode {
                 self.sweep(node, ctx);
             }
             ProgEvent::Timer { .. } => {
-                let (done, sweeps) = {
-                    let g = self.grid.borrow();
-                    (g.sweep[node.index()] >= SWEEPS, g.sweep[node.index()])
-                };
-                let _ = sweeps;
-                if done {
-                    self.grid.borrow_mut().done[node.index()] = Some(ctx.now());
+                if self.sweep >= SWEEPS {
+                    self.done = Some(ctx.now());
                 } else {
                     self.exchange(node, ctx);
                 }
@@ -249,21 +234,22 @@ impl NodeProgram for JacobiNode {
 
 fn main() {
     let dims = TorusDims::new(4, 4, 4);
-    let n = dims.node_count() as usize;
-    let shared = Rc::new(RefCell::new(Shared {
-        cells: vec![vec![0.0; (B + 2) * (B + 2) * (B + 2)]; n],
-        sweep: vec![0; n],
-        done: vec![None; n],
-    }));
-    let s2 = shared.clone();
-    let mut sim = Simulation::new(Fabric::new(dims), move |_| JacobiNode { grid: s2.clone() });
-    sim.run();
+    let nodes = drive(
+        &RunConfig::default(),
+        |_| Fabric::new(dims),
+        |_| JacobiNode {
+            cells: vec![0.0; (B + 2) * (B + 2) * (B + 2)],
+            sweep: 0,
+            done: None,
+        },
+        u64::MAX,
+    )
+    .unwrap_or_else(|stall| panic!("Jacobi solve stalled:\n{stall}"))
+    .programs;
 
-    let g = shared.borrow();
-    let finish = g
-        .done
+    let finish = nodes
         .iter()
-        .map(|t| t.expect("all nodes finish"))
+        .map(|p| p.done.expect("all nodes finish"))
         .max()
         .expect("nonempty");
     println!(
@@ -285,7 +271,7 @@ fn main() {
     let serial = serial_reference(dims);
     let mut worst = 0.0f64;
     for c in dims.iter_coords() {
-        let cells = &g.cells[c.node_id(dims).index()];
+        let cells = &nodes[c.node_id(dims).index()].cells;
         for z in 1..=B {
             for y in 1..=B {
                 for x in 1..=B {

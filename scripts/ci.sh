@@ -89,8 +89,10 @@ full_gate() {
   # Chaos smoke: 3 seeds x 2 fault levels of the recovering all-reduce,
   # every recovery invariant asserted inside the binary (no lost
   # completions, bounded degradation, bit-identical replay across
-  # engines). Then the full campaign regenerates BENCH_pr6.json — the
-  # degradation curve — which must match the committed copy.
+  # plans). Then the full campaign regenerates BENCH_pr6.json — the
+  # degradation curve — which must match the committed copy, and sweeps
+  # 40 seeds x 4 levels, each cell on one slab, two slabs and the auto
+  # plan at 1 and 2 threads, which must all give one fingerprint.
   cargo run -q --release -p anton-bench --bin chaos_campaign -- --smoke
   cargo run -q --release -p anton-bench --bin chaos_campaign
   git diff --exit-code BENCH_pr6.json || {

@@ -1,7 +1,7 @@
 //! Determinism gate in the root package: the committed MD specs must
 //! reproduce their `LEDGER.json` fingerprints at 1 and 4 threads, and a
-//! chaos cell must give the sequential engine's fingerprint at 1 and 2
-//! threads. `cargo test -q` therefore catches a determinism break
+//! chaos cell on the auto plan must give the one-slab (sequential)
+//! fingerprint at 1 and 2 threads. `cargo test -q` therefore catches a determinism break
 //! without the full CI script.
 
 use anton_bench::scenario::run_scenario;
@@ -60,7 +60,7 @@ fn chaos_cell_matches_the_sequential_engine() {
             ..RunConfig::default()
         },
     )
-    .expect("sequential reference completes");
+    .expect("one-slab reference completes");
     let want = format!("{:016x}", sequential.fingerprint());
     for threads in [1, 2] {
         let out = run_scenario(&spec, threads);

@@ -1,12 +1,12 @@
-//! Every workload runner under every run configuration: the sequential
-//! engine and the sharded engine at 1 and 4 threads, each with no
-//! observer, a flight recorder, and the stream observer (and the runtime
-//! profile on two sharded runs, one of them streamed as `run_scenario`
-//! runs Stream specs). Each runner must fingerprint identically across
-//! the whole matrix — thread-count invariance and zero observer effect
-//! in one check — and hand back exactly the observations its
+//! Every workload runner under every run configuration: one slab, two
+//! slabs, and the auto plan at 1 and 4 threads, each with no observer, a
+//! flight recorder, and the stream observer (and the runtime profile on
+//! two 4-thread runs, one of them streamed as `run_scenario` runs Stream
+//! specs). Each runner must fingerprint identically across the whole
+//! matrix — shard-plan and thread-count invariance and zero observer
+//! effect in one check — and hand back exactly the observations its
 //! configuration asked for. A run that cannot complete must come back as
-//! a stall report from either engine.
+//! the same stall report from every plan.
 
 use anton_bench::ping_pong;
 use anton_bench::scenario::{md_fingerprint, run_scenario};
@@ -15,38 +15,47 @@ use anton_collectives::{
 };
 use anton_core::{md_exchange, MdExchangeParams};
 use anton_des::SimDuration;
-use anton_net::{Executor, FaultPlan, ObsMode, Observed, RunConfig};
+use anton_net::{FaultPlan, ObsMode, Observed, RunConfig, Slabs};
 use anton_obs::{fold_lifecycles, BreakdownSummary, Fingerprint};
 use anton_scenario::{presets, Workload};
 use anton_topo::{Coord, TorusDims};
 
-const EXECUTORS: [Executor; 3] = [
-    Executor::Sequential,
-    Executor::Sharded { threads: 1 },
-    Executor::Sharded { threads: 4 },
+/// Shard plan × thread count: one slab (the reference for fabric
+/// state), two slabs, and the auto plan at 1 and 4 threads.
+const PLANS: [(Slabs, usize); 4] = [
+    (Slabs::ONE, 1),
+    (Slabs::Count(2), 1),
+    (Slabs::Auto, 1),
+    (Slabs::Auto, 4),
 ];
 const OBSERVERS: [ObsMode; 3] = [ObsMode::Off, ObsMode::Flight, ObsMode::Stream];
 
-/// The matrix: every executor under every observer, profiled on the
+fn on((slabs, threads): (Slabs, usize)) -> RunConfig {
+    RunConfig {
+        slabs,
+        threads,
+        ..RunConfig::default()
+    }
+}
+
+/// The matrix: every plan under every observer, profiled on the
 /// observer-free 4-thread run, plus a profiled stream-observed 4-thread
 /// run (how `run_scenario` runs a Stream MD spec).
 fn matrix() -> Vec<RunConfig> {
     let mut out = Vec::new();
-    for executor in EXECUTORS {
+    for plan in PLANS {
         for obs in OBSERVERS {
             out.push(RunConfig {
-                executor,
                 obs,
-                profile: executor == EXECUTORS[2] && obs == ObsMode::Off,
-                ..RunConfig::default()
+                profile: plan == PLANS[3] && obs == ObsMode::Off,
+                ..on(plan)
             });
         }
     }
     out.push(RunConfig {
-        executor: EXECUTORS[2],
         obs: ObsMode::Stream,
         profile: true,
-        ..RunConfig::default()
+        ..on(PLANS[3])
     });
     out
 }
@@ -90,31 +99,31 @@ fn md_exchange_is_invariant_and_its_observers_are_exact() {
     let mut events = Vec::new();
     let runs = one_fingerprint("md_exchange", |cfg| {
         let (out, observed) = md_exchange(dims, params, cfg).expect("exchange completes");
-        events.push((cfg.executor, out.events));
+        events.push((cfg.slabs, out.events));
         (md_fingerprint(&out), observed)
     });
-    // The event count differs between engines (one `Start` per shard)
-    // but never with the observer.
-    for (executor, n) in &events {
-        let first = events.iter().find(|(e, _)| e == executor).expect("present");
+    // The event count differs between plans (one `Start` per slab) but
+    // never with the thread count or the observer.
+    for (slabs, n) in &events {
+        let first = events.iter().find(|(s, _)| s == slabs).expect("present");
         assert_eq!(
             *n, first.1,
-            "{executor:?}: an observer changed the event count"
+            "{slabs:?}: threads or an observer changed the event count"
         );
     }
 
-    let observed = |executor: Executor, obs: ObsMode| {
+    let observed = |plan: (Slabs, usize), obs: ObsMode| {
         let (_, o) = runs
             .iter()
-            .find(|(cfg, _)| cfg.executor == executor && cfg.obs == obs)
+            .find(|(cfg, _)| (cfg.slabs, cfg.threads) == plan && cfg.obs == obs)
             .expect("in the matrix");
         o
     };
     // The streamed fold is exact: the same stage breakdown and census
     // as folding the flight recorder's events offline.
-    let flight = observed(Executor::Sequential, ObsMode::Flight);
+    let flight = observed(PLANS[0], ObsMode::Flight);
     let (lifecycles, census) = fold_lifecycles(flight.flight.as_ref().expect("flight").iter());
-    let (summary, footprint) = observed(Executor::Sequential, ObsMode::Stream)
+    let (summary, footprint) = observed(PLANS[0], ObsMode::Stream)
         .stream
         .as_ref()
         .expect("stream");
@@ -123,13 +132,13 @@ fn md_exchange_is_invariant_and_its_observers_are_exact() {
         BreakdownSummary::from_lifecycles(&lifecycles)
     );
     assert_eq!(summary.fold, census);
-    // Merged per-shard summaries equal the sequential one bit for bit.
-    for executor in &EXECUTORS[1..] {
-        let (merged, _) = observed(*executor, ObsMode::Stream)
+    // Merged per-slab summaries equal the one-slab summary bit for bit.
+    for plan in &PLANS[1..] {
+        let (merged, _) = observed(*plan, ObsMode::Stream)
             .stream
             .as_ref()
             .expect("stream");
-        assert_eq!(merged, summary, "{executor:?}");
+        assert_eq!(merged, summary, "{plan:?}");
     }
     // The observer's heap is accounted.
     assert!(footprint.peak_bytes > 0);
@@ -194,18 +203,15 @@ fn one_hop_ping_pong_is_invariant() {
     });
 }
 
-/// Every packet dropped on every link: the all-reduce starves, and both
-/// engines report the same eight stuck watches instead of panicking.
+/// Every packet dropped on every link: the all-reduce starves, and
+/// every plan reports the same eight stuck watches instead of panicking.
 #[test]
 fn a_starved_all_reduce_stalls_on_both_engines() {
     let dims = TorusDims::new(2, 2, 2);
     let inputs = random_inputs(dims, 2, 5);
     let mut reports = Vec::new();
-    for executor in EXECUTORS {
-        let cfg = RunConfig {
-            executor,
-            ..RunConfig::default()
-        };
+    for plan in PLANS {
+        let cfg = on(plan);
         let stall = all_reduce(
             dims,
             Algorithm::DimensionOrdered,
@@ -215,7 +221,7 @@ fn a_starved_all_reduce_stalls_on_both_engines() {
             &cfg,
         )
         .expect_err("a fabric that drops everything stalls the collective");
-        assert_eq!(stall.stuck.len(), 8, "{executor:?}:\n{stall}");
+        assert_eq!(stall.stuck.len(), 8, "{plan:?}:\n{stall}");
         let mut stuck = stall.stuck.clone();
         stuck.sort_by_key(|s| (s.node.index(), s.client.index(), s.counter.0));
         reports.push(stuck);
@@ -237,4 +243,43 @@ fn a_stream_scenario_runs_once_with_its_observer() {
     assert!(with.observatory.section("stream").is_some());
     assert!(without.observatory.section("stream").is_none());
     assert!(with.observatory.section("runtime").is_some());
+}
+
+/// Two chaos cells whose answer once depended on the shard plan: a
+/// node's detour read the dead-link mask, which advanced only when some
+/// other node of the same replica sent after the death. Every plan now
+/// gives the answer one slab gives.
+#[test]
+fn plan_sensitive_chaos_cells_give_one_answer() {
+    for (seed, want, verdicts, reinjections) in [
+        (17, "202a7eccffea06b4", 1, 1),
+        (32, "d470de7c4a845633", 2, 2),
+    ] {
+        let spec = presets::chaos_cell(seed, 1);
+        let dims = spec.torus_dims();
+        let Workload::Recovering { vlen, seed, .. } = spec.workload else {
+            unreachable!("chaos cells are recovering specs");
+        };
+        let inputs = random_inputs(dims, vlen as usize, seed);
+        for plan in &PLANS[..3] {
+            let cfg = RunConfig {
+                timing: spec.timing_table(),
+                ..on(*plan)
+            };
+            let (out, _) = all_reduce_recovering(
+                dims,
+                &inputs,
+                spec.fault_plan(),
+                &spec.deaths(),
+                spec.recovery_config(),
+                RecoveringParams::default(),
+                &cfg,
+            )
+            .expect("the chaos cell completes");
+            let label = format!("{}, {plan:?}", spec.name);
+            assert_eq!(format!("{:016x}", out.fingerprint()), want, "{label}");
+            assert_eq!(out.verdicts, verdicts, "{label}");
+            assert_eq!(out.recovery.reinjections, reinjections, "{label}");
+        }
+    }
 }
