@@ -233,7 +233,7 @@ fn reference_checks(report: &mut BenchReport) -> (StreamSummary, MetricsSnapshot
 /// Phase 2: chunked exporters equal the in-memory builders, byte for
 /// byte, and land the reservoir sample on disk.
 fn export_reservoir(summary: &StreamSummary) {
-    let sample: Vec<&PacketLifecycle> = summary.reservoir.items().collect();
+    let sample: Vec<&PacketLifecycle> = summary.reservoir().items().collect();
 
     let mut builder = ChromeTraceBuilder::new();
     let mut writer = ChromeTraceWriter::new(Vec::new()).expect("header");

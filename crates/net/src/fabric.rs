@@ -26,8 +26,7 @@ use crate::recovery::{FailureVerdict, RecoveryConfig, RecoveryStats};
 use crate::timing::Timing;
 use anton_des::{Activity, Scheduler, SimDuration, SimTime, Tracer, TrackId};
 use anton_obs::{
-    FlightRecorder, MetricsRegistry, PacketId, Recorder, StreamConfig, StreamObserver,
-    StreamSummary, VerdictCause,
+    FlightRecorder, MetricsRegistry, PacketId, Recorder, StreamConfig, StreamObserver, VerdictCause,
 };
 use anton_topo::{Coord, Dim, LinkDir, LinkMask, MulticastPattern, NodeId, Route, TorusDims};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -602,23 +601,21 @@ impl Fabric {
     /// Install a bounded-memory [`StreamObserver`] as the fabric's
     /// recorder. Unlike flight recording, delivered packets are folded
     /// into streaming sketches on the fly and their events dropped, so
-    /// observability memory stays O(nodes + links) at any scale.
+    /// on one slab observability memory stays O(nodes + links) at any
+    /// scale. A packet that crosses slabs stays open on both until the
+    /// post-run join.
     pub fn attach_stream_observer(&mut self, cfg: StreamConfig) {
         self.recorder = Some(Box::new(StreamObserver::new(cfg)));
     }
 
-    /// The installed recorder's [`StreamObserver`] view, when the
-    /// recorder is one.
-    pub fn stream_observer(&self) -> Option<&StreamObserver> {
-        self.recorder.as_deref().and_then(|r| r.as_stream())
-    }
-
-    /// Snapshot of the stream observer's summary, when one is
-    /// installed. The snapshot is mergeable across shards; callers
-    /// owning the final copy should [`StreamSummary::finalize`] it to
-    /// classify still-open packet lifecycles.
-    pub fn stream_summary(&self) -> Option<StreamSummary> {
-        self.stream_observer().map(|o| o.summary())
+    /// Remove the installed [`StreamObserver`] and hand it back; `None`
+    /// (and nothing removed) when the recorder is not one. Its summary
+    /// is mergeable across shards; callers owning the final copy should
+    /// [`anton_obs::StreamSummary::finalize`] it to classify still-open
+    /// packet lifecycles.
+    pub fn take_stream_observer(&mut self) -> Option<StreamObserver> {
+        self.recorder.as_deref()?.as_stream()?;
+        self.recorder.take()?.into_stream()
     }
 
     /// Machine dimensions.

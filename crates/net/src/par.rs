@@ -295,7 +295,8 @@ pub enum ObsMode {
     /// paper-scale (512-node) machines.
     Flight,
     /// Bounded-memory streaming observability
-    /// ([`anton_obs::StreamObserver`]) — O(nodes + links) state for
+    /// ([`anton_obs::StreamObserver`]) — O(nodes + links) state per
+    /// slab, plus the open partials of packets that cross slabs, for
     /// 100×-scale machines.
     Stream,
 }
@@ -562,7 +563,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     /// [`StreamObserver`](anton_obs::StreamObserver) per shard (call
     /// before running). Each shard folds its own packets at delivery;
     /// packets that cross shards stay open and are joined by
-    /// [`ParSimulation::merged_stream_summary`] after the run.
+    /// [`ParSimulation::take_merged_stream`] after the run.
     pub fn attach_stream_observers(&mut self, cfg: StreamConfig) {
         for w in &mut self.worlds {
             w.fabric.attach_stream_observer(cfg);
@@ -732,34 +733,27 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         merge_flight_events(per_shard)
     }
 
-    /// The per-shard streaming summaries merged in deterministic shard
-    /// order — cross-shard partial lifecycles are joined and the result
-    /// is finalized, so it is bit-identical to a one-slab run's
-    /// finalized summary. `None` unless
-    /// [`ParSimulation::attach_stream_observers`] was called.
-    pub fn merged_stream_summary(&self) -> Option<StreamSummary> {
-        let mut acc: Option<StreamSummary> = None;
-        for w in &self.worlds {
-            let s = w.fabric.stream_summary()?;
-            match &mut acc {
-                None => acc = Some(s),
-                Some(a) => a.merge(&s),
+    /// Take the per-shard stream observers out of their fabrics: their
+    /// footprints combined (peaks max'd, final live bytes add) and their
+    /// summaries merged in deterministic shard order, cross-shard
+    /// partial lifecycles joined and the result finalized, so it is
+    /// bit-identical to a one-slab run's finalized summary. `None`
+    /// unless [`ParSimulation::attach_stream_observers`] was called.
+    pub fn take_merged_stream(&mut self) -> Option<(StreamSummary, StreamFootprint)> {
+        let mut footprint = StreamFootprint::default();
+        let mut merged: Option<StreamSummary> = None;
+        for w in &mut self.worlds {
+            let obs = w.fabric.take_stream_observer()?;
+            footprint.combine(&obs.footprint());
+            let s = obs.into_summary();
+            match &mut merged {
+                None => merged = Some(s),
+                Some(m) => m.merge(s),
             }
         }
-        let mut merged = acc?;
+        let mut merged = merged?;
         merged.finalize();
-        Some(merged)
-    }
-
-    /// Combined footprint of the per-shard stream observers (peaks are
-    /// max'd, final live bytes add). `None` unless observers are
-    /// attached.
-    pub fn stream_footprint(&self) -> Option<StreamFootprint> {
-        let mut acc = StreamFootprint::default();
-        for w in &self.worlds {
-            acc.combine(&w.fabric.stream_observer()?.footprint());
-        }
-        Some(acc)
+        Some((merged, footprint))
     }
 
     /// Still-pending counter watches across all shards, in node order

@@ -178,10 +178,8 @@ pub fn drive<P: NodeProgram + Send>(
     }
     let observed = Observed {
         flight: (cfg.obs == ObsMode::Flight).then(|| sim.take_merged_flight_events()),
-        stream: (cfg.obs == ObsMode::Stream).then(|| {
-            let summary = sim.merged_stream_summary().expect("stream observers");
-            (summary, sim.stream_footprint().expect("stream observers"))
-        }),
+        stream: (cfg.obs == ObsMode::Stream)
+            .then(|| sim.take_merged_stream().expect("stream observers")),
         profile: sim.take_runtime_profile(),
     };
     Ok(Finished {

@@ -53,7 +53,8 @@
 //!   per-link heavy hitters, a seeded lifecycle reservoir, and the
 //!   [`StreamObserver`] recorder that folds packets into the Figure 6
 //!   attribution at delivery and drops the events — O(nodes + links)
-//!   state instead of O(events), bit-identical under shard merges.
+//!   state on one slab instead of O(events), bit-identical under shard
+//!   merges.
 //! - [`memory`] — the memory observatory: a feature-gated (`obs-alloc`)
 //!   instrumented global allocator with scoped subsystem tags reporting
 //!   live/peak bytes per subsystem, per node, and per event.

@@ -334,9 +334,10 @@ pub trait Recorder {
         None
     }
 
-    /// Mutable access to the underlying
-    /// [`crate::stream::StreamObserver`], when this recorder is one.
-    fn as_stream_mut(&mut self) -> Option<&mut crate::stream::StreamObserver> {
+    /// The underlying [`crate::stream::StreamObserver`] by value, when
+    /// this recorder is one — how a host takes the observer back after a
+    /// run without copying its state.
+    fn into_stream(self: Box<Self>) -> Option<crate::stream::StreamObserver> {
         None
     }
 }

@@ -5,7 +5,8 @@
 //! Every earlier observability layer (flight recording, causal graphs,
 //! congestion maps) is O(events): fine on the paper's 512-node Anton 1
 //! torus, fatal at the 10⁴-node scales the ROADMAP targets. This module
-//! keeps the *same* Figure 6 attribution with O(nodes + links) state:
+//! keeps the *same* Figure 6 attribution with O(nodes + links) state on
+//! one slab:
 //!
 //! - [`QuantileSketch`] — a DDSketch-style log-bucket histogram with
 //!   **fixed** bucket boundaries (8 sub-buckets per power of two), so
@@ -37,14 +38,18 @@
 //! field-wise before [`StreamSummary::finalize`] classifies what
 //! remains. All aggregate state is order-independent, so the merged
 //! summary equals the sequential one bit-for-bit — the cross-check
-//! `scale_probe` asserts.
+//! `scale_probe` asserts. Until that join each shard holds its side of
+//! every cross-shard packet, so a sharded run's observer state grows
+//! with its cross-shard traffic as well as with what is in flight.
 
 use crate::breakdown::{BreakdownSummary, FoldStats, PacketLifecycle, Stage};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::{PacketId, Recorder};
 use anton_des::{SimDuration, SimTime};
 use anton_topo::{LinkDir, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per power of two, i.e. a
 /// worst-case relative bucket width of 1/8.
@@ -312,13 +317,25 @@ pub struct TopKEntry {
 /// key sets are disjoint (each shard owns its links), so the union stays
 /// O(links) and, when `capacity` ≥ distinct keys, every count is exact
 /// and equals the offline [`crate::CongestionMap`] busy total.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SpaceSavingTopK<K: Ord + Clone> {
     capacity: usize,
     entries: BTreeMap<K, TopKEntry>,
-    /// Secondary index for O(log n) min-eviction: ordered by (count, key).
-    order: BTreeSet<(u64, K)>,
+    /// `(count, key)` order for O(log n) min-eviction. Built from
+    /// `entries` the first time a new key meets a full table and kept in
+    /// step from then on, so a table that never fills pays for no index.
+    order: Option<BTreeSet<(u64, K)>>,
 }
+
+/// Equal capacity and entries. The order index is a function of the
+/// entries, so whether it has been built takes no part.
+impl<K: Ord + Clone> PartialEq for SpaceSavingTopK<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity && self.entries == other.entries
+    }
+}
+
+impl<K: Ord + Clone> Eq for SpaceSavingTopK<K> {}
 
 impl<K: Ord + Clone> SpaceSavingTopK<K> {
     /// New table holding at most `capacity` streamed keys (capacity 0
@@ -327,7 +344,7 @@ impl<K: Ord + Clone> SpaceSavingTopK<K> {
         SpaceSavingTopK {
             capacity,
             entries: BTreeMap::new(),
-            order: BTreeSet::new(),
+            order: None,
         }
     }
 
@@ -358,9 +375,11 @@ impl<K: Ord + Clone> SpaceSavingTopK<K> {
             return;
         }
         if let Some(e) = self.entries.get_mut(&key) {
-            self.order.remove(&(e.count, key.clone()));
+            if let Some(order) = &mut self.order {
+                order.remove(&(e.count, key.clone()));
+                order.insert((e.count + weight, key));
+            }
             e.count += weight;
-            self.order.insert((e.count, key));
             return;
         }
         let mut entry = TopKEntry {
@@ -369,18 +388,18 @@ impl<K: Ord + Clone> SpaceSavingTopK<K> {
         };
         if self.entries.len() >= self.capacity {
             // Deterministic space-saving eviction: smallest (count, key).
-            let (min_count, min_key) = self
+            let entries = &self.entries;
+            let order = self
                 .order
-                .iter()
-                .next()
-                .cloned()
-                .expect("non-empty table at capacity");
-            self.order.remove(&(min_count, min_key.clone()));
+                .get_or_insert_with(|| entries.iter().map(|(k, e)| (e.count, k.clone())).collect());
+            let (min_count, min_key) = order.pop_first().expect("non-empty table at capacity");
             self.entries.remove(&min_key);
             entry.count += min_count;
             entry.err = min_count;
         }
-        self.order.insert((entry.count, key.clone()));
+        if let Some(order) = &mut self.order {
+            order.insert((entry.count, key.clone()));
+        }
         self.entries.insert(key, entry);
     }
 
@@ -390,14 +409,18 @@ impl<K: Ord + Clone> SpaceSavingTopK<K> {
         for (k, e) in &other.entries {
             match self.entries.get_mut(k) {
                 Some(mine) => {
-                    self.order.remove(&(mine.count, k.clone()));
+                    if let Some(order) = &mut self.order {
+                        order.remove(&(mine.count, k.clone()));
+                        order.insert((mine.count + e.count, k.clone()));
+                    }
                     mine.count += e.count;
                     mine.err += e.err;
-                    self.order.insert((mine.count, k.clone()));
                 }
                 None => {
+                    if let Some(order) = &mut self.order {
+                        order.insert((e.count, k.clone()));
+                    }
                     self.entries.insert(k.clone(), *e);
-                    self.order.insert((e.count, k.clone()));
                 }
             }
         }
@@ -471,22 +494,27 @@ impl<T> Reservoir<T> {
     }
 
     /// Offer one item; it is kept iff its priority is among the `cap`
-    /// smallest seen so far.
-    pub fn offer(&mut self, id: u64, value: T) {
+    /// smallest seen so far. Returns the item the kept set leaves out:
+    /// the offered one when it is not kept, else the one it evicts or
+    /// replaces (`None` when nothing left).
+    pub fn offer(&mut self, id: u64, value: T) -> Option<T> {
         if self.cap == 0 {
-            return;
+            return Some(value);
         }
         let pri = splitmix64(self.seed ^ id);
         if self.entries.len() >= self.cap {
             let &(worst, _) = self.entries.keys().next_back().expect("non-empty");
             if pri >= worst {
-                return;
+                return Some(value);
             }
         }
-        self.entries.insert((pri, id), value);
-        while self.entries.len() > self.cap {
-            self.entries.pop_last();
+        if let Some(old) = self.entries.insert((pri, id), value) {
+            return Some(old);
         }
+        if self.entries.len() > self.cap {
+            return self.entries.pop_last().map(|(_, v)| v);
+        }
+        None
     }
 
     /// Kept items in (priority, id) order.
@@ -587,9 +615,95 @@ impl StreamPartial {
     }
 }
 
-/// Nominal per-entry map overhead used by the deterministic footprint
-/// model (B-tree node amortization; intentionally round, not exact).
+/// Hashes a packet uid with one SplitMix64 round, so a uid map has the
+/// same table order on every run. Against fixed-key SipHash it was no
+/// slower and left `scale_md_12`'s peak RSS lower (EXPERIMENTS.md,
+/// "Stream observer hot path A/B").
+#[derive(Debug, Default, Clone, Copy)]
+struct UidHasher(u64);
+
+impl Hasher for UidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = splitmix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+}
+
+/// Partial lifecycles keyed by packet uid.
+type PartialMap = HashMap<u64, StreamPartial, BuildHasherDefault<UidHasher>>;
+
+/// An observer's live partial lifecycles: slots in a slab, found through
+/// a uid index. Under a run's insert/remove churn a hash table's deleted
+/// markers grow it past its live size; behind the index that growth
+/// costs 16-byte buckets, not whole partials.
+#[derive(Debug, Default)]
+struct LivePartials {
+    index: HashMap<u64, u32, BuildHasherDefault<UidHasher>>,
+    slots: Vec<StreamPartial>,
+    /// Slots of folded packets, reused before the slab grows.
+    free: Vec<u32>,
+}
+
+impl LivePartials {
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The partial of `pkt`, opened empty if it has none.
+    fn entry(&mut self, pkt: u64) -> &mut StreamPartial {
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        let i = *self.index.entry(pkt).or_insert_with(|| {
+            free.pop().unwrap_or_else(|| {
+                slots.push(StreamPartial::default());
+                u32::try_from(slots.len() - 1).expect("under 2^32 live partials")
+            })
+        });
+        &mut self.slots[i as usize]
+    }
+
+    fn remove(&mut self, pkt: u64) -> Option<StreamPartial> {
+        let i = self.index.remove(&pkt)?;
+        self.free.push(i);
+        Some(std::mem::take(&mut self.slots[i as usize]))
+    }
+
+    fn into_map(mut self) -> PartialMap {
+        self.index
+            .into_iter()
+            .map(|(pkt, i)| (pkt, std::mem::take(&mut self.slots[i as usize])))
+            .collect()
+    }
+}
+
+/// Nominal per-entry container overhead used by the deterministic
+/// footprint model: intentionally round, not exact, and the same
+/// whichever container holds the entry.
 const MAP_OVERHEAD: u64 = 32;
+/// Modeled bytes of the six fixed-size quantile sketches.
+const SKETCH_BYTES: u64 = 6 * (SKETCH_BUCKETS * std::mem::size_of::<u64>()) as u64;
+/// Modeled bytes of one heavy-hitter entry (map plus order index).
+const TOPK_ENTRY_BYTES: u64 =
+    std::mem::size_of::<((u32, u8), TopKEntry)>() as u64 + 2 * MAP_OVERHEAD;
+/// Modeled bytes of one partial lifecycle, before its heap vectors.
+const PARTIAL_BYTES: u64 = std::mem::size_of::<StreamPartial>() as u64 + MAP_OVERHEAD;
+/// Modeled bytes of one pending `(delivery ps, uid)` entry.
+const PENDING_BYTES: u64 = std::mem::size_of::<(u64, u64)>() as u64 + MAP_OVERHEAD;
+
+/// Modeled bytes of one lifecycle kept in the reservoir.
+fn kept_bytes(lc: &PacketLifecycle) -> u64 {
+    (std::mem::size_of::<PacketLifecycle>() + lc.hop_enters.len() * std::mem::size_of::<SimTime>())
+        as u64
+        + MAP_OVERHEAD
+}
 
 /// The bounded-memory aggregate of one run (or one shard of one run).
 ///
@@ -612,7 +726,9 @@ pub struct StreamSummary {
     /// Per-link busy picoseconds, keyed `(node index, link index)`.
     pub link_busy: SpaceSavingTopK<(u32, u8)>,
     /// Seeded sample of full lifecycles.
-    pub reservoir: Reservoir<PacketLifecycle>,
+    reservoir: Reservoir<PacketLifecycle>,
+    /// [`kept_bytes`] summed over `reservoir`, kept in step with it.
+    reservoir_bytes: u64,
     /// What was folded (complete) and what was skipped, matching the
     /// offline [`crate::fold_lifecycles`] classification.
     pub fold: FoldStats,
@@ -620,7 +736,7 @@ pub struct StreamSummary {
     pub retransmits: u64,
     /// Lifecycles not yet classifiable (cross-shard or in flight),
     /// keyed by packet id. Emptied by [`StreamSummary::finalize`].
-    open: BTreeMap<u64, StreamPartial>,
+    open: PartialMap,
 }
 
 impl StreamSummary {
@@ -633,14 +749,20 @@ impl StreamSummary {
             e2e_sketch: QuantileSketch::new(),
             link_busy: SpaceSavingTopK::new(cfg.topk),
             reservoir: Reservoir::new(cfg.reservoir, cfg.seed),
+            reservoir_bytes: 0,
             fold: FoldStats::default(),
             retransmits: 0,
-            open: BTreeMap::new(),
+            open: PartialMap::default(),
         }
     }
 
+    /// Seeded sample of full lifecycles.
+    pub fn reservoir(&self) -> &Reservoir<PacketLifecycle> {
+        &self.reservoir
+    }
+
     /// Fold one complete unicast lifecycle into every aggregate.
-    pub fn fold_lifecycle(&mut self, lc: &PacketLifecycle) {
+    pub fn fold_lifecycle(&mut self, lc: PacketLifecycle) {
         for (i, stage) in Stage::ALL.into_iter().enumerate() {
             let d = lc.stage(stage);
             self.stage_moments[i].record(d);
@@ -651,7 +773,10 @@ impl StreamSummary {
         self.e2e_sketch.record(e2e);
         self.fold.complete += 1;
         self.retransmits += lc.retransmits as u64;
-        self.reservoir.offer(lc.pkt.0, lc.clone());
+        self.reservoir_bytes += kept_bytes(&lc);
+        if let Some(out) = self.reservoir.offer(lc.pkt.0, lc) {
+            self.reservoir_bytes -= kept_bytes(&out);
+        }
     }
 
     /// Open (unclassified) partial lifecycles currently carried.
@@ -659,9 +784,10 @@ impl StreamSummary {
         self.open.len()
     }
 
-    /// Merge another shard's summary in. Order-independent; call
-    /// [`StreamSummary::finalize`] once after the last merge.
-    pub fn merge(&mut self, other: &StreamSummary) {
+    /// Merge another shard's summary in, moving its open partials.
+    /// Order-independent; call [`StreamSummary::finalize`] once after
+    /// the last merge.
+    pub fn merge(&mut self, other: StreamSummary) {
         for (a, b) in self.stage_moments.iter_mut().zip(&other.stage_moments) {
             a.merge(b);
         }
@@ -672,15 +798,16 @@ impl StreamSummary {
         self.e2e_sketch.merge(&other.e2e_sketch);
         self.link_busy.merge(&other.link_busy);
         self.reservoir.merge(&other.reservoir);
+        self.reservoir_bytes = self.reservoir.items().map(kept_bytes).sum();
         self.fold.complete += other.fold.complete;
         self.fold.incomplete += other.fold.incomplete;
         self.fold.multicast += other.fold.multicast;
         self.retransmits += other.retransmits;
-        for (pkt, p) in &other.open {
-            match self.open.get_mut(pkt) {
-                Some(mine) => mine.join(p),
-                None => {
-                    self.open.insert(*pkt, p.clone());
+        for (pkt, p) in other.open {
+            match self.open.entry(pkt) {
+                Entry::Occupied(mut mine) => mine.get_mut().join(&p),
+                Entry::Vacant(slot) => {
+                    slot.insert(p);
                 }
             }
         }
@@ -690,13 +817,12 @@ impl StreamSummary {
     /// unicast lifecycles fold in; the rest count as incomplete or
     /// multicast exactly like the offline [`crate::fold_lifecycles`].
     pub fn finalize(&mut self) {
-        let open = std::mem::take(&mut self.open);
-        for (pkt, p) in open {
-            self.classify(pkt, &p);
+        for (pkt, p) in std::mem::take(&mut self.open) {
+            self.classify(pkt, p);
         }
     }
 
-    fn classify(&mut self, pkt: u64, p: &StreamPartial) {
+    fn classify(&mut self, pkt: u64, p: StreamPartial) {
         let Some((src, dst, issued, inj_ready, wire_ready, payload_bytes)) = p.inject else {
             self.fold.incomplete += 1;
             return;
@@ -709,20 +835,19 @@ impl StreamSummary {
             self.fold.incomplete += 1;
             return;
         };
-        let lc = PacketLifecycle {
+        self.fold_lifecycle(PacketLifecycle {
             pkt: PacketId(pkt),
             src,
             dst: dst_node,
             issued,
             inj_ready,
             wire_ready,
-            hop_enters: p.hop_enters.clone(),
+            hop_enters: p.hop_enters,
             delivered,
             fired: p.fired,
             retransmits: p.retransmits,
             payload_bytes,
-        };
-        self.fold_lifecycle(&lc);
+        });
     }
 
     /// Exact total duration of one stage over all folded packets.
@@ -782,31 +907,10 @@ impl StreamSummary {
         }
     }
 
-    /// Deterministic model of this summary's heap footprint in bytes.
-    /// A size *model* (element counts × nominal entry sizes), not an
-    /// allocator measurement — pair with [`crate::memory`] for the real
-    /// numbers. Deterministic across runs and shard merges of the same
-    /// workload, so budgets on it are CI-gateable.
-    pub fn approx_bytes(&self) -> u64 {
-        let sketches = (self.stage_sketches.len() + 1) as u64
-            * (SKETCH_BUCKETS * std::mem::size_of::<u64>()) as u64;
-        let topk = self.link_busy.len() as u64
-            * (std::mem::size_of::<((u32, u8), TopKEntry)>() as u64 + 2 * MAP_OVERHEAD);
-        let reservoir: u64 = self
-            .reservoir
-            .items()
-            .map(|lc| {
-                std::mem::size_of::<PacketLifecycle>() as u64
-                    + (lc.hop_enters.len() * std::mem::size_of::<SimTime>()) as u64
-                    + MAP_OVERHEAD
-            })
-            .sum();
-        let open: u64 = self
-            .open
-            .values()
-            .map(|p| std::mem::size_of::<StreamPartial>() as u64 + p.heap_bytes() + MAP_OVERHEAD)
-            .sum();
-        sketches + topk + reservoir + open
+    /// Modeled bytes of the aggregates: the fixed sketches, the
+    /// heavy-hitter table and the reservoir. O(1).
+    fn aggregate_bytes(&self) -> u64 {
+        SKETCH_BYTES + self.link_busy.len() as u64 * TOPK_ENTRY_BYTES + self.reservoir_bytes
     }
 }
 
@@ -816,7 +920,7 @@ pub struct StreamFootprint {
     /// Peak simultaneous in-flight partial lifecycles.
     pub peak_partials: u64,
     /// Peak of the observer's modeled heap footprint
-    /// ([`StreamSummary::approx_bytes`] + live partials), in bytes.
+    /// ([`StreamObserver::approx_bytes`]), in bytes.
     pub peak_bytes: u64,
     /// Modeled footprint at the end of the run.
     pub final_bytes: u64,
@@ -851,16 +955,21 @@ impl StreamFootprint {
 /// the delivery it belongs to, so a delivered packet stays pending until
 /// simulated time strictly passes its delivery instant, then folds and
 /// frees. Multicast candidates (`dst = None`) are held until
-/// [`StreamObserver::summary`] because any number of copies may still
-/// deliver. Live state is therefore O(in-flight packets + links), not
-/// O(events).
+/// [`StreamObserver::into_summary`] because any number of copies may
+/// still deliver. Live state is therefore O(in-flight packets + links),
+/// not O(events), on one slab. On several slabs a packet that crosses
+/// one is complete on neither, so both of its partials stay until the
+/// post-run join and live state grows with the run's cross-slab traffic.
 #[derive(Debug)]
 pub struct StreamObserver {
     cfg: StreamConfig,
     agg: StreamSummary,
-    partials: BTreeMap<u64, StreamPartial>,
-    /// Delivered-but-not-yet-folded packets, keyed (delivery ps, pkt).
-    pending: BTreeSet<(u64, u64)>,
+    partials: LivePartials,
+    /// Delivered unicast packets waiting for the watermark to pass their
+    /// instant, as distinct `(delivery ps, pkt)` pairs. Each was pushed
+    /// after its hook raised the watermark to at least its instant, so
+    /// every rise of the watermark folds all of them.
+    pending: Vec<(u64, u64)>,
     watermark_ps: u64,
     partial_heap_bytes: u64,
     peak_partials: u64,
@@ -873,8 +982,8 @@ impl StreamObserver {
         StreamObserver {
             cfg,
             agg: StreamSummary::new(cfg),
-            partials: BTreeMap::new(),
-            pending: BTreeSet::new(),
+            partials: LivePartials::default(),
+            pending: Vec::new(),
             watermark_ps: 0,
             partial_heap_bytes: 0,
             peak_partials: 0,
@@ -887,15 +996,18 @@ impl StreamObserver {
         self.cfg
     }
 
-    /// Current modeled heap footprint in bytes (aggregates + live
-    /// partials). O(reservoir) — cheap, but not free; peaks are tracked
-    /// incrementally on every hook.
+    /// Current modeled heap footprint in bytes: the aggregates, the live
+    /// partials and the pending set. A size *model* (element counts ×
+    /// nominal entry sizes), not an allocator measurement — pair with
+    /// [`crate::memory`] for the real numbers — so it is deterministic
+    /// across runs and budgets on it are CI-gateable. O(1): the
+    /// reservoir's and the partials' vector bytes are counters kept in
+    /// step with their containers, so every hook reads it for the peak.
     pub fn approx_bytes(&self) -> u64 {
-        self.agg.approx_bytes()
-            + self.partials.len() as u64
-                * (std::mem::size_of::<StreamPartial>() as u64 + MAP_OVERHEAD)
+        self.agg.aggregate_bytes()
+            + self.partials.len() as u64 * PARTIAL_BYTES
             + self.partial_heap_bytes
-            + self.pending.len() as u64 * (std::mem::size_of::<(u64, u64)>() as u64 + MAP_OVERHEAD)
+            + self.pending.len() as u64 * PENDING_BYTES
     }
 
     /// Footprint report (peaks over the whole run).
@@ -907,21 +1019,16 @@ impl StreamObserver {
         }
     }
 
-    /// Snapshot the aggregate state. Still-live partials are carried as
-    /// open entries in the summary (not yet classified), so sharded
-    /// summaries can be merged first; call [`StreamSummary::finalize`]
-    /// after the last merge.
-    pub fn summary(&self) -> StreamSummary {
-        let mut s = self.agg.clone();
-        for (pkt, p) in &self.partials {
-            match s.open.get_mut(pkt) {
-                Some(mine) => mine.join(p),
-                None => {
-                    s.open.insert(*pkt, p.clone());
-                }
-            }
+    /// The aggregate state, consuming the observer. Still-live partials
+    /// move into the summary as open entries (not yet classified), so
+    /// sharded summaries can be merged first; call
+    /// [`StreamSummary::finalize`] after the last merge.
+    pub fn into_summary(self) -> StreamSummary {
+        // The observer never opens partials on its aggregate.
+        StreamSummary {
+            open: self.partials.into_map(),
+            ..self.agg
         }
-        s
     }
 
     #[inline]
@@ -937,25 +1044,23 @@ impl StreamObserver {
         }
     }
 
-    /// Fold every pending packet whose delivery instant is strictly
-    /// behind the watermark: all of its events (including the same-
-    /// instant counter update) have been seen.
+    /// Fold every pending packet: the watermark just rose past all their
+    /// delivery instants, so all of their events (including the
+    /// same-instant counter update) have been seen.
     fn flush_ready(&mut self) {
-        while let Some(&(t, pkt)) = self.pending.iter().next() {
-            if t >= self.watermark_ps {
-                break;
-            }
-            self.pending.remove(&(t, pkt));
-            if let Some(p) = self.partials.remove(&pkt) {
+        let mut ready = std::mem::take(&mut self.pending);
+        for (_, pkt) in ready.drain(..) {
+            if let Some(p) = self.partials.remove(pkt) {
                 self.partial_heap_bytes -= p.heap_bytes();
-                self.agg.classify(pkt, &p);
+                self.agg.classify(pkt, p);
             }
         }
+        self.pending = ready;
     }
 
     #[inline]
     fn partial(&mut self, pkt: PacketId) -> &mut StreamPartial {
-        self.partials.entry(pkt.0).or_default()
+        self.partials.entry(pkt.0)
     }
 
     fn note_peak_partials(&mut self) {
@@ -1028,16 +1133,18 @@ impl Recorder for StreamObserver {
         let _scope = crate::memory::MemScope::new(crate::memory::MemTag::Obs);
         self.tick(at);
         let p = self.partial(pkt);
+        // A second delivery at one instant is already pending.
+        let new_instant = p.delivers.iter().all(|&(_, t)| t != at);
         p.delivers.push((node, at));
-        let fold_ready = p.inject.is_some_and(|(_, dst, ..)| dst.is_some());
+        let fold_ready = new_instant && p.inject.is_some_and(|(_, dst, ..)| dst.is_some());
         self.partial_heap_bytes += std::mem::size_of::<(NodeId, SimTime)>() as u64;
         if fold_ready {
             // Unicast with its inject seen locally: safe to fold once
             // time passes this instant. Multicast (dst = None) is held
-            // for summary() because more copies may deliver; partials
-            // whose inject lives on another shard stay open for the
-            // cross-shard join.
-            self.pending.insert((at.as_ps(), pkt.0));
+            // for into_summary() because more copies may deliver;
+            // partials whose inject lives on another shard stay open for
+            // the cross-shard join.
+            self.pending.push((at.as_ps(), pkt.0));
         }
         self.note_peak_partials();
     }
@@ -1068,8 +1175,8 @@ impl Recorder for StreamObserver {
         Some(self)
     }
 
-    fn as_stream_mut(&mut self) -> Option<&mut StreamObserver> {
-        Some(self)
+    fn into_stream(self: Box<Self>) -> Option<StreamObserver> {
+        Some(*self)
     }
 }
 
@@ -1202,14 +1309,14 @@ mod tests {
         }
         let (lifecycles, stats) = fold_lifecycles(flight.events());
         let exact = BreakdownSummary::from_lifecycles(&lifecycles);
-        let mut summary = stream.summary();
+        // The watermark flush already folded it: no open partials left.
+        assert_eq!(stream.partials.len(), 0);
+        let mut summary = stream.into_summary();
+        assert_eq!(summary.open_len(), 0);
         summary.finalize();
         assert_eq!(summary.fold, stats);
         assert_eq!(summary.breakdown(), exact);
-        // The watermark flush already folded it: no open partials left.
-        assert_eq!(stream.partials.len(), 0);
-        assert_eq!(summary.open_len(), 0);
-        let kept: Vec<_> = summary.reservoir.items().collect();
+        let kept: Vec<_> = summary.reservoir().items().collect();
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0], &lifecycles[0]);
     }
@@ -1241,10 +1348,10 @@ mod tests {
             rec.on_deliver(PacketId(1), NodeId(9), 0, t(110));
             rec.on_phase("end", t(500));
         }
-        let mut merged = src_shard.summary();
-        merged.merge(&dst_shard.summary());
+        let mut merged = src_shard.into_summary();
+        merged.merge(dst_shard.into_summary());
         merged.finalize();
-        let mut sequential = seq.summary();
+        let mut sequential = seq.into_summary();
         sequential.finalize();
         assert_eq!(merged, sequential);
         assert_eq!(merged.fold.complete, 1);
@@ -1285,7 +1392,7 @@ mod tests {
             rec.on_phase("end", t(1_000));
         }
         let (_, stats) = fold_lifecycles(flight.events());
-        let mut summary = stream.summary();
+        let mut summary = stream.into_summary();
         summary.finalize();
         assert_eq!(summary.fold, stats);
         assert_eq!(summary.fold.multicast, 1);
@@ -1320,10 +1427,278 @@ mod tests {
         // Watermark folding keeps live partials to the in-flight few,
         // not the thousand folded packets.
         assert!(fp.peak_partials <= 4, "peak partials {}", fp.peak_partials);
-        let mut s = obs.summary();
+        let mut s = obs.into_summary();
         s.finalize();
         assert_eq!(s.fold.complete, 1_000);
-        assert_eq!(s.reservoir.len(), 2);
+        assert_eq!(s.reservoir().len(), 2);
         assert!(fp.peak_bytes < 128 * 1024, "peak bytes {}", fp.peak_bytes);
+    }
+
+    /// The footprint model computed by walking every container: the
+    /// reference the O(1) [`StreamObserver::approx_bytes`] must equal.
+    /// The pending list is counted as a set of `(instant, pkt)` pairs.
+    fn walked_bytes(obs: &StreamObserver) -> u64 {
+        use std::mem::size_of;
+        let agg = &obs.agg;
+        let sketches =
+            (agg.stage_sketches.len() + 1) as u64 * (SKETCH_BUCKETS * size_of::<u64>()) as u64;
+        let topk = agg.link_busy.len() as u64
+            * (size_of::<((u32, u8), TopKEntry)>() as u64 + 2 * MAP_OVERHEAD);
+        let reservoir: u64 = agg
+            .reservoir
+            .items()
+            .map(|lc| {
+                size_of::<PacketLifecycle>() as u64
+                    + (lc.hop_enters.len() * size_of::<SimTime>()) as u64
+                    + MAP_OVERHEAD
+            })
+            .sum();
+        let live = &obs.partials;
+        let partials: u64 = live
+            .index
+            .values()
+            .map(|&i| &live.slots[i as usize])
+            .map(|p| size_of::<StreamPartial>() as u64 + p.heap_bytes() + MAP_OVERHEAD)
+            .sum();
+        let pending = obs.pending.iter().collect::<BTreeSet<_>>().len() as u64
+            * (size_of::<(u64, u64)>() as u64 + MAP_OVERHEAD);
+        sketches + topk + reservoir + partials + pending
+    }
+
+    /// A synthesized stream through a small reservoir and a small
+    /// top-k: overlapping unicast packets over more links than the
+    /// table holds, retransmits, a multicast packet, a packet never
+    /// delivered and one delivered twice at one instant. After every
+    /// hook the cached footprint equals the walked one.
+    #[test]
+    fn footprint_matches_the_walked_reference() {
+        let t = SimTime::from_ns;
+        let mut obs = StreamObserver::new(StreamConfig {
+            reservoir: 3,
+            seed: 5,
+            topk: 4,
+        });
+        let mut hooks = 0;
+        let mut check = |obs: &StreamObserver| {
+            hooks += 1;
+            assert_eq!(obs.approx_bytes(), walked_bytes(obs), "after hook {hooks}");
+        };
+        for i in 0..40u64 {
+            let (pkt, at) = (PacketId(i), 50 * i);
+            obs.on_inject(
+                pkt,
+                NodeId(i as u32 % 8),
+                0,
+                Some(NodeId(9)),
+                t(at),
+                t(at + 10),
+                t(at + 10),
+                t(at + 20),
+                32,
+            );
+            check(&obs);
+            // Eleven links: the four-entry table evicts.
+            let link = LinkDir::from_index(i as usize % 6);
+            obs.on_link_reserve(
+                pkt,
+                NodeId(i as u32 % 11),
+                link,
+                t(at + 20),
+                t(at + 25),
+                t(at + 60),
+            );
+            check(&obs);
+            if i % 7 == 0 {
+                obs.on_retransmit(pkt, NodeId(0), link, 1, t(at + 30));
+                check(&obs);
+            }
+            // Up to three hops, so packets overlap in flight.
+            for h in 0..(i % 4) {
+                obs.on_hop_enter(pkt, NodeId(h as u32), t(at + 70 + 40 * h));
+                check(&obs);
+            }
+            let delivered = t(at + 200);
+            obs.on_deliver(pkt, NodeId(9), 0, delivered);
+            check(&obs);
+            if i == 13 {
+                obs.on_deliver(pkt, NodeId(9), 1, delivered);
+                check(&obs);
+            }
+            obs.on_counter_update(pkt, NodeId(9), 0, 1, delivered, Some(t(at + 240)));
+            check(&obs);
+        }
+        let mcast = PacketId(100);
+        obs.on_inject(
+            mcast,
+            NodeId(0),
+            0,
+            None,
+            t(3_000),
+            t(3_010),
+            t(3_010),
+            t(3_020),
+            16,
+        );
+        check(&obs);
+        for (node, at) in [(2, 3_100), (3, 3_150)] {
+            obs.on_deliver(mcast, NodeId(node), 0, t(at));
+            check(&obs);
+        }
+        let lost = PacketId(101);
+        obs.on_inject(
+            lost,
+            NodeId(4),
+            0,
+            Some(NodeId(5)),
+            t(3_200),
+            t(3_210),
+            t(3_210),
+            t(3_220),
+            16,
+        );
+        check(&obs);
+        obs.on_hop_enter(lost, NodeId(5), t(3_300));
+        check(&obs);
+        obs.on_phase("end", t(10_000));
+        check(&obs);
+
+        // The small tables really overflowed.
+        assert_eq!(obs.agg.reservoir.len(), 3);
+        assert!(obs.agg.link_busy.top(4).iter().any(|(_, e)| e.err > 0));
+        assert!(obs.footprint().peak_bytes >= walked_bytes(&obs));
+        let mut s = obs.into_summary();
+        s.finalize();
+        assert_eq!(
+            s.fold,
+            FoldStats {
+                complete: 39,
+                incomplete: 1,
+                multicast: 2,
+            }
+        );
+        let walked: u64 = s.reservoir.items().map(kept_bytes).sum();
+        assert_eq!(s.reservoir_bytes, walked);
+    }
+
+    /// The space-saving table as it was before its order index became
+    /// lazy: the index kept in step with every offer and merge. The
+    /// reference the lazy table must agree with.
+    struct EagerTopK {
+        capacity: usize,
+        entries: BTreeMap<u32, TopKEntry>,
+        order: BTreeSet<(u64, u32)>,
+    }
+
+    impl EagerTopK {
+        fn new(capacity: usize) -> EagerTopK {
+            EagerTopK {
+                capacity,
+                entries: BTreeMap::new(),
+                order: BTreeSet::new(),
+            }
+        }
+
+        fn offer(&mut self, key: u32, weight: u64) {
+            if let Some(e) = self.entries.get_mut(&key) {
+                self.order.remove(&(e.count, key));
+                e.count += weight;
+                self.order.insert((e.count, key));
+                return;
+            }
+            let mut entry = TopKEntry {
+                count: weight,
+                err: 0,
+            };
+            if self.entries.len() >= self.capacity {
+                let (min_count, min_key) = self.order.pop_first().expect("full table");
+                self.entries.remove(&min_key);
+                entry.count += min_count;
+                entry.err = min_count;
+            }
+            self.order.insert((entry.count, key));
+            self.entries.insert(key, entry);
+        }
+
+        fn merge(&mut self, other: &EagerTopK) {
+            for (&k, e) in &other.entries {
+                match self.entries.get_mut(&k) {
+                    Some(mine) => {
+                        self.order.remove(&(mine.count, k));
+                        mine.count += e.count;
+                        mine.err += e.err;
+                        self.order.insert((mine.count, k));
+                    }
+                    None => {
+                        self.entries.insert(k, *e);
+                        self.order.insert((e.count, k));
+                    }
+                }
+            }
+        }
+
+        fn agrees_with(&self, lazy: &SpaceSavingTopK<u32>) -> bool {
+            lazy.entries == self.entries
+                && lazy.order.as_ref().is_none_or(|order| *order == self.order)
+        }
+    }
+
+    /// Random offers that cross the capacity, merges into an unindexed
+    /// and an indexed table, and more offers after each: the lazy table
+    /// holds the eager reference's entries (and, once built, its index)
+    /// at every step, and builds no index before the table first fills.
+    #[test]
+    fn lazy_topk_matches_the_eager_reference() {
+        let mut rng = 0u64;
+        let mut draw = move || {
+            rng = splitmix64(rng);
+            ((rng % 24) as u32, rng >> 40)
+        };
+        let cap = 8;
+        let fill = |n: usize, draw: &mut dyn FnMut() -> (u32, u64)| {
+            let (mut lazy, mut eager) = (SpaceSavingTopK::new(cap), EagerTopK::new(cap));
+            for _ in 0..n {
+                let (key, weight) = draw();
+                let full_before = lazy.len() >= cap && lazy.get(&key).is_none();
+                let built_before = lazy.order.is_some();
+                lazy.offer(key, weight);
+                eager.offer(key, weight);
+                assert!(eager.agrees_with(&lazy));
+                assert_eq!(lazy.order.is_some(), built_before || full_before);
+            }
+            (lazy, eager)
+        };
+        let (mut a, mut ea) = fill(60, &mut draw);
+        assert!(a.order.is_some(), "60 offers over 24 keys fill 8 slots");
+        let (b, eb) = fill(5, &mut draw);
+        assert!(b.order.is_none(), "5 offers cannot fill 8 slots");
+
+        // Merge into an indexed table, then into an unindexed one; each
+        // overflows its capacity and keeps taking offers.
+        a.merge(&b);
+        ea.merge(&eb);
+        assert!(ea.agrees_with(&a));
+        let mut c = b.clone();
+        let mut ec = EagerTopK::new(cap);
+        ec.merge(&eb);
+        c.merge(&a);
+        ec.merge(&ea);
+        assert!(c.order.is_none() && c.len() > cap);
+        for (table, eager) in [(&mut a, &mut ea), (&mut c, &mut ec)] {
+            for _ in 0..40 {
+                let (key, weight) = draw();
+                table.offer(key, weight);
+                eager.offer(key, weight);
+                assert!(eager.agrees_with(table));
+            }
+            assert!(table.order.is_some());
+        }
+
+        // Equality ignores whether the index has been built.
+        let mut copy = SpaceSavingTopK::new(cap);
+        copy.merge(&a);
+        assert!(copy.order.is_none() && a.order.is_some());
+        assert_eq!(copy, a);
+        copy.offer(0, 1);
+        assert_ne!(copy, a);
     }
 }

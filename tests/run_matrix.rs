@@ -16,7 +16,7 @@ use anton_collectives::{
 use anton_core::{md_exchange, MdExchangeParams};
 use anton_des::SimDuration;
 use anton_net::{FaultPlan, ObsMode, Observed, RunConfig, Slabs};
-use anton_obs::{fold_lifecycles, BreakdownSummary, Fingerprint};
+use anton_obs::{fold_lifecycles, BreakdownSummary, Fingerprint, StreamFootprint};
 use anton_scenario::{presets, Workload};
 use anton_topo::{Coord, TorusDims};
 
@@ -123,7 +123,7 @@ fn md_exchange_is_invariant_and_its_observers_are_exact() {
     // as folding the flight recorder's events offline.
     let flight = observed(PLANS[0], ObsMode::Flight);
     let (lifecycles, census) = fold_lifecycles(flight.flight.as_ref().expect("flight").iter());
-    let (summary, footprint) = observed(PLANS[0], ObsMode::Stream)
+    let (summary, _) = observed(PLANS[0], ObsMode::Stream)
         .stream
         .as_ref()
         .expect("stream");
@@ -140,9 +140,67 @@ fn md_exchange_is_invariant_and_its_observers_are_exact() {
             .expect("stream");
         assert_eq!(merged, summary, "{plan:?}");
     }
-    // The observer's heap is accounted.
-    assert!(footprint.peak_bytes > 0);
-    assert!(footprint.peak_partials > 0);
+    // The observer's modelled footprint, exactly, on every streamed run.
+    // One slab folds behind its watermark; on more slabs each cross-slab
+    // packet stays open until the post-run join, so fewer partials peak
+    // per slab and more remain at the end.
+    for (cfg, o) in runs.iter().filter(|(cfg, _)| cfg.obs == ObsMode::Stream) {
+        let (_, footprint) = o.stream.as_ref().expect("stream");
+        assert_eq!(
+            *footprint,
+            footprint_pin((cfg.slabs, cfg.threads)),
+            "{cfg:?}"
+        );
+    }
+}
+
+/// The streamed 4×4×4, 3-step MD exchange's footprint on each plan.
+fn footprint_pin(plan: (Slabs, usize)) -> StreamFootprint {
+    let (peak_partials, peak_bytes, final_bytes) = match plan.0 {
+        Slabs::Count(1) => (384, 128_768, 80_128),
+        Slabs::Count(2) => (352, 105_216, 165_632),
+        _ => (256, 81_152, 283_648),
+    };
+    StreamFootprint {
+        peak_partials,
+        peak_bytes,
+        final_bytes,
+    }
+}
+
+/// The stream observer's footprint on the auto plan at the two sizes
+/// the benchmark and the scale probe run: the 8×8×8 MD exchange of
+/// `md_balanced` and the 12×12×12 `scale_md(12)`.
+#[test]
+fn stream_footprints_at_scale_are_pinned() {
+    for (spec, want) in [
+        (
+            presets::md_balanced(),
+            StreamFootprint {
+                peak_partials: 7_936,
+                peak_bytes: 1_305_344,
+                final_bytes: 10_115_072,
+            },
+        ),
+        (
+            presets::scale_md(12),
+            StreamFootprint {
+                peak_partials: 2_880,
+                peak_bytes: 560_128,
+                final_bytes: 5_615_616,
+            },
+        ),
+    ] {
+        let cfg = RunConfig {
+            timing: spec.timing_table(),
+            obs: ObsMode::Stream,
+            ..RunConfig::sharded(1)
+        };
+        let params = spec.md_params().expect("an MD spec");
+        let (_, observed) = md_exchange(spec.torus_dims(), params, &cfg).expect("completes");
+        let (_, footprint) = observed.stream.expect("stream");
+        assert_eq!(footprint, want, "{}", spec.name);
+    }
 }
 
 #[test]
