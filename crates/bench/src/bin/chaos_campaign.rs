@@ -33,7 +33,8 @@
 //! written to `BENCH_pr6.json`, which is committed and drift-gated by
 //! `scripts/ci.sh`.
 //!
-//! Knobs (all optional):
+//! Knobs (all optional; the variables are read through
+//! [`anton_bench::knobs`]):
 //!
 //! - `--smoke`: 3 seeds × 2 fault levels, no report — the fast CI gate.
 //! - `ANTON_CHAOS_SEED`: first seed of the block (default 1). The
@@ -42,10 +43,11 @@
 //! - `ANTON_CHAOS_EXTENDED=1`: after the standard matrix, sweep 10
 //!   extra seeds per level and add a 4-thread bit-identity check.
 
+use anton_bench::knobs::{self, CHAOS_LEVEL_MAX, CHAOS_SEED_DEFAULT};
 use anton_collectives::{
     all_reduce_recovering, random_inputs, RecoveringOutcome, RecoveringParams,
 };
-use anton_net::{chaos_level_from_env, chaos_seed_from_env, RunConfig, Slabs};
+use anton_net::{RunConfig, Slabs};
 use anton_obs::BenchReport;
 use anton_scenario::{presets, ScenarioSpec, Workload};
 
@@ -171,16 +173,15 @@ fn run_cell(seed: u64, level: usize, runs: &[(Slabs, usize)]) -> (ScenarioSpec, 
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let extended = std::env::var("ANTON_CHAOS_EXTENDED").is_ok_and(|v| v == "1");
-    let base_seed = chaos_seed_from_env();
-    let max_level = chaos_level_from_env() as usize;
+    let extended = knobs::CHAOS_EXTENDED.read();
+    let base_seed = knobs::CHAOS_SEED.read();
+    let max_level = knobs::CHAOS_LEVEL.read() as usize;
     let runs: &[(Slabs, usize)] = if extended { &EXTENDED } else { &CAMPAIGN };
 
     if smoke {
         // The fast gate: 3 seeds × 2 fault levels (the quiet baseline
         // and the hottest enabled level), every invariant asserted.
-        let hot = max_level.min(presets::CHAOS_LEVEL_COUNT as usize - 1);
-        for level in [0, hot] {
+        for level in [0, max_level] {
             for seed in base_seed..base_seed + 3 {
                 let (spec, out) = run_cell(seed, level, &CAMPAIGN);
                 println!(
@@ -273,9 +274,7 @@ fn main() {
 
     // Only the default seed block regenerates the committed baseline;
     // a shifted ANTON_CHAOS_SEED run is exploratory.
-    if base_seed == anton_net::CHAOS_SEED_DEFAULT
-        && max_level == presets::CHAOS_LEVEL_COUNT as usize - 1
-    {
+    if base_seed == CHAOS_SEED_DEFAULT && max_level == CHAOS_LEVEL_MAX as usize {
         std::fs::write("BENCH_pr6.json", report.to_json()).expect("write BENCH_pr6.json");
         println!("chaos_campaign: wrote BENCH_pr6.json");
     } else {

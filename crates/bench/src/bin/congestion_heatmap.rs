@@ -7,8 +7,8 @@
 
 use anton_des::{SimDuration, SimTime, TrackId};
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation, Payload,
-    ProgEvent, Timing,
+    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet, ParSimulation,
+    Payload, ProgEvent, Timing,
 };
 use anton_obs::{validate_json, ChromeTraceBuilder, CongestionMap};
 use anton_topo::{LinkDir, NodeId, TorusDims};
@@ -74,7 +74,7 @@ fn main() {
     // One slab: its single replica holds the whole machine's tracer.
     let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
     fabric.enable_tracing();
-    fabric.attach_owned_flight_recorder();
+    fabric.observe(ObsMode::Flight);
     let mut sim = ParSimulation::one_slab(fabric, |_| Shower { plan: plan.clone() });
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)

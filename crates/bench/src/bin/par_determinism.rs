@@ -3,7 +3,8 @@
 //! Runs a fixed workload mix — an 8×8×8 dimension-ordered all-reduce,
 //! an MD neighbor-exchange skeleton, and a flight-recorded token relay —
 //! on the sharded parallel simulation with `ANTON_THREADS` workers and
-//! the `ANTON_LOOKAHEAD` window-bound mode, and writes an FNV-1a
+//! the `ANTON_LOOKAHEAD` window-bound mode (read through
+//! [`anton_bench::knobs`] into one `RunConfig`), and writes an FNV-1a
 //! fingerprint of every observable (latencies, bitwise results, merged
 //! statistics, and the merged flight-event trace) to
 //! `target/obs/par_fingerprint.txt`.
@@ -15,12 +16,13 @@
 //! stdout line names the mode the runs used, so CI can check the knob
 //! reached them.
 
+use anton_bench::knobs;
 use anton_collectives::{all_reduce, random_inputs, Algorithm};
 use anton_core::{md_exchange, MdExchangeParams};
 use anton_des::SimTime;
 use anton_net::{
-    lookahead_mode_from_env, threads_from_env, ClientAddr, ClientKind, CounterId, Ctx, Fabric,
-    FaultPlan, NodeProgram, Packet, ParSimulation, Payload, ProgEvent, RunConfig,
+    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet,
+    ParSimulation, Payload, ProgEvent, RunConfig,
 };
 use anton_obs::Fingerprint;
 use anton_topo::{NodeId, TorusDims};
@@ -68,8 +70,8 @@ impl NodeProgram for Relay {
 }
 
 fn main() {
-    let threads = threads_from_env();
-    let lookahead = lookahead_mode_from_env();
+    let threads = knobs::THREADS.read();
+    let lookahead = knobs::LOOKAHEAD.read();
     let cfg = RunConfig {
         lookahead,
         ..RunConfig::sharded(threads)
@@ -110,13 +112,14 @@ fn main() {
 
     // 3. Flight-recorded relay: the merged trace itself is hashed.
     let rdims = TorusDims::new(4, 4, 4);
-    let mut sim = ParSimulation::new(
-        threads,
-        move || Fabric::with_faults(rdims, anton_net::Timing::default(), FaultPlan::none()),
+    let mut sim = ParSimulation::from_config(
+        &RunConfig {
+            obs: ObsMode::Flight,
+            ..cfg
+        },
+        |timing| Fabric::with_faults(rdims, timing.clone(), FaultPlan::none()),
         |_| Relay { left: 3 },
     );
-    sim.set_lookahead_mode(lookahead);
-    sim.attach_flight_recorders();
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());

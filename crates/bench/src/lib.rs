@@ -8,6 +8,7 @@
 
 #![warn(missing_docs)]
 
+pub mod knobs;
 pub mod microbench;
 pub mod observatory;
 pub mod report;

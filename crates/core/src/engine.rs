@@ -7,7 +7,7 @@ use crate::state::{lock, AntonConfig, MachineState, StepTiming};
 use anton_des::{SimDuration, SimTime, Tracer, TrackId};
 use anton_md::integrate::verlet_first_half;
 use anton_md::{ChemicalSystem, Vec3};
-use anton_net::{Fabric, NetStats, ParSimulation, RunReport, StallReport};
+use anton_net::{Fabric, NetStats, ObsMode, ParSimulation, RunReport, StallReport};
 use anton_obs::{FlightRecorder, MetricsRegistry};
 use anton_topo::TorusDims;
 use std::sync::{Arc, Mutex};
@@ -268,7 +268,7 @@ impl AntonMdEngine {
         let tracing = fabric.tracer.is_enabled();
         let recording = std::mem::take(&mut self.record_next);
         if recording {
-            fabric.attach_owned_flight_recorder();
+            fabric.observe(ObsMode::Flight);
         }
 
         // ---- run the DES ----

@@ -55,10 +55,7 @@ pub mod time;
 pub mod trace;
 
 pub use par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
-pub use profile::{
-    Heartbeat, ParProfile, StderrTelemetry, TelemetryConfig, TelemetrySink, WindowSample,
-    WorkerProfile, DEFAULT_SAMPLE_CAP,
-};
+pub use profile::{ParProfile, WindowSample, WorkerProfile, DEFAULT_SAMPLE_CAP};
 pub use rng::Rng;
 pub use sched::{EventHandler, RunOutcome, Scheduler};
 pub use stats::{Histogram, Summary};

@@ -53,9 +53,7 @@
 //! are bit-identical at every thread count. `tests/par_equivalence.rs`
 //! checks every thread count against such a global queue.
 
-use crate::profile::{
-    Heartbeat, ParProfile, TelemetryConfig, WindowSample, WorkerProfile, DEFAULT_SAMPLE_CAP,
-};
+use crate::profile::{ParProfile, WindowSample, WorkerProfile, DEFAULT_SAMPLE_CAP};
 use crate::queue::EventQueue;
 use crate::sched::{EventHandler, RunOutcome, Scheduler};
 use crate::time::{SimDuration, SimTime};
@@ -293,8 +291,6 @@ pub struct ParEngine<E, M> {
     profiling: bool,
     /// Accumulated profile across `run_until` calls (profiling enabled).
     profile: Option<ParProfile>,
-    /// Live heartbeat configuration, if any.
-    telemetry: Option<TelemetryConfig>,
 }
 
 impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
@@ -355,7 +351,6 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
             now: SimTime::ZERO,
             profiling: false,
             profile: None,
-            telemetry: None,
         }
     }
 
@@ -397,15 +392,6 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     /// subsequent runs.
     pub fn take_profile(&mut self) -> Option<ParProfile> {
         self.profile.take()
-    }
-
-    /// Stream live [`Heartbeat`]s during runs: at window boundaries, once
-    /// at least `period` of wall time has passed since the previous beat,
-    /// a snapshot (window rate, events/s, per-shard occupancy, ETA) is
-    /// handed to `sink`. Telemetry reads coordination state the protocol
-    /// already publishes — it cannot perturb simulated results.
-    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.telemetry = Some(cfg);
     }
 
     /// The shard map in force.
@@ -535,12 +521,9 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
             outboxes: (0..nshards * nshards)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
-            pending: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
-            track_pending: self.telemetry.is_some(),
         };
 
         let prof_cap = run_prof.as_ref().map(|p| p.sample_cap);
-        let telemetry = self.telemetry.clone();
         let map = &self.map;
 
         // Carve (shards, worlds) into per-worker jobs.
@@ -555,12 +538,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         jobs.reverse();
 
         let run = |(w, chunk, mine): (usize, Vec<Shard<E>>, &mut [W])| {
-            let opts = WorkerOpts {
-                prof_cap,
-                t0,
-                // Worker 0 owns the heartbeat; others stay silent.
-                telemetry: if w == 0 { telemetry.clone() } else { None },
-            };
+            let opts = WorkerOpts { prof_cap, t0 };
             worker_loop(
                 w, bounds[w], chunk, mine, map, &policy, horizon, max_events, &coord, opts,
             )
@@ -709,90 +687,11 @@ fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Heartbeat throttle: tracks the last emission and computes rates over
-/// the interval since. Worker 0 owns it.
-struct BeatState {
-    cfg: TelemetryConfig,
-    t0: Instant,
-    last_emit_ns: u64,
-    last_events: u64,
-    last_windows: u64,
-    /// Simulated time of the first window, anchoring progress/ETA.
-    first_sim: Option<u64>,
-    /// Window counter used when profiling is off.
-    windows_seen: u64,
-}
-
-impl BeatState {
-    fn new(cfg: TelemetryConfig, t0: Instant) -> BeatState {
-        BeatState {
-            cfg,
-            t0,
-            last_emit_ns: 0,
-            last_events: 0,
-            last_windows: 0,
-            first_sim: None,
-            windows_seen: 0,
-        }
-    }
-
-    /// Emit a heartbeat if at least one period elapsed since the last.
-    /// `pending` is only invoked on emission, keeping the steady-state
-    /// cost to one `Instant` read per window.
-    fn maybe_emit(
-        &mut self,
-        t: SimTime,
-        windows: u64,
-        events: u64,
-        horizon: SimTime,
-        pending: impl FnOnce() -> Vec<u64>,
-    ) {
-        if self.first_sim.is_none() {
-            self.first_sim = Some(t.0);
-        }
-        let now_ns = elapsed_ns(self.t0);
-        if now_ns.saturating_sub(self.last_emit_ns) < self.cfg.period.as_nanos() as u64 {
-            return;
-        }
-        let dt = now_ns.saturating_sub(self.last_emit_ns).max(1) as f64 / 1e9;
-        let first = self.first_sim.unwrap_or(t.0);
-        // Unbounded runs pass a sentinel horizon (at or beyond
-        // u64::MAX / 2): suppress progress and ETA for those.
-        let finite = horizon.0 < u64::MAX / 2;
-        let progress = finite.then(|| {
-            let span = horizon.0.saturating_sub(first).max(1) as f64;
-            (t.0.saturating_sub(first) as f64 / span).min(1.0)
-        });
-        let eta_sec = (finite && t.0 > first && now_ns > 0)
-            .then(|| {
-                let sim_per_sec = (t.0 - first) as f64 / (now_ns as f64 / 1e9);
-                horizon.0.saturating_sub(t.0) as f64 / sim_per_sec
-            })
-            .filter(|e| e.is_finite());
-        let beat = Heartbeat {
-            wall_ms: now_ns as f64 / 1e6,
-            sim_ps: t.0,
-            windows,
-            events,
-            events_per_sec: events.saturating_sub(self.last_events) as f64 / dt,
-            windows_per_sec: windows.saturating_sub(self.last_windows) as f64 / dt,
-            shard_pending: pending(),
-            progress,
-            eta_sec,
-        };
-        self.cfg.sink.emit(&beat);
-        self.last_emit_ns = now_ns;
-        self.last_events = events;
-        self.last_windows = windows;
-    }
-}
-
-/// Per-worker run options: profiling sample cap (None = profiling off),
-/// the run's wall-clock epoch, and the telemetry config (worker 0 only).
+/// Per-worker run options: profiling sample cap (None = profiling off)
+/// and the run's wall-clock epoch.
 struct WorkerOpts {
     prof_cap: Option<usize>,
     t0: Instant,
-    telemetry: Option<TelemetryConfig>,
 }
 
 /// Profiling output one worker carries back to the engine at join time.
@@ -826,12 +725,6 @@ struct Coordination<E> {
     /// separates every window's sends from the imports before and after
     /// it, so a cell's sender and importer never contend for its lock.
     outboxes: Vec<Mutex<Vec<ParScheduled<E>>>>,
-    /// Per-shard pending-queue depth, published in phase 1 when
-    /// `track_pending` is set so worker 0's heartbeat can report
-    /// occupancy without touching other workers' queues.
-    pending: Vec<AtomicU64>,
-    /// Whether workers publish `pending` (telemetry enabled).
-    track_pending: bool,
 }
 
 /// One worker: owns a contiguous block of shards (and their worlds) for
@@ -881,7 +774,6 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
             cap,
         )
     });
-    let mut beat = opts.telemetry.map(|cfg| BeatState::new(cfg, t0));
     let mut executed_total: u64 = 0;
     // Exclusive end of each owned shard's previous window; imports must
     // land at or after it or the window protocol was violated.
@@ -908,11 +800,6 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
                 }
             }
             co.heads[dst].store(shard.head_ps(), MemOrd::SeqCst);
-        }
-        if co.track_pending {
-            for (i, shard) in shards.iter().enumerate() {
-                co.pending[first_shard + i].store(shard.queue.len() as u64, MemOrd::Relaxed);
-            }
         }
         co.executed[widx].store(executed_total, MemOrd::SeqCst);
         let merge_end = out.is_some().then(|| elapsed_ns(t0));
@@ -942,13 +829,6 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
         }
         if total >= max_events {
             break RunOutcome::BudgetExhausted;
-        }
-        if let Some(b) = beat.as_mut() {
-            let windows = out.as_ref().map_or(b.windows_seen, |(o, _)| o.wp.windows);
-            b.maybe_emit(SimTime(t), windows, total, horizon, || {
-                co.pending.iter().map(|p| p.load(MemOrd::Relaxed)).collect()
-            });
-            b.windows_seen += 1;
         }
         let g_end = policy.global_end(t, horizon);
 
@@ -1464,66 +1344,6 @@ mod tests {
         // Every worker's loop fits inside the run's wall clock.
         for w in &prof.workers {
             assert!(w.loop_ns <= prof.wall_ns);
-        }
-    }
-
-    #[test]
-    fn telemetry_heartbeats_stream_during_runs() {
-        use std::sync::{Arc, Mutex};
-        #[derive(Default)]
-        struct Capture(Mutex<Vec<Heartbeat>>);
-        impl crate::profile::TelemetrySink for Capture {
-            fn emit(&self, beat: &Heartbeat) {
-                self.0.lock().unwrap().push(beat.clone());
-            }
-        }
-        let run = |threads: usize| {
-            let nshards = 3;
-            let sink = Arc::new(Capture::default());
-            let mut eng = ParEngine::new(RingMap { n: nshards }, threads);
-            eng.enable_telemetry(TelemetryConfig {
-                period: std::time::Duration::ZERO,
-                sink: sink.clone(),
-            });
-            let mut worlds: Vec<RingWorld> = (0..nshards)
-                .map(|s| RingWorld {
-                    shard: s,
-                    nshards,
-                    log: Vec::new(),
-                })
-                .collect();
-            eng.schedule_at(
-                SimTime::ZERO,
-                Token {
-                    shard: 0,
-                    hops_left: 30,
-                    tag: 0,
-                },
-            );
-            let out = eng.run_until(&mut worlds, SimTime::from_ns(1400), u64::MAX);
-            assert_eq!(out, RunOutcome::HorizonReached);
-            let beats = sink.0.lock().unwrap().clone();
-            (beats, worlds.into_iter().map(|w| w.log).collect::<Vec<_>>())
-        };
-        let (beats1, log1) = run(1);
-        let (beats3, log3) = run(3);
-        assert_eq!(log1, log3, "telemetry perturbed the simulation");
-        for beats in [&beats1, &beats3] {
-            // Zero period: a beat per window boundary.
-            assert!(!beats.is_empty(), "no heartbeats with a zero period");
-            for b in beats {
-                assert_eq!(b.shard_pending.len(), 3);
-                let line = b.to_json_line();
-                assert!(line.starts_with("{\"type\":\"heartbeat\""));
-                // Finite horizon: progress must be reported and sane.
-                let p = b.progress.expect("finite horizon implies progress");
-                assert!((0.0..=1.0).contains(&p), "progress {p} out of range");
-            }
-            // Simulated time and event counts advance monotonically.
-            for pair in beats.windows(2) {
-                assert!(pair[1].sim_ps >= pair[0].sim_ps);
-                assert!(pair[1].events >= pair[0].events);
-            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Runtime profiling and live telemetry for the parallel DES executor.
+//! Runtime profiling for the parallel DES executor.
 //!
 //! The paper's method is exact accounting: every nanosecond of the 162 ns
 //! end-to-end path is attributed to a named stage, and the stages
@@ -23,14 +23,10 @@
 //!   the simulation (asserted by fingerprint tests) nor, measurably, the
 //!   wall clock.
 //!
-//! [`Heartbeat`] is the live half: during a run, worker 0 periodically
-//! snapshots window rate, event throughput, per-shard queue occupancy,
-//! and an ETA, and hands the snapshot to a [`TelemetrySink`] (JSON lines
-//! on stderr by default) so multi-minute benches are no longer silent.
-
-use crate::time::SimTime;
-use std::fmt::Write as _;
-use std::sync::Arc;
+//! The profile is read after the run
+//! ([`ParEngine::take_profile`](crate::par::ParEngine::take_profile)); its
+//! window count, event counts and per-window samples are what a live
+//! progress report would show.
 
 /// Default cap on retained per-window samples per worker (the summary
 /// counters are always exact; samples only feed trace export).
@@ -100,7 +96,7 @@ pub struct WorkerProfile {
 
 impl WorkerProfile {
     /// Loop time not attributed to a named phase: window-decision
-    /// computation, heartbeat emission, and loop bookkeeping.
+    /// computation and loop bookkeeping.
     pub fn windowing_ns(&self) -> u64 {
         self.loop_ns.saturating_sub(
             self.busy_ns + self.merge_ns + self.barrier_publish_ns + self.barrier_window_ns,
@@ -259,126 +255,9 @@ impl ParProfile {
     }
 }
 
-/// One live telemetry snapshot, emitted at window boundaries by worker 0
-/// while a run is in flight.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Heartbeat {
-    /// Wall milliseconds since the run began.
-    pub wall_ms: f64,
-    /// Simulated time at the current window start, picoseconds.
-    pub sim_ps: u64,
-    /// Windows executed so far.
-    pub windows: u64,
-    /// Events executed so far.
-    pub events: u64,
-    /// Event throughput since the previous heartbeat (events/s).
-    pub events_per_sec: f64,
-    /// Window rate since the previous heartbeat (windows/s).
-    pub windows_per_sec: f64,
-    /// Pending-event queue depth per shard (occupancy snapshot).
-    pub shard_pending: Vec<u64>,
-    /// Fraction of simulated time covered, when a finite horizon is set.
-    pub progress: Option<f64>,
-    /// Estimated wall seconds to the horizon at the current rate, when a
-    /// finite horizon is set and time has advanced.
-    pub eta_sec: Option<f64>,
-}
-
-impl Heartbeat {
-    /// Render as one JSON object on one line (the JSON-lines streaming
-    /// format; keys are fixed, so downstream `jq` pipelines are stable).
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(160);
-        let _ = write!(
-            s,
-            "{{\"type\":\"heartbeat\",\"wall_ms\":{:.1},\"sim_us\":{:.3},\
-             \"windows\":{},\"events\":{},\"events_per_sec\":{:.0},\
-             \"windows_per_sec\":{:.0},\"shard_pending\":[",
-            self.wall_ms,
-            SimTime(self.sim_ps).as_us_f64(),
-            self.windows,
-            self.events,
-            self.events_per_sec,
-            self.windows_per_sec,
-        );
-        for (i, p) in self.shard_pending.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{p}");
-        }
-        s.push(']');
-        if let Some(p) = self.progress {
-            let _ = write!(s, ",\"progress\":{:.4}", p);
-        }
-        if let Some(e) = self.eta_sec {
-            let _ = write!(s, ",\"eta_sec\":{:.1}", e);
-        }
-        s.push('}');
-        s
-    }
-}
-
-/// Where heartbeats go. Implementations must tolerate being called from
-/// a worker thread while the simulation is mid-window.
-pub trait TelemetrySink: Send + Sync {
-    /// Deliver one snapshot.
-    fn emit(&self, beat: &Heartbeat);
-}
-
-/// The default sink: one JSON line per heartbeat on stderr.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StderrTelemetry;
-
-impl TelemetrySink for StderrTelemetry {
-    fn emit(&self, beat: &Heartbeat) {
-        eprintln!("{}", beat.to_json_line());
-    }
-}
-
-/// Live-telemetry configuration: emit a [`Heartbeat`] to `sink` whenever
-/// at least `period` of wall time has passed since the last one (checked
-/// at window boundaries, so a single enormous window emits late rather
-/// than mid-window).
-#[derive(Clone)]
-pub struct TelemetryConfig {
-    /// Minimum wall time between heartbeats.
-    pub period: std::time::Duration,
-    /// Destination for heartbeats.
-    pub sink: Arc<dyn TelemetrySink>,
-}
-
-impl std::fmt::Debug for TelemetryConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetryConfig")
-            .field("period", &self.period)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heartbeat_json_line_shape() {
-        let b = Heartbeat {
-            wall_ms: 1234.56,
-            sim_ps: 162_000,
-            windows: 10,
-            events: 420,
-            events_per_sec: 1e6,
-            windows_per_sec: 2e4,
-            shard_pending: vec![3, 0, 7],
-            progress: Some(0.5),
-            eta_sec: Some(2.0),
-        };
-        let line = b.to_json_line();
-        assert!(line.starts_with("{\"type\":\"heartbeat\""), "{line}");
-        assert!(line.contains("\"shard_pending\":[3,0,7]"), "{line}");
-        assert!(line.contains("\"eta_sec\":2.0"), "{line}");
-        assert!(!line.contains('\n'));
-    }
 
     #[test]
     fn profile_derived_metrics() {

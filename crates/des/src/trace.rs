@@ -203,8 +203,9 @@ impl Tracer {
     /// window is split into `nbins` equal bins and each returns its
     /// clipped busy time divided by the bin span times the track's
     /// unit count — the utilization time series congestion telemetry
-    /// plots. Intervals straddling bin edges are split between bins,
-    /// so the bins sum to [`Tracer::busy_time`] exactly.
+    /// plots. The recorded intervals are replayed through a
+    /// [`BinnedUtilization`], so intervals straddling bin edges are split
+    /// between bins and the bins sum to [`Tracer::busy_time`] exactly.
     pub fn utilization_bins(
         &self,
         track: TrackId,
@@ -212,43 +213,12 @@ impl Tracer {
         to: SimTime,
         nbins: usize,
     ) -> Vec<f64> {
-        assert!(to > from, "empty utilization window");
-        assert!(nbins > 0, "need at least one bin");
-        let span_ps = (to - from).as_ps();
-        let units = self.track_units(track) as f64;
-        // Bin b covers [edge(b), edge(b+1)) relative to `from`; the
-        // floored edges tile the window exactly.
-        let edge = |b: usize| b as u64 * span_ps / nbins as u64;
-        let mut busy = vec![0u64; nbins];
-        for iv in &self.intervals {
-            if iv.track != track || iv.activity != Activity::Busy {
-                continue;
-            }
-            if let Some((s, e)) = iv.clip(from, to) {
-                let (s, e) = ((s - from).as_ps(), (e - from).as_ps());
-                // Conservative candidate range (±1 bin for edge
-                // rounding); out-of-overlap candidates contribute 0.
-                let first = ((s * nbins as u64 / span_ps) as usize).saturating_sub(1);
-                let last =
-                    (((e.saturating_sub(1)) * nbins as u64 / span_ps) as usize + 1).min(nbins - 1);
-                for (b, slot) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
-                    let lo = edge(b).max(s);
-                    let hi = edge(b + 1).min(e);
-                    *slot += hi.saturating_sub(lo);
-                }
-            }
+        let mut bins = BinnedUtilization::new(from, to, nbins);
+        bins.set_track_units(track, self.track_units(track));
+        for iv in self.intervals.iter().filter(|iv| iv.track == track) {
+            bins.record(track, iv.activity, iv.start, iv.end);
         }
-        busy.iter()
-            .enumerate()
-            .map(|(b, &v)| {
-                let bin_span = (edge(b + 1) - edge(b)) as f64;
-                if bin_span == 0.0 {
-                    0.0
-                } else {
-                    v as f64 / (bin_span * units)
-                }
-            })
-            .collect()
+        bins.fractions(track)
     }
 
     /// Busy time on `track` within `[from, to)` broken down by phase
@@ -349,16 +319,15 @@ impl Tracer {
     }
 }
 
-/// Streaming, bounded-memory utilization bins: the O(nbins)-per-track
-/// counterpart of [`Tracer::utilization_bins`] for 100×-scale runs,
-/// where keeping every [`Interval`] is O(events).
+/// Streaming, bounded-memory utilization bins: O(nbins) per track, for
+/// 100×-scale runs where keeping every [`Interval`] is O(events).
 ///
 /// Busy spans are deposited into fixed time bins as they are recorded
-/// and then dropped; the bin math (floored edges that tile the window
-/// exactly, straddling spans split between bins) is identical to the
-/// offline tracer query, and the conservation test pins the two to the
-/// same picosecond totals. Two accumulators over the same window merge
-/// by element-wise add, so per-shard tracing folds deterministically.
+/// and then dropped; the floored bin edges tile the window exactly, and
+/// straddling spans are split between bins. [`Tracer::utilization_bins`]
+/// is this accumulator fed the tracer's recorded intervals. Two
+/// accumulators over the same window merge by element-wise add, so
+/// per-shard tracing folds deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinnedUtilization {
     from: SimTime,

@@ -22,6 +22,7 @@ use crate::packet::{
     ClientAddr, ClientKind, CounterId, Destination, Packet, PacketKind, PatternId, Payload,
     SourceRoute, COUNTER_BY_SOURCE,
 };
+use crate::par::ObsMode;
 use crate::recovery::{FailureVerdict, RecoveryConfig, RecoveryStats};
 use crate::timing::Timing;
 use anton_des::{Activity, Scheduler, SimDuration, SimTime, Tracer, TrackId};
@@ -574,13 +575,25 @@ impl Fabric {
         self.tracer = tracer;
     }
 
-    /// Install a [`FlightRecorder`] the fabric itself owns: every hook
-    /// call is a direct push, so per-shard recording in parallel runs
-    /// stays lock-free. Read the captured events back through
+    /// Install the recorder `mode` names, replacing any installed one;
+    /// [`ObsMode::Off`] removes it. The fabric owns its recorder, so
+    /// every hook call is a direct push and per-shard recording in
+    /// parallel runs stays lock-free.
+    ///
+    /// A [`FlightRecorder`] keeps every event: read them back through
     /// [`Fabric::flight_recorder`], or take the recorder out with
-    /// [`Fabric::take_flight_recorder`].
-    pub fn attach_owned_flight_recorder(&mut self) {
-        self.recorder = Some(Box::new(FlightRecorder::new()));
+    /// [`Fabric::take_flight_recorder`]. A [`StreamObserver`], at its
+    /// default configuration, folds delivered packets into streaming
+    /// sketches on the fly and drops their events, so on one slab
+    /// observability memory stays O(nodes + links) at any scale; a
+    /// packet that crosses slabs stays open on both until the post-run
+    /// join. Take it out with [`Fabric::take_stream_observer`].
+    pub fn observe(&mut self, mode: ObsMode) {
+        self.recorder = match mode {
+            ObsMode::Off => None,
+            ObsMode::Flight => Some(Box::new(FlightRecorder::new())),
+            ObsMode::Stream => Some(Box::new(StreamObserver::new(StreamConfig::default()))),
+        };
     }
 
     /// The installed recorder's [`FlightRecorder`] view, when the
@@ -596,16 +609,6 @@ impl Fabric {
         let rec = std::mem::take(self.recorder.as_deref_mut()?.as_flight_mut()?);
         self.recorder = None;
         Some(rec)
-    }
-
-    /// Install a bounded-memory [`StreamObserver`] as the fabric's
-    /// recorder. Unlike flight recording, delivered packets are folded
-    /// into streaming sketches on the fly and their events dropped, so
-    /// on one slab observability memory stays O(nodes + links) at any
-    /// scale. A packet that crosses slabs stays open on both until the
-    /// post-run join.
-    pub fn attach_stream_observer(&mut self, cfg: StreamConfig) {
-        self.recorder = Some(Box::new(StreamObserver::new(cfg)));
     }
 
     /// Remove the installed [`StreamObserver`] and hand it back; `None`
@@ -1913,7 +1916,8 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::{ParSimulation, ShardPlan};
+    use crate::par::ParSimulation;
+    use crate::run::{RunConfig, Slabs};
     use crate::world::{Ctx, NodeProgram};
 
     const C_EXCH: CounterId = CounterId(30);
@@ -2023,8 +2027,12 @@ mod tests {
     #[test]
     fn sharded_replicas_create_state_only_for_owned_nodes() {
         let dims = TorusDims::new(4, 4, 4);
-        let mut sim =
-            ParSimulation::with_plan(2, ShardPlan::new(dims, 4), || Fabric::new(dims), exchange);
+        let cfg = RunConfig {
+            slabs: Slabs::Count(4),
+            threads: 2,
+            ..RunConfig::default()
+        };
+        let mut sim = ParSimulation::from_config(&cfg, |_| Fabric::new(dims), exchange);
         assert!(sim
             .run_guarded(SimTime(u64::MAX / 2), 1_000_000)
             .is_completed());

@@ -32,14 +32,8 @@ pub use packet::{
     ClientAddr, ClientKind, CounterId, Destination, Packet, PacketKind, PatternId, Payload,
     SourceRoute, COUNTERS_PER_CLIENT, COUNTER_BY_SOURCE,
 };
-pub use par::{
-    lookahead_mode_from_env, merge_flight_events, parse_lookahead_mode, threads_from_env,
-    EvShardMap, NodeShardWorld, ObsMode, ParSimulation, ShardPlan,
-};
-pub use recovery::{
-    chaos_level_from_env, chaos_seed_from_env, FailureVerdict, RecoveryConfig, RecoveryStats,
-    CHAOS_LEVEL_MAX, CHAOS_SEED_DEFAULT,
-};
+pub use par::{merge_flight_events, EvShardMap, NodeShardWorld, ObsMode, ParSimulation, ShardPlan};
+pub use recovery::{FailureVerdict, RecoveryConfig, RecoveryStats};
 pub use run::{drive, Finished, Observed, RunConfig, Slabs};
 pub use timing::{
     Timing, HEADER_BYTES, IN_HEADER_PAYLOAD_BYTES, LINK_EFFECTIVE_GBPS, LINK_RAW_GBPS,

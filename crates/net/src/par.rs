@@ -17,10 +17,10 @@
 //! cross into a *ring-adjacent* slab, so non-adjacent slabs are bounded
 //! by the slab ring distance times the per-axis hop minimum
 //! ([`Timing::min_hop_delay`]). The engine's adaptive mode (the default;
-//! [`LookaheadMode::Global`] selects the uniform baseline) uses those
-//! per-pair bounds to open wider windows for distant slabs and to extend
-//! a shard's window when its upstream shards have drained — without
-//! changing any simulated result.
+//! [`anton_des::LookaheadMode::Global`] selects the uniform baseline)
+//! uses those per-pair bounds to open wider windows for distant slabs
+//! and to extend a shard's window when its upstream shards have drained —
+//! without changing any simulated result.
 //!
 //! ## Shard worlds
 //!
@@ -41,6 +41,11 @@
 //! watchdog reports are merged across replicas in deterministic shard
 //! order after the run.
 //!
+//! A machine is built once, from its [`RunConfig`]
+//! ([`ParSimulation::from_config`]): the plan, the workers, the window
+//! bound, profiling and each replica's recorder are fixed there, and
+//! nothing is set on the machine afterwards.
+//!
 //! A decision at node *n* may read only *n*'s own state plus pure
 //! functions of the plan and `now` (DESIGN.md §12). State that is
 //! replica-wide — written by one node and read by another — would make
@@ -60,99 +65,13 @@
 //! influences event partitioning.
 
 use crate::fabric::{Ev, Fabric, NetStats, ProgEvent};
+use crate::run::RunConfig;
 use crate::timing::Timing;
 use crate::world::{Ctx, NodeProgram, RunReport, StallReport, StuckWatch};
-use anton_des::par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
-use anton_des::{
-    EventHandler, ParProfile, RunOutcome, Scheduler, SimDuration, SimTime, StderrTelemetry,
-    TelemetryConfig,
-};
-use anton_obs::{FlightEvent, StreamConfig, StreamFootprint, StreamSummary};
+use anton_des::par::{LookaheadMatrix, ParEngine, ShardMap};
+use anton_des::{EventHandler, ParProfile, RunOutcome, Scheduler, SimDuration, SimTime};
+use anton_obs::{FlightEvent, StreamFootprint, StreamSummary};
 use anton_topo::{Dim, NodeId, TorusDims};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Parse a worker/shard count from an env-var value: `Ok(None)` when the
-/// variable is unset, `Ok(Some(n))` for a positive integer, `Err(raw)`
-/// when set but invalid (`"0"`, `"abc"`, …). Pure so the parsing is unit
-/// testable without racing on the process environment.
-fn parse_env_count(raw: Option<&str>) -> Result<Option<usize>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(s.to_owned()),
-        },
-    }
-}
-
-/// Resolve a raw env-var value through `parse`, falling back to
-/// `fallback` on an unset or invalid value. An invalid value (silently
-/// accepting it would mask a typo'd `ANTON_THREADS=abc` forever) warns on
-/// stderr — once per variable per process, so loops over simulations
-/// don't spam. Every `ANTON_*` knob resolves through this one helper so
-/// they all share the same warn-once contract.
-fn resolve_env<T: std::fmt::Display>(
-    var: &str,
-    raw: Option<&str>,
-    fallback: T,
-    warned: &AtomicBool,
-    expected: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> T {
-    match raw {
-        None => fallback,
-        Some(s) => match parse(s) {
-            Some(v) => v,
-            None => {
-                if !warned.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: ignoring invalid {var}={s:?} \
-                         (expected {expected}); using {fallback}"
-                    );
-                }
-                fallback
-            }
-        },
-    }
-}
-
-/// [`resolve_env`] for positive-integer counts.
-fn resolve_count(var: &str, raw: Option<&str>, fallback: usize, warned: &AtomicBool) -> usize {
-    resolve_env(var, raw, fallback, warned, "a positive integer", |s| {
-        parse_env_count(Some(s)).ok().flatten()
-    })
-}
-
-/// [`resolve_count`] over the live process environment.
-fn env_count(var: &str, fallback: usize, warned: &AtomicBool) -> usize {
-    let raw = std::env::var(var).ok();
-    resolve_count(var, raw.as_deref(), fallback, warned)
-}
-
-static THREADS_WARNED: AtomicBool = AtomicBool::new(false);
-static LOOKAHEAD_WARNED: AtomicBool = AtomicBool::new(false);
-static TELEMETRY_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// Live-telemetry heartbeat period from `ANTON_TELEMETRY_MS`: unset (or
-/// invalid, with a once-per-process warning) disables telemetry; `0`
-/// emits at every window boundary.
-fn telemetry_period_from_env() -> Option<Duration> {
-    let raw = std::env::var("ANTON_TELEMETRY_MS").ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(ms) => Some(Duration::from_millis(ms)),
-        Err(_) => {
-            if !TELEMETRY_WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: ignoring invalid ANTON_TELEMETRY_MS={raw:?} \
-                     (expected milliseconds); telemetry stays off"
-                );
-            }
-            None
-        }
-    }
-}
 
 /// How the torus is sliced into shards: slabs perpendicular to one axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +102,8 @@ impl ShardPlan {
     /// an 8×8×8 machine). The shard count is part of the *simulation
     /// configuration* — a pure function of the dims, never of the
     /// worker-thread count, or different thread counts would partition
-    /// events differently. [`ParSimulation::with_plan`] takes any other.
+    /// events differently. [`ParSimulation::from_config`] takes any other
+    /// through [`RunConfig::slabs`].
     pub fn auto(dims: TorusDims) -> ShardPlan {
         let planes = Dim::ALL.iter().map(|&d| dims.len(d)).max().unwrap() as usize;
         ShardPlan::new(dims, planes)
@@ -246,45 +166,8 @@ impl ShardPlan {
     }
 }
 
-/// Worker-thread count for parallel runs: the `ANTON_THREADS` env var,
-/// defaulting to 1 (one worker, on the calling thread); invalid values
-/// warn once on stderr and fall back to 1. Thread count never affects
-/// simulated results — only wall-clock time.
-pub fn threads_from_env() -> usize {
-    env_count("ANTON_THREADS", 1, &THREADS_WARNED)
-}
-
-/// Parse a lookahead-mode name (`"adaptive"`/`"matrix"` or
-/// `"global"`/`"uniform"`, case-insensitive). `None` for anything else.
-pub fn parse_lookahead_mode(s: &str) -> Option<LookaheadMode> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "adaptive" | "matrix" => Some(LookaheadMode::Adaptive),
-        "global" | "uniform" => Some(LookaheadMode::Global),
-        _ => None,
-    }
-}
-
-/// Window-bound mode from `ANTON_LOOKAHEAD`, defaulting to
-/// [`LookaheadMode::Adaptive`] (per-shard-pair windows from the slab
-/// distance matrix); `global` selects the uniform 54 ns baseline for
-/// A/B comparisons. Mode never affects simulated results — only how
-/// wide the conservative windows open (asserted by the determinism
-/// tests and the `par_speedup` bench). Invalid values warn once on
-/// stderr, same contract as the other `ANTON_*` knobs.
-pub fn lookahead_mode_from_env() -> LookaheadMode {
-    let raw = std::env::var("ANTON_LOOKAHEAD").ok();
-    resolve_env(
-        "ANTON_LOOKAHEAD",
-        raw.as_deref(),
-        LookaheadMode::default(),
-        &LOOKAHEAD_WARNED,
-        "adaptive|global",
-        parse_lookahead_mode,
-    )
-}
-
-/// Which observability recorder a run attaches to its fabric (or one
-/// per shard); see [`RunConfig::obs`](crate::RunConfig::obs).
+/// Which observability recorder a run installs on each fabric replica
+/// ([`Fabric::observe`]); see [`RunConfig::obs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsMode {
     /// No recorder: the zero-observer-effect baseline.
@@ -462,73 +345,47 @@ pub struct ParSimulation<P: NodeProgram> {
 }
 
 impl<P: NodeProgram + Send> ParSimulation<P> {
-    /// Build a sharded machine. `build_fabric` is called exactly once per
-    /// shard and must construct *identical* fabrics (same dims, timing,
-    /// fault plan, and pre-registered multicast patterns — register
-    /// patterns inside the closure, not afterwards); `make` is called per
-    /// shard per node and must be a pure function of the node id.
-    /// `threads` picks the worker count (1 runs on the calling thread).
-    /// Windows start in the default [`LookaheadMode::Adaptive`]; see
-    /// [`ParSimulation::set_lookahead_mode`].
+    /// Build the machine `cfg` describes: its shard plan, worker threads,
+    /// window-bound mode and profiling, and on every fabric replica the
+    /// recorder `cfg.obs` names, installed as the replica is built. An
+    /// [`ObsMode::Off`] config installs none, and keeps any recorder
+    /// `build_fabric` installed.
+    ///
+    /// `build_fabric` is called exactly once per shard with `cfg.timing`
+    /// and must construct *identical* fabrics (same dims, timing, fault
+    /// plan, and pre-registered multicast patterns — register patterns
+    /// inside the closure, not afterwards); the shard map's lookahead
+    /// comes from the first replica's timing. `make` is called per shard
+    /// per node and must be a pure function of the node id. Nothing
+    /// about the machine changes after this returns.
     ///
     /// Mid-run mutation of *other* nodes' fabric state through
     /// [`Ctx::fabric_mut`] (e.g. re-registering a multicast pattern
-    /// mid-run) is not supported in the sharded mode: a replica's
+    /// mid-run) is not supported on more than one slab: a replica's
     /// pattern tables are only consulted for owned nodes, so pre-run
     /// registration via `build_fabric` is the supported path.
-    pub fn new(
-        threads: usize,
-        mut build_fabric: impl FnMut() -> Fabric,
-        make: impl FnMut(NodeId) -> P,
-    ) -> ParSimulation<P> {
-        let first = build_fabric();
-        let plan = ShardPlan::auto(first.dims());
-        ParSimulation::from_first_replica(threads, plan, first, build_fabric, make)
-    }
-
-    /// [`ParSimulation::new`] with an explicit [`ShardPlan`] instead of
-    /// [`ShardPlan::auto`] — for tests and experiments that sweep shard
-    /// counts or axes. The plan's dims must match the fabric the closure
-    /// builds.
-    pub fn with_plan(
-        threads: usize,
-        plan: ShardPlan,
-        mut build_fabric: impl FnMut() -> Fabric,
-        make: impl FnMut(NodeId) -> P,
-    ) -> ParSimulation<P> {
-        let first = build_fabric();
-        ParSimulation::from_first_replica(threads, plan, first, build_fabric, make)
-    }
-
-    /// The one-slab machine over an already-built `fabric`, run on the
-    /// calling thread. Its single replica is the whole machine, so the
-    /// caller can read the fabric after the run; it is also the only
-    /// plan on which programs that share state across nodes are correct.
-    pub fn one_slab(fabric: Fabric, make: impl FnMut(NodeId) -> P) -> ParSimulation<P> {
-        let plan = ShardPlan::new(fabric.dims(), 1);
-        let more = || -> Fabric { unreachable!("one slab builds one replica") };
-        ParSimulation::from_first_replica(1, plan, fabric, more, make)
-    }
-
-    /// Shared constructor: `first` (already built, and read for dims and
-    /// timing) becomes shard 0's replica; `build_fabric` builds the rest.
-    pub(crate) fn from_first_replica(
-        threads: usize,
-        plan: ShardPlan,
-        first: Fabric,
-        mut build_fabric: impl FnMut() -> Fabric,
+    pub fn from_config(
+        cfg: &RunConfig,
+        mut build_fabric: impl FnMut(&Timing) -> Fabric,
         mut make: impl FnMut(NodeId) -> P,
     ) -> ParSimulation<P> {
+        let first = build_fabric(&cfg.timing);
         let dims = first.dims();
-        assert_eq!(dims, plan.dims(), "shard plan built for different dims");
-        let map = EvShardMap::new(plan, first.timing());
-        let mut engine = ParEngine::new(map, threads);
+        let plan = cfg.slabs.plan(dims);
+        let mut engine = ParEngine::new(EvShardMap::new(plan, first.timing()), cfg.threads);
+        engine.set_lookahead_mode(cfg.lookahead);
+        if cfg.profile {
+            engine.enable_profiling();
+        }
         let n = dims.node_count();
         let mut worlds = Vec::with_capacity(plan.shard_count());
         let mut first = Some(first);
         for shard in 0..plan.shard_count() {
-            let fabric = first.take().unwrap_or_else(&mut build_fabric);
+            let mut fabric = first.take().unwrap_or_else(|| build_fabric(&cfg.timing));
             assert_eq!(fabric.dims(), dims, "build_fabric must be deterministic");
+            if cfg.obs != ObsMode::Off {
+                fabric.observe(cfg.obs);
+            }
             let programs = (0..n).map(|i| make(NodeId(i))).collect();
             worlds.push(NodeShardWorld {
                 shard,
@@ -538,44 +395,32 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
             });
             engine.schedule_at_shard(shard, SimTime::ZERO, Ev::Start);
         }
-        if let Some(period) = telemetry_period_from_env() {
-            engine.enable_telemetry(TelemetryConfig {
-                period,
-                sink: Arc::new(StderrTelemetry),
-            });
-        }
         ParSimulation { engine, worlds }
     }
 
-    /// Install one [`FlightRecorder`](anton_obs::FlightRecorder) per
-    /// shard (call before running). Each shard's fabric *owns* its
-    /// recorder — every hook is a direct push, with no shared-mutex
-    /// round trip on the hot path — and the streams are merged
-    /// deterministically in shard order by
-    /// [`ParSimulation::take_merged_flight_events`] after the run.
-    pub fn attach_flight_recorders(&mut self) {
-        for w in &mut self.worlds {
-            w.fabric.attach_owned_flight_recorder();
-        }
+    /// [`ParSimulation::from_config`] on the auto plan with `threads`
+    /// workers ([`RunConfig::sharded`]), from a closure that builds its
+    /// own timing.
+    pub fn new(
+        threads: usize,
+        mut build_fabric: impl FnMut() -> Fabric,
+        make: impl FnMut(NodeId) -> P,
+    ) -> ParSimulation<P> {
+        ParSimulation::from_config(&RunConfig::sharded(threads), |_| build_fabric(), make)
     }
 
-    /// Install one bounded-memory
-    /// [`StreamObserver`](anton_obs::StreamObserver) per shard (call
-    /// before running). Each shard folds its own packets at delivery;
-    /// packets that cross shards stay open and are joined by
-    /// [`ParSimulation::take_merged_stream`] after the run.
-    pub fn attach_stream_observers(&mut self, cfg: StreamConfig) {
-        for w in &mut self.worlds {
-            w.fabric.attach_stream_observer(cfg);
-        }
-    }
-
-    /// Select which window bound the engine applies (default
-    /// [`LookaheadMode::Adaptive`]). Call before running. Mode never
-    /// changes simulated results — adaptive windows are provably
-    /// conservative — only how often shards synchronize.
-    pub fn set_lookahead_mode(&mut self, mode: LookaheadMode) {
-        self.engine.set_lookahead_mode(mode);
+    /// The one-slab machine over an already-built `fabric`, run on the
+    /// calling thread ([`RunConfig::default`]). Its single replica is
+    /// the whole machine, so the caller can read the fabric after the
+    /// run; it is also the only plan on which programs that share state
+    /// across nodes are correct.
+    pub fn one_slab(fabric: Fabric, make: impl FnMut(NodeId) -> P) -> ParSimulation<P> {
+        let mut fabric = Some(fabric);
+        ParSimulation::from_config(
+            &RunConfig::default(),
+            |_| fabric.take().expect("one slab builds one replica"),
+            make,
+        )
     }
 
     /// The per-shard-pair lookahead matrix the plan induced.
@@ -583,25 +428,9 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         self.engine.lookahead_matrix()
     }
 
-    /// Enable runtime profiling on the underlying [`ParEngine`]:
-    /// per-worker phase accounting, per-shard event counts, and the
-    /// cross-shard traffic matrix, taken after a run through
-    /// [`ParSimulation::take_runtime_profile`]. Profiling never changes
-    /// simulated results (asserted by fingerprint tests).
-    pub fn enable_runtime_profiling(&mut self) {
-        self.engine.enable_profiling();
-    }
-
     /// Take the accumulated runtime profile, resetting the accumulator.
     pub fn take_runtime_profile(&mut self) -> Option<ParProfile> {
         self.engine.take_profile()
-    }
-
-    /// Stream live heartbeats to `cfg`'s sink during runs (also
-    /// switched on automatically by the `ANTON_TELEMETRY_MS` env var,
-    /// which streams JSON lines to stderr).
-    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.engine.enable_telemetry(cfg);
     }
 
     /// The shard plan in force.
@@ -717,8 +546,8 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     /// merged into one chronological stream: a stable k-way merge keyed
     /// on `(event time, shard index)`, so the result is deterministic and
     /// respects both time order and (within a timestamp) a fixed shard
-    /// order. The events move out, and the recorders are removed.
-    /// Requires [`ParSimulation::attach_flight_recorders`].
+    /// order. The events move out, and the recorders are removed. Empty
+    /// unless the machine was built under [`ObsMode::Flight`].
     pub fn take_merged_flight_events(&mut self) -> Vec<FlightEvent> {
         let per_shard = self
             .worlds
@@ -738,7 +567,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     /// summaries merged in deterministic shard order, cross-shard
     /// partial lifecycles joined and the result finalized, so it is
     /// bit-identical to a one-slab run's finalized summary. `None`
-    /// unless [`ParSimulation::attach_stream_observers`] was called.
+    /// unless the machine was built under [`ObsMode::Stream`].
     pub fn take_merged_stream(&mut self) -> Option<(StreamSummary, StreamFootprint)> {
         let mut footprint = StreamFootprint::default();
         let mut merged: Option<StreamSummary> = None;
@@ -834,56 +663,6 @@ fn _shard_world_is_send<P: NodeProgram + Send>() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_env_count_accepts_positive_integers() {
-        assert_eq!(parse_env_count(None), Ok(None));
-        assert_eq!(parse_env_count(Some("1")), Ok(Some(1)));
-        assert_eq!(parse_env_count(Some("8")), Ok(Some(8)));
-        assert_eq!(parse_env_count(Some(" 16 ")), Ok(Some(16)));
-    }
-
-    #[test]
-    fn parse_env_count_rejects_zero_and_garbage() {
-        assert_eq!(parse_env_count(Some("0")), Err("0".to_owned()));
-        assert_eq!(parse_env_count(Some("abc")), Err("abc".to_owned()));
-        assert_eq!(parse_env_count(Some("-3")), Err("-3".to_owned()));
-        assert_eq!(parse_env_count(Some("4.5")), Err("4.5".to_owned()));
-        assert_eq!(parse_env_count(Some("")), Err("".to_owned()));
-    }
-
-    #[test]
-    fn resolve_count_falls_back_and_warns_once() {
-        let warned = AtomicBool::new(false);
-        // Valid: used as-is, no warning flagged.
-        assert_eq!(resolve_count("T", Some("3"), 1, &warned), 3);
-        assert!(!warned.load(Ordering::Relaxed));
-        // Unset: fallback, still no warning.
-        assert_eq!(resolve_count("T", None, 7, &warned), 7);
-        assert!(!warned.load(Ordering::Relaxed));
-        // Invalid: fallback, warning flag trips exactly once.
-        assert_eq!(resolve_count("T", Some("0"), 7, &warned), 7);
-        assert!(warned.load(Ordering::Relaxed));
-        assert_eq!(resolve_count("T", Some("junk"), 7, &warned), 7);
-        assert!(warned.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn lookahead_mode_parses_aliases_case_insensitively() {
-        for (s, want) in [
-            ("adaptive", LookaheadMode::Adaptive),
-            ("matrix", LookaheadMode::Adaptive),
-            (" Adaptive ", LookaheadMode::Adaptive),
-            ("global", LookaheadMode::Global),
-            ("uniform", LookaheadMode::Global),
-            ("GLOBAL", LookaheadMode::Global),
-        ] {
-            assert_eq!(parse_lookahead_mode(s), Some(want), "{s:?}");
-        }
-        for s in ["", "adaptve", "1", "on"] {
-            assert_eq!(parse_lookahead_mode(s), None, "{s:?}");
-        }
-    }
 
     #[test]
     fn slab_ring_distance_wraps() {

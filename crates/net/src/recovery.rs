@@ -1,5 +1,5 @@
-//! Runtime fault recovery: failure detectors, recovery policy, and the
-//! chaos-campaign environment knobs (DESIGN.md §12).
+//! Runtime fault recovery: failure detectors and recovery policy
+//! (DESIGN.md §12).
 //!
 //! PR 1 gave the fabric *static* fault handling: seeded transient loss,
 //! CRC + ack/retransmit, and routes computed around *pre-declared* dead
@@ -25,7 +25,6 @@ use anton_des::SimDuration;
 use anton_des::SimTime;
 use anton_obs::VerdictCause;
 use anton_topo::{LinkDir, NodeId};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Domain-separation salt for backoff-jitter draws (keeps them
 /// independent of the fault plan's transient-loss draws).
@@ -209,147 +208,9 @@ impl RecoveryStats {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chaos-campaign environment knobs, in the same unit-tested pure-parse /
-// warn-once shape as `ANTON_THREADS` (`par::parse_env_count`).
-
-static CHAOS_SEED_WARNED: AtomicBool = AtomicBool::new(false);
-static CHAOS_LEVEL_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// Default base seed for the chaos campaign when `ANTON_CHAOS_SEED` is
-/// unset.
-pub const CHAOS_SEED_DEFAULT: u64 = 1;
-
-/// Highest fault-intensity level the chaos campaign defines (and the
-/// default for `ANTON_CHAOS_LEVEL`).
-pub const CHAOS_LEVEL_MAX: u32 = 3;
-
-/// Pure parse of an `ANTON_CHAOS_SEED` value: any `u64`, including 0
-/// (unlike thread counts, a zero seed is meaningful). `None` input
-/// means the variable is unset. `Err` carries the rejected text.
-pub fn parse_env_seed(raw: Option<&str>) -> Result<Option<u64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => match s.trim().parse::<u64>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(s.to_owned()),
-        },
-    }
-}
-
-/// Pure parse of an `ANTON_CHAOS_LEVEL` value: an integer in
-/// `0..=`[`CHAOS_LEVEL_MAX`]. `Err` carries the rejected text, including
-/// in-range-syntax-but-out-of-bounds values.
-pub fn parse_env_level(raw: Option<&str>) -> Result<Option<u32>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => match s.trim().parse::<u32>() {
-            Ok(n) if n <= CHAOS_LEVEL_MAX => Ok(Some(n)),
-            _ => Err(s.to_owned()),
-        },
-    }
-}
-
-fn resolve_seed(var: &str, raw: Option<&str>, fallback: u64, warned: &AtomicBool) -> u64 {
-    match parse_env_seed(raw) {
-        Ok(Some(n)) => n,
-        Ok(None) => fallback,
-        Err(bad) => {
-            if !warned.swap(true, Ordering::Relaxed) {
-                eprintln!("warning: ignoring invalid {var}={bad:?} (want an unsigned integer)");
-            }
-            fallback
-        }
-    }
-}
-
-fn resolve_level(var: &str, raw: Option<&str>, fallback: u32, warned: &AtomicBool) -> u32 {
-    match parse_env_level(raw) {
-        Ok(Some(n)) => n,
-        Ok(None) => fallback,
-        Err(bad) => {
-            if !warned.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: ignoring invalid {var}={bad:?} (want an integer in 0..={CHAOS_LEVEL_MAX})"
-                );
-            }
-            fallback
-        }
-    }
-}
-
-/// Base seed for the chaos campaign: `ANTON_CHAOS_SEED`, defaulting to
-/// [`CHAOS_SEED_DEFAULT`]. Invalid values warn once per process and
-/// fall back to the default.
-pub fn chaos_seed_from_env() -> u64 {
-    let raw = std::env::var("ANTON_CHAOS_SEED").ok();
-    resolve_seed(
-        "ANTON_CHAOS_SEED",
-        raw.as_deref(),
-        CHAOS_SEED_DEFAULT,
-        &CHAOS_SEED_WARNED,
-    )
-}
-
-/// Highest fault-intensity level the chaos campaign sweeps to:
-/// `ANTON_CHAOS_LEVEL` in `0..=`[`CHAOS_LEVEL_MAX`], defaulting to the
-/// full sweep. Invalid values warn once per process and fall back.
-pub fn chaos_level_from_env() -> u32 {
-    let raw = std::env::var("ANTON_CHAOS_LEVEL").ok();
-    resolve_level(
-        "ANTON_CHAOS_LEVEL",
-        raw.as_deref(),
-        CHAOS_LEVEL_MAX,
-        &CHAOS_LEVEL_WARNED,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_seed_accepts_zero_and_whitespace() {
-        assert_eq!(parse_env_seed(None), Ok(None));
-        assert_eq!(parse_env_seed(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_env_seed(Some(" 42 ")), Ok(Some(42)));
-        assert_eq!(
-            parse_env_seed(Some("18446744073709551615")),
-            Ok(Some(u64::MAX))
-        );
-    }
-
-    #[test]
-    fn parse_seed_rejects_garbage() {
-        assert_eq!(parse_env_seed(Some("")), Err(String::new()));
-        assert_eq!(parse_env_seed(Some("-1")), Err("-1".to_owned()));
-        assert_eq!(parse_env_seed(Some("3.5")), Err("3.5".to_owned()));
-        assert_eq!(parse_env_seed(Some("many")), Err("many".to_owned()));
-    }
-
-    #[test]
-    fn parse_level_bounds() {
-        assert_eq!(parse_env_level(None), Ok(None));
-        assert_eq!(parse_env_level(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_env_level(Some("3")), Ok(Some(3)));
-        assert_eq!(parse_env_level(Some("4")), Err("4".to_owned()));
-        assert_eq!(parse_env_level(Some("-2")), Err("-2".to_owned()));
-        assert_eq!(parse_env_level(Some("max")), Err("max".to_owned()));
-    }
-
-    #[test]
-    fn resolve_falls_back_and_warns_once() {
-        let warned = AtomicBool::new(false);
-        assert_eq!(resolve_seed("X", Some("bad"), 7, &warned), 7);
-        assert!(warned.load(Ordering::Relaxed));
-        assert_eq!(resolve_seed("X", Some("9"), 7, &warned), 9);
-        assert_eq!(resolve_seed("X", None, 7, &warned), 7);
-
-        let warned = AtomicBool::new(false);
-        assert_eq!(resolve_level("Y", Some("99"), 2, &warned), 2);
-        assert!(warned.load(Ordering::Relaxed));
-        assert_eq!(resolve_level("Y", Some("1"), 2, &warned), 1);
-    }
 
     #[test]
     fn backoff_grows_exponentially_and_is_seeded() {

@@ -22,7 +22,7 @@ use crate::recovery::RecoveryStats;
 use crate::timing::Timing;
 use crate::world::{NodeProgram, RunReport, StallReport};
 use anton_des::{LookaheadMode, ParProfile, SimTime};
-use anton_obs::{FlightEvent, StreamConfig, StreamFootprint, StreamSummary};
+use anton_obs::{FlightEvent, StreamFootprint, StreamSummary};
 use anton_topo::{NodeId, TorusDims};
 
 /// Horizon of every driven run: far past any workload's end, so runs
@@ -56,7 +56,10 @@ impl Slabs {
     }
 }
 
-/// Everything about a run that is not the workload itself.
+/// Everything about a run that is not the workload itself: the one
+/// input of [`ParSimulation::from_config`], applied when the machine is
+/// built. No library crate reads the environment; a binary that
+/// exposes a knob (`anton_bench::knobs`) reads it into this value.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// The shard plan.
@@ -66,9 +69,8 @@ pub struct RunConfig {
     pub threads: usize,
     /// The timing model every fabric replica is built with.
     pub timing: Timing,
-    /// The window bound between slabs. Applied as given: callers that
-    /// want the `ANTON_LOOKAHEAD` knob pass
-    /// [`crate::lookahead_mode_from_env`].
+    /// The window bound between slabs. Never changes a simulated
+    /// result, only how often slabs synchronize.
     pub lookahead: LookaheadMode,
     /// The packet observer: none, a flight recorder, or the
     /// bounded-memory stream observer at its default configuration.
@@ -137,42 +139,24 @@ pub struct Finished<P> {
     pub observed: Observed,
 }
 
-/// Run one program per node on the shard plan and thread count `cfg`
-/// names.
+/// Run one program per node on the machine `cfg` describes: build it
+/// ([`ParSimulation::from_config`]), run it, and collect the result.
 ///
 /// `build_fabric` constructs the machine from the configured timing; it
-/// is called once per slab and must build identical fabrics (see
-/// [`ParSimulation::new`]). `make` builds node `i`'s program. The run
-/// stops when the queues drain or after `max_events` events; anything
-/// short of a drained queue with no pending counter watch is returned as
-/// the stall diagnosis.
+/// is called once per slab and must build identical fabrics. `make`
+/// builds node `i`'s program. The run stops when the queues drain or
+/// after `max_events` events; anything short of a drained queue with no
+/// pending counter watch is returned as the stall diagnosis.
 ///
 /// An observer that is off costs nothing: no recorder is installed and
 /// nothing is merged after the run.
 pub fn drive<P: NodeProgram + Send>(
     cfg: &RunConfig,
-    mut build_fabric: impl FnMut(&Timing) -> Fabric,
+    build_fabric: impl FnMut(&Timing) -> Fabric,
     make: impl FnMut(NodeId) -> P,
     max_events: u64,
 ) -> Result<Finished<P>, Box<StallReport>> {
-    let first = build_fabric(&cfg.timing);
-    let plan = cfg.slabs.plan(first.dims());
-    let mut sim = ParSimulation::from_first_replica(
-        cfg.threads,
-        plan,
-        first,
-        || build_fabric(&cfg.timing),
-        make,
-    );
-    sim.set_lookahead_mode(cfg.lookahead);
-    if cfg.profile {
-        sim.enable_runtime_profiling();
-    }
-    match cfg.obs {
-        ObsMode::Off => {}
-        ObsMode::Flight => sim.attach_flight_recorders(),
-        ObsMode::Stream => sim.attach_stream_observers(StreamConfig::default()),
-    }
+    let mut sim = ParSimulation::from_config(cfg, build_fabric, make);
     if let RunReport::Stalled(stall) = sim.run_guarded(HORIZON, max_events) {
         return Err(Box::new(stall));
     }

@@ -7,8 +7,8 @@
 
 use anton_des::SimTime;
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation, Payload,
-    ProgEvent, Timing,
+    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet, ParSimulation,
+    Payload, ProgEvent, Timing,
 };
 use anton_obs::{retime, CausalGraph, FlightEvent, Perturbation};
 use anton_topo::{NodeId, TorusDims};
@@ -48,7 +48,7 @@ fn run_planned(
     fault: FaultPlan,
 ) -> Vec<FlightEvent> {
     let mut fabric = Fabric::with_faults(dims, Timing::default(), fault);
-    fabric.attach_owned_flight_recorder();
+    fabric.observe(ObsMode::Flight);
     let mut sim = ParSimulation::one_slab(fabric, |_| PlannedTraffic { plan: plan.clone() });
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)

@@ -4,8 +4,8 @@
 
 use anton_des::SimTime;
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation, Payload,
-    ProgEvent, Timing,
+    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet, ParSimulation,
+    Payload, ProgEvent, Timing,
 };
 use anton_obs::{fold_lifecycles, ChromeTraceBuilder, FlightEvent, Stage};
 use anton_topo::{NodeId, TorusDims};
@@ -51,7 +51,7 @@ fn run_planned(
 ) -> (SimTime, anton_net::NetStats, String, Vec<FlightEvent>) {
     let mut fabric = Fabric::with_faults(dims, Timing::default(), FaultPlan::none());
     if record {
-        fabric.attach_owned_flight_recorder();
+        fabric.observe(ObsMode::Flight);
     }
     let mut sim = ParSimulation::one_slab(fabric, |_| PlannedTraffic { plan: plan.clone() });
     assert!(sim

@@ -9,7 +9,7 @@ use anton_des::par::LookaheadMode;
 use anton_des::SimTime;
 use anton_net::{
     ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation,
-    Payload, ProgEvent, ShardPlan, Timing,
+    Payload, ProgEvent, RunConfig, ShardPlan, Slabs, Timing,
 };
 use anton_topo::{NodeId, TorusDims};
 use proptest::prelude::*;
@@ -71,23 +71,27 @@ fn build(dims: TorusDims) -> Fabric {
 #[allow(clippy::type_complexity)]
 fn run_sharded(
     dims: TorusDims,
-    plan: ShardPlan,
+    slabs: usize,
     stride: u32,
     rounds: u32,
     threads: usize,
     mode: LookaheadMode,
 ) -> (anton_net::NetStats, SimTime, u64, Vec<SimTime>) {
-    let mut sim = ParSimulation::with_plan(
+    let cfg = RunConfig {
+        slabs: Slabs::Count(slabs),
         threads,
-        plan,
-        move || build(dims),
+        lookahead: mode,
+        ..RunConfig::default()
+    };
+    let mut sim = ParSimulation::from_config(
+        &cfg,
+        move |_| build(dims),
         |_| Relay {
             stride,
             left: rounds,
             finished_at: None,
         },
     );
-    sim.set_lookahead_mode(mode);
     sim.run();
     (
         sim.merged_stats(),
@@ -156,11 +160,9 @@ proptest! {
         rounds in 1u32..3,
     ) {
         let dims = TorusDims::new(3, 3, nz);
-        let plan = ShardPlan::new(dims, nshards);
-        let one_slab = ShardPlan::new(dims, 1);
-        let one = run_sharded(dims, one_slab, stride, rounds, 1, LookaheadMode::Adaptive);
+        let one = run_sharded(dims, 1, stride, rounds, 1, LookaheadMode::Adaptive);
 
-        let reference = run_sharded(dims, plan, stride, rounds, 1, LookaheadMode::Adaptive);
+        let reference = run_sharded(dims, nshards, stride, rounds, 1, LookaheadMode::Adaptive);
         // Whole-struct equality only holds within one plan (each slab
         // seeds one Start); against one slab, compare the traffic
         // observables.
@@ -174,7 +176,7 @@ proptest! {
         prop_assert_eq!(&reference.3, &one.3);
         for threads in [2, 4] {
             for mode in [LookaheadMode::Adaptive, LookaheadMode::Global] {
-                let got = run_sharded(dims, plan, stride, rounds, threads, mode);
+                let got = run_sharded(dims, nshards, stride, rounds, threads, mode);
                 prop_assert_eq!(&got, &reference, "{} threads, {} windows", threads, mode);
             }
         }

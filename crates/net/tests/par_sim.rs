@@ -6,7 +6,7 @@
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
     merge_flight_events, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram,
-    Packet, ParSimulation, Payload, ProgEvent, ShardPlan,
+    ObsMode, Packet, ParSimulation, Payload, ProgEvent, RunConfig, ShardPlan, Slabs,
 };
 use anton_obs::FlightEvent;
 use anton_topo::{NodeId, TorusDims};
@@ -79,8 +79,11 @@ struct Observables {
 }
 
 fn run_par(dims: TorusDims, rounds: u32, threads: usize) -> Observables {
-    let mut sim = ParSimulation::new(threads, move || build(dims), make(rounds));
-    sim.attach_flight_recorders();
+    let cfg = RunConfig {
+        obs: ObsMode::Flight,
+        ..RunConfig::sharded(threads)
+    };
+    let mut sim = ParSimulation::from_config(&cfg, move |_| build(dims), make(rounds));
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
@@ -149,11 +152,13 @@ fn each_replica_is_built_once() {
     assert_eq!(calls, sim.plan().shard_count());
 
     let mut calls = 0;
-    let plan = ShardPlan::new(dims, 2);
-    let sim = ParSimulation::with_plan(
-        1,
-        plan,
-        || {
+    let cfg = RunConfig {
+        slabs: Slabs::Count(2),
+        ..RunConfig::default()
+    };
+    let sim = ParSimulation::from_config(
+        &cfg,
+        |_| {
             calls += 1;
             build(dims)
         },

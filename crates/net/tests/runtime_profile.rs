@@ -1,18 +1,17 @@
 //! The parallel-runtime observatory must be a pure observer: enabling
-//! profiling or telemetry on [`ParSimulation`] may not perturb any
-//! simulated observable, the deterministic profile fields must be
+//! profiling on [`ParSimulation`] may not perturb any simulated
+//! observable, the deterministic profile fields must be
 //! thread-count-invariant, and the speedup attribution must telescope
 //! exactly on a real run — not just on the hand-built profiles of the
 //! unit tests.
 
-use anton_des::{Heartbeat, SimTime, TelemetryConfig, TelemetrySink};
+use anton_des::SimTime;
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation,
-    Payload, ProgEvent,
+    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode, Packet,
+    ParSimulation, Payload, ProgEvent, RunConfig,
 };
 use anton_obs::runtime::{RuntimeSummary, SpeedupAttribution};
 use anton_topo::{NodeId, TorusDims};
-use std::sync::{Arc, Mutex};
 
 const C_TOK: CounterId = CounterId(7);
 const ADDR: u64 = 0x1000;
@@ -87,11 +86,12 @@ fn run_relay(
     threads: usize,
     profile: bool,
 ) -> (Observables, Option<anton_des::ParProfile>) {
-    let mut sim = ParSimulation::new(threads, move || build(dims), make(rounds));
-    sim.attach_flight_recorders();
-    if profile {
-        sim.enable_runtime_profiling();
-    }
+    let cfg = RunConfig {
+        obs: ObsMode::Flight,
+        profile,
+        ..RunConfig::sharded(threads)
+    };
+    let mut sim = ParSimulation::from_config(&cfg, move |_| build(dims), make(rounds));
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
@@ -167,50 +167,4 @@ fn attribution_telescopes_on_a_real_run() {
     );
     assert!(attr.speedup() > 0.0);
     assert!(attr.table().contains("speedup attribution"));
-}
-
-/// A sink that stores every heartbeat for inspection.
-#[derive(Default)]
-struct Capture(Mutex<Vec<Heartbeat>>);
-
-impl TelemetrySink for Capture {
-    fn emit(&self, beat: &Heartbeat) {
-        self.0.lock().unwrap().push(beat.clone());
-    }
-}
-
-#[test]
-fn telemetry_streams_heartbeats_without_perturbing_the_run() {
-    let dims = TorusDims::new(4, 4, 4);
-    let (plain, _) = run_relay(dims, 3, 4, false);
-
-    let sink = Arc::new(Capture::default());
-    let mut sim = ParSimulation::new(4, move || build(dims), make(3));
-    sim.enable_telemetry(TelemetryConfig {
-        period: std::time::Duration::ZERO,
-        sink: sink.clone(),
-    });
-    assert!(sim
-        .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
-        .is_completed());
-    assert_eq!(sim.merged_stats(), plain.stats, "telemetry is an observer");
-    assert_eq!(sim.events_processed(), plain.events);
-
-    let beats = sink.0.lock().unwrap();
-    assert!(
-        !beats.is_empty(),
-        "zero-period telemetry beats every window"
-    );
-    for pair in beats.windows(2) {
-        assert!(pair[1].sim_ps >= pair[0].sim_ps, "sim time is monotone");
-        assert!(pair[1].events >= pair[0].events, "event count is monotone");
-    }
-    let last = beats.last().unwrap();
-    assert_eq!(
-        last.shard_pending.len(),
-        sim.plan().shard_count(),
-        "one occupancy slot per shard"
-    );
-    assert!(last.to_json_line().starts_with("{\"type\":\"heartbeat\""));
-    anton_obs::validate_json(&last.to_json_line()).expect("heartbeat line is JSON");
 }

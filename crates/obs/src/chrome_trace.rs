@@ -23,10 +23,17 @@ use anton_des::SimTime;
 use std::fmt::Write as _;
 use std::io;
 
-/// Builds a Chrome `trace_event` JSON document incrementally.
-#[derive(Debug, Default)]
+/// Builds a Chrome `trace_event` JSON document in memory: a
+/// [`ChromeTraceWriter`] over a byte buffer.
+#[derive(Debug)]
 pub struct ChromeTraceBuilder {
-    events: Vec<String>,
+    w: ChromeTraceWriter<Vec<u8>>,
+}
+
+impl Default for ChromeTraceBuilder {
+    fn default() -> ChromeTraceBuilder {
+        ChromeTraceBuilder::new()
+    }
 }
 
 /// Format a picosecond timestamp as the trace format's microsecond `ts`.
@@ -44,10 +51,6 @@ fn ts_us(t: SimTime) -> String {
 fn dur_us(from: SimTime, to: SimTime) -> String {
     ts_us(SimTime::from_ps(to.as_ps().saturating_sub(from.as_ps())))
 }
-
-// One formatting function per event kind, shared by the in-memory
-// builder and the streaming writer so the two paths are byte-identical
-// by construction (the streaming-equivalence test locks this in).
 
 fn ev_process_name(pid: u64, name: &str) -> String {
     format!(
@@ -132,20 +135,24 @@ fn lifecycle_events(pid: u64, lc: &PacketLifecycle) -> Vec<String> {
 
 const TRACE_HEADER: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
 
+const IN_MEMORY: &str = "writing to memory never fails";
+
 impl ChromeTraceBuilder {
     /// An empty trace.
     pub fn new() -> ChromeTraceBuilder {
-        ChromeTraceBuilder::default()
+        ChromeTraceBuilder {
+            w: ChromeTraceWriter::new(Vec::new()).expect(IN_MEMORY),
+        }
     }
 
     /// Name a process row (`"M"` metadata event).
     pub fn name_process(&mut self, pid: u64, name: &str) {
-        self.events.push(ev_process_name(pid, name));
+        self.w.name_process(pid, name).expect(IN_MEMORY);
     }
 
     /// Name a thread row within a process (`"M"` metadata event).
     pub fn name_thread(&mut self, pid: u64, tid: u64, name: &str) {
-        self.events.push(ev_thread_name(pid, tid, name));
+        self.w.name_thread(pid, tid, name).expect(IN_MEMORY);
     }
 
     /// Add a complete slice (`"X"` event) spanning `[start, end]`.
@@ -158,56 +165,51 @@ impl ChromeTraceBuilder {
         start: SimTime,
         end: SimTime,
     ) {
-        self.events.push(ev_slice(pid, tid, cat, name, start, end));
+        self.w
+            .add_slice(pid, tid, cat, name, start, end)
+            .expect(IN_MEMORY);
     }
 
     /// Add an instant marker (`"i"` event, process scope).
     pub fn add_instant(&mut self, pid: u64, tid: u64, cat: &str, name: &str, at: SimTime) {
-        self.events.push(ev_instant(pid, tid, cat, name, at));
+        self.w
+            .add_instant(pid, tid, cat, name, at)
+            .expect(IN_MEMORY);
     }
 
     /// Add a counter sample (`"C"` event) — renders as a track graph.
     pub fn add_counter(&mut self, pid: u64, name: &str, at: SimTime, value: f64) {
-        self.events.push(ev_counter(pid, name, at, value));
+        self.w.add_counter(pid, name, at, value).expect(IN_MEMORY);
     }
 
     /// Add one packet lifecycle as a thread row: one slice per non-empty
     /// Figure 6 stage, plus instant markers for retransmits folded in by
     /// the caller if desired. `pid` groups packets (e.g. by source node).
     pub fn add_lifecycle(&mut self, pid: u64, lc: &PacketLifecycle) {
-        self.events.extend(lifecycle_events(pid, lc));
+        self.w.add_lifecycle(pid, lc).expect(IN_MEMORY);
     }
 
     /// Number of events added so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.w.len() as usize
     }
 
     /// Whether no events were added.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.w.is_empty()
     }
 
     /// Finish into the JSON document.
     pub fn finish(self) -> String {
-        let mut out = String::from(TRACE_HEADER);
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < self.events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+        let bytes = self.w.finish().expect(IN_MEMORY);
+        String::from_utf8(bytes).expect("the formatters emit UTF-8")
     }
 }
 
 /// Streams a Chrome `trace_event` JSON document to any [`io::Write`]
-/// sink, chunk by chunk, without accumulating events in memory — the
-/// bounded-memory counterpart of [`ChromeTraceBuilder`] for 100×-scale
-/// runs. Output is byte-identical to the builder's for the same call
-/// sequence (both paths share the event formatters).
+/// sink, chunk by chunk, without accumulating events in memory — for
+/// 100×-scale runs. [`ChromeTraceBuilder`] is this writer over a byte
+/// buffer.
 #[derive(Debug)]
 pub struct ChromeTraceWriter<W: io::Write> {
     w: W,
@@ -327,18 +329,17 @@ fn csv_row(lc: &PacketLifecycle) -> String {
 
 /// Render lifecycles as a flat CSV summary (one row per packet, one
 /// column per Figure 6 stage) — the spreadsheet-friendly counterpart of
-/// the Chrome trace.
+/// the Chrome trace. A [`LifecycleCsvWriter`] over a byte buffer.
 pub fn lifecycles_csv(lifecycles: &[PacketLifecycle]) -> String {
-    let mut out = String::from(CSV_HEADER);
+    let mut w = LifecycleCsvWriter::new(Vec::new()).expect(IN_MEMORY);
     for lc in lifecycles {
-        out.push_str(&csv_row(lc));
+        w.write(lc).expect(IN_MEMORY);
     }
-    out
+    String::from_utf8(w.finish().expect(IN_MEMORY)).expect("the formatters emit UTF-8")
 }
 
 /// Streams the lifecycle CSV to any [`io::Write`] sink one row at a
-/// time — byte-identical to [`lifecycles_csv`] over the same rows, with
-/// O(1) memory.
+/// time, with O(1) memory.
 #[derive(Debug)]
 pub struct LifecycleCsvWriter<W: io::Write> {
     w: W,

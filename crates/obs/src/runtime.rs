@@ -41,7 +41,7 @@ use std::fmt::Write as _;
 ///   finished its window slice while others were still executing: the
 ///   direct cost of shard load imbalance),
 /// - **windowing** — per-worker loop residue (window-decision
-///   computation, heartbeats, loop bookkeeping) plus the dispatch
+///   computation and loop bookkeeping) plus the dispatch
 ///   residual outside the worker loops (thread spawn/join),
 /// - **exec excess** — mean per-worker busy time minus `seq/N`; positive
 ///   when parallel execution does more or slower work than an N-way
@@ -105,7 +105,7 @@ impl SpeedupAttribution {
             merge_ns: avg(|w| w.merge_ns),
             barrier_ns: avg(|w| w.barrier_publish_ns),
             imbalance_ns: avg(|w| w.barrier_window_ns),
-            // Loop residue (decision compute, heartbeats, bookkeeping)
+            // Loop residue (decision compute and bookkeeping)
             // plus the dispatch residual outside the loops (spawn/join).
             windowing_ns: avg(|w| w.windowing_ns()) + (par - avg_loop),
             exec_excess_ns: avg_busy - ideal,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gates, split into stages so the PR fast-gate stays under ~10 min:
 #
-#   scripts/ci.sh fast     # fmt, build, tests, clippy, doc warnings
+#   scripts/ci.sh fast     # fmt, no env reads in library crates, build, tests, clippy, doc warnings
 #   scripts/ci.sh full     # smokes + determinism + bench drift gates + host benchmark smoke
 #   scripts/ci.sh nightly  # extended chaos sweep + 24^3 scale probe
 #   scripts/ci.sh          # fast + full (the complete tier-1 gate)
@@ -13,6 +13,15 @@ cd "$(dirname "$0")/.."
 
 fast_gate() {
   cargo fmt --all -- --check
+
+  # No hidden knobs: a run is configured by its RunConfig alone, so the
+  # library crates read no environment. Only the bench binaries read
+  # ANTON_* variables, through anton_bench::knobs.
+  if grep -rn 'env::var' crates/{des,net,core,collectives,obs}/src; then
+    echo "ci: a library crate reads the environment; pass the value through RunConfig" >&2
+    exit 1
+  fi
+
   cargo build --release
   cargo test --workspace -q
   cargo clippy --workspace --all-targets -- -D warnings
