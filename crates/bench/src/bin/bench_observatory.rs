@@ -1,81 +1,51 @@
-//! The always-on perf observatory CLI: collect the attribution-aware
-//! report, triage it against a named baseline from the committed
-//! trajectory index, and render the dashboard.
+//! The perf observatory CLI: collect the attribution-aware report,
+//! triage it against the committed profile `BENCH_pr7.json`, and
+//! regenerate that profile.
 //!
 //! ```text
-//! bench_observatory emit  [--quick] [--out PATH]
-//! bench_observatory check [--quick] [--baseline NAME] [--index PATH]
-//!                         [--threshold PCT] [--share-threshold PT]
-//!                         [--bench-out PATH] [--dashboard PATH]
-//!                         [--scale KIND FACTOR] [--slow-link FACTOR]
-//! bench_observatory render [--index PATH] [--out PATH]
+//! bench_observatory check [--scale KIND FACTOR] [--slow-link FACTOR]
 //! ```
 //!
-//! `check` runs every workload, diffs component-by-component against
-//! the baseline resolved from `BENCH_trajectory.json` (default `pr3`),
-//! prints the triage narrative, archives the run under
-//! `target/obs/trajectory/`, writes the dashboard HTML, and exits
-//! non-zero on any gated regression. `--bench-out` additionally writes
-//! the deterministic metric report (the committed `BENCH_pr7.json`
-//! quick profile). The `--scale`/`--slow-link` flags re-time the
-//! causal workload under a what-if perturbation, so a triage can be
-//! rehearsed on demand.
+//! `check` runs every workload, diffs the metrics against the committed
+//! `BENCH_pr7.json` at [`DiffConfig::default`] (the file holds metrics
+//! only, so the triage names metrics, not section components), prints
+//! the triage, archives the full report as
+//! `target/obs/observatory.json`, rewrites `BENCH_pr7.json` from the
+//! fresh metrics, and exits non-zero on any gated regression. Both
+//! sides come from the same collection, so any move is a model change;
+//! CI's exact drift check then fails on any changed byte, and the
+//! triage says which metric moved. The `--scale`/`--slow-link` flags
+//! re-time the causal workload under a what-if perturbation, so a
+//! triage can be rehearsed on demand; a perturbed run writes nothing.
 
-use anton_bench::observatory::{collect, ObservatoryOptions};
-use anton_obs::{
-    render_dashboard, validate_html, BenchReport, DashboardInput, DiffConfig, EdgeKind,
-    ObservatoryReport, Perturbation, TrajectoryIndex,
-};
+use anton_bench::observatory::collect;
+use anton_obs::{BenchReport, DiffConfig, EdgeKind, ObservatoryReport, Perturbation};
 use anton_topo::{LinkDir, NodeId};
-use std::path::Path;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: bench_observatory emit  [--quick] [--out PATH]\n\
-       \x20      bench_observatory check [--quick] [--baseline NAME] [--index PATH]\n\
-       \x20                              [--threshold PCT] [--share-threshold PT]\n\
-       \x20                              [--bench-out PATH] [--dashboard PATH]\n\
-       \x20                              [--scale KIND FACTOR] [--slow-link FACTOR]\n\
-       \x20      bench_observatory render [--index PATH] [--out PATH]"
-    );
-    ExitCode::from(2)
-}
+/// The committed profile: the baseline of the triage, and the file an
+/// unperturbed check rewrites.
+const PROFILE: &str = "BENCH_pr7.json";
+/// Where the full report (metrics plus sections) is archived.
+const ARCHIVE: &str = "target/obs/observatory.json";
 
-struct Args {
-    command: String,
-    quick: bool,
-    baseline: String,
-    index: String,
-    threshold: f64,
-    share_threshold: f64,
-    out: Option<String>,
-    bench_out: Option<String>,
-    dashboard: String,
-    perturb: Option<Perturbation>,
+fn usage() -> ExitCode {
+    eprintln!("usage: bench_observatory check [--scale KIND FACTOR] [--slow-link FACTOR]");
+    ExitCode::from(2)
 }
 
 fn edge_kind(name: &str) -> Option<EdgeKind> {
     EdgeKind::ALL.into_iter().find(|k| k.label() == name)
 }
 
-fn parse_args() -> Result<Args, ExitCode> {
+/// Parse `check [--scale KIND FACTOR] [--slow-link FACTOR]` into the
+/// perturbation to rehearse, if any.
+fn parse_args() -> Result<Option<Perturbation>, ExitCode> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first().cloned() else {
+    if argv.first().map(String::as_str) != Some("check") {
         return Err(usage());
-    };
-    let mut args = Args {
-        command,
-        quick: false,
-        baseline: "pr3".to_owned(),
-        index: "BENCH_trajectory.json".to_owned(),
-        threshold: 10.0,
-        share_threshold: 2.0,
-        out: None,
-        bench_out: None,
-        dashboard: "target/obs/dashboard.html".to_owned(),
-        perturb: None,
-    };
+    }
+    let mut perturb: Option<Perturbation> = None;
     let mut it = argv.iter().skip(1);
     while let Some(a) = it.next() {
         let mut next = |flag: &str| -> Result<String, ExitCode> {
@@ -84,19 +54,8 @@ fn parse_args() -> Result<Args, ExitCode> {
                 usage()
             })
         };
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--baseline" => args.baseline = next("--baseline")?,
-            "--index" => args.index = next("--index")?,
-            "--threshold" => {
-                args.threshold = next("--threshold")?.parse().map_err(|_| usage())?;
-            }
-            "--share-threshold" => {
-                args.share_threshold = next("--share-threshold")?.parse().map_err(|_| usage())?;
-            }
-            "--out" => args.out = Some(next("--out")?),
-            "--bench-out" => args.bench_out = Some(next("--bench-out")?),
-            "--dashboard" => args.dashboard = next("--dashboard")?,
+        let p = perturb.take().unwrap_or_default();
+        perturb = Some(match a.as_str() {
             "--scale" => {
                 let kind = next("--scale")?;
                 let factor: f64 = next("--scale")?.parse().map_err(|_| usage())?;
@@ -104,25 +63,23 @@ fn parse_args() -> Result<Args, ExitCode> {
                     eprintln!("bench_observatory: unknown edge kind {kind:?}");
                     return Err(usage());
                 };
-                let p = args.perturb.take().unwrap_or_default();
-                args.perturb = Some(p.scale(kind, factor));
+                p.scale(kind, factor)
             }
             "--slow-link" => {
                 let factor: f64 = next("--slow-link")?.parse().map_err(|_| usage())?;
-                let p = args.perturb.take().unwrap_or_default();
-                args.perturb = Some(p.slow_link(NodeId(0), LinkDir::from_index(0), factor));
+                p.slow_link(NodeId(0), LinkDir::from_index(0), factor)
             }
             other => {
                 eprintln!("bench_observatory: unknown flag {other:?}");
                 return Err(usage());
             }
-        }
+        });
     }
-    Ok(args)
+    Ok(perturb)
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), ExitCode> {
-    if let Some(dir) = Path::new(path).parent() {
+    if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
     std::fs::write(path, contents).map_err(|e| {
@@ -131,151 +88,35 @@ fn write_file(path: &str, contents: &str) -> Result<(), ExitCode> {
     })
 }
 
-/// Archive-safe file stem for a report label.
-fn slug(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-fn render_to(
-    index: &TrajectoryIndex,
-    current: Option<&ObservatoryReport>,
-    diff: Option<&anton_obs::ObservatoryDiff>,
-    path: &str,
-) -> Result<(), ExitCode> {
-    let mut trajectory = index.load_reports(Path::new(".")).map_err(|e| {
-        eprintln!("bench_observatory: {e}");
-        ExitCode::FAILURE
-    })?;
-    if let Some(cur) = current {
-        trajectory.push(("current".to_owned(), cur.metrics.clone()));
-    }
-    // Spec-hash/fingerprint provenance columns for every trajectory
-    // entry that carries them (PRs predating the run ledger render an
-    // em-dash).
-    let provenance: Vec<(String, String, String)> = index
-        .entries
-        .iter()
-        .filter_map(|e| match (&e.spec_hash, &e.fingerprint) {
-            (None, None) => None,
-            (h, f) => Some((
-                e.name.clone(),
-                h.clone().unwrap_or_default(),
-                f.clone().unwrap_or_default(),
-            )),
-        })
-        .collect();
-    let html = render_dashboard(&DashboardInput {
-        title: "anton perf observatory",
-        trajectory: &trajectory,
-        current,
-        diff,
-        provenance: &provenance,
-    });
-    validate_html(&html).expect("rendered dashboard is well-formed");
-    write_file(path, &html)?;
-    println!("bench_observatory: wrote {path} ({} bytes)", html.len());
-    Ok(())
-}
-
 fn run() -> Result<ExitCode, ExitCode> {
-    let args = parse_args()?;
-    let opts = ObservatoryOptions {
-        quick: args.quick,
-        label: "anton observatory profile".to_owned(),
+    let perturb = parse_args()?;
+    let fail = |e: String| {
+        eprintln!("bench_observatory: {PROFILE}: {e}");
+        ExitCode::FAILURE
     };
+    let text = std::fs::read_to_string(PROFILE).map_err(|e| fail(e.to_string()))?;
+    let committed = BenchReport::parse(&text).map_err(fail)?;
+    let mut baseline = ObservatoryReport::from_metrics(committed);
+    baseline.label = PROFILE.to_owned();
 
-    match args.command.as_str() {
-        "emit" => {
-            let obs = collect(&opts, args.perturb.as_ref());
-            let json = obs.to_json();
-            match &args.out {
-                Some(path) => {
-                    write_file(path, &json)?;
-                    println!("bench_observatory: wrote {path}");
-                }
-                None => print!("{json}"),
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "check" => {
-            let index = TrajectoryIndex::load(Path::new(&args.index)).map_err(|e| {
-                eprintln!("bench_observatory: {e}");
-                ExitCode::FAILURE
-            })?;
-            let Some(entry) = index.resolve(&args.baseline) else {
-                eprintln!(
-                    "bench_observatory: baseline {:?} not in {} (have: {})",
-                    args.baseline,
-                    args.index,
-                    index.names().join(", ")
-                );
-                return Err(ExitCode::FAILURE);
-            };
-            let text = std::fs::read_to_string(&entry.path).map_err(|e| {
-                eprintln!(
-                    "bench_observatory: {}: {e} (baseline '{}' resolved through {}; \
-                     other names: {})",
-                    entry.path,
-                    args.baseline,
-                    args.index,
-                    index.names().join(", ")
-                );
-                ExitCode::FAILURE
-            })?;
-            let baseline_metrics = BenchReport::parse(&text).map_err(|e| {
-                eprintln!("bench_observatory: {}: {e}", entry.path);
-                ExitCode::FAILURE
-            })?;
-            let mut baseline = ObservatoryReport::from_metrics(baseline_metrics);
-            // Triage names the baseline as the trajectory names it.
-            baseline.label = args.baseline.clone();
+    let obs = collect(perturb.as_ref());
+    let diff = obs.diff(&baseline, DiffConfig::default()).map_err(fail)?;
+    print!("{}", diff.triage());
 
-            let obs = collect(&opts, args.perturb.as_ref());
-            let config = DiffConfig {
-                metric_threshold_pct: args.threshold,
-                share_threshold_pt: args.share_threshold,
-                value_threshold_pct: args.threshold,
-            };
-            let diff = obs.diff(&baseline, config).map_err(|e| {
-                eprintln!("bench_observatory: {e}");
-                ExitCode::FAILURE
-            })?;
-            print!("{}", diff.triage());
-
-            let archive = format!("target/obs/trajectory/{}.json", slug(&obs.label));
-            write_file(&archive, &obs.to_json())?;
-            println!("bench_observatory: archived {archive}");
-            if let Some(path) = &args.bench_out {
-                write_file(path, &obs.metrics.to_json())?;
-                println!("bench_observatory: wrote {path}");
-            }
-            render_to(&index, Some(&obs), Some(&diff), &args.dashboard)?;
-
-            if diff.has_regressions() {
-                eprintln!(
-                    "bench_observatory: {} gated regression(s) vs '{}'",
-                    diff.regression_count(),
-                    args.baseline
-                );
-                Ok(ExitCode::FAILURE)
-            } else {
-                println!("bench_observatory: clean vs '{}'", args.baseline);
-                Ok(ExitCode::SUCCESS)
-            }
-        }
-        "render" => {
-            let index = TrajectoryIndex::load(Path::new(&args.index)).map_err(|e| {
-                eprintln!("bench_observatory: {e}");
-                ExitCode::FAILURE
-            })?;
-            let out = args.out.clone().unwrap_or_else(|| args.dashboard.clone());
-            render_to(&index, None, None, &out)?;
-            Ok(ExitCode::SUCCESS)
-        }
-        _ => Err(usage()),
+    if perturb.is_none() {
+        write_file(ARCHIVE, &obs.to_json())?;
+        write_file(PROFILE, &obs.metrics.to_json())?;
+        println!("bench_observatory: wrote {ARCHIVE} and {PROFILE}");
+    }
+    if diff.has_regressions() {
+        eprintln!(
+            "bench_observatory: {} gated regression(s) vs {PROFILE}",
+            diff.regression_count()
+        );
+        Ok(ExitCode::FAILURE)
+    } else {
+        println!("bench_observatory: clean vs {PROFILE}");
+        Ok(ExitCode::SUCCESS)
     }
 }
 

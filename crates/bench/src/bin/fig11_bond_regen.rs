@@ -15,8 +15,7 @@
 //! Because fast-forwarded molecules can land overlapping, velocities are
 //! re-thermalized and stale forces cleared before each measured step;
 //! this keeps the measured steps' *positions* (which determine the
-//! communication pattern) at the diffused configuration. Set
-//! `FIG11_QUICK=1` for a short smoke run.
+//! communication pattern) at the diffused configuration.
 
 use anton_core::{AntonConfig, AntonMdEngine};
 use anton_des::Rng;
@@ -28,12 +27,11 @@ use anton_topo::TorusDims;
 /// drift-per-step of the x axis.
 const PAPER_DT_FS: f64 = 2.5;
 const REGEN_LAG_STEPS: u64 = 120_000;
+/// Simulated horizon and the spacing of the timing checkpoints.
+const TOTAL_STEPS: u64 = 8_000_000;
+const CHECKPOINT_STEPS: u64 = 500_000;
 
 fn main() {
-    let quick = std::env::var("FIG11_QUICK").is_ok();
-    let total_steps: u64 = if quick { 1_500_000 } else { 8_000_000 };
-    let checkpoint: u64 = if quick { 250_000 } else { 500_000 };
-
     println!("Figure 11: step time vs simulated time, 23,558 atoms on 8x8x8");
     println!(
         "{:>12} {:>16} {:>10} | {:>16} {:>10}",
@@ -70,7 +68,7 @@ fn main() {
             let avg = times.iter().sum::<f64>() / times.len() as f64;
             let hops = eng.bond_staleness_hops();
             series.push((simulated / 1000, avg, hops));
-            if simulated >= total_steps {
+            if simulated >= TOTAL_STEPS {
                 break;
             }
             // Advance the trajectory horizon to the next checkpoint.
@@ -79,15 +77,15 @@ fn main() {
                     &mut eng,
                     &groups,
                     &diffusion,
-                    checkpoint - REGEN_LAG_STEPS,
+                    CHECKPOINT_STEPS - REGEN_LAG_STEPS,
                     &mut rng,
                 );
                 eng.state.lock().unwrap().regenerate_bond_program();
                 advance(&mut eng, &groups, &diffusion, REGEN_LAG_STEPS, &mut rng);
             } else {
-                advance(&mut eng, &groups, &diffusion, checkpoint, &mut rng);
+                advance(&mut eng, &groups, &diffusion, CHECKPOINT_STEPS, &mut rng);
             }
-            simulated += checkpoint;
+            simulated += CHECKPOINT_STEPS;
         }
         results.push(series);
     }

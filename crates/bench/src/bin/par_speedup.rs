@@ -317,7 +317,7 @@ fn main() {
     }
 
     // Simulated metrics only — deterministic, so the emitted report is
-    // byte-stable and safe to commit next to the bench_regress baseline.
+    // byte-stable, committed and drift-gated by `scripts/ci.sh`.
     let base = &results[0].1;
     let mut report = BenchReport::new("pr4 parallel-engine workload");
     report.set(

@@ -4,7 +4,7 @@
 //! 512-node machine.
 //!
 //! ```text
-//! scale_probe [--quick] [--bench-out PATH]
+//! scale_probe [--quick]
 //! ```
 //!
 //! Three phases:
@@ -27,10 +27,10 @@
 //!    the instrumented global allocator cross-checks the logical
 //!    accounting against real allocations per subsystem tag.
 //!
-//! Always writes `target/obs/scale_report.json`. `--bench-out` writes
-//! the deterministic metric subset (reference + 16³ probe, so the file
-//! is byte-identical in `--quick` and full modes) as a schema-v2
-//! [`BenchReport`] — the committed `BENCH_pr8.json`.
+//! Writes `target/obs/scale_report.json`, and the deterministic metric
+//! subset (reference + 16³ probe, so the file is byte-identical in
+//! `--quick` and full modes) as a [`BenchReport`] to `BENCH_pr8.json`,
+//! which is committed and drift-gated by `scripts/ci.sh`.
 
 use anton_core::{md_exchange, MdExchangeOutcome, MdExchangeParams};
 use anton_net::{ObsMode, Observed, RunConfig};
@@ -290,20 +290,11 @@ fn write_scale_report(sections: &[(String, MetricsSnapshot)]) {
 
 fn main() -> ExitCode {
     let mut quick = false;
-    let mut bench_out: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--quick" => quick = true,
-            "--bench-out" => match it.next() {
-                Some(p) => bench_out = Some(p),
-                None => {
-                    eprintln!("scale_probe: --bench-out needs a value");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
-                eprintln!("usage: scale_probe [--quick] [--bench-out PATH] (got {other:?})");
+                eprintln!("usage: scale_probe [--quick] (got {other:?})");
                 return ExitCode::from(2);
             }
         }
@@ -349,10 +340,8 @@ fn main() -> ExitCode {
         sections.len()
     );
 
-    if let Some(path) = bench_out {
-        std::fs::write(&path, report.to_json()).expect("write bench report");
-        println!("[report] {path}");
-    }
+    std::fs::write("BENCH_pr8.json", report.to_json()).expect("write BENCH_pr8.json");
+    println!("[report] BENCH_pr8.json");
     let mut stdout = std::io::stdout();
     let _ = stdout.flush();
     ExitCode::SUCCESS

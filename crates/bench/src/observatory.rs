@@ -6,13 +6,14 @@
 //! first-class experiment to drill into:
 //!
 //! 1. **Canonical suite** ([`run_suite`]) — the headline latency and
-//!    collective metrics (plus the DHFR step when not `quick`).
+//!    collective metrics, without the DHFR step (that runs only for
+//!    `BENCH_pr3.json`, in `canonical_suite`).
 //! 2. **Causal blame** — the 512-node diameter one-way transfer,
 //!    recorded, rebuilt as a causal DAG, and re-timed (optionally under
 //!    a [`Perturbation`]) into per-stage critical-path blame shares.
 //!    The shares land both as the gated `blame_pct` section and as
-//!    `blame_*_pct` metrics, so the committed quick profile drift-gates
-//!    them and the dashboard sparklines them.
+//!    `blame_*_pct` metrics, so the committed profile
+//!    (`BENCH_pr7.json`) drift-gates them.
 //! 3. **Parallel runtime** — the 8×8×8 MD exchange skeleton profiled
 //!    at 1 and 2 threads: the deterministic [`RuntimeSummary`] goes
 //!    into the metrics, the wall-clock [`SpeedupAttribution`] shares
@@ -45,36 +46,19 @@ use std::sync::Arc;
 use crate::microbench::ping_pong;
 use crate::suite::run_suite;
 
-/// Knobs for one collection pass.
-#[derive(Debug, Clone)]
-pub struct ObservatoryOptions {
-    /// Skip the minute-scale DHFR suite entry. The committed
-    /// `BENCH_pr7.json` quick profile is collected with this set, and
-    /// every other workload is identical in both modes, so quick and
-    /// full runs agree on every shared metric.
-    pub quick: bool,
-    /// Label stamped on the report and its embedded metrics.
-    pub label: String,
-}
-
-impl Default for ObservatoryOptions {
-    fn default() -> Self {
-        ObservatoryOptions {
-            quick: true,
-            label: "anton observatory profile".to_owned(),
-        }
-    }
-}
+/// The label stamped on every observatory report and its metrics (the
+/// committed `BENCH_pr7.json`).
+const LABEL: &str = "anton observatory profile";
 
 /// Run every observatory workload and assemble the report. `perturb`
 /// re-times the causal workload under a what-if scenario (the blame
 /// section, `blame_*_pct`, and `causal_critical_end_ns` move; the
 /// physically simulated workloads do not) — the triage pipeline's
 /// fault-injection hook.
-pub fn collect(opts: &ObservatoryOptions, perturb: Option<&Perturbation>) -> ObservatoryReport {
-    let mut obs = ObservatoryReport::new(&opts.label);
-    obs.metrics = run_suite(!opts.quick);
-    obs.metrics.label = opts.label.clone();
+pub fn collect(perturb: Option<&Perturbation>) -> ObservatoryReport {
+    let mut obs = ObservatoryReport::new(LABEL);
+    obs.metrics = run_suite(false);
+    obs.metrics.label = LABEL.to_owned();
 
     causal_blame(&mut obs, perturb);
     parallel_runtime(&mut obs);

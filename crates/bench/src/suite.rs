@@ -1,12 +1,14 @@
-//! The canonical perf-regression suite: one function that measures the
-//! simulator's headline numbers — one-way latency, the Figure 6 stage
-//! means, all-reduce latency, and (in full mode) the DHFR step — into a
-//! schema-versioned [`BenchReport`] that `bench_regress` diffs against
-//! the committed baseline.
+//! The canonical suite: one function that measures the simulator's
+//! headline numbers — one-way latency, the Figure 6 stage means,
+//! all-reduce latency, and (in full mode) the DHFR step — into a
+//! schema-versioned [`BenchReport`]. The full suite is the committed
+//! `BENCH_pr3.json`, written by the `canonical_suite` binary; the quick
+//! suite is the first part of the observatory profile
+//! (`BENCH_pr7.json`).
 //!
 //! All values are *simulated* durations, so they are bit-deterministic:
-//! any drift is a model change, not host noise. Lower is better for
-//! every metric.
+//! any drift is a model change, not host noise, and CI checks the
+//! committed file byte for byte. Lower is better for every metric.
 
 use anton_collectives::{all_reduce, random_inputs, Algorithm};
 use anton_net::{FaultPlan, ObsMode, RunConfig};
@@ -26,9 +28,10 @@ fn stage_key(stage: Stage) -> &'static str {
     }
 }
 
-/// Run the canonical suite. The quick subset (a few seconds) covers the
-/// communication microbenchmarks; `full` adds the DHFR MD step (about a
-/// minute of host time), which the committed baseline includes.
+/// Run the canonical suite. The quick subset (well under a second in
+/// release) covers the communication microbenchmarks; `full` adds the
+/// DHFR MD step (about 40 s in release), which `BENCH_pr3.json`
+/// includes.
 pub fn run_suite(full: bool) -> BenchReport {
     let mut report = BenchReport::new("anton-sim canonical suite");
     let dims = TorusDims::anton_512();
@@ -89,7 +92,9 @@ pub fn run_suite(full: bool) -> BenchReport {
 
 /// The DHFR-like MD step (Table 3's workload): simulated total and
 /// critical-path communication time, averaged over one range-limited
-/// and one long-range step.
+/// and one long-range step. Release builds only: one of the system's
+/// filler atoms overlaps a protein atom, and a debug build's
+/// fixed-point overflow check fires on its force (ROADMAP.md).
 fn dhfr_step(report: &mut BenchReport) {
     use anton_core::{AntonConfig, AntonMdEngine};
     use anton_md::{MdParams, SystemBuilder};

@@ -1,13 +1,10 @@
 //! Acceptance tests of the perf observatory: a perturbed run must
 //! triage to the *component* that regressed and the critical-path
-//! blame shift, and the committed trajectory must render into a
-//! byte-deterministic, well-formed, offline dashboard.
+//! blame shift, the committed profile must match a fresh collection,
+//! and every committed result file must parse.
 
-use anton_bench::observatory::{collect, ObservatoryOptions};
-use anton_obs::{
-    render_dashboard, validate_html, DashboardInput, DiffConfig, EdgeKind, Perturbation,
-    SectionKind, TrajectoryIndex, SEC_BLAME,
-};
+use anton_bench::observatory::collect;
+use anton_obs::{BenchReport, DiffConfig, EdgeKind, Perturbation, SectionKind, SEC_BLAME};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -17,22 +14,15 @@ fn repo_root() -> PathBuf {
         .expect("repo root")
 }
 
-fn opts() -> ObservatoryOptions {
-    ObservatoryOptions {
-        quick: true,
-        label: "observatory test".to_owned(),
-    }
-}
-
 /// The headline acceptance: artificially slowing one attribution
 /// component (delivery, 20×) must produce a triage that names the
 /// regressed component by name and reports the critical path moving
 /// off the wire onto it — not just a bare threshold breach.
 #[test]
 fn perturbed_run_triages_the_component_and_the_blame_shift() {
-    let base = collect(&opts(), None);
+    let base = collect(None);
     let perturb = Perturbation::none().scale(EdgeKind::Delivery, 20.0);
-    let cur = collect(&opts(), Some(&perturb));
+    let cur = collect(Some(&perturb));
 
     let diff = cur.diff(&base, DiffConfig::default()).expect("comparable");
     assert!(diff.has_regressions(), "{}", diff.table());
@@ -55,7 +45,7 @@ fn perturbed_run_triages_the_component_and_the_blame_shift() {
     );
 
     // The blame section itself gates, and the leader shift is machine-
-    // readable for the dashboard's shift table.
+    // readable.
     let blame = diff
         .sections
         .iter()
@@ -86,7 +76,7 @@ fn perturbed_run_triages_the_component_and_the_blame_shift() {
 /// never cries wolf on a bit-identical profile.
 #[test]
 fn identical_runs_triage_clean() {
-    let obs = collect(&opts(), None);
+    let obs = collect(None);
     let diff = obs.diff(&obs, DiffConfig::default()).expect("comparable");
     assert!(!diff.has_regressions(), "{}", diff.table());
     assert!(diff.triage().contains("no regressions past thresholds"));
@@ -97,81 +87,49 @@ fn identical_runs_triage_clean() {
     assert_eq!(back.sections.len(), 4);
 }
 
-/// The committed `BENCH_trajectory.json` resolves every PR 3→9
-/// baseline, and the dashboard rendered from them is byte-
-/// deterministic, tag-balanced, and fully offline.
-#[test]
-fn committed_trajectory_renders_deterministically() {
-    let root = repo_root();
-    let index = TrajectoryIndex::load(&root.join("BENCH_trajectory.json")).expect("index parses");
-    for name in ["pr3", "pr4", "pr5", "pr6", "pr7", "pr8", "pr9"] {
-        assert!(index.resolve(name).is_some(), "baseline {name} missing");
-    }
-    let trajectory = index.load_reports(&root).expect("every baseline parses");
-    assert_eq!(trajectory.len(), 7);
-
-    // The pr9 entry carries scenario provenance: the spec content hash
-    // and the deterministic engine fingerprint of its workload.
-    let provenance: Vec<(String, String, String)> = index
-        .entries
-        .iter()
-        .filter_map(|e| Some((e.name.clone(), e.spec_hash.clone()?, e.fingerprint.clone()?)))
-        .collect();
-    assert!(
-        provenance
-            .iter()
-            .any(|(n, s, f)| n == "pr9" && s.len() == 16 && f.len() == 16),
-        "pr9 baseline must carry spec-hash + fingerprint provenance"
-    );
-
-    let input = DashboardInput {
-        title: "anton perf observatory",
-        trajectory: &trajectory,
-        current: None,
-        diff: None,
-        provenance: &provenance,
-    };
-    let a = render_dashboard(&input);
-    let b = render_dashboard(&input);
-    assert_eq!(a, b, "dashboard must render byte-identically");
-    validate_html(&a).expect("dashboard is well-formed");
-    // Offline: no external fetches, no script.
-    assert!(!a.contains("http://") && !a.contains("https://"));
-    assert!(!a.contains("<script"));
-    // It actually shows the trajectory: every baseline is a column of
-    // the data table, and the shared metrics sparkline.
-    for name in ["pr3", "pr4", "pr5", "pr6", "pr7"] {
-        assert!(a.contains(&format!("<th>{name}</th>")), "{name} column");
-    }
-    assert!(a.contains("one_way_1hop_ns"));
-    // The provenance rows render pr9's spec hash and fingerprint.
-    assert!(a.contains("b6797d21d84d45e3"), "pr9 spec hash row");
-    assert!(a.contains("6fe2981e3e69315f"), "pr9 fingerprint row");
-}
-
-/// The committed quick profile (`BENCH_pr7.json`) stays consistent
-/// with what a fresh quick collection produces — the same invariant
-/// the CI drift gate enforces, pinned here at metric granularity.
+/// The committed profile (`BENCH_pr7.json`) is byte for byte what a
+/// fresh collection produces — the invariant CI's drift check
+/// enforces, pinned here in a test.
 #[test]
 fn committed_quick_profile_matches_a_fresh_collection() {
     let root = repo_root();
     let text = std::fs::read_to_string(root.join("BENCH_pr7.json")).expect("committed profile");
-    let committed = anton_obs::BenchReport::parse(&text).expect("parses");
-    let fresh = collect(
-        &ObservatoryOptions {
-            quick: true,
-            label: committed.label.clone(),
-        },
-        None,
-    );
+    let committed = BenchReport::parse(&text).expect("parses");
+    let fresh = collect(None);
     assert_eq!(
         fresh.metrics.to_json(),
         text,
-        "committed BENCH_pr7.json drifted from a fresh quick collection"
+        "committed BENCH_pr7.json drifted from a fresh collection"
     );
     // Direction metadata survives the committed round trip.
     assert_eq!(
         committed.direction("md_lookahead_efficiency"),
         anton_obs::Direction::HigherIsBetter
     );
+}
+
+/// Every committed result is one `BENCH_pr*.json` at the repo root:
+/// exactly pr3 to pr9, each a schema-2 report with a label.
+#[test]
+fn every_committed_result_file_parses() {
+    let root = repo_root();
+    let mut names: Vec<String> = std::fs::read_dir(&root)
+        .expect("repo root lists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.starts_with("BENCH_pr") && n.ends_with(".json"))
+        .collect();
+    names.sort();
+    let expected: Vec<String> = (3..=9).map(|i| format!("BENCH_pr{i}.json")).collect();
+    assert_eq!(names, expected);
+    for name in &names {
+        let text = std::fs::read_to_string(root.join(name)).expect("readable");
+        let report = BenchReport::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(report.schema, anton_obs::BENCH_SCHEMA_VERSION, "{name}");
+        assert!(!report.label.is_empty(), "{name} has no label");
+    }
 }

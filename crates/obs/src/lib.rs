@@ -38,16 +38,13 @@
 //!   *parallel runtime itself*: speedup attribution whose components
 //!   telescope to the measured gap, deterministic lookahead/imbalance
 //!   summaries, and Chrome-trace worker lanes for `des::par` profiles.
-//! - [`regress`] — schema-versioned benchmark reports with per-metric
-//!   direction metadata and threshold-based regression diffing for
-//!   `scripts/bench_regress.sh`.
+//! - [`regress`] — schema-versioned benchmark reports (the committed
+//!   `BENCH_pr*.json` files) with per-metric direction metadata and
+//!   threshold-based diffing.
 //! - [`observatory`] — the continuous-benchmarking report model:
 //!   metrics *plus* attribution sections (critical-path blame shares,
-//!   congestion top-K, recovery stats), component-level diffing with a
-//!   human-readable triage, and the named-baseline trajectory index.
-//! - [`dashboard`] — a dependency-free, byte-deterministic HTML
-//!   rendering of the benchmark trajectory (inline SVG sparklines,
-//!   blame stacked bars, triage tables), published as a CI artifact.
+//!   congestion top-K, recovery stats) and component-level diffing with
+//!   a human-readable triage.
 //! - [`stream`] — bounded-memory observability for 100×-scale machines:
 //!   mergeable quantile sketches, exact streaming moments, space-saving
 //!   per-link heavy hitters, a seeded lifecycle reservoir, and the
@@ -67,7 +64,6 @@ pub mod breakdown;
 pub mod causal;
 pub mod chrome_trace;
 pub mod congestion;
-pub mod dashboard;
 pub mod fingerprint;
 pub mod json;
 pub mod memory;
@@ -83,15 +79,13 @@ pub use breakdown::{fold_lifecycles, BreakdownSummary, FoldStats, PacketLifecycl
 pub use causal::{Blame, CEdge, CNode, CausalGraph, CriticalPath, EdgeKind, NodeKind};
 pub use chrome_trace::{lifecycles_csv, ChromeTraceBuilder, ChromeTraceWriter, LifecycleCsvWriter};
 pub use congestion::{CongestionMap, LinkLoad, RouterLoad};
-pub use dashboard::{render_dashboard, validate_html, DashboardInput};
 pub use fingerprint::{fnv1a64, Fingerprint};
 pub use json::{validate_json, Lex};
 pub use memory::{MemReport, MemScope, MemTag};
 pub use metrics::{LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use observatory::{
     DiffConfig, ObservatoryDiff, ObservatoryReport, Section, SectionDiff, SectionKind,
-    TrajectoryIndex, OBSERVATORY_SCHEMA_VERSION, SEC_ATTRIBUTION, SEC_BLAME, SEC_CONGESTION,
-    SEC_RECOVERY,
+    OBSERVATORY_SCHEMA_VERSION, SEC_ATTRIBUTION, SEC_BLAME, SEC_CONGESTION, SEC_RECOVERY,
 };
 pub use recorder::{FlightEvent, FlightRecorder, NopRecorder, PacketId, Recorder, VerdictCause};
 pub use regress::{BenchReport, Direction, RegressFinding, RegressReport, BENCH_SCHEMA_VERSION};

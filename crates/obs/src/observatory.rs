@@ -3,10 +3,9 @@
 //! [`BenchReport`] metrics *plus* the attribution components the
 //! regression pipeline needs to explain a breach — critical-path blame
 //! shares, speedup-attribution shares, per-link congestion top-K, and
-//! recovery stats — together with component-level diffing and a
-//! named-baseline trajectory index.
+//! recovery stats — together with component-level diffing.
 //!
-//! The `BENCH_pr*.json` drift gates say *that* a metric moved; the
+//! The `BENCH_pr*.json` drift check says *that* a metric moved; the
 //! structures here say *why*. [`ObservatoryReport::diff`] compares a
 //! candidate against a baseline and renders a
 //! [triage](ObservatoryDiff::triage) that reads "wire share rose
@@ -16,10 +15,6 @@
 //! a model change, never host noise; wall-clock-derived sections (the
 //! parallel speedup attribution) are carried for context but never
 //! gate.
-//!
-//! [`TrajectoryIndex`] is the committed `BENCH_trajectory.json`: an
-//! ordered list of named baselines (`pr3`, `pr4`, …) that CI and the
-//! dashboard renderer resolve instead of hard-coding report paths.
 
 use crate::json::{escape, validate_json, Lex};
 use crate::metrics::fmt_f64;
@@ -29,9 +24,6 @@ use std::fmt::Write as _;
 
 /// Version of the observatory-report JSON schema.
 pub const OBSERVATORY_SCHEMA_VERSION: u32 = 1;
-
-/// Version of the `BENCH_trajectory.json` index schema.
-pub const TRAJECTORY_SCHEMA_VERSION: u32 = 1;
 
 /// Critical-path blame shares per [`EdgeKind`](crate::EdgeKind) label,
 /// in percent — gated, deterministic.
@@ -648,208 +640,6 @@ impl ObservatoryDiff {
     }
 }
 
-/// One named baseline of the trajectory index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrajectoryEntry {
-    /// Short stable name (`pr3`, `pr4`, …) CI and humans refer to.
-    pub name: String,
-    /// Repo-relative path of the committed `BENCH_*.json` report.
-    pub path: String,
-    /// One-line description of what the baseline covers.
-    pub note: String,
-    /// Content hash of the `ScenarioSpec` this baseline's workload was
-    /// built from, when the workload is spec-driven (16 hex chars).
-    pub spec_hash: Option<String>,
-    /// Engine fingerprint of the spec's deterministic replay (16 hex
-    /// chars) — together with `spec_hash` the provenance the dashboard
-    /// shows per trajectory column.
-    pub fingerprint: Option<String>,
-}
-
-/// The committed `BENCH_trajectory.json`: the ordered list of named
-/// baselines the regression gates and the dashboard renderer resolve.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TrajectoryIndex {
-    /// Entries in trajectory (chronological) order.
-    pub entries: Vec<TrajectoryEntry>,
-}
-
-impl TrajectoryIndex {
-    /// An empty index.
-    pub fn new() -> TrajectoryIndex {
-        TrajectoryIndex::default()
-    }
-
-    /// Append one named baseline.
-    pub fn push(&mut self, name: &str, path: &str, note: &str) {
-        self.entries.push(TrajectoryEntry {
-            name: name.to_owned(),
-            path: path.to_owned(),
-            note: note.to_owned(),
-            spec_hash: None,
-            fingerprint: None,
-        });
-    }
-
-    /// Append one named baseline carrying scenario provenance: the spec
-    /// content hash and the deterministic engine fingerprint of the
-    /// workload the baseline was generated from.
-    pub fn push_with_provenance(
-        &mut self,
-        name: &str,
-        path: &str,
-        note: &str,
-        spec_hash: &str,
-        fingerprint: &str,
-    ) {
-        self.entries.push(TrajectoryEntry {
-            name: name.to_owned(),
-            path: path.to_owned(),
-            note: note.to_owned(),
-            spec_hash: Some(spec_hash.to_owned()),
-            fingerprint: Some(fingerprint.to_owned()),
-        });
-    }
-
-    /// Resolve a baseline by name.
-    pub fn resolve(&self, name: &str) -> Option<&TrajectoryEntry> {
-        self.entries.iter().find(|e| e.name == name)
-    }
-
-    /// Every baseline name in index order — the "did you mean" list the
-    /// CLIs print when a name or report path fails to resolve.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-
-    /// Serialize to the stable JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {TRAJECTORY_SCHEMA_VERSION},");
-        out.push_str("  \"entries\": [");
-        let mut first = true;
-        for e in &self.entries {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    {{\n      \"name\": {},\n      \"path\": {},\n      \"note\": {}",
-                escape(&e.name),
-                escape(&e.path),
-                escape(&e.note)
-            );
-            if let Some(h) = &e.spec_hash {
-                let _ = write!(out, ",\n      \"spec\": {}", escape(h));
-            }
-            if let Some(fp) = &e.fingerprint {
-                let _ = write!(out, ",\n      \"fingerprint\": {}", escape(fp));
-            }
-            out.push_str("\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        validate_json(&out).expect("trajectory JSON is well-formed by construction");
-        out
-    }
-
-    /// Parse an index written by [`TrajectoryIndex::to_json`].
-    pub fn parse(s: &str) -> Result<TrajectoryIndex, String> {
-        validate_json(s).map_err(|e| format!("not valid JSON: {e:?}"))?;
-        let mut p = Lex::new(s);
-        let mut index = TrajectoryIndex::new();
-        let mut schema = 0u32;
-        p.expect(b'{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "schema" => schema = p.number()? as u32,
-                "entries" => {
-                    p.expect(b'[')?;
-                    if p.peek() == Some(b']') {
-                        p.expect(b']')?;
-                    } else {
-                        loop {
-                            let mut entry = TrajectoryEntry {
-                                name: String::new(),
-                                path: String::new(),
-                                note: String::new(),
-                                spec_hash: None,
-                                fingerprint: None,
-                            };
-                            p.expect(b'{')?;
-                            loop {
-                                let k = p.string()?;
-                                p.expect(b':')?;
-                                match k.as_str() {
-                                    "name" => entry.name = p.string()?,
-                                    "path" => entry.path = p.string()?,
-                                    "note" => entry.note = p.string()?,
-                                    "spec" => entry.spec_hash = Some(p.string()?),
-                                    "fingerprint" => entry.fingerprint = Some(p.string()?),
-                                    other => return Err(format!("unexpected entry key {other:?}")),
-                                }
-                                if !p.comma_or(b'}')? {
-                                    break;
-                                }
-                            }
-                            if entry.name.is_empty() || entry.path.is_empty() {
-                                return Err("entry needs a name and a path".to_owned());
-                            }
-                            index.entries.push(entry);
-                            if !p.comma_or(b']')? {
-                                break;
-                            }
-                        }
-                    }
-                }
-                other => return Err(format!("unexpected key {other:?}")),
-            }
-            if !p.comma_or(b'}')? {
-                break;
-            }
-        }
-        if schema != TRAJECTORY_SCHEMA_VERSION {
-            return Err(format!(
-                "trajectory schema version {schema} unsupported (this build reads {TRAJECTORY_SCHEMA_VERSION})"
-            ));
-        }
-        let mut names: Vec<&str> = index.entries.iter().map(|e| e.name.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        if names.len() != index.entries.len() {
-            return Err("duplicate baseline names in trajectory index".to_owned());
-        }
-        Ok(index)
-    }
-
-    /// Read and parse the index at `path`.
-    pub fn load(path: &std::path::Path) -> Result<TrajectoryIndex, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        TrajectoryIndex::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Load every entry's report, resolving relative paths against
-    /// `base` (the repo root for the committed index). Returns
-    /// `(name, report)` pairs in index order.
-    pub fn load_reports(
-        &self,
-        base: &std::path::Path,
-    ) -> Result<Vec<(String, BenchReport)>, String> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            let path = base.join(&e.path);
-            let text = std::fs::read_to_string(&path)
-                .map_err(|err| format!("{}: {err}", path.display()))?;
-            let report =
-                BenchReport::parse(&text).map_err(|err| format!("{}: {err}", path.display()))?;
-            out.push((e.name.clone(), report));
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -982,30 +772,5 @@ mod tests {
         let d = cur.diff(&base, DiffConfig::default()).expect("comparable");
         assert!(!d.has_regressions());
         assert_eq!(d.new_sections.len(), 3);
-    }
-
-    #[test]
-    fn trajectory_index_round_trips_and_resolves() {
-        let mut idx = TrajectoryIndex::new();
-        idx.push("pr3", "BENCH_pr3.json", "canonical suite");
-        idx.push("pr4", "BENCH_pr4.json", "parallel engine");
-        let json = idx.to_json();
-        validate_json(&json).expect("well-formed");
-        let back = TrajectoryIndex::parse(&json).expect("parses");
-        assert_eq!(back, idx);
-        assert_eq!(back.resolve("pr4").unwrap().path, "BENCH_pr4.json");
-        assert!(back.resolve("pr9").is_none());
-    }
-
-    #[test]
-    fn trajectory_index_rejects_duplicates_and_bad_schema() {
-        let mut idx = TrajectoryIndex::new();
-        idx.push("pr3", "a.json", "");
-        idx.push("pr3", "b.json", "");
-        assert!(TrajectoryIndex::parse(&idx.to_json()).is_err());
-        let bad = TrajectoryIndex::new()
-            .to_json()
-            .replace("\"schema\": 1", "\"schema\": 9");
-        assert!(TrajectoryIndex::parse(&bad).is_err());
     }
 }

@@ -1,28 +1,28 @@
 //! Schema-versioned benchmark reports and threshold-based regression
-//! diffing — the data model behind `scripts/bench_regress.sh` and the
-//! [`observatory`](crate::observatory) triage pipeline.
+//! diffing — the data model of the committed `BENCH_pr*.json` files,
+//! the [`observatory`](crate::observatory) triage and the host-time
+//! benchmark's `--compare`.
 //!
 //! A [`BenchReport`] is a flat map of metric name → value (latencies in
 //! nanoseconds or microseconds, the name says which) with a schema
 //! version, a label, and optional per-metric [`Direction`] metadata.
-//! It serializes to a small, stable JSON document (`BENCH_pr*.json`
-//! are the committed baselines) and parses back without any external
-//! dependency. [`BenchReport::diff`] compares a current run against a
-//! baseline with a percentage threshold: a lower-is-better metric
-//! regresses when it *grows* past the threshold, a higher-is-better
-//! metric (e.g. `lookahead_efficiency`, speedup ratios) when it
-//! *shrinks* past it — so improvements are never reported as
-//! regressions in either direction. Metrics present only in the
-//! baseline are reported but do not fail the diff — that is what lets
-//! the quick CI suite check against the committed full-suite baseline.
+//! It serializes to a small, stable JSON document and parses back
+//! without any external dependency. Each committed `BENCH_pr*.json` is
+//! the byte-exact output of one emitter, so CI gates them with an exact
+//! `git diff`, not a threshold. [`BenchReport::diff`] compares a
+//! current run against a baseline with a percentage threshold: a
+//! lower-is-better metric regresses when it *grows* past the
+//! threshold, a higher-is-better metric (e.g. `lookahead_efficiency`,
+//! speedup ratios) when it *shrinks* past it — so improvements are
+//! never reported as regressions in either direction. Metrics present
+//! only in the baseline are reported but do not fail the diff.
 
 use crate::json::{escape, validate_json, Lex};
 use crate::metrics::fmt_f64;
 use std::collections::BTreeMap;
 
-/// Version of the `BENCH_*.json` schema this crate writes. Version 1
-/// (no `directions` object, every metric lower-is-better) is still
-/// read; version 2 adds the optional per-metric direction map.
+/// Version of the `BENCH_*.json` schema this crate writes and reads:
+/// version 2, with the optional per-metric direction map.
 pub const BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// Which way a metric is supposed to move.
@@ -239,9 +239,9 @@ impl BenchReport {
         if !saw_schema {
             return Err("missing \"schema\"".to_owned());
         }
-        if report.schema == 0 || report.schema > BENCH_SCHEMA_VERSION {
+        if report.schema != BENCH_SCHEMA_VERSION {
             return Err(format!(
-                "schema version {} unsupported (this build reads 1..={})",
+                "schema version {} unsupported (this build reads {})",
                 report.schema, BENCH_SCHEMA_VERSION
             ));
         }
@@ -253,8 +253,7 @@ impl BenchReport {
     /// its bad direction over the baseline; it must exist in both
     /// reports to be compared, and at least one metric must be
     /// comparable. Direction metadata comes from the current report,
-    /// falling back to the baseline's (so a schema-1 baseline still
-    /// diffs direction-aware against a schema-2 candidate).
+    /// falling back to the baseline's.
     pub fn diff(
         &self,
         baseline: &BenchReport,
@@ -429,22 +428,14 @@ mod tests {
     }
 
     #[test]
-    fn schema_1_documents_still_parse() {
-        let json =
-            "{\n  \"schema\": 1,\n  \"label\": \"old\",\n  \"values\": {\n    \"m\": 1.5\n  }\n}\n";
-        let r = BenchReport::parse(json).expect("schema 1 parses");
-        assert_eq!(r.schema, 1);
-        assert_eq!(r.get("m"), Some(1.5));
-        assert_eq!(r.direction("m"), Direction::LowerIsBetter);
-    }
-
-    #[test]
     fn schema_mismatch_is_rejected() {
-        let json = sample()
-            .to_json()
-            .replace("\"schema\": 2", "\"schema\": 99");
-        let err = BenchReport::parse(&json).unwrap_err();
-        assert!(err.contains("schema version 99"), "{err}");
+        for version in [1, 99] {
+            let json = sample()
+                .to_json()
+                .replace("\"schema\": 2", &format!("\"schema\": {version}"));
+            let err = BenchReport::parse(&json).unwrap_err();
+            assert!(err.contains(&format!("schema version {version}")), "{err}");
+        }
     }
 
     #[test]
@@ -492,7 +483,7 @@ mod tests {
         assert!(d.has_regressions());
         assert!(d.table().contains("REGRESSED ^"), "{}", d.table());
         // Direction metadata on the baseline alone (candidate untagged)
-        // still applies — a schema-1-style candidate can't flip it.
+        // still applies — an untagged candidate can't flip it.
         let mut plain = BenchReport::new("cur");
         plain.set("lookahead_efficiency", 216.0);
         assert!(!plain.diff(&base, 10.0).unwrap().has_regressions());

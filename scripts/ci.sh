@@ -2,14 +2,25 @@
 # CI gates, split into stages so the PR fast-gate stays under ~10 min:
 #
 #   scripts/ci.sh fast     # fmt, no env reads in library crates, build, tests, clippy, doc warnings
-#   scripts/ci.sh full     # smokes + determinism + bench drift gates + host benchmark smoke
-#   scripts/ci.sh nightly  # extended chaos sweep + 24^3 scale probe
+#   scripts/ci.sh full     # smokes + determinism + result emitters + drift check + host benchmark smoke
+#   scripts/ci.sh nightly  # extended chaos sweep + 24^3 scale probe + drift check
 #   scripts/ci.sh          # fast + full (the complete tier-1 gate)
+#
+# Every committed result (BENCH_pr*.json, LEDGER.json, specs/) is the
+# byte-exact output of one emitter that `full` runs; check_drift, the
+# last step of `full` and `nightly`, fails on any changed byte.
 #
 # The GitHub workflow runs `fast` and `full` as separate jobs with
 # per-job caches on every PR, and `nightly` on a schedule.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+check_drift() {
+  git diff --exit-code -- 'BENCH_pr*.json' LEDGER.json specs/ || {
+    echo "ci: a committed result drifted from its emitter's output" >&2
+    exit 1
+  }
+}
 
 fast_gate() {
   cargo fmt --all -- --check
@@ -72,56 +83,33 @@ full_gate() {
   # more windows than the global bound and must strictly win on the
   # skewed workload; wall-clock bars only arm on >= 8-core hosts), and
   # regenerates BENCH_pr4.json and BENCH_pr9.json — deterministic
-  # event-level metrics only — which must match the committed copies.
+  # event-level metrics only.
   cargo run -q --release -p anton-bench --bin par_speedup
-  git diff --exit-code BENCH_pr4.json || {
-    echo "ci: BENCH_pr4.json drifted from the committed copy" >&2
-    exit 1
-  }
-  git diff --exit-code BENCH_pr9.json || {
-    echo "ci: BENCH_pr9.json drifted from the committed copy" >&2
-    exit 1
-  }
 
   # Runtime-observatory smoke: profiling must be invisible (fingerprints
   # bit-identical on/off and across 1 vs 4 threads, asserted inside the
-  # binary), the speedup attribution must telescope, and the regenerated
-  # BENCH_pr5.json — deterministic event-level metrics only, never wall
-  # clock — must match the committed copy.
+  # binary), the speedup attribution must telescope, and BENCH_pr5.json
+  # is regenerated — deterministic event-level metrics only, never wall
+  # clock.
   cargo run -q --release -p anton-bench --bin par_profile
   test -s target/obs/par_runtime_trace.json
-  git diff --exit-code BENCH_pr5.json || {
-    echo "ci: BENCH_pr5.json drifted from the committed copy" >&2
-    exit 1
-  }
 
   # Chaos smoke: 3 seeds x 2 fault levels of the recovering all-reduce,
   # every recovery invariant asserted inside the binary (no lost
   # completions, bounded degradation, bit-identical replay across
   # plans). Then the full campaign regenerates BENCH_pr6.json — the
-  # degradation curve — which must match the committed copy, and sweeps
-  # 40 seeds x 4 levels, each cell on one slab, two slabs and the auto
-  # plan at 1 and 2 threads, which must all give one fingerprint.
+  # degradation curve — and sweeps 40 seeds x 4 levels, each cell on
+  # one slab, two slabs and the auto plan at 1 and 2 threads, which must
+  # all give one fingerprint.
   cargo run -q --release -p anton-bench --bin chaos_campaign -- --smoke
   cargo run -q --release -p anton-bench --bin chaos_campaign
-  git diff --exit-code BENCH_pr6.json || {
-    echo "ci: BENCH_pr6.json drifted from the committed copy" >&2
-    exit 1
-  }
 
-  # Observatory gate: the attribution-aware check runs the quick profile,
-  # triages it component-by-component against the named 'pr3' baseline
-  # from BENCH_trajectory.json, regenerates the committed quick profile
-  # (BENCH_pr7.json, deterministic event-level metrics only), and renders
-  # the trajectory dashboard — all of which CI archives on every run.
-  cargo run -q --release -p anton-bench --bin bench_observatory -- \
-    check --quick --bench-out BENCH_pr7.json
-  test -s target/obs/dashboard.html
-  test -s target/obs/trajectory/anton_observatory_profile.json
-  git diff --exit-code BENCH_pr7.json || {
-    echo "ci: BENCH_pr7.json drifted from the committed copy" >&2
-    exit 1
-  }
+  # Observatory gate: the attribution-aware check triages a fresh
+  # collection component by component against the committed
+  # BENCH_pr7.json (failing on a gated regression), archives the full
+  # report, and regenerates BENCH_pr7.json.
+  cargo run -q --release -p anton-bench --bin bench_observatory -- check
+  test -s target/obs/observatory.json
 
   # Scale-observatory gate: the streaming bounded-memory probe proves the
   # streamed fold exact on the 512-node reference (breakdown, census,
@@ -129,29 +117,23 @@ full_gate() {
   # log-bucket), then runs the 4,096-node probe under the instrumented
   # allocator asserting the per-node observer-memory budget — all inside
   # the binary. Regenerates BENCH_pr8.json (reference + 16^3 metrics,
-  # byte-identical in quick and full modes), which must match the
-  # committed copy.
-  cargo run -q --release -p anton-bench --features obs-alloc --bin scale_probe -- \
-    --quick --bench-out BENCH_pr8.json
+  # byte-identical in quick and full modes).
+  cargo run -q --release -p anton-bench --features obs-alloc --bin scale_probe -- --quick
   test -s target/obs/scale_report.json
   test -s target/obs/scale_trace.json
   test -s target/obs/scale_lifecycles.csv
-  git diff --exit-code BENCH_pr8.json || {
-    echo "ci: BENCH_pr8.json drifted from the committed copy" >&2
-    exit 1
-  }
 
-  # Perf-regression gate: the quick canonical suite must stay within 10%
-  # of the committed baseline (named 'pr3' in BENCH_trajectory.json).
-  scripts/bench_regress.sh
+  # Canonical suite: regenerates BENCH_pr3.json, DHFR step included.
+  # Release only: a debug build's fixed-point overflow check fires on
+  # the DHFR system (ROADMAP.md).
+  cargo run -q --release -p anton-bench --bin canonical_suite
 
   # Scenario-provenance gate: re-run both committed specs through the
   # scenario CLI (each executes at 1 and 4 threads and refuses to ledger
   # on any fingerprint divergence), replay-verify every LEDGER.json
   # entry from its committed spec file, and prove the cross-run diff
-  # still names the shifted component. The committed LEDGER.json and
-  # specs/ must not drift: a spec edit without a `scenario run` (or a
-  # run that changed a fingerprint) fails here.
+  # still names the shifted component. A spec edit without a `scenario
+  # run` (or a run that changed a fingerprint) fails the drift check.
   cargo run -q --release -p anton-bench --bin scenario -- \
     run specs/md_balanced.toml --index LEDGER.json --note "baseline MD exchange"
   cargo run -q --release -p anton-bench --bin scenario -- \
@@ -164,16 +146,14 @@ full_gate() {
     echo "ci: scenario diff lost its component attribution" >&2
     exit 1
   }
-  git diff --exit-code LEDGER.json specs/ || {
-    echo "ci: LEDGER.json or specs/ drifted from the committed copies" >&2
-    exit 1
-  }
 
   # Host-time benchmark smoke: its unit tests, then a quick run of every
   # workload that fails on a fingerprint mismatch or a missing metric.
   # No timing threshold: shared runners are too noisy for one.
   cargo test --manifest-path benchmark/Cargo.toml
   bash benchmark/run.sh --quick --check
+
+  check_drift
 }
 
 nightly_gate() {
@@ -184,13 +164,10 @@ nightly_gate() {
   # The 24^3 (13,824-node) scale probe under the instrumented allocator
   # (the --quick PR gate stops at 16^3). BENCH_pr8.json records only the
   # reference + 16^3 metrics and is byte-identical in quick and full
-  # modes, so the drift gate stays meaningful here too.
-  cargo run -q --release -p anton-bench --features obs-alloc --bin scale_probe -- \
-    --bench-out BENCH_pr8.json
-  git diff --exit-code BENCH_pr8.json || {
-    echo "ci: BENCH_pr8.json drifted during the nightly full-scale probe" >&2
-    exit 1
-  }
+  # modes, so the drift check stays meaningful here too.
+  cargo run -q --release -p anton-bench --features obs-alloc --bin scale_probe
+
+  check_drift
 }
 
 case "${1:-all}" in
