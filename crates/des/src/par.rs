@@ -44,7 +44,11 @@
 //! Every event carries a **birth key** `(birth_time, origin_shard, seq)`
 //! assigned when it is scheduled: `birth_time` is the simulated time of
 //! the scheduling handler, `origin_shard` the shard that scheduled it
-//! (0 for pre-run seeds), and `seq` a per-shard schedule counter. Each
+//! (0 for pre-run seeds), and `seq` a per-shard schedule counter. The
+//! key packs into 16 bytes, the time plus `origin << 48 | seq`, which
+//! orders exactly as the triple because an engine has at most
+//! [`MAX_SHARDS`] shards and a counter panics before it reaches 2^48;
+//! a queue entry, `(time, key, handle)`, is 32 bytes. Each
 //! shard executes its events in `(time, birth_key)` order, and the
 //! conservative windows make that order the one a single global queue
 //! over all shards would produce. Because shard worlds are disjoint, a
@@ -226,13 +230,46 @@ impl LookaheadMatrix {
     }
 }
 
+/// The most shards an engine takes: origins `0..=MAX_SHARDS` (seeds, then
+/// one per shard) must fit the 16 bits above a birth key's sequence.
+pub const MAX_SHARDS: usize = (1 << 16) - 1;
+
+/// Width of a birth key's per-origin schedule counter.
+const SEQ_BITS: u32 = 48;
+
 /// The deterministic total-order tie-break: where and when an event was
 /// born. Seeds use origin 0; events scheduled by shard `s` use `s + 1`.
+/// `origin_seq` is `origin << 48 | seq`, so the derived order is the
+/// order of `(time, origin, seq)`: origins stay below 2^16
+/// ([`MAX_SHARDS`]) and sequences below 2^48 ([`take_seq`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct BirthKey {
     time: SimTime,
-    origin: u32,
-    seq: u64,
+    origin_seq: u64,
+}
+
+impl BirthKey {
+    /// The key of the event born at `time` on `origin` (0 for a seed,
+    /// `s + 1` for shard `s`), `seq`-th from that origin.
+    fn new(time: SimTime, origin: usize, seq: u64) -> BirthKey {
+        debug_assert!(origin <= MAX_SHARDS && seq >> SEQ_BITS == 0);
+        BirthKey {
+            time,
+            origin_seq: (origin as u64) << SEQ_BITS | seq,
+        }
+    }
+}
+
+/// Take the next value of a schedule counter. Panics rather than let a
+/// sequence reach 2^48 and spill into the origin bits of a birth key.
+fn take_seq(counter: &mut u64) -> u64 {
+    let seq = *counter;
+    assert!(
+        seq >> SEQ_BITS == 0,
+        "birth-key sequence exhausted: an origin scheduled 2^48 events"
+    );
+    *counter += 1;
+    seq
 }
 
 /// A cross-shard event in flight between windows: fires at `at`; ties in
@@ -300,6 +337,10 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     pub fn new(map: M, threads: usize) -> ParEngine<E, M> {
         let n = map.shard_count();
         assert!(n > 0, "shard map must define at least one shard");
+        assert!(
+            n <= MAX_SHARDS,
+            "shard map defines {n} shards; birth keys hold at most {MAX_SHARDS}"
+        );
         assert!(
             n == 1 || map.lookahead() > SimDuration::ZERO,
             "multi-shard execution requires a positive lookahead"
@@ -429,12 +470,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     /// events whose shard the map cannot derive from the value alone).
     pub fn schedule_at_shard(&mut self, shard: usize, at: SimTime, event: E) {
         assert!(at >= self.now, "causality violation");
-        let birth = BirthKey {
-            time: self.now,
-            origin: 0,
-            seq: self.seed_seq,
-        };
-        self.seed_seq += 1;
+        let birth = BirthKey::new(self.now, 0, take_seq(&mut self.seed_seq));
         self.shards[shard].queue.push(at, birth, event);
     }
 
@@ -857,12 +893,7 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
                     }
                 }
                 for (eat, event) in sched.drain() {
-                    let birth = BirthKey {
-                        time: born,
-                        origin: sidx as u32 + 1,
-                        seq: shard.birth_seq,
-                    };
-                    shard.birth_seq += 1;
+                    let birth = BirthKey::new(born, sidx + 1, take_seq(&mut shard.birth_seq));
                     let dst = map.shard_of(&event);
                     if dst == sidx {
                         shard.queue.push(eat, birth, event);
@@ -1372,6 +1403,102 @@ mod tests {
                 assert_eq!(du[a * 3 + b], want);
             }
         }
+    }
+
+    #[test]
+    fn a_queue_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<BirthKey>(), 16);
+        assert!(std::mem::size_of::<(SimTime, BirthKey, u32)>() <= 32);
+    }
+
+    /// The `(time, origin, seq)` triple a packed key stands for.
+    type Triple = (u64, usize, u64);
+
+    fn packed(&(t, o, s): &Triple) -> BirthKey {
+        BirthKey::new(SimTime(t), o, s)
+    }
+
+    #[test]
+    fn packed_keys_order_as_triples_at_the_bounds() {
+        let top = (1u64 << SEQ_BITS) - 1;
+        let mut keys: Vec<Triple> = Vec::new();
+        for t in [0, 1, 2, u64::MAX - 1, u64::MAX] {
+            for o in [0, 1, 2, MAX_SHARDS - 1, MAX_SHARDS] {
+                for s in [0, 1, 2, top - 1, top] {
+                    keys.push((t, o, s));
+                }
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(packed(a).cmp(&packed(b)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn packed_keys_order_as_random_triples(
+            t0 in 0u64..3, o0 in 0usize..MAX_SHARDS + 1, s0 in 0u64..1 << SEQ_BITS,
+            t1 in 0u64..3, o1 in 0usize..MAX_SHARDS + 1, s1 in 0u64..1 << SEQ_BITS,
+            tie in 0u8..4,
+        ) {
+            // `tie` forces equal origins and/or sequences, which
+            // independent draws over these ranges almost never give.
+            let o1 = if tie & 1 == 1 { o0 } else { o1 };
+            let s1 = if tie & 2 == 2 { s0 } else { s1 };
+            let (a, b) = ((t0, o0, s0), (t1, o1, s1));
+            proptest::prop_assert_eq!(packed(&a).cmp(&packed(&b)), a.cmp(&b));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "birth keys hold at most 65535")]
+    fn more_shards_than_birth_keys_hold_is_rejected() {
+        let _ = ParEngine::<Token, _>::new(RingMap { n: MAX_SHARDS + 1 }, 1);
+    }
+
+    #[test]
+    fn an_exhausted_birth_sequence_panics() {
+        panics_at_every_thread_count("birth-key sequence exhausted", |threads| {
+            let mut eng = ParEngine::new(RingMap { n: 2 }, threads);
+            for shard in &mut eng.shards {
+                // Room for one more schedule: the first handler's
+                // local bounce takes it and its ring hop must panic.
+                shard.birth_seq = (1 << SEQ_BITS) - 1;
+            }
+            let mut worlds: Vec<RingWorld> = (0..2)
+                .map(|s| RingWorld {
+                    shard: s,
+                    nshards: 2,
+                    log: Vec::new(),
+                })
+                .collect();
+            eng.schedule_at(
+                SimTime::ZERO,
+                Token {
+                    shard: 0,
+                    hops_left: 1,
+                    tag: 0,
+                },
+            );
+            eng.run(&mut worlds);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "birth-key sequence exhausted")]
+    fn an_exhausted_seed_sequence_panics() {
+        let mut eng = ParEngine::new(RingMap { n: 2 }, 1);
+        eng.seed_seq = 1 << SEQ_BITS;
+        eng.schedule_at(
+            SimTime::ZERO,
+            Token {
+                shard: 0,
+                hops_left: 0,
+                tag: 0,
+            },
+        );
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! that holds the payloads.
 //!
 //! Pops are totally ordered by `(time, key)`. Every key a queue sees is
-//! unique (a birth key), so the handle never decides an order. Sifts move the small entries while
-//! payloads stay put in the arena: a popped event moves exactly twice,
-//! in at push and out at pop.
+//! unique (a birth key), so the handle never decides an order. Sifts move
+//! the small entries while payloads stay put in the arena: a popped event
+//! moves exactly twice, in at push and out at pop. With the engine's
+//! 16-byte birth key an entry is 32 bytes; the network's events are 24
+//! bytes, their packets boxed, so an entry never carries a payload.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;

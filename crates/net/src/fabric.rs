@@ -43,6 +43,11 @@ pub const FIFO_CAPACITY: usize = 64;
 pub const ERROR_LOG_CAP: usize = 64;
 
 /// Events produced and consumed by the fabric (plus program dispatches).
+///
+/// An event is 24 bytes: a packet in flight is one [`Box<Packet>`],
+/// allocated by [`Fabric::send`] and moved, never copied, through the
+/// scheduler, the event queue, the cross-shard outboxes and the handlers
+/// until delivery consumes it (a multicast branch gets a clone).
 #[derive(Debug)]
 pub enum Ev {
     /// Kick off all node programs at time zero.
@@ -51,7 +56,7 @@ pub enum Ev {
     /// along dimension `in_dim`.
     HopArrive {
         /// The packet in flight.
-        pkt: Packet,
+        pkt: Box<Packet>,
         /// The node whose receive adapter the head reached.
         node: NodeId,
         /// Dimension of the link it arrived on.
@@ -60,7 +65,7 @@ pub enum Ev {
     /// A packet's tail reached its target client at `node`; apply it.
     Deliver {
         /// The arriving packet.
-        pkt: Packet,
+        pkt: Box<Packet>,
         /// Delivery node.
         node: NodeId,
         /// Target client on that node.
@@ -97,13 +102,14 @@ pub enum Ev {
     /// lookahead bound.
     Reinject {
         /// The stranded packet.
-        pkt: Packet,
+        pkt: Box<Packet>,
         /// The node it was stranded at.
         node: NodeId,
     },
 }
 
-/// Callbacks into node programs.
+/// Callbacks into node programs (16 bytes: a FIFO message is the box
+/// its packet travelled in).
 #[derive(Debug)]
 pub enum ProgEvent {
     /// Simulation start.
@@ -119,8 +125,8 @@ pub enum ProgEvent {
     FifoMessage {
         /// The slice that drained the message.
         client: ClientKind,
-        /// The popped message.
-        pkt: Packet,
+        /// The popped message, in the box it was sent in.
+        pkt: Box<Packet>,
     },
     /// A timer set via `Ctx::set_timer` or `Ctx::compute` expired.
     Timer {
@@ -140,7 +146,7 @@ struct InOrderChannel {
     /// Next sequence number to apply.
     next: u64,
     /// Packets that arrived ahead of `next`, keyed by sequence.
-    held: BTreeMap<u64, Packet>,
+    held: BTreeMap<u64, Box<Packet>>,
 }
 
 /// Per-client simulated state.
@@ -149,7 +155,7 @@ struct ClientState {
     mem: LocalMemory,
     accum: AccumMemory,
     counters: SyncCounters,
-    fifo: Option<MsgFifo<Packet>>,
+    fifo: Option<MsgFifo<Box<Packet>>>,
     /// Pending accumulation-counter watch fire times are handled inline;
     /// nothing else needed per client.
     fifo_service_pending: bool,
@@ -372,8 +378,11 @@ pub struct Fabric {
     fault: FaultPlan,
     /// Link-layer transmission sequence number per unidirectional link
     /// (advanced per attempt; feeds the deterministic fault decisions).
+    /// Empty unless the plan has transient faults, the only reader.
     link_tx_seq: Vec<u64>,
     /// Permanent death time per unidirectional link, from the plan.
+    /// Empty unless the plan has permanent failures; an absent entry
+    /// reads as a link that never dies.
     link_dead_at: Vec<Option<SimTime>>,
     /// Mask of links whose permanent failure has already struck, used to
     /// route around them. `None` when the plan has no permanent failures
@@ -396,7 +405,8 @@ pub struct Fabric {
     /// Busy-until per slice Tensilica core, indexed `node*7 + client`
     /// (only slice entries are used).
     core_busy: Vec<SimTime>,
-    /// Per-node, per-pattern multicast forwarding tables.
+    /// Per-node, per-pattern multicast forwarding tables. Empty until
+    /// the first [`Fabric::register_pattern`], then one table per node.
     patterns: Vec<HashMap<PatternId, NodePatternEntry>>,
     clients: ClientTable,
     /// Aggregate traffic statistics.
@@ -497,7 +507,18 @@ impl Fabric {
         recovery: RecoveryConfig,
     ) -> Fabric {
         let n = dims.node_count() as usize;
-        let link_dead_at = fault.link_death_times(dims);
+        // A fault-free replica builds no per-link fault tables: each is
+        // built only when the plan has something for it to hold.
+        let link_dead_at = if fault.has_permanent() {
+            fault.link_death_times(dims)
+        } else {
+            Vec::new()
+        };
+        let link_tx_seq = if fault.has_transients() {
+            vec![0; n * 6]
+        } else {
+            Vec::new()
+        };
         let (route_mask, pending_deaths) = if fault.has_permanent() {
             let mut mask = LinkMask::none(dims);
             let mut pending: Vec<(SimTime, usize)> = Vec::new();
@@ -520,7 +541,7 @@ impl Fabric {
             dims,
             timing,
             fault,
-            link_tx_seq: vec![0; n * 6],
+            link_tx_seq,
             link_dead_at,
             route_mask,
             pending_deaths,
@@ -529,7 +550,7 @@ impl Fabric {
             link_busy: vec![SimTime::ZERO; n * 6],
             inject_busy: vec![SimTime::ZERO; n * 7],
             core_busy: vec![SimTime::ZERO; n * 7],
-            patterns: vec![HashMap::new(); n],
+            patterns: Vec::new(),
             clients: ClientTable::new(n),
             stats: NetStats {
                 sent_by_node: vec![0; n],
@@ -636,6 +657,9 @@ impl Fabric {
     /// would exceed the 256-pattern hardware limit or the id is taken.
     pub fn register_pattern(&mut self, id: PatternId, pattern: &MulticastPattern) {
         assert_eq!(pattern.dims(), self.dims, "pattern built for other dims");
+        if self.patterns.is_empty() {
+            self.patterns = vec![HashMap::new(); self.dims.node_count() as usize];
+        }
         for (node, entry) in pattern.entries() {
             let table = &mut self.patterns[node.index()];
             assert!(
@@ -657,6 +681,11 @@ impl Fabric {
                 },
             );
         }
+    }
+
+    /// `node`'s forwarding entry for `pattern`, if registered there.
+    fn pattern_entry(&self, node: NodeId, pattern: PatternId) -> Option<NodePatternEntry> {
+        self.patterns.get(node.index())?.get(&pattern).cloned()
     }
 
     /// Remove a pattern everywhere (bond-program regeneration reprograms
@@ -688,7 +717,7 @@ impl Fabric {
         payload_bytes: u32,
     ) -> Result<SimTime, LinkFail> {
         let idx = node.index() * 6 + link.index();
-        let dead_at = self.link_dead_at[idx];
+        let dead_at = self.link_dead_at.get(idx).copied().flatten();
         let occ = self.timing.link_occupancy(payload_bytes);
         let mut start = ready.max(self.link_busy[idx]);
         if matches!(dead_at, Some(d) if start >= d) {
@@ -874,7 +903,7 @@ impl Fabric {
     /// budget runs out.
     fn link_failed_unicast(
         &mut self,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
         node: NodeId,
         link: LinkDir,
         fail: LinkFail,
@@ -934,7 +963,7 @@ impl Fabric {
     /// node's own verdicts.
     pub fn reinject(
         &mut self,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
         node: NodeId,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
@@ -1061,9 +1090,11 @@ impl Fabric {
     }
 
     /// Send a packet. `now` is the time software issues the send. All
-    /// downstream progress is scheduled on `sched`.
-    pub fn send(&mut self, mut pkt: Packet, now: SimTime, sched: &mut Scheduler<Ev>) {
+    /// downstream progress is scheduled on `sched`. The packet is boxed
+    /// here, once; every event that carries it afterwards moves the box.
+    pub fn send(&mut self, pkt: Packet, now: SimTime, sched: &mut Scheduler<Ev>) {
         assert!(pkt.src.client.can_send(), "client cannot send packets");
+        let mut pkt = Box::new(pkt);
         self.advance_deaths(now);
         let src_node = pkt.src.node;
         let c = &mut self.next_uid_by_node[src_node.index()];
@@ -1250,7 +1281,7 @@ impl Fabric {
                 // Multicast trees are burned into hardware tables and do
                 // NOT reroute around failures: a dead branch silently
                 // loses that subtree (reserve_link records the loss).
-                let Some(entry) = self.patterns[src_node.index()].get(&pattern).cloned() else {
+                let Some(entry) = self.pattern_entry(src_node, pattern) else {
                     self.stats.packets_unreachable += 1;
                     self.record_error(FabricError::PatternUnknown {
                         pattern,
@@ -1316,7 +1347,7 @@ impl Fabric {
     /// Handle a packet head arriving at `node`.
     pub fn hop_arrive(
         &mut self,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
         node: NodeId,
         in_dim: Dim,
         now: SimTime,
@@ -1427,7 +1458,7 @@ impl Fabric {
                 }
             }
             Destination::Multicast { pattern, client } => {
-                let Some(entry) = self.patterns[node.index()].get(&pattern).cloned() else {
+                let Some(entry) = self.pattern_entry(node, pattern) else {
                     self.stats.packets_lost += 1;
                     self.record_error(FabricError::PatternUnknown { pattern, node });
                     return;
@@ -1477,7 +1508,7 @@ impl Fabric {
     /// here too).
     pub fn deliver(
         &mut self,
-        pkt: Packet,
+        pkt: Box<Packet>,
         node: NodeId,
         client: ClientKind,
         now: SimTime,
@@ -1546,7 +1577,7 @@ impl Fabric {
     /// delivery path, unchanged.
     fn apply_delivery(
         &mut self,
-        pkt: Packet,
+        pkt: Box<Packet>,
         node: NodeId,
         client: ClientKind,
         now: SimTime,
@@ -1986,6 +2017,30 @@ mod tests {
         for i in 0..dims.node_count() {
             assert_eq!(f.clients_created_on(NodeId(i)), 0, "node {i}");
         }
+    }
+
+    #[test]
+    fn fault_free_fabric_builds_no_tables_until_a_pattern_is_registered() {
+        let dims = TorusDims::new(4, 4, 4);
+        let mut f = Fabric::new(dims);
+        assert!(f.link_dead_at.is_empty());
+        assert!(f.link_tx_seq.is_empty());
+        assert!(f.patterns.is_empty());
+        let p = MulticastPattern::build(Coord::new(0, 0, 0), &[Coord::new(1, 0, 0)], dims);
+        f.register_pattern(PatternId(1), &p);
+        assert_eq!(f.patterns.len(), 64);
+        assert!(f.pattern_entry(NodeId(0), PatternId(1)).is_some());
+        assert!(f.pattern_entry(NodeId(0), PatternId(2)).is_none());
+        assert!(f.link_dead_at.is_empty() && f.link_tx_seq.is_empty());
+
+        // A plan builds the table it has entries for, and only that one.
+        let lossy = FaultPlan::seeded(3).with_drop_rate(0.01);
+        let f = Fabric::with_faults(dims, Timing::default(), lossy);
+        assert_eq!((f.link_tx_seq.len(), f.link_dead_at.len()), (64 * 6, 0));
+        let dead =
+            FaultPlan::none().fail_link_at(Coord::new(0, 0, 0), LinkDir::ALL[0], SimTime::ZERO);
+        let f = Fabric::with_faults(dims, Timing::default(), dead);
+        assert_eq!((f.link_tx_seq.len(), f.link_dead_at.len()), (0, 64 * 6));
     }
 
     #[test]

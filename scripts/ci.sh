@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gates, split into stages so the PR fast-gate stays under ~10 min:
 #
-#   scripts/ci.sh fast     # fmt, no env reads in library crates, build, tests, clippy, doc warnings
+#   scripts/ci.sh fast     # fmt, no env reads in library crates, build, tests, benchmark check, clippy, doc warnings
 #   scripts/ci.sh full     # smokes + determinism + result emitters + drift check + host benchmark smoke
 #   scripts/ci.sh nightly  # extended chaos sweep + 24^3 scale probe + drift check
 #   scripts/ci.sh          # fast + full (the complete tier-1 gate)
@@ -35,6 +35,10 @@ fast_gate() {
 
   cargo build --release
   cargo test --workspace -q
+  # The host-time benchmark is a workspace of its own, so the workspace
+  # build and tests never compile it; check it against the crates'
+  # public API here rather than first in `full`.
+  cargo check --offline --manifest-path benchmark/Cargo.toml
   cargo clippy --workspace --all-targets -- -D warnings
   RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 }

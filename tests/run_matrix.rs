@@ -154,6 +154,20 @@ fn md_exchange_is_invariant_and_its_observers_are_exact() {
     }
 }
 
+/// Every run above moves the fabric's events through the queue, the
+/// outboxes and the handlers, and a packet rides in them as the one box
+/// `Fabric::send` made. A packet carried inline again (128 bytes) would
+/// push an event past 32 bytes and a program event past 16.
+#[test]
+fn events_carry_their_packet_boxed() {
+    let (ev, pe) = (
+        std::mem::size_of::<anton_net::Ev>(),
+        std::mem::size_of::<anton_net::ProgEvent>(),
+    );
+    assert!(ev <= 32, "Ev is {ev} bytes");
+    assert!(pe <= 16, "ProgEvent is {pe} bytes");
+}
+
 /// The streamed 4×4×4, 3-step MD exchange's footprint on each plan.
 fn footprint_pin(plan: (Slabs, usize)) -> StreamFootprint {
     let (peak_partials, peak_bytes, final_bytes) = match plan.0 {
