@@ -25,7 +25,9 @@
 //!    observability only, asserting the observer's peak heap stays
 //!    under a fixed bytes-per-node budget. With the `obs-alloc` feature
 //!    the instrumented global allocator cross-checks the logical
-//!    accounting against real allocations per subsystem tag.
+//!    accounting against real allocations per subsystem tag. The 16³
+//!    probe also runs on the auto plan, whose merged fold census and
+//!    stage breakdown must equal the one-slab run's.
 //!
 //! Writes `target/obs/scale_report.json`, and the deterministic metric
 //! subset (reference + 16³ probe, so the file is byte-identical in
@@ -135,6 +137,27 @@ fn scale_run(
     reg.set_gauge("scale.events", out.events as f64);
     reg.set_gauge("scale.makespan_ns", out.makespan.as_ns_f64());
     (out, summary, reg.snapshot())
+}
+
+/// The spec's MD exchange streamed again on the auto plan: its merged
+/// fold census and stage breakdown equal the one-slab run's. Whole
+/// summaries are not compared: past 4,096 links the one-slab
+/// heavy-hitter table evicts, while each slab's table holds its own
+/// links exactly.
+fn auto_plan_matches(label: &str, spec: &ScenarioSpec, one_slab: &StreamSummary) {
+    let params = spec.md_params().expect("scale presets are MD specs");
+    let (_, observed) = run(spec.torus_dims(), params, ObsMode::Stream, 2);
+    let (merged, footprint) = observed.stream.expect("stream observed");
+    assert_eq!(merged.fold, one_slab.fold, "[{label}] auto-plan census");
+    assert_eq!(
+        merged.breakdown(),
+        one_slab.breakdown(),
+        "[{label}] auto-plan breakdown"
+    );
+    println!(
+        "[{label}] auto plan: census and breakdown equal one slab's, {} peak partials per slab",
+        footprint.peak_partials
+    );
 }
 
 /// Phase 1: the streamed fold against ground truth on the paper machine.
@@ -310,7 +333,8 @@ fn main() -> ExitCode {
 
     // 16³ always runs, so the committed bench metrics are identical in
     // quick and full modes.
-    let (out16, _, snap16) = scale_run("scale 16^3", &presets::scale_md(16));
+    let (out16, summary16, snap16) = scale_run("scale 16^3", &presets::scale_md(16));
+    auto_plan_matches("scale 16^3", &presets::scale_md(16), &summary16);
     report.set("scale16_events", out16.events as f64);
     report.set_directed(
         "scale16_makespan_ns",

@@ -339,6 +339,7 @@ impl MdNode {
             route: None,
             order_seq: None,
             reinjects: 0,
+            trail: None,
         };
         ctx.send(pkt);
     }

@@ -27,7 +27,8 @@ use crate::recovery::{FailureVerdict, RecoveryConfig, RecoveryStats};
 use crate::timing::Timing;
 use anton_des::{Activity, Scheduler, SimDuration, SimTime, Tracer, TrackId};
 use anton_obs::{
-    FlightRecorder, MetricsRegistry, PacketId, Recorder, StreamConfig, StreamObserver, VerdictCause,
+    FlightRecorder, LossCause, MetricsRegistry, PacketId, PacketTrail, Recorder, StreamConfig,
+    StreamObserver, VerdictCause,
 };
 use anton_topo::{Coord, Dim, LinkDir, LinkMask, MulticastPattern, NodeId, Route, TorusDims};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -370,10 +371,60 @@ impl NetStats {
     }
 }
 
+/// The timing model's fixed latencies as [`SimDuration`]s, converted
+/// once when the fabric is built rather than on every packet. Times that
+/// depend on the payload (occupancies, tails) are computed per packet.
+#[derive(Debug, Clone, Copy)]
+struct Latencies {
+    send_issue: SimDuration,
+    send_setup: SimDuration,
+    send_ring: SimDuration,
+    accum_poll_extra: SimDuration,
+    fifo_pop: SimDuration,
+    link_head: SimDuration,
+    recv_overhead: SimDuration,
+    local_latency: SimDuration,
+    /// Transit ring crossings: straight through in X, straight through
+    /// in Y or Z, and a dimension turn.
+    transit_x: SimDuration,
+    transit_yz: SimDuration,
+    transit_turn: SimDuration,
+}
+
+impl Latencies {
+    fn of(t: &Timing) -> Latencies {
+        let ns = SimDuration::from_ns_f64;
+        Latencies {
+            send_issue: ns(t.send_issue_ns),
+            send_setup: ns(t.send_setup_ns),
+            send_ring: ns(t.send_ring_ns),
+            accum_poll_extra: ns(t.accum_poll_extra_ns),
+            fifo_pop: ns(t.fifo_pop_ns),
+            link_head: t.link_head(),
+            recv_overhead: t.recv_overhead(),
+            local_latency: t.local_latency(),
+            transit_x: t.transit_ring(Dim::X, Dim::X),
+            transit_yz: t.transit_ring(Dim::Y, Dim::Y),
+            transit_turn: t.transit_ring(Dim::X, Dim::Y),
+        }
+    }
+
+    /// [`Timing::transit_ring`] from `in_dim` to `out_dim`.
+    fn transit(&self, in_dim: Dim, out_dim: Dim) -> SimDuration {
+        match (in_dim == out_dim, in_dim) {
+            (false, _) => self.transit_turn,
+            (true, Dim::X) => self.transit_x,
+            (true, Dim::Y | Dim::Z) => self.transit_yz,
+        }
+    }
+}
+
 /// The simulated communication fabric of one Anton machine.
 pub struct Fabric {
     dims: TorusDims,
     timing: Timing,
+    /// `timing`'s fixed latencies, converted once.
+    lat: Latencies,
     /// The fault-injection plan in force ([`FaultPlan::none`] by default).
     fault: FaultPlan,
     /// Link-layer transmission sequence number per unidirectional link
@@ -539,6 +590,7 @@ impl Fabric {
         };
         Fabric {
             dims,
+            lat: Latencies::of(&timing),
             timing,
             fault,
             link_tx_seq,
@@ -603,18 +655,56 @@ impl Fabric {
     ///
     /// A [`FlightRecorder`] keeps every event: read them back through
     /// [`Fabric::flight_recorder`], or take the recorder out with
-    /// [`Fabric::take_flight_recorder`]. A [`StreamObserver`], at its
-    /// default configuration, folds delivered packets into streaming
-    /// sketches on the fly and drops their events, so on one slab
-    /// observability memory stays O(nodes + links) at any scale; a
-    /// packet that crosses slabs stays open on both until the post-run
-    /// join. Take it out with [`Fabric::take_stream_observer`].
+    /// [`Fabric::take_flight_recorder`]. Under a [`StreamObserver`], at
+    /// its default configuration, every unicast packet carries its
+    /// lifecycle as a [`PacketTrail`], and the observer folds it into
+    /// streaming sketches where the packet is delivered and drops the
+    /// events, so observability memory stays O(nodes + links) at any
+    /// scale. Take it out with [`Fabric::take_stream_observer`].
     pub fn observe(&mut self, mode: ObsMode) {
+        self.observe_slab(mode, |_| true);
+    }
+
+    /// [`Fabric::observe`] on one slab of a sharded machine, whose nodes
+    /// `owns` accepts: a stream observer counts the trails on those
+    /// nodes in its footprint.
+    pub(crate) fn observe_slab(&mut self, mode: ObsMode, owns: impl Fn(NodeId) -> bool) {
         self.recorder = match mode {
             ObsMode::Off => None,
             ObsMode::Flight => Some(Box::new(FlightRecorder::new())),
-            ObsMode::Stream => Some(Box::new(StreamObserver::new(StreamConfig::default()))),
+            ObsMode::Stream => {
+                let nodes = (0..self.dims.node_count()).map(|i| owns(NodeId(i)));
+                Some(Box::new(StreamObserver::for_slab(
+                    StreamConfig::default(),
+                    nodes.collect(),
+                )))
+            }
         };
+    }
+
+    /// The installed recorder, when it is a [`StreamObserver`].
+    fn stream_observer(&mut self) -> Option<&mut StreamObserver> {
+        self.recorder.as_deref_mut()?.as_stream_mut()
+    }
+
+    /// `pkt`'s trail with the observer it reports to; `None` for a
+    /// packet without one, or once the observer has been taken out.
+    fn trail_of<'a>(
+        &'a mut self,
+        pkt: &'a mut Packet,
+    ) -> Option<(&'a mut StreamObserver, &'a mut PacketTrail)> {
+        let trail = pkt.trail.as_deref_mut()?;
+        Some((self.stream_observer()?, trail))
+    }
+
+    /// `pkt` ended here without a delivery: its trail is freed unfolded.
+    fn close_trail(&mut self, pkt: &mut Packet) {
+        let Some(trail) = pkt.trail.take() else {
+            return;
+        };
+        if let Some(obs) = self.stream_observer() {
+            obs.close_trail(trail);
+        }
     }
 
     /// The installed recorder's [`FlightRecorder`] view, when the
@@ -633,10 +723,11 @@ impl Fabric {
     }
 
     /// Remove the installed [`StreamObserver`] and hand it back; `None`
-    /// (and nothing removed) when the recorder is not one. Its summary
-    /// is mergeable across shards; callers owning the final copy should
-    /// [`anton_obs::StreamSummary::finalize`] it to classify still-open
-    /// packet lifecycles.
+    /// (and nothing removed) when the recorder is not one. Packets still
+    /// in flight keep their trails. Its summary is mergeable across
+    /// shards; callers owning the final copy should
+    /// [`anton_obs::StreamSummary::finalize`] it to count the packets
+    /// that never folded.
     pub fn take_stream_observer(&mut self) -> Option<StreamObserver> {
         self.recorder.as_deref()?.as_stream()?;
         self.recorder.take()?.into_stream()
@@ -710,15 +801,15 @@ impl Fabric {
     /// a fabric without the fault layer.
     fn reserve_link(
         &mut self,
-        uid: u64,
+        pkt: &mut Packet,
         node: NodeId,
         link: LinkDir,
         ready: SimTime,
-        payload_bytes: u32,
     ) -> Result<SimTime, LinkFail> {
+        let uid = pkt.uid;
         let idx = node.index() * 6 + link.index();
         let dead_at = self.link_dead_at.get(idx).copied().flatten();
-        let occ = self.timing.link_occupancy(payload_bytes);
+        let occ = self.timing.link_occupancy(pkt.payload_bytes);
         let mut start = ready.max(self.link_busy[idx]);
         if matches!(dead_at, Some(d) if start >= d) {
             return Err(LinkFail::Dead { at: start });
@@ -762,6 +853,9 @@ impl Fabric {
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.on_retransmit(PacketId(uid), node, link, failed + 1, start);
                 }
+                if let Some(trail) = pkt.trail.as_deref_mut() {
+                    trail.retransmitted();
+                }
                 start = start + occ + penalty;
                 failed += 1;
                 if let Some(d) = dead_at {
@@ -795,20 +889,39 @@ impl Fabric {
     /// path (hardware pattern tables do not reroute); unicast packets
     /// take it when recovery is disabled or the re-injection budget is
     /// spent.
-    fn record_link_loss(&mut self, node: NodeId, link: LinkDir, fail: &LinkFail) {
-        match *fail {
-            LinkFail::Dead { .. } => {
+    fn record_link_loss(&mut self, pkt: &mut Packet, node: NodeId, link: LinkDir, fail: &LinkFail) {
+        let (cause, at) = match *fail {
+            LinkFail::Dead { at } => {
                 self.record_error(FabricError::DeadLink { node, link });
+                (LossCause::DeadLink, at)
             }
-            LinkFail::Budget { attempts, .. } => {
+            LinkFail::Budget { end, attempts, .. } => {
                 self.record_error(FabricError::RetryBudgetExhausted {
                     node,
                     link,
                     attempts,
                 });
+                (LossCause::RetryBudget, end)
             }
-        }
+        };
+        self.lose(pkt, node, cause, at);
+    }
+
+    /// `pkt` has no route on from `node` towards `dst`: log it and count
+    /// the packet lost there.
+    fn lose_unroutable(&mut self, pkt: &mut Packet, node: NodeId, dst: NodeId, now: SimTime) {
+        self.record_error(FabricError::NoRoute { node, dst });
+        self.lose(pkt, node, LossCause::NoRoute, now);
+    }
+
+    /// Count one copy of a packet lost at `node` and end its lifecycle
+    /// there: the recorder sees it lost, and its trail is freed.
+    fn lose(&mut self, pkt: &mut Packet, node: NodeId, cause: LossCause, at: SimTime) {
         self.stats.packets_lost += 1;
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.on_lost(PacketId(pkt.uid), node, cause, at);
+        }
+        self.close_trail(pkt);
     }
 
     /// Failure detection: promote a failed traversal to a `LinkDown`
@@ -887,12 +1000,18 @@ impl Fabric {
     /// verdict (when recovery is on) but always count the subtree lost —
     /// multicast trees are burned into hardware tables and do not
     /// reroute.
-    fn link_failed_multicast(&mut self, node: NodeId, link: LinkDir, fail: &LinkFail) {
+    fn link_failed_multicast(
+        &mut self,
+        pkt: &mut Packet,
+        node: NodeId,
+        link: LinkDir,
+        fail: &LinkFail,
+    ) {
         if self.recovery.enabled {
             let (cause, at) = self.detect(fail);
             self.record_verdict(node, link, cause, at);
         }
-        self.record_link_loss(node, link, fail);
+        self.record_link_loss(pkt, node, link, fail);
     }
 
     /// A unicast packet failed its traversal at `node`. Without recovery
@@ -910,7 +1029,7 @@ impl Fabric {
         sched: &mut Scheduler<Ev>,
     ) {
         if !self.recovery.enabled {
-            self.record_link_loss(node, link, &fail);
+            self.record_link_loss(&mut pkt, node, link, &fail);
             return;
         }
         let (cause, detect_at) = self.detect(&fail);
@@ -928,22 +1047,15 @@ impl Fabric {
             // second. Same arrival arithmetic as a successful traversal,
             // so the conservative cross-shard lookahead bound holds.
             self.recovery_stats.duplicate_forks += 1;
-            let next = node
-                .coord(self.dims)
-                .step(link, self.dims)
-                .node_id(self.dims);
-            sched.at(
-                start + self.timing.link_head(),
-                Ev::HopArrive {
-                    pkt: pkt.clone(),
-                    node: next,
-                    in_dim: link.dim,
-                },
-            );
+            let mut copy = pkt.clone();
+            if let Some((obs, trail)) = self.trail_of(&mut copy) {
+                obs.trail_forked(trail);
+            }
+            self.forward(copy, node.coord(self.dims), link, start, sched);
         }
 
         if pkt.reinjects >= self.recovery.max_reinjects {
-            self.record_link_loss(node, link, &fail);
+            self.record_link_loss(&mut pkt, node, link, &fail);
             self.recovery_stats.packets_lost_unrecovered += 1;
             return;
         }
@@ -973,8 +1085,7 @@ impl Fabric {
             return; // multicast never re-injects
         };
         if dst.node == node {
-            let done =
-                now + self.timing.recv_overhead() + self.timing.payload_tail(pkt.payload_bytes);
+            let done = now + self.lat.recv_overhead + self.timing.payload_tail(pkt.payload_bytes);
             sched.at(
                 done,
                 Ev::Deliver {
@@ -1003,11 +1114,7 @@ impl Fabric {
                 }
                 Err(_) => {
                     // No surviving route from here with local knowledge.
-                    self.stats.packets_lost += 1;
-                    self.record_error(FabricError::NoRoute {
-                        node,
-                        dst: dst.node,
-                    });
+                    self.lose_unroutable(&mut pkt, node, dst.node, now);
                     self.recovery_stats.packets_lost_unrecovered += 1;
                     return;
                 }
@@ -1016,11 +1123,7 @@ impl Fabric {
             match Route::next_link_from(cur, dst_c, self.dims) {
                 Some(l) => l,
                 None => {
-                    self.stats.packets_lost += 1;
-                    self.record_error(FabricError::NoRoute {
-                        node,
-                        dst: dst.node,
-                    });
+                    self.lose_unroutable(&mut pkt, node, dst.node, now);
                     self.recovery_stats.packets_lost_unrecovered += 1;
                     return;
                 }
@@ -1030,21 +1133,13 @@ impl Fabric {
         // adapter: charge one router transit before it is wire-ready
         // (which also keeps the downstream hop arrival outside the
         // conservative cross-shard lookahead window).
-        let ready = now + self.timing.transit_ring(link.dim, link.dim);
-        match self.reserve_link(pkt.uid, node, link, ready, pkt.payload_bytes) {
+        let ready = now + self.lat.transit(link.dim, link.dim);
+        match self.reserve_link(&mut pkt, node, link, ready) {
             Ok(start) => {
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.on_hop_exit(PacketId(pkt.uid), node, start);
                 }
-                let next = cur.step(link, self.dims).node_id(self.dims);
-                sched.at(
-                    start + self.timing.link_head(),
-                    Ev::HopArrive {
-                        pkt,
-                        node: next,
-                        in_dim: link.dim,
-                    },
-                );
+                self.forward(pkt, cur, link, start, sched);
             }
             Err(fail) => self.link_failed_unicast(pkt, node, link, fail, sched),
         }
@@ -1119,14 +1214,14 @@ impl Fabric {
         let ci = client_index(src_node, pkt.src.client);
         let t0 = if matches!(pkt.src.client, ClientKind::Slice(_)) {
             let t0 = now.max(self.core_busy[ci]);
-            self.core_busy[ci] = t0 + SimDuration::from_ns_f64(self.timing.send_issue_ns);
+            self.core_busy[ci] = t0 + self.lat.send_issue;
             t0
         } else {
             now
         };
 
         // Injection-port serialization onto the on-chip ring.
-        let inj_ready = t0 + SimDuration::from_ns_f64(self.timing.send_setup_ns);
+        let inj_ready = t0 + self.lat.send_setup;
         let inj_start = inj_ready.max(self.inject_busy[ci]);
         self.inject_busy[ci] = inj_start + self.timing.injection_occupancy(pkt.payload_bytes);
 
@@ -1151,8 +1246,9 @@ impl Fabric {
                             pkt.payload_bytes,
                         );
                     }
+                    self.open_trail(&mut pkt, now, now, now);
                     let done = t0
-                        + self.timing.local_latency()
+                        + self.lat.local_latency
                         + self.timing.payload_tail_onchip(pkt.payload_bytes);
                     sched.at(
                         done,
@@ -1234,7 +1330,7 @@ impl Fabric {
                             },
                         }
                     };
-                    let ready = inj_start + SimDuration::from_ns_f64(self.timing.send_ring_ns);
+                    let ready = inj_start + self.lat.send_ring;
                     if let Some(rec) = self.recorder.as_mut() {
                         rec.on_inject(
                             PacketId(pkt.uid),
@@ -1248,13 +1344,8 @@ impl Fabric {
                             pkt.payload_bytes,
                         );
                     }
-                    let start = match self.reserve_link(
-                        pkt.uid,
-                        src_node,
-                        link,
-                        ready,
-                        pkt.payload_bytes,
-                    ) {
+                    self.open_trail(&mut pkt, now, inj_ready, ready);
+                    let start = match self.reserve_link(&mut pkt, src_node, link, ready) {
                         Ok(start) => start,
                         Err(fail) => {
                             // Lost at the first hop; with recovery this
@@ -1266,15 +1357,7 @@ impl Fabric {
                     if let Some(rec) = self.recorder.as_mut() {
                         rec.on_hop_exit(PacketId(pkt.uid), src_node, start);
                     }
-                    let next = src_c.step(link, self.dims).node_id(self.dims);
-                    sched.at(
-                        start + self.timing.link_head(),
-                        Ev::HopArrive {
-                            pkt,
-                            node: next,
-                            in_dim: link.dim,
-                        },
-                    );
+                    self.forward(pkt, src_c, link, start, sched);
                 }
             }
             Destination::Multicast { pattern, client } => {
@@ -1291,7 +1374,7 @@ impl Fabric {
                 };
                 if entry.deliver {
                     let done = t0
-                        + self.timing.local_latency()
+                        + self.lat.local_latency
                         + self.timing.payload_tail_onchip(pkt.payload_bytes);
                     sched.at(
                         done,
@@ -1303,7 +1386,7 @@ impl Fabric {
                     );
                 }
                 let src_c = src_node.coord(self.dims);
-                let ready = inj_start + SimDuration::from_ns_f64(self.timing.send_ring_ns);
+                let ready = inj_start + self.lat.send_ring;
                 if let Some(rec) = self.recorder.as_mut() {
                     // Multicast: destination unknown at injection (`None`);
                     // the copies' deliveries all carry this packet's id.
@@ -1320,28 +1403,58 @@ impl Fabric {
                     );
                 }
                 for l in entry.forward {
-                    let start =
-                        match self.reserve_link(pkt.uid, src_node, l, ready, pkt.payload_bytes) {
-                            Ok(start) => start,
-                            Err(fail) => {
-                                // This branch's subtree is lost (the
-                                // detector still learns from it).
-                                self.link_failed_multicast(src_node, l, &fail);
-                                continue;
-                            }
-                        };
-                    let next = src_c.step(l, self.dims).node_id(self.dims);
-                    sched.at(
-                        start + self.timing.link_head(),
-                        Ev::HopArrive {
-                            pkt: pkt.clone(),
-                            node: next,
-                            in_dim: l.dim,
-                        },
-                    );
+                    let start = match self.reserve_link(&mut pkt, src_node, l, ready) {
+                        Ok(start) => start,
+                        Err(fail) => {
+                            // This branch's subtree is lost (the
+                            // detector still learns from it).
+                            self.link_failed_multicast(&mut pkt, src_node, l, &fail);
+                            continue;
+                        }
+                    };
+                    self.forward(pkt.clone(), src_c, l, start, sched);
                 }
             }
         }
+    }
+
+    /// Under the stream observer, give unicast `pkt` its trail, anchored
+    /// at its issue, assembly and first-link-ready times.
+    fn open_trail(
+        &mut self,
+        pkt: &mut Packet,
+        issued: SimTime,
+        inj_ready: SimTime,
+        wire_ready: SimTime,
+    ) {
+        if let Some(obs) = self.stream_observer() {
+            pkt.trail = Some(obs.open_trail(issued, inj_ready, wire_ready));
+        }
+    }
+
+    /// Put `pkt`'s head onto `link` out of the node at `cur`, the
+    /// traversal starting at `start`: it reaches the next node one link
+    /// head later.
+    fn forward(
+        &mut self,
+        mut pkt: Box<Packet>,
+        cur: Coord,
+        link: LinkDir,
+        start: SimTime,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let next = cur.step(link, self.dims).node_id(self.dims);
+        if let Some((obs, trail)) = self.trail_of(&mut pkt) {
+            obs.trail_heads_to(trail, next);
+        }
+        sched.at(
+            start + self.lat.link_head,
+            Ev::HopArrive {
+                pkt,
+                node: next,
+                in_dim: link.dim,
+            },
+        );
     }
 
     /// Handle a packet head arriving at `node`.
@@ -1356,12 +1469,14 @@ impl Fabric {
         if let Some(rec) = self.recorder.as_mut() {
             rec.on_hop_enter(PacketId(pkt.uid), node, now);
         }
+        if let Some((obs, trail)) = self.trail_of(&mut pkt) {
+            obs.trail_enters(trail, now);
+        }
         match pkt.dest {
             Destination::Unicast(dst) => {
                 if dst.node == node {
-                    let done = now
-                        + self.timing.recv_overhead()
-                        + self.timing.payload_tail(pkt.payload_bytes);
+                    let done =
+                        now + self.lat.recv_overhead + self.timing.payload_tail(pkt.payload_bytes);
                     sched.at(
                         done,
                         Ev::Deliver {
@@ -1385,11 +1500,7 @@ impl Fabric {
                                 // Route exhausted before reaching dst —
                                 // only possible if tables changed
                                 // mid-flight; count the packet lost.
-                                self.stats.packets_lost += 1;
-                                self.record_error(FabricError::NoRoute {
-                                    node,
-                                    dst: dst.node,
-                                });
+                                self.lose_unroutable(&mut pkt, node, dst.node, now);
                                 return;
                             }
                         }
@@ -1410,11 +1521,7 @@ impl Fabric {
                                 first
                             }
                             Err(_) => {
-                                self.stats.packets_lost += 1;
-                                self.record_error(FabricError::NoRoute {
-                                    node,
-                                    dst: dst.node,
-                                });
+                                self.lose_unroutable(&mut pkt, node, dst.node, now);
                                 self.recovery_stats.packets_lost_unrecovered += 1;
                                 return;
                             }
@@ -1423,50 +1530,36 @@ impl Fabric {
                         match Route::next_link_from(cur, dst_c, self.dims) {
                             Some(l) => l,
                             None => {
-                                self.stats.packets_lost += 1;
-                                self.record_error(FabricError::NoRoute {
-                                    node,
-                                    dst: dst.node,
-                                });
+                                self.lose_unroutable(&mut pkt, node, dst.node, now);
                                 return;
                             }
                         }
                     };
-                    let ready = now + self.timing.transit_ring(in_dim, link.dim);
-                    let start =
-                        match self.reserve_link(pkt.uid, node, link, ready, pkt.payload_bytes) {
-                            Ok(start) => start,
-                            Err(fail) => {
-                                // Stranded mid-flight; with recovery the
-                                // packet re-injects from this hop.
-                                self.link_failed_unicast(pkt, node, link, fail, sched);
-                                return;
-                            }
-                        };
+                    let ready = now + self.lat.transit(in_dim, link.dim);
+                    let start = match self.reserve_link(&mut pkt, node, link, ready) {
+                        Ok(start) => start,
+                        Err(fail) => {
+                            // Stranded mid-flight; with recovery the
+                            // packet re-injects from this hop.
+                            self.link_failed_unicast(pkt, node, link, fail, sched);
+                            return;
+                        }
+                    };
                     if let Some(rec) = self.recorder.as_mut() {
                         rec.on_hop_exit(PacketId(pkt.uid), node, start);
                     }
-                    let next = cur.step(link, self.dims).node_id(self.dims);
-                    sched.at(
-                        start + self.timing.link_head(),
-                        Ev::HopArrive {
-                            pkt,
-                            node: next,
-                            in_dim: link.dim,
-                        },
-                    );
+                    self.forward(pkt, cur, link, start, sched);
                 }
             }
             Destination::Multicast { pattern, client } => {
                 let Some(entry) = self.pattern_entry(node, pattern) else {
-                    self.stats.packets_lost += 1;
                     self.record_error(FabricError::PatternUnknown { pattern, node });
+                    self.lose(&mut pkt, node, LossCause::NoRoute, now);
                     return;
                 };
                 if entry.deliver {
-                    let done = now
-                        + self.timing.recv_overhead()
-                        + self.timing.payload_tail(pkt.payload_bytes);
+                    let done =
+                        now + self.lat.recv_overhead + self.timing.payload_tail(pkt.payload_bytes);
                     sched.at(
                         done,
                         Ev::Deliver {
@@ -1478,26 +1571,17 @@ impl Fabric {
                 }
                 let cur = node.coord(self.dims);
                 for l in entry.forward {
-                    let ready = now + self.timing.transit_ring(in_dim, l.dim);
-                    let start = match self.reserve_link(pkt.uid, node, l, ready, pkt.payload_bytes)
-                    {
+                    let ready = now + self.lat.transit(in_dim, l.dim);
+                    let start = match self.reserve_link(&mut pkt, node, l, ready) {
                         Ok(start) => start,
                         Err(fail) => {
                             // This branch's subtree is lost (the
                             // detector still learns from it).
-                            self.link_failed_multicast(node, l, &fail);
+                            self.link_failed_multicast(&mut pkt, node, l, &fail);
                             continue;
                         }
                     };
-                    let next = cur.step(l, self.dims).node_id(self.dims);
-                    sched.at(
-                        start + self.timing.link_head(),
-                        Ev::HopArrive {
-                            pkt: pkt.clone(),
-                            node: next,
-                            in_dim: l.dim,
-                        },
-                    );
+                    self.forward(pkt.clone(), cur, l, start, sched);
                 }
             }
         }
@@ -1508,7 +1592,7 @@ impl Fabric {
     /// here too).
     pub fn deliver(
         &mut self,
-        pkt: Box<Packet>,
+        mut pkt: Box<Packet>,
         node: NodeId,
         client: ClientKind,
         now: SimTime,
@@ -1521,6 +1605,7 @@ impl Fabric {
         if pkt.crc != fault::payload_crc(&pkt.payload) {
             self.stats.delivery_errors += 1;
             self.record_error(FabricError::CorruptDelivery { node, client });
+            self.close_trail(&mut pkt);
             return;
         }
         if self.recovery.enabled {
@@ -1534,6 +1619,7 @@ impl Fabric {
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.on_duplicate_suppressed(PacketId(pkt.uid), node, now);
                 }
+                self.close_trail(&mut pkt);
                 return;
             }
             // In-order reassembly: a rerouted packet can overtake on a
@@ -1577,7 +1663,7 @@ impl Fabric {
     /// delivery path, unchanged.
     fn apply_delivery(
         &mut self,
-        pkt: Box<Packet>,
+        mut pkt: Box<Packet>,
         node: NodeId,
         client: ClientKind,
         now: SimTime,
@@ -1588,6 +1674,12 @@ impl Fabric {
         self.stats.delivered_by_node[node.index()] += 1;
         if let Some(rec) = self.recorder.as_mut() {
             rec.on_deliver(PacketId(pkt.uid), node, client.index() as u8, now);
+        }
+        if let Some(trail) = pkt.trail.take() {
+            if let Some(obs) = self.stream_observer() {
+                let id = PacketId(pkt.uid);
+                obs.fold_trail(id, pkt.src.node, node, now, pkt.payload_bytes, trail);
+            }
         }
         let counter = pkt.counter;
         let pkt_src = pkt.src.node;
@@ -1673,7 +1765,7 @@ impl Fabric {
                 let extra = if client.local_poll() {
                     SimDuration::ZERO
                 } else {
-                    SimDuration::from_ns_f64(self.timing.accum_poll_extra_ns)
+                    self.lat.accum_poll_extra
                 };
                 fire_at = Some(visible + extra);
                 sched.at(
@@ -1720,7 +1812,7 @@ impl Fabric {
             sched.at(free, Ev::FifoService { node, client });
             return;
         }
-        let done = now + SimDuration::from_ns_f64(self.timing.fifo_pop_ns);
+        let done = now + self.lat.fifo_pop;
         let st = self.clients.entry(node, client);
         let fifo = st.fifo.as_mut().expect("slice has a FIFO");
         match fifo.pop() {
@@ -1825,7 +1917,7 @@ impl Fabric {
             let extra = if addr.client.local_poll() {
                 SimDuration::ZERO
             } else {
-                SimDuration::from_ns_f64(self.timing.accum_poll_extra_ns)
+                self.lat.accum_poll_extra
             };
             sched.at(
                 now + extra,

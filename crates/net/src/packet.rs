@@ -7,6 +7,7 @@
 //! a synchronization-counter id (§III.B, counted remote writes).
 
 use crate::timing::MAX_PAYLOAD_BYTES;
+use anton_obs::PacketTrail;
 use anton_topo::NodeId;
 
 /// Which client on a node.
@@ -222,6 +223,10 @@ pub struct Packet {
     /// Recovery re-injections consumed so far, bounded by
     /// [`RecoveryConfig::max_reinjects`](crate::recovery::RecoveryConfig::max_reinjects).
     pub reinjects: u32,
+    /// The packet's lifecycle so far, for the stream observer: set by
+    /// the fabric at injection only when one is installed (unicast
+    /// packets only), and handed to the observer where the packet ends.
+    pub trail: Option<Box<PacketTrail>>,
 }
 
 /// A packet-carried route around permanently dead links (fault runs
@@ -254,6 +259,7 @@ impl Packet {
             route: None,
             order_seq: None,
             reinjects: 0,
+            trail: None,
         }
     }
 
@@ -281,6 +287,7 @@ impl Packet {
             route: None,
             order_seq: None,
             reinjects: 0,
+            trail: None,
         }
     }
 
@@ -303,6 +310,7 @@ impl Packet {
             route: None,
             order_seq: None,
             reinjects: 0,
+            trail: None,
         }
     }
 

@@ -179,8 +179,8 @@ pub enum ObsMode {
     Flight,
     /// Bounded-memory streaming observability
     /// ([`anton_obs::StreamObserver`]) — O(nodes + links) state per
-    /// slab, plus the open partials of packets that cross slabs, for
-    /// 100×-scale machines.
+    /// slab, each unicast packet carrying its partial lifecycle to the
+    /// slab that delivers it, for 100×-scale machines.
     Stream,
 }
 
@@ -384,7 +384,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
             let mut fabric = first.take().unwrap_or_else(|| build_fabric(&cfg.timing));
             assert_eq!(fabric.dims(), dims, "build_fabric must be deterministic");
             if cfg.obs != ObsMode::Off {
-                fabric.observe(cfg.obs);
+                fabric.observe_slab(cfg.obs, |node| plan.shard_of_node(node) == shard);
             }
             let programs = (0..n).map(|i| make(NodeId(i))).collect();
             worlds.push(NodeShardWorld {
@@ -564,10 +564,11 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
 
     /// Take the per-shard stream observers out of their fabrics: their
     /// footprints combined (peaks max'd, final live bytes add) and their
-    /// summaries merged in deterministic shard order, cross-shard
-    /// partial lifecycles joined and the result finalized, so it is
-    /// bit-identical to a one-slab run's finalized summary. `None`
-    /// unless the machine was built under [`ObsMode::Stream`].
+    /// summaries merged in deterministic shard order and finalized. Each
+    /// packet folded on the slab that delivered it, so the merge only
+    /// adds, and the result is bit-identical to a one-slab run's
+    /// finalized summary. `None` unless the machine was built under
+    /// [`ObsMode::Stream`].
     pub fn take_merged_stream(&mut self) -> Option<(StreamSummary, StreamFootprint)> {
         let mut footprint = StreamFootprint::default();
         let mut merged: Option<StreamSummary> = None;

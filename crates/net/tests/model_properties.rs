@@ -95,6 +95,7 @@ impl NodeProgram for BadProgram {
                     route: None,
                     order_seq: None,
                     reinjects: 0,
+                    trail: None,
                 };
                 ctx.send(pkt);
             }

@@ -189,7 +189,8 @@ where
             | FlightEvent::LinkDown { .. }
             | FlightEvent::NodeDown { .. }
             | FlightEvent::Reinject { .. }
-            | FlightEvent::DuplicateSuppressed { .. } => {}
+            | FlightEvent::DuplicateSuppressed { .. }
+            | FlightEvent::Lost { .. } => {}
         }
     }
 

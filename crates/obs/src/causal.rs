@@ -694,13 +694,14 @@ impl CausalGraph {
                 FlightEvent::Phase { ref label, at } => {
                     b.g.phases.push((label.clone(), at));
                 }
-                // Recovery events mark control-plane activity, not
-                // packet-latency causality; the critical-path graph
-                // skips them.
+                // Recovery events mark control-plane activity and a
+                // lost copy ends no latency path; the critical-path
+                // graph skips them.
                 FlightEvent::LinkDown { .. }
                 | FlightEvent::NodeDown { .. }
                 | FlightEvent::Reinject { .. }
-                | FlightEvent::DuplicateSuppressed { .. } => {}
+                | FlightEvent::DuplicateSuppressed { .. }
+                | FlightEvent::Lost { .. } => {}
             }
         }
         b.g

@@ -87,11 +87,13 @@ pub use observatory::{
     DiffConfig, ObservatoryDiff, ObservatoryReport, Section, SectionDiff, SectionKind,
     OBSERVATORY_SCHEMA_VERSION, SEC_ATTRIBUTION, SEC_BLAME, SEC_CONGESTION, SEC_RECOVERY,
 };
-pub use recorder::{FlightEvent, FlightRecorder, NopRecorder, PacketId, Recorder, VerdictCause};
+pub use recorder::{
+    FlightEvent, FlightRecorder, LossCause, NopRecorder, PacketId, Recorder, VerdictCause,
+};
 pub use regress::{BenchReport, Direction, RegressFinding, RegressReport, BENCH_SCHEMA_VERSION};
 pub use retime::{retime, retime_blamed, Perturbation, Retimed};
 pub use runtime::{profile_chrome_trace, RuntimeSummary, SpeedupAttribution};
 pub use stream::{
-    QuantileSketch, Reservoir, SpaceSavingTopK, StreamConfig, StreamFootprint, StreamObserver,
-    StreamSummary, StreamingMoments, TopKEntry,
+    PacketTrail, QuantileSketch, Reservoir, SpaceSavingTopK, StreamConfig, StreamFootprint,
+    StreamObserver, StreamSummary, StreamingMoments, TopKEntry,
 };

@@ -33,6 +33,18 @@ pub enum VerdictCause {
     Heartbeat,
 }
 
+/// Why the fabric gave a packet up (each counts once in
+/// `NetStats::packets_lost`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LossCause {
+    /// The next link was permanently dead.
+    DeadLink,
+    /// The link-layer retransmit budget ran out.
+    RetryBudget,
+    /// No surviving route (or no multicast table entry) from the node.
+    NoRoute,
+}
+
 /// One recorded packet-lifecycle event. Field names follow the model's
 /// timeline: a send issues at `at`, finishes packet assembly at
 /// `inj_ready`, wins the injection port at `inj_start`, and is ready for
@@ -188,6 +200,18 @@ pub enum FlightEvent {
         /// When the duplicate arrived.
         at: SimTime,
     },
+    /// The fabric gave one copy of a packet up: the last event of that
+    /// copy, as `Deliver` and `DuplicateSuppressed` are of the others.
+    Lost {
+        /// The packet.
+        pkt: PacketId,
+        /// Node where the copy was dropped.
+        node: NodeId,
+        /// Why it was dropped.
+        cause: LossCause,
+        /// When it was given up.
+        at: SimTime,
+    },
 }
 
 impl FlightEvent {
@@ -203,7 +227,8 @@ impl FlightEvent {
             | FlightEvent::Deliver { pkt, .. }
             | FlightEvent::CounterUpdate { pkt, .. }
             | FlightEvent::Reinject { pkt, .. }
-            | FlightEvent::DuplicateSuppressed { pkt, .. } => Some(*pkt),
+            | FlightEvent::DuplicateSuppressed { pkt, .. }
+            | FlightEvent::Lost { pkt, .. } => Some(*pkt),
             FlightEvent::Phase { .. }
             | FlightEvent::LinkDown { .. }
             | FlightEvent::NodeDown { .. } => None,
@@ -223,7 +248,8 @@ impl FlightEvent {
             | FlightEvent::LinkDown { at, .. }
             | FlightEvent::NodeDown { at, .. }
             | FlightEvent::Reinject { at, .. }
-            | FlightEvent::DuplicateSuppressed { at, .. } => *at,
+            | FlightEvent::DuplicateSuppressed { at, .. }
+            | FlightEvent::Lost { at, .. } => *at,
             FlightEvent::LinkReserve { start, .. } => *start,
         }
     }
@@ -312,6 +338,9 @@ pub trait Recorder {
     /// A duplicate delivery was suppressed by the counted-write check.
     fn on_duplicate_suppressed(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {}
 
+    /// The fabric gave one copy of a packet up.
+    fn on_lost(&mut self, pkt: PacketId, node: NodeId, cause: LossCause, at: SimTime) {}
+
     /// Read access to the underlying [`FlightRecorder`], when this
     /// recorder is one. Lets a host that installed a recorder behind a
     /// `Box<dyn Recorder>` read the captured events back without
@@ -331,6 +360,14 @@ pub trait Recorder {
     /// [`Recorder::as_flight`], used by hosts to pull the streamed
     /// summary back out of a `Box<dyn Recorder>`.
     fn as_stream(&self) -> Option<&crate::stream::StreamObserver> {
+        None
+    }
+
+    /// Mutable access to the underlying
+    /// [`crate::stream::StreamObserver`], when this recorder is one: how
+    /// the fabric hands it the [`crate::stream::PacketTrail`]s its
+    /// packets carry.
+    fn as_stream_mut(&mut self) -> Option<&mut crate::stream::StreamObserver> {
         None
     }
 
@@ -562,6 +599,15 @@ impl Recorder for FlightRecorder {
 
     fn on_duplicate_suppressed(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
         self.push(FlightEvent::DuplicateSuppressed { pkt, node, at });
+    }
+
+    fn on_lost(&mut self, pkt: PacketId, node: NodeId, cause: LossCause, at: SimTime) {
+        self.push(FlightEvent::Lost {
+            pkt,
+            node,
+            cause,
+            at,
+        });
     }
 
     fn as_flight(&self) -> Option<&FlightRecorder> {

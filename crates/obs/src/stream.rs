@@ -5,8 +5,7 @@
 //! Every earlier observability layer (flight recording, causal graphs,
 //! congestion maps) is O(events): fine on the paper's 512-node Anton 1
 //! torus, fatal at the 10⁴-node scales the ROADMAP targets. This module
-//! keeps the *same* Figure 6 attribution with O(nodes + links) state on
-//! one slab:
+//! keeps the *same* Figure 6 attribution with O(nodes + links) state:
 //!
 //! - [`QuantileSketch`] — a DDSketch-style log-bucket histogram with
 //!   **fixed** bucket boundaries (8 sub-buckets per power of two), so
@@ -25,31 +24,29 @@
 //!   [`PacketLifecycle`]s for causal/blame spot checks. The kept set
 //!   depends only on (seed, packet id), never on arrival order, so
 //!   shard merges reproduce the sequential sample bit-exactly.
-//! - [`StreamObserver`] — the [`Recorder`] gluing it together: it keeps
-//!   only in-flight partial lifecycles, folds each packet into the
-//!   5-stage attribution at delivery (watermark-lazily, because the
-//!   counter-visibility event lands at the same instant as delivery),
-//!   and drops the events.
+//! - [`StreamObserver`] — the [`Recorder`] gluing it together: each
+//!   unicast packet carries its lifecycle so far, a [`PacketTrail`], and
+//!   the observer folds it into the 5-stage attribution at delivery
+//!   (watermark-lazily, because the counter-visibility event lands at
+//!   the same instant as delivery) and drops the events.
 //!
-//! Sharded runs attach one observer per shard; a packet that crosses
-//! shards is seen only partially by each (inject on the source shard,
-//! delivery on the destination shard), so [`StreamSummary`] carries its
-//! still-open partials and [`StreamSummary::merge`] *joins* them
-//! field-wise before [`StreamSummary::finalize`] classifies what
-//! remains. All aggregate state is order-independent, so the merged
-//! summary equals the sequential one bit-for-bit — the cross-check
-//! `scale_probe` asserts. Until that join each shard holds its side of
-//! every cross-shard packet, so a sharded run's observer state grows
-//! with its cross-shard traffic as well as with what is in flight.
+//! Sharded runs attach one observer per slab. A trail travels inside its
+//! packet, so the slab that delivers a packet holds its whole lifecycle
+//! and folds it there: no slab keeps state for a packet it does not
+//! hold, and per-slab summaries merge by adding.
+//! [`StreamSummary::finalize`] then counts the unicast packets that never
+//! folded. All aggregate state is order-independent, so the merged
+//! summary equals the one-slab summary bit-for-bit — the cross-check
+//! `scale_probe` asserts — and on every shard plan observer memory is
+//! O(links plus packets in flight).
 
 use crate::breakdown::{BreakdownSummary, FoldStats, PacketLifecycle, Stage};
+use crate::memory::{MemScope, MemTag};
 use crate::metrics::MetricsRegistry;
-use crate::recorder::{PacketId, Recorder};
+use crate::recorder::{LossCause, PacketId, Recorder};
 use anton_des::{SimDuration, SimTime};
 use anton_topo::{LinkDir, NodeId};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per power of two, i.e. a
 /// worst-case relative bucket width of 1/8.
@@ -573,115 +570,52 @@ impl Default for StreamConfig {
     }
 }
 
-/// An in-flight partial lifecycle (also carried inside summaries for
-/// packets that crossed shard boundaries).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct StreamPartial {
-    /// (src, dst, issued, inj_ready, wire_ready, payload_bytes), same
-    /// tuple the offline fold keeps.
-    inject: Option<(NodeId, Option<NodeId>, SimTime, SimTime, SimTime, u32)>,
+/// One unicast packet's lifecycle so far, carried inside the packet
+/// from injection to the slab that delivers it.
+///
+/// A counted remote write carries its synchronization state inside the
+/// packet, so the receiver needs no second exchange (§III.B); the trail
+/// does the same for observability. With the stream observer installed
+/// the fabric opens one per unicast packet ([`StreamObserver::open_trail`]),
+/// counts its retransmits, shows it to the observer at every hop, and
+/// hands it over where the packet ends. The slab that delivers a packet
+/// therefore holds its whole lifecycle and folds it there. A clone — the
+/// ack-ambiguity fork — is a second copy with the history so far, and the
+/// copy that is delivered is the one that folds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PacketTrail {
+    issued: SimTime,
+    inj_ready: SimTime,
+    wire_ready: SimTime,
     hop_enters: Vec<SimTime>,
-    delivers: Vec<(NodeId, SimTime)>,
-    fired: Option<SimTime>,
     retransmits: u32,
+    /// Heading for a node of another slab: no observer counts the trail
+    /// until it enters one.
+    away: bool,
 }
 
-impl StreamPartial {
-    /// Join another shard's view of the same packet. Every field is
-    /// combined order-independently (sorted merges / min / add), so
-    /// joining in any shard order yields the same partial.
-    fn join(&mut self, other: &StreamPartial) {
-        if self.inject.is_none() {
-            self.inject = other.inject;
-        }
-        if !other.hop_enters.is_empty() {
-            self.hop_enters.extend_from_slice(&other.hop_enters);
-            self.hop_enters.sort_unstable();
-        }
-        if !other.delivers.is_empty() {
-            self.delivers.extend_from_slice(&other.delivers);
-            self.delivers.sort_unstable_by_key(|&(node, at)| (at, node));
-        }
-        self.fired = match (self.fired, other.fired) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.retransmits += other.retransmits;
+impl PacketTrail {
+    /// Count one link-layer retransmission of the packet.
+    pub fn retransmitted(&mut self) {
+        self.retransmits += 1;
     }
 
-    fn heap_bytes(&self) -> u64 {
-        (self.hop_enters.len() * std::mem::size_of::<SimTime>()
-            + self.delivers.len() * std::mem::size_of::<(NodeId, SimTime)>()) as u64
+    /// Modeled bytes of the hop list.
+    fn hop_bytes(&self) -> u64 {
+        (self.hop_enters.len() * std::mem::size_of::<SimTime>()) as u64
     }
 }
 
-/// Hashes a packet uid with one SplitMix64 round, so a uid map has the
-/// same table order on every run. Against fixed-key SipHash it was no
-/// slower and left `scale_md_12`'s peak RSS lower (EXPERIMENTS.md,
-/// "Stream observer hot path A/B").
-#[derive(Debug, Default, Clone, Copy)]
-struct UidHasher(u64);
-
-impl Hasher for UidHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = splitmix64(self.0 ^ x);
-    }
-}
-
-/// Partial lifecycles keyed by packet uid.
-type PartialMap = HashMap<u64, StreamPartial, BuildHasherDefault<UidHasher>>;
-
-/// An observer's live partial lifecycles: slots in a slab, found through
-/// a uid index. Under a run's insert/remove churn a hash table's deleted
-/// markers grow it past its live size; behind the index that growth
-/// costs 16-byte buckets, not whole partials.
-#[derive(Debug, Default)]
-struct LivePartials {
-    index: HashMap<u64, u32, BuildHasherDefault<UidHasher>>,
-    slots: Vec<StreamPartial>,
-    /// Slots of folded packets, reused before the slab grows.
-    free: Vec<u32>,
-}
-
-impl LivePartials {
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// The partial of `pkt`, opened empty if it has none.
-    fn entry(&mut self, pkt: u64) -> &mut StreamPartial {
-        let (slots, free) = (&mut self.slots, &mut self.free);
-        let i = *self.index.entry(pkt).or_insert_with(|| {
-            free.pop().unwrap_or_else(|| {
-                slots.push(StreamPartial::default());
-                u32::try_from(slots.len() - 1).expect("under 2^32 live partials")
-            })
-        });
-        &mut self.slots[i as usize]
-    }
-
-    fn remove(&mut self, pkt: u64) -> Option<StreamPartial> {
-        let i = self.index.remove(&pkt)?;
-        self.free.push(i);
-        Some(std::mem::take(&mut self.slots[i as usize]))
-    }
-
-    fn into_map(mut self) -> PartialMap {
-        self.index
-            .into_iter()
-            .map(|(pkt, i)| (pkt, std::mem::take(&mut self.slots[i as usize])))
-            .collect()
-    }
+/// A delivered packet waiting for the watermark to pass its instant.
+#[derive(Debug)]
+struct Pending {
+    pkt: PacketId,
+    src: NodeId,
+    dst: NodeId,
+    delivered: SimTime,
+    fired: Option<SimTime>,
+    payload_bytes: u32,
+    trail: Box<PacketTrail>,
 }
 
 /// Nominal per-entry container overhead used by the deterministic
@@ -693,10 +627,13 @@ const SKETCH_BYTES: u64 = 6 * (SKETCH_BUCKETS * std::mem::size_of::<u64>()) as u
 /// Modeled bytes of one heavy-hitter entry (map plus order index).
 const TOPK_ENTRY_BYTES: u64 =
     std::mem::size_of::<((u32, u8), TopKEntry)>() as u64 + 2 * MAP_OVERHEAD;
-/// Modeled bytes of one partial lifecycle, before its heap vectors.
-const PARTIAL_BYTES: u64 = std::mem::size_of::<StreamPartial>() as u64 + MAP_OVERHEAD;
-/// Modeled bytes of one pending `(delivery ps, uid)` entry.
-const PENDING_BYTES: u64 = std::mem::size_of::<(u64, u64)>() as u64 + MAP_OVERHEAD;
+/// Modeled bytes of one trail before its hop list: a nominal 112-byte
+/// lifecycle record plus [`MAP_OVERHEAD`].
+const TRAIL_BYTES: u64 = 112 + MAP_OVERHEAD;
+/// Modeled bytes of one delivered packet waiting to fold: its 16-byte
+/// `(node, instant)` delivery record, a 16-byte list entry and
+/// [`MAP_OVERHEAD`].
+const PENDING_BYTES: u64 = 16 + 16 + MAP_OVERHEAD;
 
 /// Modeled bytes of one lifecycle kept in the reservoir.
 fn kept_bytes(lc: &PacketLifecycle) -> u64 {
@@ -705,14 +642,14 @@ fn kept_bytes(lc: &PacketLifecycle) -> u64 {
         + MAP_OVERHEAD
 }
 
-/// The bounded-memory aggregate of one run (or one shard of one run).
+/// The bounded-memory aggregate of one run (or one slab of one run).
 ///
 /// Everything in here is mergeable: sketches and moments add, the
-/// heavy-hitter table union-sums, the reservoir re-trims, fold stats
-/// add, and still-open cross-shard partials join field-wise. After
-/// merging all shards call [`StreamSummary::finalize`] to classify the
-/// remaining partials; a finalized merged summary is bit-identical to
-/// the finalized sequential summary of the same run.
+/// heavy-hitter table union-sums, the reservoir re-trims, and the fold
+/// census and injection count add. After merging all slabs call
+/// [`StreamSummary::finalize`] to count the packets that never folded; a
+/// finalized merged summary is bit-identical to the finalized one-slab
+/// summary of the same run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSummary {
     /// Per-stage moments, pipeline order ([`Stage::ALL`]).
@@ -730,13 +667,13 @@ pub struct StreamSummary {
     /// [`kept_bytes`] summed over `reservoir`, kept in step with it.
     reservoir_bytes: u64,
     /// What was folded (complete) and what was skipped, matching the
-    /// offline [`crate::fold_lifecycles`] classification.
+    /// offline [`crate::fold_lifecycles`] classification. `incomplete`
+    /// is set by [`StreamSummary::finalize`].
     pub fold: FoldStats,
     /// Total link-layer retransmissions over folded packets.
     pub retransmits: u64,
-    /// Lifecycles not yet classifiable (cross-shard or in flight),
-    /// keyed by packet id. Emptied by [`StreamSummary::finalize`].
-    open: PartialMap,
+    /// Unicast packets injected: each one folds, or counts as incomplete.
+    injected: u64,
 }
 
 impl StreamSummary {
@@ -752,7 +689,7 @@ impl StreamSummary {
             reservoir_bytes: 0,
             fold: FoldStats::default(),
             retransmits: 0,
-            open: PartialMap::default(),
+            injected: 0,
         }
     }
 
@@ -779,14 +716,8 @@ impl StreamSummary {
         }
     }
 
-    /// Open (unclassified) partial lifecycles currently carried.
-    pub fn open_len(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Merge another shard's summary in, moving its open partials.
-    /// Order-independent; call [`StreamSummary::finalize`] once after
-    /// the last merge.
+    /// Merge another slab's summary in. Order-independent; call
+    /// [`StreamSummary::finalize`] once after the last merge.
     pub fn merge(&mut self, other: StreamSummary) {
         for (a, b) in self.stage_moments.iter_mut().zip(&other.stage_moments) {
             a.merge(b);
@@ -803,51 +734,19 @@ impl StreamSummary {
         self.fold.incomplete += other.fold.incomplete;
         self.fold.multicast += other.fold.multicast;
         self.retransmits += other.retransmits;
-        for (pkt, p) in other.open {
-            match self.open.entry(pkt) {
-                Entry::Occupied(mut mine) => mine.get_mut().join(&p),
-                Entry::Vacant(slot) => {
-                    slot.insert(p);
-                }
-            }
-        }
+        self.injected += other.injected;
     }
 
-    /// Classify and drain the remaining open partials: joined complete
-    /// unicast lifecycles fold in; the rest count as incomplete or
-    /// multicast exactly like the offline [`crate::fold_lifecycles`].
+    /// Count every unicast packet that never folded — lost, held, or
+    /// still in flight — as incomplete, exactly like the offline
+    /// [`crate::fold_lifecycles`]. A packet injected on one slab folds
+    /// on the slab that delivers it, so only the summary of the whole
+    /// machine balances: finalize that one.
     pub fn finalize(&mut self) {
-        for (pkt, p) in std::mem::take(&mut self.open) {
-            self.classify(pkt, p);
-        }
-    }
-
-    fn classify(&mut self, pkt: u64, p: StreamPartial) {
-        let Some((src, dst, issued, inj_ready, wire_ready, payload_bytes)) = p.inject else {
-            self.fold.incomplete += 1;
-            return;
-        };
-        if dst.is_none() || p.delivers.len() > 1 {
-            self.fold.multicast += 1;
-            return;
-        }
-        let Some(&(dst_node, delivered)) = p.delivers.first() else {
-            self.fold.incomplete += 1;
-            return;
-        };
-        self.fold_lifecycle(PacketLifecycle {
-            pkt: PacketId(pkt),
-            src,
-            dst: dst_node,
-            issued,
-            inj_ready,
-            wire_ready,
-            hop_enters: p.hop_enters,
-            delivered,
-            fired: p.fired,
-            retransmits: p.retransmits,
-            payload_bytes,
-        });
+        self.fold.incomplete = self
+            .injected
+            .checked_sub(self.fold.complete)
+            .expect("more packets folded than injected: finalize the summary of every slab");
     }
 
     /// Exact total duration of one stage over all folded packets.
@@ -917,7 +816,8 @@ impl StreamSummary {
 /// Deterministic footprint report of a [`StreamObserver`] after a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamFootprint {
-    /// Peak simultaneous in-flight partial lifecycles.
+    /// Peak trails counted at once: those on the slab's nodes plus
+    /// those waiting to fold.
     pub peak_partials: u64,
     /// Peak of the observer's modeled heap footprint
     /// ([`StreamObserver::approx_bytes`]), in bytes.
@@ -927,7 +827,7 @@ pub struct StreamFootprint {
 }
 
 impl StreamFootprint {
-    /// Combine per-shard footprints (peaks max, finals add).
+    /// Combine per-slab footprints (peaks max, finals add).
     pub fn combine(&mut self, other: &StreamFootprint) {
         self.peak_partials = self.peak_partials.max(other.peak_partials);
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
@@ -947,47 +847,62 @@ impl StreamFootprint {
     }
 }
 
-/// The bounded-memory [`Recorder`]: folds each packet into the 5-stage
-/// attribution at delivery and drops the events.
+/// The bounded-memory [`Recorder`]: folds each delivered unicast
+/// packet's [`PacketTrail`] into the 5-stage attribution and drops the
+/// events.
 ///
-/// Lifecycles are folded **lazily behind a watermark**: the fabric
-/// reports the synchronization-counter update at the *same instant* as
-/// the delivery it belongs to, so a delivered packet stays pending until
-/// simulated time strictly passes its delivery instant, then folds and
-/// frees. Multicast candidates (`dst = None`) are held until
-/// [`StreamObserver::into_summary`] because any number of copies may
-/// still deliver. Live state is therefore O(in-flight packets + links),
-/// not O(events), on one slab. On several slabs a packet that crosses
-/// one is complete on neither, so both of its partials stay until the
-/// post-run join and live state grows with the run's cross-slab traffic.
+/// Trails fold **lazily behind a watermark**: the fabric reports the
+/// synchronization-counter update at the *same instant* as the delivery
+/// it belongs to, so a delivered trail waits until simulated time
+/// strictly passes its delivery instant, then folds and frees. A trail
+/// rides in its packet until then, so on every shard plan live state is
+/// O(links plus packets in flight): an observer counts the trails on its
+/// slab's nodes plus those waiting to fold, and a trail that crosses to
+/// another slab's node leaves its count. Multicast packets carry no
+/// trail; they are counted at injection, as the offline fold skips them.
 #[derive(Debug)]
 pub struct StreamObserver {
     cfg: StreamConfig,
     agg: StreamSummary,
-    partials: LivePartials,
-    /// Delivered unicast packets waiting for the watermark to pass their
-    /// instant, as distinct `(delivery ps, pkt)` pairs. Each was pushed
-    /// after its hook raised the watermark to at least its instant, so
-    /// every rise of the watermark folds all of them.
-    pending: Vec<(u64, u64)>,
+    /// `nodes[i]`: node `i` belongs to this observer's slab. `None`
+    /// observes the whole machine.
+    nodes: Option<Vec<bool>>,
+    /// Trails counted: on the slab's nodes, or waiting to fold.
+    trails: u64,
+    /// Modeled hop-list bytes of the counted trails.
+    trail_hop_bytes: u64,
+    /// Delivered packets waiting for the watermark to pass their
+    /// instant. Each was pushed after its hook raised the watermark to
+    /// at least its instant, so every rise of the watermark folds all of
+    /// them.
+    pending: Vec<Pending>,
     watermark_ps: u64,
-    partial_heap_bytes: u64,
-    peak_partials: u64,
+    peak_trails: u64,
     peak_bytes: u64,
 }
 
 impl StreamObserver {
-    /// New observer under `cfg`.
+    /// New observer of the whole machine under `cfg`.
     pub fn new(cfg: StreamConfig) -> StreamObserver {
         StreamObserver {
             cfg,
             agg: StreamSummary::new(cfg),
-            partials: LivePartials::default(),
+            nodes: None,
+            trails: 0,
+            trail_hop_bytes: 0,
             pending: Vec::new(),
             watermark_ps: 0,
-            partial_heap_bytes: 0,
-            peak_partials: 0,
+            peak_trails: 0,
             peak_bytes: 0,
+        }
+    }
+
+    /// New observer of one slab under `cfg`: `nodes[i]` is true for the
+    /// nodes the slab owns, whose trails it counts.
+    pub fn for_slab(cfg: StreamConfig, nodes: Vec<bool>) -> StreamObserver {
+        StreamObserver {
+            nodes: Some(nodes),
+            ..StreamObserver::new(cfg)
         }
     }
 
@@ -996,39 +911,121 @@ impl StreamObserver {
         self.cfg
     }
 
-    /// Current modeled heap footprint in bytes: the aggregates, the live
-    /// partials and the pending set. A size *model* (element counts ×
-    /// nominal entry sizes), not an allocator measurement — pair with
-    /// [`crate::memory`] for the real numbers — so it is deterministic
-    /// across runs and budgets on it are CI-gateable. O(1): the
-    /// reservoir's and the partials' vector bytes are counters kept in
-    /// step with their containers, so every hook reads it for the peak.
+    /// Current modeled heap footprint in bytes: the aggregates, the
+    /// counted trails and the pending deliveries. A size *model*
+    /// (element counts × nominal entry sizes), not an allocator
+    /// measurement — pair with [`crate::memory`] for the real numbers —
+    /// so it is deterministic across runs and budgets on it are
+    /// CI-gateable. O(1): the reservoir's and the trails' vector bytes
+    /// are counters kept in step with their containers, so every hook
+    /// reads it for the peak.
     pub fn approx_bytes(&self) -> u64 {
         self.agg.aggregate_bytes()
-            + self.partials.len() as u64 * PARTIAL_BYTES
-            + self.partial_heap_bytes
+            + self.trails * TRAIL_BYTES
+            + self.trail_hop_bytes
             + self.pending.len() as u64 * PENDING_BYTES
     }
 
     /// Footprint report (peaks over the whole run).
     pub fn footprint(&self) -> StreamFootprint {
         StreamFootprint {
-            peak_partials: self.peak_partials,
+            peak_partials: self.peak_trails,
             peak_bytes: self.peak_bytes,
             final_bytes: self.approx_bytes(),
         }
     }
 
-    /// The aggregate state, consuming the observer. Still-live partials
-    /// move into the summary as open entries (not yet classified), so
-    /// sharded summaries can be merged first; call
-    /// [`StreamSummary::finalize`] after the last merge.
-    pub fn into_summary(self) -> StreamSummary {
-        // The observer never opens partials on its aggregate.
-        StreamSummary {
-            open: self.partials.into_map(),
-            ..self.agg
+    /// The aggregate state, consuming the observer; deliveries still
+    /// waiting for the watermark fold first. Merge every slab's summary,
+    /// then [`StreamSummary::finalize`] the result.
+    pub fn into_summary(mut self) -> StreamSummary {
+        let _scope = MemScope::new(MemTag::Obs);
+        self.flush_ready();
+        self.agg
+    }
+
+    /// A trail for a unicast packet injected on this slab, after
+    /// [`Recorder::on_inject`] saw it. Allocated under [`MemTag::Obs`].
+    pub fn open_trail(
+        &mut self,
+        issued: SimTime,
+        inj_ready: SimTime,
+        wire_ready: SimTime,
+    ) -> Box<PacketTrail> {
+        let _scope = MemScope::new(MemTag::Obs);
+        self.trails += 1;
+        self.note_peak_trails();
+        Box::new(PacketTrail {
+            issued,
+            inj_ready,
+            wire_ready,
+            hop_enters: Vec::new(),
+            retransmits: 0,
+            away: false,
+        })
+    }
+
+    /// The trail's packet entered one of this slab's nodes at `at`
+    /// (after [`Recorder::on_hop_enter`]); a trail from another slab
+    /// joins the count.
+    pub fn trail_enters(&mut self, trail: &mut PacketTrail, at: SimTime) {
+        let _scope = MemScope::new(MemTag::Obs);
+        if trail.away {
+            trail.away = false;
+            self.count(trail);
         }
+        trail.hop_enters.push(at);
+        self.trail_hop_bytes += std::mem::size_of::<SimTime>() as u64;
+    }
+
+    /// The trail's packet left for `next`: heading for another slab's
+    /// node, it leaves this slab's count.
+    pub fn trail_heads_to(&mut self, trail: &mut PacketTrail, next: NodeId) {
+        let mine = self.nodes.as_ref().is_none_or(|nodes| nodes[next.index()]);
+        if !mine {
+            trail.away = true;
+            self.trails -= 1;
+            self.trail_hop_bytes -= trail.hop_bytes();
+        }
+    }
+
+    /// A copy of a packet was forked here carrying a clone of its trail
+    /// (the ack-ambiguity duplicate): count the copy.
+    pub fn trail_forked(&mut self, trail: &PacketTrail) {
+        self.count(trail);
+    }
+
+    /// The packet ended without a delivery — lost, suppressed as a
+    /// duplicate, or discarded — so its trail is freed unfolded.
+    pub fn close_trail(&mut self, trail: Box<PacketTrail>) {
+        let _scope = MemScope::new(MemTag::Obs);
+        self.trails -= 1;
+        self.trail_hop_bytes -= trail.hop_bytes();
+        drop(trail);
+    }
+
+    /// The unicast packet `pkt` from `src` was delivered at `dst` at
+    /// `delivered` (after [`Recorder::on_deliver`]): its trail waits for
+    /// the watermark to pass that instant, then folds.
+    pub fn fold_trail(
+        &mut self,
+        pkt: PacketId,
+        src: NodeId,
+        dst: NodeId,
+        delivered: SimTime,
+        payload_bytes: u32,
+        trail: Box<PacketTrail>,
+    ) {
+        let _scope = MemScope::new(MemTag::Obs);
+        self.pending.push(Pending {
+            pkt,
+            src,
+            dst,
+            delivered,
+            fired: None,
+            payload_bytes,
+            trail,
+        });
     }
 
     #[inline]
@@ -1044,29 +1041,42 @@ impl StreamObserver {
         }
     }
 
-    /// Fold every pending packet: the watermark just rose past all their
-    /// delivery instants, so all of their events (including the
+    /// Fold every pending delivery: the watermark just rose past all
+    /// their instants, so all of their events (including the
     /// same-instant counter update) have been seen.
     fn flush_ready(&mut self) {
         let mut ready = std::mem::take(&mut self.pending);
-        for (_, pkt) in ready.drain(..) {
-            if let Some(p) = self.partials.remove(pkt) {
-                self.partial_heap_bytes -= p.heap_bytes();
-                self.agg.classify(pkt, p);
-            }
+        for p in ready.drain(..) {
+            let trail = *p.trail;
+            self.trails -= 1;
+            self.trail_hop_bytes -= trail.hop_bytes();
+            self.agg.fold_lifecycle(PacketLifecycle {
+                pkt: p.pkt,
+                src: p.src,
+                dst: p.dst,
+                issued: trail.issued,
+                inj_ready: trail.inj_ready,
+                wire_ready: trail.wire_ready,
+                hop_enters: trail.hop_enters,
+                delivered: p.delivered,
+                fired: p.fired,
+                retransmits: trail.retransmits,
+                payload_bytes: p.payload_bytes,
+            });
         }
         self.pending = ready;
     }
 
-    #[inline]
-    fn partial(&mut self, pkt: PacketId) -> &mut StreamPartial {
-        self.partials.entry(pkt.0)
+    /// Count a trail that arrived on this slab.
+    fn count(&mut self, trail: &PacketTrail) {
+        self.trails += 1;
+        self.trail_hop_bytes += trail.hop_bytes();
+        self.note_peak_trails();
     }
 
-    fn note_peak_partials(&mut self) {
-        let n = self.partials.len() as u64;
-        if n > self.peak_partials {
-            self.peak_partials = n;
+    fn note_peak_trails(&mut self) {
+        if self.trails > self.peak_trails {
+            self.peak_trails = self.trails;
         }
     }
 }
@@ -1074,21 +1084,22 @@ impl StreamObserver {
 impl Recorder for StreamObserver {
     fn on_inject(
         &mut self,
-        pkt: PacketId,
-        node: NodeId,
+        _pkt: PacketId,
+        _node: NodeId,
         _client: u8,
         dst: Option<NodeId>,
         at: SimTime,
-        inj_ready: SimTime,
+        _inj_ready: SimTime,
         _inj_start: SimTime,
-        wire_ready: SimTime,
-        payload_bytes: u32,
+        _wire_ready: SimTime,
+        _payload_bytes: u32,
     ) {
-        let _scope = crate::memory::MemScope::new(crate::memory::MemTag::Obs);
+        let _scope = MemScope::new(MemTag::Obs);
         self.tick(at);
-        let p = self.partial(pkt);
-        p.inject = Some((node, dst, at, inj_ready, wire_ready, payload_bytes));
-        self.note_peak_partials();
+        match dst {
+            Some(_) => self.agg.injected += 1,
+            None => self.agg.fold.multicast += 1,
+        }
     }
 
     fn on_link_reserve(
@@ -1100,7 +1111,7 @@ impl Recorder for StreamObserver {
         start: SimTime,
         end: SimTime,
     ) {
-        let _scope = crate::memory::MemScope::new(crate::memory::MemTag::Obs);
+        let _scope = MemScope::new(MemTag::Obs);
         self.tick(start);
         self.agg
             .link_busy
@@ -1109,44 +1120,24 @@ impl Recorder for StreamObserver {
 
     fn on_retransmit(
         &mut self,
-        pkt: PacketId,
+        _pkt: PacketId,
         _node: NodeId,
         _link: LinkDir,
         _attempt: u32,
         at: SimTime,
     ) {
-        let _scope = crate::memory::MemScope::new(crate::memory::MemTag::Obs);
+        let _scope = MemScope::new(MemTag::Obs);
         self.tick(at);
-        self.partial(pkt).retransmits += 1;
-        self.note_peak_partials();
     }
 
-    fn on_hop_enter(&mut self, pkt: PacketId, _node: NodeId, at: SimTime) {
-        let _scope = crate::memory::MemScope::new(crate::memory::MemTag::Obs);
+    fn on_hop_enter(&mut self, _pkt: PacketId, _node: NodeId, at: SimTime) {
+        let _scope = MemScope::new(MemTag::Obs);
         self.tick(at);
-        self.partial(pkt).hop_enters.push(at);
-        self.partial_heap_bytes += std::mem::size_of::<SimTime>() as u64;
-        self.note_peak_partials();
     }
 
-    fn on_deliver(&mut self, pkt: PacketId, node: NodeId, _client: u8, at: SimTime) {
-        let _scope = crate::memory::MemScope::new(crate::memory::MemTag::Obs);
+    fn on_deliver(&mut self, _pkt: PacketId, _node: NodeId, _client: u8, at: SimTime) {
+        let _scope = MemScope::new(MemTag::Obs);
         self.tick(at);
-        let p = self.partial(pkt);
-        // A second delivery at one instant is already pending.
-        let new_instant = p.delivers.iter().all(|&(_, t)| t != at);
-        p.delivers.push((node, at));
-        let fold_ready = new_instant && p.inject.is_some_and(|(_, dst, ..)| dst.is_some());
-        self.partial_heap_bytes += std::mem::size_of::<(NodeId, SimTime)>() as u64;
-        if fold_ready {
-            // Unicast with its inject seen locally: safe to fold once
-            // time passes this instant. Multicast (dst = None) is held
-            // for into_summary() because more copies may deliver;
-            // partials whose inject lives on another shard stay open for
-            // the cross-shard join.
-            self.pending.push((at.as_ps(), pkt.0));
-        }
-        self.note_peak_partials();
     }
 
     fn on_counter_update(
@@ -1158,12 +1149,13 @@ impl Recorder for StreamObserver {
         at: SimTime,
         fire_at: Option<SimTime>,
     ) {
-        let _scope = crate::memory::MemScope::new(crate::memory::MemTag::Obs);
+        let _scope = MemScope::new(MemTag::Obs);
         self.tick(at);
         if let Some(f) = fire_at {
-            let p = self.partial(pkt);
-            p.fired = Some(p.fired.map_or(f, |old| old.min(f)));
-            self.note_peak_partials();
+            // The delivery this update belongs to was just pushed.
+            if let Some(p) = self.pending.iter_mut().rev().find(|p| p.pkt == pkt) {
+                p.fired = Some(p.fired.map_or(f, |old| old.min(f)));
+            }
         }
     }
 
@@ -1171,7 +1163,16 @@ impl Recorder for StreamObserver {
         self.tick(at);
     }
 
+    fn on_lost(&mut self, _pkt: PacketId, _node: NodeId, _cause: LossCause, at: SimTime) {
+        let _scope = MemScope::new(MemTag::Obs);
+        self.tick(at);
+    }
+
     fn as_stream(&self) -> Option<&StreamObserver> {
+        Some(self)
+    }
+
+    fn as_stream_mut(&mut self) -> Option<&mut StreamObserver> {
         Some(self)
     }
 
@@ -1282,37 +1283,101 @@ mod tests {
         assert_eq!(fwd.len(), 4);
     }
 
+    /// The fabric's side of the hooks, for tests: every event goes to a
+    /// flight recorder and to a stream observer, and the observer also
+    /// gets the trail calls the fabric makes around them.
+    struct Both {
+        flight: FlightRecorder,
+        stream: StreamObserver,
+    }
+
+    impl Both {
+        fn new(cfg: StreamConfig) -> Both {
+            Both {
+                flight: FlightRecorder::new(),
+                stream: StreamObserver::new(cfg),
+            }
+        }
+
+        fn each(&mut self, mut hook: impl FnMut(&mut dyn Recorder)) {
+            hook(&mut self.flight);
+            hook(&mut self.stream);
+        }
+
+        /// Inject `pkt` at `src` with anchors `[issued, inj_ready,
+        /// wire_ready]` in ns; a unicast packet gets its trail.
+        fn inject(
+            &mut self,
+            pkt: u64,
+            src: u32,
+            dst: Option<u32>,
+            anchors: [u64; 3],
+            bytes: u32,
+        ) -> Option<Box<PacketTrail>> {
+            let [issued, inj_ready, wire_ready] = anchors.map(SimTime::from_ns);
+            self.each(|rec| {
+                rec.on_inject(
+                    PacketId(pkt),
+                    NodeId(src),
+                    0,
+                    dst.map(NodeId),
+                    issued,
+                    inj_ready,
+                    inj_ready,
+                    wire_ready,
+                    bytes,
+                );
+            });
+            dst.map(|_| self.stream.open_trail(issued, inj_ready, wire_ready))
+        }
+
+        fn hop(&mut self, pkt: u64, trail: Option<&mut PacketTrail>, node: u32, at: u64) {
+            let at = SimTime::from_ns(at);
+            self.each(|rec| rec.on_hop_enter(PacketId(pkt), NodeId(node), at));
+            if let Some(trail) = trail {
+                self.stream.trail_enters(trail, at);
+            }
+        }
+
+        fn deliver(
+            &mut self,
+            pkt: u64,
+            trail: Option<Box<PacketTrail>>,
+            src: u32,
+            node: u32,
+            at: u64,
+            fired: Option<u64>,
+        ) {
+            let at = SimTime::from_ns(at);
+            self.each(|rec| rec.on_deliver(PacketId(pkt), NodeId(node), 0, at));
+            if let Some(trail) = trail {
+                self.stream
+                    .fold_trail(PacketId(pkt), NodeId(src), NodeId(node), at, 32, trail);
+            }
+            let fire_at = fired.map(SimTime::from_ns);
+            self.each(|rec| rec.on_counter_update(PacketId(pkt), NodeId(node), 0, 3, at, fire_at));
+        }
+
+        fn phase(&mut self, at: u64) {
+            self.each(|rec| rec.on_phase("next", SimTime::from_ns(at)));
+        }
+    }
+
     /// Drive one packet through the observer exactly as the fabric
     /// would, and cross-check against the offline fold.
     #[test]
     fn observer_matches_offline_fold() {
-        let t = SimTime::from_ns;
-        let mut flight = FlightRecorder::new();
-        let mut stream = StreamObserver::new(StreamConfig::default());
-        for rec in [&mut flight as &mut dyn Recorder, &mut stream] {
-            rec.on_inject(
-                PacketId(7),
-                NodeId(0),
-                0,
-                Some(NodeId(1)),
-                t(0),
-                t(36),
-                t(36),
-                t(55),
-                32,
-            );
-            rec.on_hop_enter(PacketId(7), NodeId(1), t(95));
-            rec.on_deliver(PacketId(7), NodeId(1), 0, t(120));
-            rec.on_counter_update(PacketId(7), NodeId(1), 0, 3, t(120), Some(t(162)));
-            // A later event moves the watermark past the delivery.
-            rec.on_phase("next", t(200));
-        }
-        let (lifecycles, stats) = fold_lifecycles(flight.events());
+        let mut both = Both::new(StreamConfig::default());
+        let mut trail = both.inject(7, 0, Some(1), [0, 36, 55], 32);
+        both.hop(7, trail.as_deref_mut(), 1, 95);
+        both.deliver(7, trail, 0, 1, 120, Some(162));
+        // A later event moves the watermark past the delivery.
+        both.phase(200);
+        let (lifecycles, stats) = fold_lifecycles(both.flight.events());
         let exact = BreakdownSummary::from_lifecycles(&lifecycles);
-        // The watermark flush already folded it: no open partials left.
-        assert_eq!(stream.partials.len(), 0);
-        let mut summary = stream.into_summary();
-        assert_eq!(summary.open_len(), 0);
+        // The watermark flush already folded it: nothing is left.
+        assert_eq!((both.stream.trails, both.stream.pending.len()), (0, 0));
+        let mut summary = both.stream.into_summary();
         summary.finalize();
         assert_eq!(summary.fold, stats);
         assert_eq!(summary.breakdown(), exact);
@@ -1321,78 +1386,94 @@ mod tests {
         assert_eq!(kept[0], &lifecycles[0]);
     }
 
-    /// Split the same packet across two observers (as a sharded run
-    /// would); the merged + finalized summary must match a single
-    /// observer that saw everything.
-    #[test]
-    fn cross_shard_join_matches_sequential() {
+    /// One packet's path, split over the observers `owner` assigns each
+    /// node to: injected at node 0, one hop to node 4, across to node 9
+    /// and delivered there. Each step runs on the observer owning its
+    /// node, as it would on that node's slab.
+    fn cross_path(obs: &mut [StreamObserver], owner: fn(u32) -> usize) {
         let t = SimTime::from_ns;
-        let mut seq = StreamObserver::new(StreamConfig::default());
-        let mut src_shard = StreamObserver::new(StreamConfig::default());
-        let mut dst_shard = StreamObserver::new(StreamConfig::default());
-        for rec in [&mut seq, &mut src_shard] {
-            rec.on_inject(
-                PacketId(1),
-                NodeId(0),
-                0,
-                Some(NodeId(9)),
-                t(0),
-                t(30),
-                t(30),
-                t(50),
-                32,
-            );
+        let pkt = PacketId(1);
+        let xp = LinkDir::from_index(0);
+        obs[owner(0)].on_inject(
+            pkt,
+            NodeId(0),
+            0,
+            Some(NodeId(9)),
+            t(0),
+            t(30),
+            t(30),
+            t(50),
+            32,
+        );
+        let mut trail = obs[owner(0)].open_trail(t(0), t(30), t(50));
+        obs[owner(0)].on_link_reserve(pkt, NodeId(0), xp, t(50), t(50), t(90));
+        obs[owner(0)].trail_heads_to(&mut trail, NodeId(4));
+        obs[owner(4)].on_hop_enter(pkt, NodeId(4), t(90));
+        obs[owner(4)].trail_enters(&mut trail, t(90));
+        obs[owner(4)].on_link_reserve(pkt, NodeId(4), xp, t(100), t(100), t(140));
+        obs[owner(4)].trail_heads_to(&mut trail, NodeId(9));
+        obs[owner(9)].on_hop_enter(pkt, NodeId(9), t(150));
+        obs[owner(9)].trail_enters(&mut trail, t(150));
+        obs[owner(9)].on_deliver(pkt, NodeId(9), 0, t(200));
+        obs[owner(9)].fold_trail(pkt, NodeId(0), NodeId(9), t(200), 32, trail);
+        obs[owner(9)].on_counter_update(pkt, NodeId(9), 0, 3, t(200), Some(t(240)));
+        for o in obs.iter_mut() {
+            o.on_phase("end", t(500));
         }
-        for rec in [&mut seq, &mut dst_shard] {
-            rec.on_hop_enter(PacketId(1), NodeId(9), t(90));
-            rec.on_deliver(PacketId(1), NodeId(9), 0, t(110));
-            rec.on_phase("end", t(500));
+    }
+
+    /// A packet that crosses slabs folds on the slab that delivers it:
+    /// its trail leaves the source slab's count as it heads across and
+    /// joins the destination's as it enters. The merged summary equals
+    /// one observer of the whole machine, and each slab counted the
+    /// trail only while it held it.
+    #[test]
+    fn a_trail_folds_on_the_slab_that_delivers_it() {
+        let cfg = StreamConfig::default();
+        let mut whole = [StreamObserver::new(cfg)];
+        cross_path(&mut whole, |_| 0);
+        let halves = |low: bool| (0..10).map(|i| (i < 5) == low).collect();
+        let mut slabs = [
+            StreamObserver::for_slab(cfg, halves(true)),
+            StreamObserver::for_slab(cfg, halves(false)),
+        ];
+        cross_path(&mut slabs, |node| usize::from(node >= 5));
+        for slab in &slabs {
+            assert_eq!((slab.trails, slab.trail_hop_bytes), (0, 0));
+            assert_eq!(slab.footprint().peak_partials, 1);
         }
-        let mut merged = src_shard.into_summary();
-        merged.merge(dst_shard.into_summary());
+        let [src, dst] = slabs;
+        let (src, dst) = (src.into_summary(), dst.into_summary());
+        assert_eq!((src.fold.complete, dst.fold.complete), (0, 1));
+        let mut merged = src;
+        merged.merge(dst);
         merged.finalize();
-        let mut sequential = seq.into_summary();
-        sequential.finalize();
-        assert_eq!(merged, sequential);
-        assert_eq!(merged.fold.complete, 1);
+        let [whole] = whole;
+        let mut one = whole.into_summary();
+        one.finalize();
+        assert_eq!(merged, one);
+        assert_eq!(one.fold.complete, 1);
+        let lc = one.reservoir().items().next().expect("kept");
+        assert_eq!(lc.hop_enters, [SimTime::from_ns(90), SimTime::from_ns(150)]);
     }
 
     #[test]
     fn multicast_and_incomplete_classified_like_offline_fold() {
-        let t = SimTime::from_ns;
-        let mut flight = FlightRecorder::new();
-        let mut stream = StreamObserver::new(StreamConfig::default());
-        for rec in [&mut flight as &mut dyn Recorder, &mut stream] {
-            // Multicast: dst None, two deliveries.
-            rec.on_inject(
-                PacketId(1),
-                NodeId(0),
-                0,
-                None,
-                t(0),
-                t(10),
-                t(10),
-                t(20),
-                16,
-            );
-            rec.on_deliver(PacketId(1), NodeId(2), 0, t(50));
-            rec.on_deliver(PacketId(1), NodeId(3), 0, t(60));
-            // Incomplete: injected, never delivered.
-            rec.on_inject(
-                PacketId(2),
-                NodeId(4),
-                0,
-                Some(NodeId(5)),
-                t(0),
-                t(10),
-                t(10),
-                t(20),
-                16,
-            );
-            rec.on_phase("end", t(1_000));
-        }
-        let (_, stats) = fold_lifecycles(flight.events());
-        let mut summary = stream.into_summary();
+        let mut both = Both::new(StreamConfig::default());
+        // Multicast: dst None, two deliveries, no trail.
+        assert!(both.inject(1, 0, None, [0, 10, 20], 16).is_none());
+        both.deliver(1, None, 0, 2, 50, None);
+        both.deliver(1, None, 0, 3, 60, None);
+        // Incomplete: injected, never delivered.
+        let in_flight = both.inject(2, 4, Some(5), [0, 10, 20], 16);
+        both.phase(1_000);
+        let (_, stats) = fold_lifecycles(both.flight.events());
+        assert_eq!(
+            both.stream.trails, 1,
+            "the undelivered packet still holds its trail"
+        );
+        drop(in_flight);
+        let mut summary = both.stream.into_summary();
         summary.finalize();
         assert_eq!(summary.fold, stats);
         assert_eq!(summary.fold.multicast, 1);
@@ -1401,31 +1482,21 @@ mod tests {
 
     #[test]
     fn footprint_is_bounded_and_tracked() {
-        let t = SimTime::from_ns;
-        let mut obs = StreamObserver::new(StreamConfig {
+        let mut both = Both::new(StreamConfig {
             reservoir: 2,
             seed: 1,
             topk: 8,
         });
         for i in 0..1_000u64 {
-            let at = t(10 * i);
-            obs.on_inject(
-                PacketId(i),
-                NodeId(0),
-                0,
-                Some(NodeId(1)),
-                at,
-                at,
-                at,
-                at,
-                16,
-            );
-            obs.on_deliver(PacketId(i), NodeId(1), 0, t(10 * i + 5));
+            let at = 10 * i;
+            let trail = both.inject(i, 0, Some(1), [at; 3], 16);
+            both.deliver(i, trail, 0, 1, at + 5, None);
         }
-        obs.on_phase("end", t(1_000_000));
+        both.phase(1_000_000);
+        let obs = both.stream;
         let fp = obs.footprint();
-        // Watermark folding keeps live partials to the in-flight few,
-        // not the thousand folded packets.
+        // Watermark folding keeps live trails to the in-flight few, not
+        // the thousand folded packets.
         assert!(fp.peak_partials <= 4, "peak partials {}", fp.peak_partials);
         let mut s = obs.into_summary();
         s.finalize();
@@ -1436,8 +1507,12 @@ mod tests {
 
     /// The footprint model computed by walking every container: the
     /// reference the O(1) [`StreamObserver::approx_bytes`] must equal.
-    /// The pending list is counted as a set of `(instant, pkt)` pairs.
-    fn walked_bytes(obs: &StreamObserver) -> u64 {
+    /// `in_flight` are the trails the observer counts that ride in
+    /// packets; the pending deliveries hold the rest.
+    fn walked_bytes<'a>(
+        obs: &StreamObserver,
+        in_flight: impl Iterator<Item = &'a PacketTrail>,
+    ) -> u64 {
         use std::mem::size_of;
         let agg = &obs.agg;
         let sketches =
@@ -1453,127 +1528,126 @@ mod tests {
                     + MAP_OVERHEAD
             })
             .sum();
-        let live = &obs.partials;
-        let partials: u64 = live
-            .index
-            .values()
-            .map(|&i| &live.slots[i as usize])
-            .map(|p| size_of::<StreamPartial>() as u64 + p.heap_bytes() + MAP_OVERHEAD)
+        let trail =
+            |t: &PacketTrail| TRAIL_BYTES + (t.hop_enters.len() * size_of::<SimTime>()) as u64;
+        let flying: u64 = in_flight.map(trail).sum();
+        let pending: u64 = obs
+            .pending
+            .iter()
+            .map(|p| trail(&p.trail) + PENDING_BYTES)
             .sum();
-        let pending = obs.pending.iter().collect::<BTreeSet<_>>().len() as u64
-            * (size_of::<(u64, u64)>() as u64 + MAP_OVERHEAD);
-        sketches + topk + reservoir + partials + pending
+        sketches + topk + reservoir + flying + pending
     }
 
     /// A synthesized stream through a small reservoir and a small
     /// top-k: overlapping unicast packets over more links than the
-    /// table holds, retransmits, a multicast packet, a packet never
-    /// delivered and one delivered twice at one instant. After every
-    /// hook the cached footprint equals the walked one.
+    /// table holds, retransmits, a forked copy suppressed as a
+    /// duplicate, a lost packet, a multicast packet and a packet never
+    /// delivered. After every hook and trail call the cached footprint
+    /// equals the walked one.
     #[test]
     fn footprint_matches_the_walked_reference() {
         let t = SimTime::from_ns;
-        let mut obs = StreamObserver::new(StreamConfig {
+        let mut both = Both::new(StreamConfig {
             reservoir: 3,
             seed: 5,
             topk: 4,
         });
-        let mut hooks = 0;
-        let mut check = |obs: &StreamObserver| {
-            hooks += 1;
-            assert_eq!(obs.approx_bytes(), walked_bytes(obs), "after hook {hooks}");
+        let mut flying: BTreeMap<u64, Box<PacketTrail>> = BTreeMap::new();
+        let mut steps = 0;
+        let mut check = |both: &Both, flying: &BTreeMap<u64, Box<PacketTrail>>| {
+            steps += 1;
+            let walked = walked_bytes(&both.stream, flying.values().map(|t| &**t));
+            assert_eq!(both.stream.approx_bytes(), walked, "after step {steps}");
+            assert_eq!(
+                both.stream.trails as usize,
+                flying.len() + both.stream.pending.len()
+            );
         };
         for i in 0..40u64 {
-            let (pkt, at) = (PacketId(i), 50 * i);
-            obs.on_inject(
-                pkt,
-                NodeId(i as u32 % 8),
-                0,
-                Some(NodeId(9)),
-                t(at),
-                t(at + 10),
-                t(at + 10),
-                t(at + 20),
-                32,
-            );
-            check(&obs);
+            let at = 50 * i;
+            let trail = both.inject(i, i as u32 % 8, Some(9), [at, at + 10, at + 20], 32);
+            flying.insert(i, trail.expect("unicast"));
+            check(&both, &flying);
             // Eleven links: the four-entry table evicts.
             let link = LinkDir::from_index(i as usize % 6);
-            obs.on_link_reserve(
-                pkt,
-                NodeId(i as u32 % 11),
-                link,
-                t(at + 20),
-                t(at + 25),
-                t(at + 60),
-            );
-            check(&obs);
+            both.each(|rec| {
+                rec.on_link_reserve(
+                    PacketId(i),
+                    NodeId(i as u32 % 11),
+                    link,
+                    t(at + 20),
+                    t(at + 25),
+                    t(at + 60),
+                )
+            });
+            check(&both, &flying);
             if i % 7 == 0 {
-                obs.on_retransmit(pkt, NodeId(0), link, 1, t(at + 30));
-                check(&obs);
+                both.each(|rec| rec.on_retransmit(PacketId(i), NodeId(0), link, 1, t(at + 30)));
+                flying.get_mut(&i).unwrap().retransmitted();
+                check(&both, &flying);
             }
             // Up to three hops, so packets overlap in flight.
             for h in 0..(i % 4) {
-                obs.on_hop_enter(pkt, NodeId(h as u32), t(at + 70 + 40 * h));
-                check(&obs);
+                let trail = flying.get_mut(&i).map(|t| &mut **t);
+                both.hop(i, trail, h as u32, at + 70 + 40 * h);
+                check(&both, &flying);
             }
-            let delivered = t(at + 200);
-            obs.on_deliver(pkt, NodeId(9), 0, delivered);
-            check(&obs);
             if i == 13 {
-                obs.on_deliver(pkt, NodeId(9), 1, delivered);
-                check(&obs);
+                // An ack-ambiguity fork: the copy counts until it is
+                // suppressed as a duplicate.
+                let copy = flying[&i].clone();
+                both.stream.trail_forked(&copy);
+                flying.insert(1_000 + i, copy);
+                check(&both, &flying);
             }
-            obs.on_counter_update(pkt, NodeId(9), 0, 1, delivered, Some(t(at + 240)));
-            check(&obs);
+            if i == 20 {
+                both.each(|rec| {
+                    rec.on_lost(PacketId(i), NodeId(3), LossCause::NoRoute, t(at + 150))
+                });
+                both.stream.close_trail(flying.remove(&i).unwrap());
+                check(&both, &flying);
+                continue;
+            }
+            let trail = flying.remove(&i);
+            both.deliver(i, trail, i as u32 % 8, 9, at + 200, Some(at + 240));
+            check(&both, &flying);
+            if i == 13 {
+                let copy = flying.remove(&(1_000 + i)).unwrap();
+                both.each(|rec| rec.on_duplicate_suppressed(PacketId(i), NodeId(9), t(at + 260)));
+                both.stream.close_trail(copy);
+                check(&both, &flying);
+            }
         }
-        let mcast = PacketId(100);
-        obs.on_inject(
-            mcast,
-            NodeId(0),
-            0,
-            None,
-            t(3_000),
-            t(3_010),
-            t(3_010),
-            t(3_020),
-            16,
-        );
-        check(&obs);
+        assert!(both
+            .inject(100, 0, None, [3_000, 3_010, 3_020], 16)
+            .is_none());
+        check(&both, &flying);
         for (node, at) in [(2, 3_100), (3, 3_150)] {
-            obs.on_deliver(mcast, NodeId(node), 0, t(at));
-            check(&obs);
+            both.deliver(100, None, 0, node, at, None);
+            check(&both, &flying);
         }
-        let lost = PacketId(101);
-        obs.on_inject(
-            lost,
-            NodeId(4),
-            0,
-            Some(NodeId(5)),
-            t(3_200),
-            t(3_210),
-            t(3_210),
-            t(3_220),
-            16,
-        );
-        check(&obs);
-        obs.on_hop_enter(lost, NodeId(5), t(3_300));
-        check(&obs);
-        obs.on_phase("end", t(10_000));
-        check(&obs);
+        let never = both.inject(101, 4, Some(5), [3_200, 3_210, 3_220], 16);
+        flying.insert(101, never.expect("unicast"));
+        check(&both, &flying);
+        both.hop(101, flying.get_mut(&101).map(|t| &mut **t), 5, 3_300);
+        check(&both, &flying);
+        both.phase(10_000);
+        check(&both, &flying);
 
         // The small tables really overflowed.
+        let obs = both.stream;
         assert_eq!(obs.agg.reservoir.len(), 3);
         assert!(obs.agg.link_busy.top(4).iter().any(|(_, e)| e.err > 0));
-        assert!(obs.footprint().peak_bytes >= walked_bytes(&obs));
+        assert!(obs.footprint().peak_bytes >= walked_bytes(&obs, flying.values().map(|t| &**t)));
         let mut s = obs.into_summary();
         s.finalize();
         assert_eq!(
             s.fold,
             FoldStats {
                 complete: 39,
-                incomplete: 1,
-                multicast: 2,
+                incomplete: 2,
+                multicast: 1,
             }
         );
         let walked: u64 = s.reservoir.items().map(kept_bytes).sum();

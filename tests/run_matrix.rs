@@ -11,14 +11,18 @@
 use anton_bench::ping_pong;
 use anton_bench::scenario::{md_fingerprint, run_scenario};
 use anton_collectives::{
-    all_reduce, all_reduce_recovering, random_inputs, Algorithm, RecoveringParams,
+    all_reduce, all_reduce_recovering, random_inputs, Algorithm, RecoveringOutcome,
+    RecoveringParams,
 };
 use anton_core::{md_exchange, MdExchangeParams};
 use anton_des::SimDuration;
 use anton_net::{FaultPlan, ObsMode, Observed, RunConfig, Slabs};
-use anton_obs::{fold_lifecycles, BreakdownSummary, Fingerprint, StreamFootprint};
-use anton_scenario::{presets, Workload};
+use anton_obs::{
+    fold_lifecycles, BreakdownSummary, Fingerprint, FlightEvent, PacketId, StreamFootprint,
+};
+use anton_scenario::{presets, ScenarioSpec, Workload};
 use anton_topo::{Coord, TorusDims};
+use std::collections::BTreeMap;
 
 /// Shard plan × thread count: one slab (the reference for fabric
 /// state), two slabs, and the auto plan at 1 and 4 threads.
@@ -141,9 +145,9 @@ fn md_exchange_is_invariant_and_its_observers_are_exact() {
         assert_eq!(merged, summary, "{plan:?}");
     }
     // The observer's modelled footprint, exactly, on every streamed run.
-    // One slab folds behind its watermark; on more slabs each cross-slab
-    // packet stays open until the post-run join, so fewer partials peak
-    // per slab and more remain at the end.
+    // Every slab folds behind its watermark; on more slabs each counts
+    // only the trails on its own nodes, so fewer peak per slab, and
+    // each keeps its own aggregates at the end.
     for (cfg, o) in runs.iter().filter(|(cfg, _)| cfg.obs == ObsMode::Stream) {
         let (_, footprint) = o.stream.as_ref().expect("stream");
         assert_eq!(
@@ -172,8 +176,8 @@ fn events_carry_their_packet_boxed() {
 fn footprint_pin(plan: (Slabs, usize)) -> StreamFootprint {
     let (peak_partials, peak_bytes, final_bytes) = match plan.0 {
         Slabs::Count(1) => (384, 128_768, 80_128),
-        Slabs::Count(2) => (352, 105_216, 165_632),
-        _ => (256, 81_152, 283_648),
+        Slabs::Count(2) => (192, 80_640, 112_640),
+        _ => (96, 56_576, 177_664),
     };
     StreamFootprint {
         peak_partials,
@@ -191,17 +195,17 @@ fn stream_footprints_at_scale_are_pinned() {
         (
             presets::md_balanced(),
             StreamFootprint {
-                peak_partials: 7_936,
-                peak_bytes: 1_305_344,
-                final_bytes: 10_115_072,
+                peak_partials: 384,
+                peak_bytes: 128_768,
+                final_bytes: 641_024,
             },
         ),
         (
             presets::scale_md(12),
             StreamFootprint {
-                peak_partials: 2_880,
-                peak_bytes: 560_128,
-                final_bytes: 5_615_616,
+                peak_partials: 864,
+                peak_bytes: 249_088,
+                final_bytes: 1_675_776,
             },
         ),
     ] {
@@ -214,6 +218,150 @@ fn stream_footprints_at_scale_are_pinned() {
         let (_, observed) = md_exchange(spec.torus_dims(), params, &cfg).expect("completes");
         let (_, footprint) = observed.stream.expect("stream");
         assert_eq!(footprint, want, "{}", spec.name);
+    }
+}
+
+/// Streamed on the auto plan, the 8×8×8 exchange's observer memory does
+/// not grow with the run: each slab counts only the trails on its own
+/// nodes and those waiting to fold, so the peak is the same at 10, 20
+/// and 40 steps.
+#[test]
+fn sharded_stream_memory_stays_flat_as_runs_get_longer() {
+    let dims = TorusDims::new(8, 8, 8);
+    let cfg = RunConfig {
+        obs: ObsMode::Stream,
+        ..RunConfig::sharded(1)
+    };
+    let peaks = [10, 20, 40].map(|steps| {
+        let params = MdExchangeParams {
+            steps,
+            ..Default::default()
+        };
+        let (_, observed) = md_exchange(dims, params, &cfg).expect("exchange completes");
+        observed.stream.expect("stream").1.peak_partials
+    });
+    assert!(peaks.iter().all(|&p| p == peaks[0]), "{peaks:?}");
+}
+
+/// A recovering chaos cell's all-reduce under `cfg`, with the spec's
+/// own timing.
+fn chaos_run(spec: &ScenarioSpec, cfg: RunConfig) -> (RecoveringOutcome, Observed) {
+    let Workload::Recovering { vlen, seed, .. } = spec.workload else {
+        unreachable!("chaos cells are recovering specs");
+    };
+    let dims = spec.torus_dims();
+    all_reduce_recovering(
+        dims,
+        &random_inputs(dims, vlen as usize, seed),
+        spec.fault_plan(),
+        &spec.deaths(),
+        spec.recovery_config(),
+        RecoveringParams::default(),
+        &RunConfig {
+            timing: spec.timing_table(),
+            ..cfg
+        },
+    )
+    .expect("the chaos cell completes")
+}
+
+/// Two recovering cells that lose packets, flight-recorded: every copy
+/// of a packet — the one injected, plus one per ack-ambiguity fork —
+/// ends in exactly one of `Deliver`, `DuplicateSuppressed` or `Lost`,
+/// nothing follows a `Lost`, and the `Lost` events are exactly the
+/// fabric's `packets_lost`.
+#[test]
+fn every_packet_copy_ends_in_one_terminal_event() {
+    for (seed, level, lost, reinjections) in [(17, 1, 3, 1), (1, 2, 3, 6)] {
+        let spec = presets::chaos_cell(seed, level);
+        let (out, observed) = chaos_run(
+            &spec,
+            RunConfig {
+                obs: ObsMode::Flight,
+                ..on(PLANS[0])
+            },
+        );
+        let label = &spec.name;
+        assert_eq!(out.stats.packets_lost, lost, "{label}");
+        assert_eq!(out.recovery.reinjections, reinjections, "{label}");
+        // Per packet: (terminal events, whether one was a loss).
+        let mut ends: BTreeMap<PacketId, (u64, bool)> = BTreeMap::new();
+        let mut lost_events = 0;
+        for ev in observed.flight.expect("flight") {
+            match ev {
+                FlightEvent::Inject { pkt, .. } => {
+                    assert!(ends.insert(pkt, (0, false)).is_none(), "{label}: {pkt:?}");
+                }
+                FlightEvent::Deliver { pkt, .. } | FlightEvent::DuplicateSuppressed { pkt, .. } => {
+                    ends.get_mut(&pkt).expect("injected").0 += 1;
+                }
+                FlightEvent::Lost { pkt, .. } => {
+                    let end = ends.get_mut(&pkt).expect("injected");
+                    *end = (end.0 + 1, true);
+                    lost_events += 1;
+                }
+                FlightEvent::CounterUpdate { .. } | FlightEvent::Phase { .. } => {}
+                ev => {
+                    let pkt = ev.packet();
+                    let after_loss = pkt.is_some_and(|p| ends[&p].1);
+                    assert!(!after_loss, "{label}: {ev:?} after its packet was lost");
+                }
+            }
+        }
+        assert_eq!(lost_events, out.stats.packets_lost, "{label}");
+        assert!(
+            ends.values().all(|&(n, _)| n >= 1),
+            "{label}: a copy never ended"
+        );
+        let terminals: u64 = ends.values().map(|&(n, _)| n).sum();
+        let copies = ends.len() as u64 + out.recovery.duplicate_forks;
+        assert_eq!(terminals, copies, "{label}");
+    }
+}
+
+/// Three recovering cells with losses and re-injections, streamed on
+/// every plan: all plans merge to one summary, and its census and stage
+/// breakdown equal the offline fold of the same cell flight-recorded
+/// on one slab. A packet the fabric gives up never folds and counts as
+/// incomplete.
+#[test]
+fn streamed_chaos_cells_fold_like_the_flight_record() {
+    for (seed, level) in [(17, 1), (1, 2), (8, 3)] {
+        let spec = presets::chaos_cell(seed, level);
+        let (flown, observed) = chaos_run(
+            &spec,
+            RunConfig {
+                obs: ObsMode::Flight,
+                ..on(PLANS[0])
+            },
+        );
+        let events = observed.flight.expect("flight");
+        let (lifecycles, census) = fold_lifecycles(events.iter());
+        assert!(
+            census.incomplete >= flown.stats.packets_lost,
+            "{}",
+            spec.name
+        );
+        let mut merged = None;
+        for plan in PLANS {
+            let (_, observed) = chaos_run(
+                &spec,
+                RunConfig {
+                    obs: ObsMode::Stream,
+                    ..on(plan)
+                },
+            );
+            let (summary, _) = observed.stream.expect("stream");
+            let label = format!("{}, {plan:?}", spec.name);
+            assert_eq!(summary.fold, census, "{label}");
+            assert_eq!(
+                summary.breakdown(),
+                BreakdownSummary::from_lifecycles(&lifecycles),
+                "{label}"
+            );
+            let first = merged.get_or_insert_with(|| summary.clone());
+            assert_eq!(&summary, first, "{label}");
+        }
     }
 }
 
@@ -328,26 +476,8 @@ fn plan_sensitive_chaos_cells_give_one_answer() {
         (32, "d470de7c4a845633", 2, 2),
     ] {
         let spec = presets::chaos_cell(seed, 1);
-        let dims = spec.torus_dims();
-        let Workload::Recovering { vlen, seed, .. } = spec.workload else {
-            unreachable!("chaos cells are recovering specs");
-        };
-        let inputs = random_inputs(dims, vlen as usize, seed);
         for plan in &PLANS[..3] {
-            let cfg = RunConfig {
-                timing: spec.timing_table(),
-                ..on(*plan)
-            };
-            let (out, _) = all_reduce_recovering(
-                dims,
-                &inputs,
-                spec.fault_plan(),
-                &spec.deaths(),
-                spec.recovery_config(),
-                RecoveringParams::default(),
-                &cfg,
-            )
-            .expect("the chaos cell completes");
+            let (out, _) = chaos_run(&spec, on(*plan));
             let label = format!("{}, {plan:?}", spec.name);
             assert_eq!(format!("{:016x}", out.fingerprint()), want, "{label}");
             assert_eq!(out.verdicts, verdicts, "{label}");
