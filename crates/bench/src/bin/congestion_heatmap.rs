@@ -84,8 +84,8 @@ fn main() {
 
     // ---- build the congestion map from the recorded lifecycles ----
     let bin = SimDuration::from_ns(50);
-    let rec = fabric.flight_recorder().expect("recorder attached");
-    let map = CongestionMap::build(rec.events(), bin);
+    let events = fabric.flight_events().expect("flight recorded");
+    let map = CongestionMap::build(events, bin);
     println!(
         "{} links saw traffic over {} bins of {}; peak queue depth {}",
         map.links().count(),

@@ -58,9 +58,9 @@ fn main() {
     eng.record_next_step();
     let t5 = eng.step();
     let timing = eng.timing();
-    let rec = eng.last_recording.take().expect("step recorded");
-    eprintln!("  {} flight events recorded", rec.len());
-    let graph = CausalGraph::build(TorusDims::anton_512(), rec.events(), |b| {
+    let events = eng.last_recording.take().expect("step recorded");
+    eprintln!("  {} flight events recorded", events.len());
+    let graph = CausalGraph::build(TorusDims::anton_512(), &events, |b| {
         timing.injection_occupancy(b)
     });
     graph
@@ -153,7 +153,7 @@ fn main() {
     let total_us = t5.total.as_us_f64();
     println!(
         "graph: {} events -> {} nodes, {} edges; path {} hops long",
-        rec.len(),
+        events.len(),
         graph.len(),
         graph.edges().len(),
         path.nodes.len()

@@ -8,7 +8,7 @@ use anton_des::{SimDuration, SimTime, Tracer, TrackId};
 use anton_md::integrate::verlet_first_half;
 use anton_md::{ChemicalSystem, Vec3};
 use anton_net::{Fabric, NetStats, ObsMode, ParSimulation, RunReport, StallReport};
-use anton_obs::{FlightRecorder, MetricsRegistry};
+use anton_obs::{FlightEvent, MetricsRegistry};
 use anton_topo::TorusDims;
 use std::sync::{Arc, Mutex};
 
@@ -33,11 +33,11 @@ pub struct AntonMdEngine {
     /// (bootstrap included). Snapshot it before a window of steps and
     /// call [`NetStats::diff`] afterwards for per-window numbers.
     pub stats_total: NetStats,
-    /// Install a flight recorder on the next step's fabric.
+    /// Flight-record the next step.
     record_next: bool,
-    /// The flight recorder of the last recorded step, with every event
-    /// it captured (see [`AntonMdEngine::record_next_step`]).
-    pub last_recording: Option<FlightRecorder>,
+    /// Every flight event of the last recorded step, oldest first (see
+    /// [`AntonMdEngine::record_next_step`]).
+    pub last_recording: Option<Vec<FlightEvent>>,
     /// Total potential energy components of the last force evaluation.
     pub last_energies: Energies,
 }
@@ -89,10 +89,10 @@ impl AntonMdEngine {
         self.trace_next = true;
     }
 
-    /// Record every packet lifecycle of the next step into a flight
-    /// recorder, handed back in [`AntonMdEngine::last_recording`] once
-    /// the step has run. Recording one step of a large system can
-    /// produce millions of events.
+    /// Record every packet lifecycle of the next step, its events handed
+    /// back in [`AntonMdEngine::last_recording`] once the step has run.
+    /// Recording one step of a large system can produce millions of
+    /// events.
     pub fn record_next_step(&mut self) {
         self.record_next = true;
     }
@@ -275,7 +275,7 @@ impl AntonMdEngine {
         let (mut sim, report) = self.simulate(fabric);
         let replica = &mut sim.worlds_mut()[0].fabric;
         if recording {
-            self.last_recording = replica.take_flight_recorder();
+            self.last_recording = replica.take_flight_events();
         }
         let stats = replica.stats.clone();
         self.stats_total.merge(&stats);

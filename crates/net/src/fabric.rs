@@ -27,8 +27,7 @@ use crate::recovery::{FailureVerdict, RecoveryConfig, RecoveryStats};
 use crate::timing::Timing;
 use anton_des::{Activity, Scheduler, SimDuration, SimTime, Tracer, TrackId};
 use anton_obs::{
-    FlightRecorder, LossCause, MetricsRegistry, PacketId, PacketTrail, Recorder, StreamConfig,
-    StreamObserver, VerdictCause,
+    FlightEvent, LossCause, MetricsRegistry, PacketId, PacketTrail, StreamObserver, VerdictCause,
 };
 use anton_topo::{Coord, Dim, LinkDir, LinkMask, MulticastPattern, NodeId, Route, TorusDims};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -467,11 +466,10 @@ pub struct Fabric {
     /// Label applied to link-activity intervals; set via
     /// [`crate::world::Ctx::set_phase`].
     current_label: u16,
-    /// Packet-lifecycle recorder. `None` (the default) skips every hook
-    /// behind a single branch — instrumentation is zero-cost when
-    /// disabled, which the microbench guard verifies. `Send` so a fabric
-    /// can live inside a parallel-DES shard.
-    recorder: Option<Box<dyn Recorder + Send>>,
+    /// The observer every hook site hands its [`FlightEvent`] to. `None`
+    /// (the default) skips every hook site behind a single branch, and no
+    /// event is built.
+    observer: Option<Observer>,
     /// Per-node packet-uid counters: node `n`'s `k`-th send gets uid
     /// `n << 40 | k`. A uid depends only on the sending node's own
     /// history, so every shard plan labels packets identically.
@@ -491,11 +489,19 @@ pub struct Fabric {
     /// observes another shard's verdicts, and neither does the one slab).
     detected_links: Vec<u8>,
     /// Failure-detector verdicts in detection order (diagnosis; also
-    /// surfaced as flight-recorder events).
+    /// surfaced as flight events).
     verdicts: Vec<FailureVerdict>,
     /// Per-(source client, destination client) next in-order sequence
     /// number, assigned at injection (recovery runs only).
     order_tx_seq: HashMap<(ClientAddr, ClientAddr), u64>,
+}
+
+/// What a fabric hands its [`FlightEvent`]s to ([`Fabric::observe`]).
+enum Observer {
+    /// The flight record: every event, kept in order.
+    Flight(Vec<FlightEvent>),
+    /// The stream observer, which folds each event and drops it.
+    Stream(Box<StreamObserver>),
 }
 
 #[derive(Debug, Clone, Default)]
@@ -611,7 +617,7 @@ impl Fabric {
             },
             tracer: Tracer::disabled(),
             current_label: 0,
-            recorder: None,
+            observer: None,
             next_uid_by_node: vec![0; n],
             recovery,
             recovery_stats: RecoveryStats::default(),
@@ -648,19 +654,19 @@ impl Fabric {
         self.tracer = tracer;
     }
 
-    /// Install the recorder `mode` names, replacing any installed one;
-    /// [`ObsMode::Off`] removes it. The fabric owns its recorder, so
-    /// every hook call is a direct push and per-shard recording in
-    /// parallel runs stays lock-free.
+    /// Install the observer `mode` names, replacing any installed one;
+    /// [`ObsMode::Off`] removes it. Every hook site builds one
+    /// [`FlightEvent`] and hands it to the observer; the fabric owns its
+    /// observer, so per-shard recording in parallel runs stays lock-free.
     ///
-    /// A [`FlightRecorder`] keeps every event: read them back through
-    /// [`Fabric::flight_recorder`], or take the recorder out with
-    /// [`Fabric::take_flight_recorder`]. Under a [`StreamObserver`], at
-    /// its default configuration, every unicast packet carries its
-    /// lifecycle as a [`PacketTrail`], and the observer folds it into
-    /// streaming sketches where the packet is delivered and drops the
-    /// events, so observability memory stays O(nodes + links) at any
-    /// scale. Take it out with [`Fabric::take_stream_observer`].
+    /// The flight record keeps every event: read them through
+    /// [`Fabric::flight_events`], or take them out with
+    /// [`Fabric::take_flight_events`]. Under the [`StreamObserver`] every
+    /// unicast packet carries its lifecycle as a [`PacketTrail`], and the
+    /// observer folds it into streaming sketches where the packet is
+    /// delivered and drops the events, so observability memory stays
+    /// O(nodes + links) at any scale. Take it out with
+    /// [`Fabric::take_stream_observer`].
     pub fn observe(&mut self, mode: ObsMode) {
         self.observe_slab(mode, |_| true);
     }
@@ -669,22 +675,34 @@ impl Fabric {
     /// `owns` accepts: a stream observer counts the trails on those
     /// nodes in its footprint.
     pub(crate) fn observe_slab(&mut self, mode: ObsMode, owns: impl Fn(NodeId) -> bool) {
-        self.recorder = match mode {
+        self.observer = match mode {
             ObsMode::Off => None,
-            ObsMode::Flight => Some(Box::new(FlightRecorder::new())),
+            ObsMode::Flight => Some(Observer::Flight(Vec::new())),
             ObsMode::Stream => {
                 let nodes = (0..self.dims.node_count()).map(|i| owns(NodeId(i)));
-                Some(Box::new(StreamObserver::for_slab(
-                    StreamConfig::default(),
-                    nodes.collect(),
-                )))
+                let obs = StreamObserver::for_slab(nodes.collect());
+                Some(Observer::Stream(Box::new(obs)))
             }
         };
     }
 
-    /// The installed recorder, when it is a [`StreamObserver`].
+    /// Hand the observer the event `ev` builds; with none installed the
+    /// event is never built.
+    #[inline]
+    fn record(&mut self, ev: impl FnOnce() -> FlightEvent) {
+        match &mut self.observer {
+            None => {}
+            Some(Observer::Flight(events)) => events.push(ev()),
+            Some(Observer::Stream(obs)) => obs.record(&ev()),
+        }
+    }
+
+    /// The installed observer, when it is the [`StreamObserver`].
     fn stream_observer(&mut self) -> Option<&mut StreamObserver> {
-        self.recorder.as_deref_mut()?.as_stream_mut()
+        match self.observer.as_mut()? {
+            Observer::Stream(obs) => Some(obs),
+            Observer::Flight(_) => None,
+        }
     }
 
     /// `pkt`'s trail with the observer it reports to; `None` for a
@@ -707,30 +725,41 @@ impl Fabric {
         }
     }
 
-    /// The installed recorder's [`FlightRecorder`] view, when the
-    /// recorder is one.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_deref().and_then(|r| r.as_flight())
+    /// The flight record's events so far, oldest first; `None` unless
+    /// [`ObsMode::Flight`] is installed.
+    pub fn flight_events(&self) -> Option<&[FlightEvent]> {
+        match self.observer.as_ref()? {
+            Observer::Flight(events) => Some(events),
+            Observer::Stream(_) => None,
+        }
     }
 
-    /// Remove the installed [`FlightRecorder`] and hand it back with
-    /// everything it captured; `None` (and nothing removed) when the
-    /// recorder is not one.
-    pub fn take_flight_recorder(&mut self) -> Option<FlightRecorder> {
-        let rec = std::mem::take(self.recorder.as_deref_mut()?.as_flight_mut()?);
-        self.recorder = None;
-        Some(rec)
+    /// Remove the flight record and hand its events back; `None` (and
+    /// nothing removed) unless [`ObsMode::Flight`] is installed.
+    pub fn take_flight_events(&mut self) -> Option<Vec<FlightEvent>> {
+        match self.observer.take() {
+            Some(Observer::Flight(events)) => Some(events),
+            other => {
+                self.observer = other;
+                None
+            }
+        }
     }
 
     /// Remove the installed [`StreamObserver`] and hand it back; `None`
-    /// (and nothing removed) when the recorder is not one. Packets still
-    /// in flight keep their trails. Its summary is mergeable across
-    /// shards; callers owning the final copy should
+    /// (and nothing removed) unless [`ObsMode::Stream`] is installed.
+    /// Packets still in flight keep their trails. Its summary is
+    /// mergeable across shards; callers owning the final copy should
     /// [`anton_obs::StreamSummary::finalize`] it to count the packets
     /// that never folded.
     pub fn take_stream_observer(&mut self) -> Option<StreamObserver> {
-        self.recorder.as_deref()?.as_stream()?;
-        self.recorder.take()?.into_stream()
+        match self.observer.take() {
+            Some(Observer::Stream(obs)) => Some(*obs),
+            other => {
+                self.observer = other;
+                None
+            }
+        }
     }
 
     /// Machine dimensions.
@@ -850,9 +879,13 @@ impl Fabric {
                     });
                 }
                 self.stats.retransmits += 1;
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.on_retransmit(PacketId(uid), node, link, failed + 1, start);
-                }
+                self.record(|| FlightEvent::Retransmit {
+                    pkt: PacketId(uid),
+                    node,
+                    link,
+                    attempt: failed + 1,
+                    at: start,
+                });
                 if let Some(trail) = pkt.trail.as_deref_mut() {
                     trail.retransmitted();
                 }
@@ -878,9 +911,14 @@ impl Fabric {
                 self.current_label,
             );
         }
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_link_reserve(PacketId(uid), node, link, ready, start, start + occ);
-        }
+        self.record(|| FlightEvent::LinkReserve {
+            pkt: PacketId(uid),
+            node,
+            link,
+            ready,
+            start,
+            end: start + occ,
+        });
         Ok(start)
     }
 
@@ -915,12 +953,15 @@ impl Fabric {
     }
 
     /// Count one copy of a packet lost at `node` and end its lifecycle
-    /// there: the recorder sees it lost, and its trail is freed.
+    /// there: the observer sees it lost, and its trail is freed.
     fn lose(&mut self, pkt: &mut Packet, node: NodeId, cause: LossCause, at: SimTime) {
         self.stats.packets_lost += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_lost(PacketId(pkt.uid), node, cause, at);
-        }
+        self.record(|| FlightEvent::Lost {
+            pkt: PacketId(pkt.uid),
+            node,
+            cause,
+            at,
+        });
         self.close_trail(pkt);
     }
 
@@ -956,9 +997,12 @@ impl Fabric {
             cause,
             at,
         });
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_link_down(node, link, cause, at);
-        }
+        self.record(|| FlightEvent::LinkDown {
+            node,
+            link,
+            cause,
+            at,
+        });
         if all_down {
             self.recovery_stats.node_verdicts += 1;
             self.verdicts.push(FailureVerdict {
@@ -967,9 +1011,7 @@ impl Fabric {
                 cause,
                 at,
             });
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.on_node_down(node, at);
-            }
+            self.record(|| FlightEvent::NodeDown { node, at });
         }
     }
 
@@ -1064,9 +1106,12 @@ impl Fabric {
         let attempt = pkt.reinjects;
         let when = detect_at + self.recovery.backoff_delay(pkt.uid, attempt);
         self.recovery_stats.reinjections += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_reinject(PacketId(pkt.uid), node, attempt, when);
-        }
+        self.record(|| FlightEvent::Reinject {
+            pkt: PacketId(pkt.uid),
+            node,
+            attempt,
+            at: when,
+        });
         sched.at(when, Ev::Reinject { pkt, node });
     }
 
@@ -1102,23 +1147,13 @@ impl Fabric {
         let plan_dead = self.route_mask.as_ref().is_some_and(|m| m.any_dead());
         let link = if det != 0 || plan_dead {
             let mask = self.local_mask(node, now);
-            match Route::compute_avoiding(cur, dst_c, self.dims, &mask) {
-                Ok(route) => {
-                    let steps = route.steps().to_vec();
-                    let first = steps[0];
-                    pkt.route = Some(SourceRoute {
-                        steps: Arc::new(steps),
-                        next: 1,
-                    });
-                    first
-                }
-                Err(_) => {
-                    // No surviving route from here with local knowledge.
-                    self.lose_unroutable(&mut pkt, node, dst.node, now);
-                    self.recovery_stats.packets_lost_unrecovered += 1;
-                    return;
-                }
-            }
+            let Some(first) = self.detour(&mut pkt, cur, dst_c, &mask) else {
+                // No surviving route from here with local knowledge.
+                self.lose_unroutable(&mut pkt, node, dst.node, now);
+                self.recovery_stats.packets_lost_unrecovered += 1;
+                return;
+            };
+            first
         } else {
             match Route::next_link_from(cur, dst_c, self.dims) {
                 Some(l) => l,
@@ -1136,13 +1171,31 @@ impl Fabric {
         let ready = now + self.lat.transit(link.dim, link.dim);
         match self.reserve_link(&mut pkt, node, link, ready) {
             Ok(start) => {
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.on_hop_exit(PacketId(pkt.uid), node, start);
-                }
+                self.record(|| FlightEvent::HopExit {
+                    pkt: PacketId(pkt.uid),
+                    node,
+                    at: start,
+                });
                 self.forward(pkt, cur, link, start, sched);
             }
             Err(fail) => self.link_failed_unicast(pkt, node, link, fail, sched),
         }
+    }
+
+    /// Route `pkt` from `cur` to `dst` around the dead links of `mask`:
+    /// install the detour as its source route and return the first link,
+    /// or `None` when no route survives.
+    fn detour(&self, pkt: &mut Packet, cur: Coord, dst: Coord, mask: &LinkMask) -> Option<LinkDir> {
+        let steps = Route::compute_avoiding(cur, dst, self.dims, mask)
+            .ok()?
+            .steps()
+            .to_vec();
+        let first = steps[0];
+        pkt.route = Some(SourceRoute {
+            steps: Arc::new(steps),
+            next: 1,
+        });
+        Some(first)
     }
 
     /// Apply permanent failures whose activation time has passed to the
@@ -1224,28 +1277,31 @@ impl Fabric {
         let inj_ready = t0 + self.lat.send_setup;
         let inj_start = inj_ready.max(self.inject_busy[ci]);
         self.inject_busy[ci] = inj_start + self.timing.injection_occupancy(pkt.payload_bytes);
+        // The injection as the observer sees it, issued at `now`, given
+        // its destination and its `[inj_ready, inj_start, wire_ready]`.
+        let inject = |pkt: &Packet, dst, [inj_ready, inj_start, wire_ready]: [SimTime; 3]| {
+            FlightEvent::Inject {
+                pkt: PacketId(pkt.uid),
+                node: src_node,
+                client: pkt.src.client.index() as u8,
+                dst,
+                at: now,
+                inj_ready,
+                inj_start,
+                wire_ready,
+                payload_bytes: pkt.payload_bytes,
+            }
+        };
 
         match pkt.dest {
             Destination::Unicast(dst) => {
                 if dst.node == src_node {
                     // Local client-to-client write over the ring only. The
-                    // recorder sees all injection anchors collapsed to the
+                    // observer sees all injection anchors collapsed to the
                     // issue time: a local trip never crosses the injection
                     // port, so the whole ring transit attributes to the
                     // delivery stage and stage sums still telescope.
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.on_inject(
-                            PacketId(pkt.uid),
-                            src_node,
-                            pkt.src.client.index() as u8,
-                            Some(dst.node),
-                            now,
-                            now,
-                            now,
-                            now,
-                            pkt.payload_bytes,
-                        );
-                    }
+                    self.record(|| inject(&pkt, Some(dst.node), [now; 3]));
                     self.open_trail(&mut pkt, now, now, now);
                     let done = t0
                         + self.lat.local_latency
@@ -1268,82 +1324,34 @@ impl Fabric {
                     // Runtime verdicts about *this node's own* links
                     // fold into the mask — strictly local knowledge, so
                     // every shard plan routes identically.
-                    let det = if self.recovery.enabled {
-                        self.detected_links[src_node.index()]
+                    let det = self.recovery.enabled && self.detected_links[src_node.index()] != 0;
+                    let local = det.then(|| self.local_mask(src_node, now));
+                    let plan = self.route_mask.as_ref().filter(|m| m.any_dead());
+                    let link = if let Some(mask) = local.as_ref().or(plan) {
+                        let Some(first) = self.detour(&mut pkt, src_c, dst_c, mask) else {
+                            self.stats.packets_unreachable += 1;
+                            self.record_error(FabricError::Unreachable {
+                                src: src_node,
+                                dst: dst.node,
+                            });
+                            return;
+                        };
+                        first
                     } else {
-                        0
-                    };
-                    let link = if det != 0 {
-                        let mask = self.local_mask(src_node, now);
-                        match Route::compute_avoiding(src_c, dst_c, self.dims, &mask) {
-                            Ok(route) => {
-                                let steps = route.steps().to_vec();
-                                let first = steps[0];
-                                pkt.route = Some(SourceRoute {
-                                    steps: Arc::new(steps),
-                                    next: 1,
-                                });
-                                first
-                            }
-                            Err(_) => {
+                        match Route::next_link_from(src_c, dst_c, self.dims) {
+                            Some(l) => l,
+                            None => {
                                 self.stats.packets_unreachable += 1;
-                                self.record_error(FabricError::Unreachable {
-                                    src: src_node,
+                                self.record_error(FabricError::NoRoute {
+                                    node: src_node,
                                     dst: dst.node,
                                 });
                                 return;
                             }
                         }
-                    } else {
-                        match &self.route_mask {
-                            Some(mask) if mask.any_dead() => {
-                                match Route::compute_avoiding(src_c, dst_c, self.dims, mask) {
-                                    Ok(route) => {
-                                        let steps = route.steps().to_vec();
-                                        let first = steps[0];
-                                        pkt.route = Some(SourceRoute {
-                                            steps: Arc::new(steps),
-                                            next: 1,
-                                        });
-                                        first
-                                    }
-                                    Err(_) => {
-                                        self.stats.packets_unreachable += 1;
-                                        self.record_error(FabricError::Unreachable {
-                                            src: src_node,
-                                            dst: dst.node,
-                                        });
-                                        return;
-                                    }
-                                }
-                            }
-                            _ => match Route::next_link_from(src_c, dst_c, self.dims) {
-                                Some(l) => l,
-                                None => {
-                                    self.stats.packets_unreachable += 1;
-                                    self.record_error(FabricError::NoRoute {
-                                        node: src_node,
-                                        dst: dst.node,
-                                    });
-                                    return;
-                                }
-                            },
-                        }
                     };
                     let ready = inj_start + self.lat.send_ring;
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.on_inject(
-                            PacketId(pkt.uid),
-                            src_node,
-                            pkt.src.client.index() as u8,
-                            Some(dst.node),
-                            now,
-                            inj_ready,
-                            inj_start,
-                            ready,
-                            pkt.payload_bytes,
-                        );
-                    }
+                    self.record(|| inject(&pkt, Some(dst.node), [inj_ready, inj_start, ready]));
                     self.open_trail(&mut pkt, now, inj_ready, ready);
                     let start = match self.reserve_link(&mut pkt, src_node, link, ready) {
                         Ok(start) => start,
@@ -1354,9 +1362,11 @@ impl Fabric {
                             return;
                         }
                     };
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.on_hop_exit(PacketId(pkt.uid), src_node, start);
-                    }
+                    self.record(|| FlightEvent::HopExit {
+                        pkt: PacketId(pkt.uid),
+                        node: src_node,
+                        at: start,
+                    });
                     self.forward(pkt, src_c, link, start, sched);
                 }
             }
@@ -1387,21 +1397,9 @@ impl Fabric {
                 }
                 let src_c = src_node.coord(self.dims);
                 let ready = inj_start + self.lat.send_ring;
-                if let Some(rec) = self.recorder.as_mut() {
-                    // Multicast: destination unknown at injection (`None`);
-                    // the copies' deliveries all carry this packet's id.
-                    rec.on_inject(
-                        PacketId(pkt.uid),
-                        src_node,
-                        pkt.src.client.index() as u8,
-                        None,
-                        now,
-                        inj_ready,
-                        inj_start,
-                        ready,
-                        pkt.payload_bytes,
-                    );
-                }
+                // Multicast: destination unknown at injection (`None`);
+                // the copies' deliveries all carry this packet's id.
+                self.record(|| inject(&pkt, None, [inj_ready, inj_start, ready]));
                 for l in entry.forward {
                     let start = match self.reserve_link(&mut pkt, src_node, l, ready) {
                         Ok(start) => start,
@@ -1466,9 +1464,11 @@ impl Fabric {
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_hop_enter(PacketId(pkt.uid), node, now);
-        }
+        self.record(|| FlightEvent::HopEnter {
+            pkt: PacketId(pkt.uid),
+            node,
+            at: now,
+        });
         if let Some((obs, trail)) = self.trail_of(&mut pkt) {
             obs.trail_enters(trail, now);
         }
@@ -1510,22 +1510,12 @@ impl Fabric {
                         // the rest of the path so a later hop cannot
                         // route back into the detour).
                         let mask = self.local_mask(node, now);
-                        match Route::compute_avoiding(cur, dst_c, self.dims, &mask) {
-                            Ok(route) => {
-                                let steps = route.steps().to_vec();
-                                let first = steps[0];
-                                pkt.route = Some(SourceRoute {
-                                    steps: Arc::new(steps),
-                                    next: 1,
-                                });
-                                first
-                            }
-                            Err(_) => {
-                                self.lose_unroutable(&mut pkt, node, dst.node, now);
-                                self.recovery_stats.packets_lost_unrecovered += 1;
-                                return;
-                            }
-                        }
+                        let Some(first) = self.detour(&mut pkt, cur, dst_c, &mask) else {
+                            self.lose_unroutable(&mut pkt, node, dst.node, now);
+                            self.recovery_stats.packets_lost_unrecovered += 1;
+                            return;
+                        };
+                        first
                     } else {
                         match Route::next_link_from(cur, dst_c, self.dims) {
                             Some(l) => l,
@@ -1545,9 +1535,11 @@ impl Fabric {
                             return;
                         }
                     };
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.on_hop_exit(PacketId(pkt.uid), node, start);
-                    }
+                    self.record(|| FlightEvent::HopExit {
+                        pkt: PacketId(pkt.uid),
+                        node,
+                        at: start,
+                    });
                     self.forward(pkt, cur, link, start, sched);
                 }
             }
@@ -1605,6 +1597,11 @@ impl Fabric {
         if pkt.crc != fault::payload_crc(&pkt.payload) {
             self.stats.delivery_errors += 1;
             self.record_error(FabricError::CorruptDelivery { node, client });
+            self.record(|| FlightEvent::Discarded {
+                pkt: PacketId(pkt.uid),
+                node,
+                at: now,
+            });
             self.close_trail(&mut pkt);
             return;
         }
@@ -1616,9 +1613,11 @@ impl Fabric {
             let st = self.clients.entry(node, client);
             if !st.seen.insert((pkt.src.node, pkt.uid)) {
                 self.recovery_stats.duplicates_suppressed += 1;
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.on_duplicate_suppressed(PacketId(pkt.uid), node, now);
-                }
+                self.record(|| FlightEvent::DuplicateSuppressed {
+                    pkt: PacketId(pkt.uid),
+                    node,
+                    at: now,
+                });
                 self.close_trail(&mut pkt);
                 return;
             }
@@ -1672,9 +1671,12 @@ impl Fabric {
         self.stats.packets_delivered += 1;
         self.stats.payload_bytes_delivered += pkt.payload_bytes as u64;
         self.stats.delivered_by_node[node.index()] += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_deliver(PacketId(pkt.uid), node, client.index() as u8, now);
-        }
+        self.record(|| FlightEvent::Deliver {
+            pkt: PacketId(pkt.uid),
+            node,
+            client: client.index() as u8,
+            at: now,
+        });
         if let Some(trail) = pkt.trail.take() {
             if let Some(obs) = self.stream_observer() {
                 let id = PacketId(pkt.uid);
@@ -1779,16 +1781,14 @@ impl Fabric {
                     },
                 );
             }
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.on_counter_update(
-                    PacketId(uid),
-                    node,
-                    client.index() as u8,
-                    cid.0,
-                    now,
-                    fire_at,
-                );
-            }
+            self.record(|| FlightEvent::CounterUpdate {
+                pkt: PacketId(uid),
+                node,
+                client: client.index() as u8,
+                counter: cid.0,
+                at: now,
+                fire_at,
+            });
         }
     }
 
@@ -1979,13 +1979,13 @@ impl Fabric {
     }
 
     /// Mark the phase label applied to subsequently traced link activity
-    /// and stamp a phase mark into the flight recorder (if one is
-    /// installed).
+    /// and hand the observer (if one is installed) a phase mark.
     pub fn set_phase_label(&mut self, label: &str, now: SimTime) {
         self.current_label = self.tracer.intern_label(label);
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_phase(label, now);
-        }
+        self.record(|| FlightEvent::Phase {
+            label: label.to_owned(),
+            at: now,
+        });
     }
 
     /// Publish the fabric's instrumentation into a metrics registry:

@@ -173,9 +173,9 @@ pub enum Destination {
 /// A network packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
-    /// Flight-recorder identity, assigned densely by the fabric at
+    /// Flight-event identity, assigned densely by the fabric at
     /// injection (constructors leave it 0). Multicast copies keep their
-    /// original's id, which is how the recorder correlates a tree's
+    /// original's id, which is how the flight record correlates a tree's
     /// deliveries.
     pub uid: u64,
     /// Sending client.

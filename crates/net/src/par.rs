@@ -43,7 +43,7 @@
 //!
 //! A machine is built once, from its [`RunConfig`]
 //! ([`ParSimulation::from_config`]): the plan, the workers, the window
-//! bound, profiling and each replica's recorder are fixed there, and
+//! bound, profiling and each replica's observer are fixed there, and
 //! nothing is set on the machine afterwards.
 //!
 //! A decision at node *n* may read only *n*'s own state plus pure
@@ -166,15 +166,15 @@ impl ShardPlan {
     }
 }
 
-/// Which observability recorder a run installs on each fabric replica
+/// Which observer a run installs on each fabric replica
 /// ([`Fabric::observe`]); see [`RunConfig::obs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsMode {
-    /// No recorder: the zero-observer-effect baseline.
+    /// No observer: the zero-observer-effect baseline.
     #[default]
     Off,
-    /// Full O(events) flight recording
-    /// ([`anton_obs::FlightRecorder`]) — exact offline analysis on
+    /// Full O(events) flight recording: every
+    /// [`anton_obs::FlightEvent`], kept for exact offline analysis on
     /// paper-scale (512-node) machines.
     Flight,
     /// Bounded-memory streaming observability
@@ -347,8 +347,8 @@ pub struct ParSimulation<P: NodeProgram> {
 impl<P: NodeProgram + Send> ParSimulation<P> {
     /// Build the machine `cfg` describes: its shard plan, worker threads,
     /// window-bound mode and profiling, and on every fabric replica the
-    /// recorder `cfg.obs` names, installed as the replica is built. An
-    /// [`ObsMode::Off`] config installs none, and keeps any recorder
+    /// observer `cfg.obs` names, installed as the replica is built. An
+    /// [`ObsMode::Off`] config installs none, and keeps any observer
     /// `build_fabric` installed.
     ///
     /// `build_fabric` is called exactly once per shard with `cfg.timing`
@@ -443,8 +443,8 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         &self.worlds
     }
 
-    /// The per-shard worlds, mutably: for taking state (a tracer, a
-    /// flight recorder) back out of a replica after the run.
+    /// The per-shard worlds, mutably: for taking state (a tracer, the
+    /// flight events) back out of a replica after the run.
     pub fn worlds_mut(&mut self) -> &mut [NodeShardWorld<P>] {
         &mut self.worlds
     }
@@ -546,18 +546,13 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     /// merged into one chronological stream: a stable k-way merge keyed
     /// on `(event time, shard index)`, so the result is deterministic and
     /// respects both time order and (within a timestamp) a fixed shard
-    /// order. The events move out, and the recorders are removed. Empty
-    /// unless the machine was built under [`ObsMode::Flight`].
+    /// order. The events move out, and the flight records are removed.
+    /// Empty unless the machine was built under [`ObsMode::Flight`].
     pub fn take_merged_flight_events(&mut self) -> Vec<FlightEvent> {
         let per_shard = self
             .worlds
             .iter_mut()
-            .map(|w| {
-                w.fabric
-                    .take_flight_recorder()
-                    .map(|mut r| r.take_events())
-                    .unwrap_or_default()
-            })
+            .map(|w| w.fabric.take_flight_events().unwrap_or_default())
             .collect();
         merge_flight_events(per_shard)
     }
@@ -627,7 +622,7 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
 
 /// Stable k-way merge of per-shard flight-event streams by
 /// `(time, shard)`. Each shard's stream is already time-ordered (the
-/// recorder appends in that shard's execution order), so a linear merge
+/// fabric appends in that shard's execution order), so a linear merge
 /// suffices.
 pub fn merge_flight_events(per_shard: Vec<Vec<FlightEvent>>) -> Vec<FlightEvent> {
     let total: usize = per_shard.iter().map(|v| v.len()).sum();

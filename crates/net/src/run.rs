@@ -72,8 +72,8 @@ pub struct RunConfig {
     /// The window bound between slabs. Never changes a simulated
     /// result, only how often slabs synchronize.
     pub lookahead: LookaheadMode,
-    /// The packet observer: none, a flight recorder, or the
-    /// bounded-memory stream observer at its default configuration.
+    /// The packet observer: none, the flight record, or the
+    /// bounded-memory stream observer.
     pub obs: ObsMode,
     /// Collect the engine's [`ParProfile`].
     pub profile: bool,
@@ -148,8 +148,8 @@ pub struct Finished<P> {
 /// after `max_events` events; anything short of a drained queue with no
 /// pending counter watch is returned as the stall diagnosis.
 ///
-/// An observer that is off costs nothing: no recorder is installed and
-/// nothing is merged after the run.
+/// An observer that is off costs nothing: none is installed and nothing
+/// is merged after the run.
 pub fn drive<P: NodeProgram + Send>(
     cfg: &RunConfig,
     build_fabric: impl FnMut(&Timing) -> Fabric,

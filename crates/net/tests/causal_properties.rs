@@ -53,11 +53,10 @@ fn run_planned(
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)
         .is_completed());
-    let mut rec = sim.worlds_mut()[0]
+    sim.worlds_mut()[0]
         .fabric
-        .take_flight_recorder()
-        .expect("recorder attached");
-    rec.take_events()
+        .take_flight_events()
+        .expect("flight recorded")
 }
 
 fn decode_plan(dims: TorusDims, raw: &[u64]) -> Vec<(u32, u32, u32)> {

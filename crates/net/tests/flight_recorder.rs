@@ -61,10 +61,7 @@ fn run_planned(
     let fabric = &mut sim.worlds_mut()[0].fabric;
     let mut reg = anton_obs::MetricsRegistry::new();
     fabric.export_metrics(&mut reg);
-    let flight = fabric
-        .take_flight_recorder()
-        .map(|mut rec| rec.take_events())
-        .unwrap_or_default();
+    let flight = fabric.take_flight_events().unwrap_or_default();
     (now, fabric.stats.clone(), reg.snapshot().to_json(), flight)
 }
 

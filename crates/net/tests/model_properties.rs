@@ -2,9 +2,10 @@
 //! the fabric's guard rails.
 
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FabricError, NodeProgram, Packet,
+    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FabricError, NodeProgram, ObsMode, Packet,
     ParSimulation, PatternId, Payload, ProgEvent, Timing,
 };
+use anton_obs::FlightEvent;
 use anton_topo::{Coord, MulticastPattern, NodeId, TorusDims};
 use proptest::prelude::*;
 
@@ -135,8 +136,13 @@ impl NodeProgram for BadProgram {
 }
 
 fn run_bad(mode: u8) -> ParSimulation<BadProgram> {
-    let dims = TorusDims::new(2, 1, 1);
-    let mut sim = ParSimulation::one_slab(Fabric::new(dims), |_| BadProgram { mode });
+    run_bad_observed(mode, ObsMode::Off)
+}
+
+fn run_bad_observed(mode: u8, obs: ObsMode) -> ParSimulation<BadProgram> {
+    let mut fabric = Fabric::new(TorusDims::new(2, 1, 1));
+    fabric.observe(obs);
+    let mut sim = ParSimulation::one_slab(fabric, |_| BadProgram { mode });
     sim.run();
     sim
 }
@@ -194,7 +200,7 @@ fn unregistered_multicast_pattern_is_recorded() {
 /// and the packet's counter never moves.
 #[test]
 fn corrupt_payload_is_discarded_at_delivery() {
-    let mut sim = run_bad(4);
+    let mut sim = run_bad_observed(4, ObsMode::Flight);
     let fabric = &mut sim.worlds_mut()[0].fabric;
     let dst = ClientAddr::new(NodeId(1), ClientKind::Slice(0));
     assert_eq!(fabric.stats.delivery_errors, 1);
@@ -208,6 +214,26 @@ fn corrupt_payload_is_discarded_at_delivery() {
     );
     assert!(fabric.mem_drain_range(dst, 0, u64::MAX).is_empty());
     assert_eq!(fabric.counter_read(dst, CounterId(3)), 0);
+    // The discarded copy's flight record ends in exactly one `Discarded`
+    // at the delivery node, and the discard is not counted as a loss.
+    assert_eq!(fabric.stats.packets_lost, 0);
+    let events = fabric.take_flight_events().expect("flight recorded");
+    let pkt = events[0].packet();
+    let copy: Vec<&FlightEvent> = events.iter().filter(|e| e.packet() == pkt).collect();
+    let discarded = copy
+        .iter()
+        .filter(|e| matches!(e, FlightEvent::Discarded { .. }));
+    assert_eq!(discarded.count(), 1);
+    assert!(matches!(
+        copy.last(),
+        Some(FlightEvent::Discarded {
+            node: NodeId(1),
+            ..
+        })
+    ));
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, FlightEvent::Deliver { .. } | FlightEvent::Lost { .. })));
 }
 
 #[test]

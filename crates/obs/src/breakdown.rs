@@ -151,8 +151,8 @@ struct Partial {
 
 /// Fold a raw event stream into per-packet lifecycles. Returns complete
 /// unicast lifecycles in packet-id order plus counts of what was
-/// skipped; packets truncated by ring-buffer eviction or still in
-/// flight are counted, not invented.
+/// skipped; packets still in flight, or whose injection the stream
+/// lacks, are counted, not invented.
 pub fn fold_lifecycles<'a, I>(events: I) -> (Vec<PacketLifecycle>, FoldStats)
 where
     I: IntoIterator<Item = &'a FlightEvent>,
@@ -190,7 +190,8 @@ where
             | FlightEvent::NodeDown { .. }
             | FlightEvent::Reinject { .. }
             | FlightEvent::DuplicateSuppressed { .. }
-            | FlightEvent::Lost { .. } => {}
+            | FlightEvent::Lost { .. }
+            | FlightEvent::Discarded { .. } => {}
         }
     }
 
@@ -299,41 +300,22 @@ impl BreakdownSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{FlightRecorder, Recorder};
-
-    fn t(ns: u64) -> SimTime {
-        SimTime::from_ns(ns)
-    }
+    use crate::recorder::ev;
 
     /// Replay the uncontended 1-X-hop ping from the paper's Figure 6 and
     /// check both the stage values and the telescoping invariant.
     #[test]
     fn one_hop_fig6_stages() {
-        let mut r = FlightRecorder::new();
-        let pkt = PacketId(0);
         // send issue 0, setup 36, ring 19 → wire at 55; head after 40 ns
         // link+adapter → 95; deliver 25+42 later → 162.
-        r.on_inject(
-            pkt,
-            NodeId(0),
-            0,
-            Some(NodeId(1)),
-            t(0),
-            t(36),
-            t(36),
-            t(55),
-            32,
-        );
-        let xp = anton_topo::LinkDir {
-            dim: anton_topo::Dim::X,
-            dir: anton_topo::Dir::Plus,
-        };
-        r.on_link_reserve(pkt, NodeId(0), xp, t(55), t(55), t(97));
-        r.on_hop_enter(pkt, NodeId(1), t(95));
-        r.on_deliver(pkt, NodeId(1), 0, t(162));
-        r.on_counter_update(pkt, NodeId(1), 0, 63, t(162), Some(t(162)));
-
-        let (lcs, stats) = fold_lifecycles(r.events());
+        let events = [
+            ev::inject(0, 0, Some(1), [0, 36, 36, 55], 32),
+            ev::reserve(0, 0, 0, [55, 55, 97]),
+            ev::hop_enter(0, 1, 95),
+            ev::deliver(0, 1, 162),
+            ev::counter(0, 1, 63, 162, Some(162)),
+        ];
+        let (lcs, stats) = fold_lifecycles(&events);
         assert_eq!(
             stats,
             FoldStats {
@@ -361,21 +343,11 @@ mod tests {
     /// still telescope.
     #[test]
     fn local_write_attributes_to_delivery() {
-        let mut r = FlightRecorder::new();
-        let pkt = PacketId(1);
-        r.on_inject(
-            pkt,
-            NodeId(3),
-            0,
-            Some(NodeId(3)),
-            t(10),
-            t(10),
-            t(10),
-            t(10),
-            32,
-        );
-        r.on_deliver(pkt, NodeId(3), 1, t(116));
-        let (lcs, _) = fold_lifecycles(r.events());
+        let events = [
+            ev::inject(1, 3, Some(3), [10; 4], 32),
+            ev::deliver(1, 3, 116),
+        ];
+        let (lcs, _) = fold_lifecycles(&events);
         let lc = &lcs[0];
         assert_eq!(lc.hops(), 0);
         assert_eq!(lc.stage(Stage::Delivery), SimDuration::from_ns(106));
@@ -386,34 +358,15 @@ mod tests {
     /// Multicast and in-flight packets are counted, not mis-attributed.
     #[test]
     fn incomplete_and_multicast_are_skipped() {
-        let mut r = FlightRecorder::new();
-        // In flight: injected, never delivered.
-        r.on_inject(
-            PacketId(0),
-            NodeId(0),
-            0,
-            Some(NodeId(1)),
-            t(0),
-            t(36),
-            t(36),
-            t(55),
-            32,
-        );
-        // Multicast: dst unknown at inject, two delivers.
-        r.on_inject(
-            PacketId(1),
-            NodeId(0),
-            0,
-            None,
-            t(0),
-            t(36),
-            t(36),
-            t(55),
-            32,
-        );
-        r.on_deliver(PacketId(1), NodeId(1), 0, t(162));
-        r.on_deliver(PacketId(1), NodeId(2), 0, t(238));
-        let (lcs, stats) = fold_lifecycles(r.events());
+        let events = [
+            // In flight: injected, never delivered.
+            ev::inject(0, 0, Some(1), [0, 36, 36, 55], 32),
+            // Multicast: dst unknown at inject, two delivers.
+            ev::inject(1, 0, None, [0, 36, 36, 55], 32),
+            ev::deliver(1, 1, 162),
+            ev::deliver(1, 2, 238),
+        ];
+        let (lcs, stats) = fold_lifecycles(&events);
         assert!(lcs.is_empty());
         assert_eq!(
             stats,

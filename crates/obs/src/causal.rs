@@ -701,7 +701,8 @@ impl CausalGraph {
                 | FlightEvent::NodeDown { .. }
                 | FlightEvent::Reinject { .. }
                 | FlightEvent::DuplicateSuppressed { .. }
-                | FlightEvent::Lost { .. } => {}
+                | FlightEvent::Lost { .. }
+                | FlightEvent::Discarded { .. } => {}
             }
         }
         b.g
@@ -909,10 +910,9 @@ impl<'a> Iterator for PredIter<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::recorder::{FlightRecorder, Recorder};
-    use anton_topo::LinkDir;
+    use crate::recorder::ev;
 
     fn ns(v: u64) -> SimTime {
         SimTime::from_ns(v)
@@ -925,16 +925,14 @@ mod tests {
     /// One remote unicast, hand-recorded with the model's anchor
     /// semantics: the chain reconstructs with zero residual and the
     /// path telescopes to the 162 ns end-to-end time.
-    fn one_hop_events() -> Vec<FlightEvent> {
-        let mut r = FlightRecorder::new();
-        let pkt = PacketId(0);
-        let (src, dst) = (NodeId(0), NodeId(1));
-        r.on_inject(pkt, src, 0, Some(dst), ns(0), ns(36), ns(36), ns(55), 0);
-        r.on_link_reserve(pkt, src, LinkDir::from_index(0), ns(55), ns(55), ns(57));
-        r.on_hop_enter(pkt, dst, ns(95));
-        r.on_deliver(pkt, dst, 0, ns(162));
-        r.on_counter_update(pkt, dst, 0, 7, ns(162), Some(ns(162)));
-        r.take_events()
+    pub(crate) fn one_hop_events() -> Vec<FlightEvent> {
+        vec![
+            ev::inject(0, 0, Some(1), [0, 36, 36, 55], 0),
+            ev::reserve(0, 0, 0, [55, 55, 57]),
+            ev::hop_enter(0, 1, 95),
+            ev::deliver(0, 1, 162),
+            ev::counter(0, 1, 7, 162, Some(162)),
+        ]
     }
 
     #[test]
@@ -963,29 +961,12 @@ mod tests {
         let mut events = one_hop_events();
         // The node program on the destination reacts to the fire at
         // 162 ns with a reply send.
-        let mut r = FlightRecorder::new();
-        r.on_inject(
-            PacketId(1),
-            NodeId(1),
-            0,
-            Some(NodeId(0)),
-            ns(162),
-            ns(198),
-            ns(198),
-            ns(217),
-            0,
-        );
-        r.on_link_reserve(
-            PacketId(1),
-            NodeId(1),
-            LinkDir::from_index(1),
-            ns(217),
-            ns(217),
-            ns(219),
-        );
-        r.on_hop_enter(PacketId(1), NodeId(0), ns(257));
-        r.on_deliver(PacketId(1), NodeId(0), 0, ns(324));
-        events.extend(r.take_events());
+        events.extend([
+            ev::inject(1, 1, Some(0), [162, 198, 198, 217], 0),
+            ev::reserve(1, 1, 1, [217, 217, 219]),
+            ev::hop_enter(1, 0, 257),
+            ev::deliver(1, 0, 324),
+        ]);
 
         let g = CausalGraph::build(dims(), &events, |_| SimDuration::from_ns(2));
         g.check_consistency().expect("exact");
@@ -1006,35 +987,15 @@ mod tests {
 
     #[test]
     fn port_contention_is_blamed_or_residual() {
-        let mut r = FlightRecorder::new();
         // Two back-to-back sends on the same port; the second waits
         // 5 ns for the port but the occupancy model only explains 2 ns
         // — a residual edge (carrying the full 5 ns gap from the
         // binding predecessor, subsuming the parallel port-wait edge)
         // restores exactness.
-        r.on_inject(
-            PacketId(0),
-            NodeId(0),
-            0,
-            Some(NodeId(1)),
-            ns(0),
-            ns(36),
-            ns(36),
-            ns(55),
-            0,
-        );
-        r.on_inject(
-            PacketId(1),
-            NodeId(0),
-            0,
-            Some(NodeId(1)),
-            ns(0),
-            ns(36),
-            ns(41),
-            ns(60),
-            0,
-        );
-        let events = r.take_events();
+        let events = [
+            ev::inject(0, 0, Some(1), [0, 36, 36, 55], 0),
+            ev::inject(1, 0, Some(1), [0, 36, 41, 60], 0),
+        ];
         let g = CausalGraph::build(dims(), &events, |_| SimDuration::from_ns(2));
         g.check_consistency().expect("exact with residual");
         assert_eq!(g.residual_total(), SimDuration::from_ns(5));
@@ -1045,38 +1006,18 @@ mod tests {
 
     #[test]
     fn counter_fire_depends_on_all_counted_arrivals() {
-        let mut r = FlightRecorder::new();
         // Three one-hop neighbors of node 0 in a 4x4x4 torus: node 1
         // via X-, node 4 via Y-, node 16 via Z-.
-        for (i, (src, link, t)) in [(1u32, 1usize, 100u64), (4, 3, 140), (16, 5, 180)]
-            .iter()
-            .enumerate()
-        {
-            let pkt = PacketId(i as u64);
-            r.on_inject(
-                pkt,
-                NodeId(*src),
-                0,
-                Some(NodeId(0)),
-                ns(0),
-                ns(36),
-                ns(36),
-                ns(55),
-                0,
-            );
-            r.on_link_reserve(
-                pkt,
-                NodeId(*src),
-                LinkDir::from_index(*link),
-                ns(55),
-                ns(55),
-                ns(57),
-            );
-            r.on_hop_enter(pkt, NodeId(0), ns(95));
-            r.on_deliver(pkt, NodeId(0), 0, ns(*t));
-            r.on_counter_update(pkt, NodeId(0), 0, 3, ns(*t), (i == 2).then_some(ns(*t)));
+        let mut events = Vec::new();
+        for (pkt, (src, link, t)) in [(0, (1, 1, 100)), (1, (4, 3, 140)), (2, (16, 5, 180))] {
+            events.extend([
+                ev::inject(pkt, src, Some(0), [0, 36, 36, 55], 0),
+                ev::reserve(pkt, src, link, [55, 55, 57]),
+                ev::hop_enter(pkt, 0, 95),
+                ev::deliver(pkt, 0, t),
+                ev::counter(pkt, 0, 3, t, (pkt == 2).then_some(t)),
+            ]);
         }
-        let events = r.take_events();
         let g = CausalGraph::build(dims(), &events, |_| SimDuration::from_ns(2));
         g.check_consistency().expect("exact");
         let fire = g

@@ -345,34 +345,16 @@ impl CongestionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{FlightRecorder, PacketId, Recorder};
-
-    fn ns(v: u64) -> SimTime {
-        SimTime::from_ns(v)
-    }
+    use crate::recorder::ev;
 
     /// Two traversals of the same link, the second queued behind the
     /// first; busy time is conserved across bins.
     #[test]
     fn busy_and_queue_are_conserved() {
-        let mut r = FlightRecorder::new();
-        r.on_link_reserve(
-            PacketId(0),
-            NodeId(0),
-            LinkDir::from_index(0),
-            ns(0),
-            ns(0),
-            ns(30),
-        );
-        r.on_link_reserve(
-            PacketId(1),
-            NodeId(0),
-            LinkDir::from_index(0),
-            ns(10),
-            ns(30),
-            ns(60),
-        );
-        let events = r.take_events();
+        let events = [
+            ev::reserve(0, 0, 0, [0, 0, 30]),
+            ev::reserve(1, 0, 0, [10, 30, 60]),
+        ];
         let map = CongestionMap::build(&events, SimDuration::from_ns(25));
         let (_, load) = map.links().next().expect("one link");
         assert_eq!(load.busy_total(), SimDuration::from_ns(60));
@@ -394,17 +376,10 @@ mod tests {
 
     #[test]
     fn router_occupancy_spans_enter_to_exit() {
-        let mut r = FlightRecorder::new();
-        r.on_hop_enter(PacketId(0), NodeId(5), ns(100));
-        r.on_link_reserve(
-            PacketId(0),
-            NodeId(5),
-            LinkDir::from_index(2),
-            ns(114),
-            ns(120),
-            ns(150),
-        );
-        let events = r.take_events();
+        let events = [
+            ev::hop_enter(0, 5, 100),
+            ev::reserve(0, 5, 2, [114, 120, 150]),
+        ];
         let map = CongestionMap::build(&events, SimDuration::from_ns(1000));
         let (node, load) = map.routers().next().expect("one router");
         assert_eq!(node, NodeId(5));
@@ -415,16 +390,7 @@ mod tests {
 
     #[test]
     fn exports_are_well_formed() {
-        let mut r = FlightRecorder::new();
-        r.on_link_reserve(
-            PacketId(0),
-            NodeId(3),
-            LinkDir::from_index(5),
-            ns(5),
-            ns(7),
-            ns(9),
-        );
-        let events = r.take_events();
+        let events = [ev::reserve(0, 3, 5, [5, 7, 9])];
         let map = CongestionMap::build(&events, SimDuration::from_ns(2));
         let csv = map.to_csv();
         assert!(csv.starts_with("kind,node,link"));

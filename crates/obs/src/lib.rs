@@ -8,14 +8,13 @@
 //! infrastructure, layered *under* the network model so every nanosecond
 //! of a simulation is attributable and exportable:
 //!
-//! - [`Recorder`] — the hook trait the fabric calls on every packet
-//!   lifecycle event (inject, link reserve, retransmit, hop enter/exit,
-//!   deliver, counter update). Every method has a no-op default body, so
-//!   the disabled path costs one branch and implementors override only
-//!   what they need.
-//! - [`FlightRecorder`] — a [`Recorder`] that keeps the full event
-//!   stream (optionally ring-buffered and/or sampled) for offline
-//!   analysis.
+//! - [`FlightEvent`] — one event per step of a packet's life (inject,
+//!   link reserve, retransmit, hop enter/exit, deliver, counter update,
+//!   and the recovery and loss events). The fabric builds each event once
+//!   and hands it to its observer: a flight record keeps every event as a
+//!   `Vec<FlightEvent>` for offline analysis, the [`StreamObserver`]
+//!   folds it. With no observer installed the disabled path costs one
+//!   branch per hook site.
 //! - [`breakdown`] — folds recorded lifecycles into the paper's Figure 6
 //!   stages; stage durations telescope, so they sum *exactly* to the
 //!   measured end-to-end latency.
@@ -48,7 +47,7 @@
 //! - [`stream`] — bounded-memory observability for 100×-scale machines:
 //!   mergeable quantile sketches, exact streaming moments, space-saving
 //!   per-link heavy hitters, a seeded lifecycle reservoir, and the
-//!   [`StreamObserver`] recorder that folds packets into the Figure 6
+//!   [`StreamObserver`] that folds packets into the Figure 6
 //!   attribution at delivery and drops the events — O(nodes + links)
 //!   state on one slab instead of O(events), bit-identical under shard
 //!   merges.
@@ -87,9 +86,7 @@ pub use observatory::{
     DiffConfig, ObservatoryDiff, ObservatoryReport, Section, SectionDiff, SectionKind,
     OBSERVATORY_SCHEMA_VERSION, SEC_ATTRIBUTION, SEC_BLAME, SEC_CONGESTION, SEC_RECOVERY,
 };
-pub use recorder::{
-    FlightEvent, FlightRecorder, LossCause, NopRecorder, PacketId, Recorder, VerdictCause,
-};
+pub use recorder::{FlightEvent, LossCause, PacketId, VerdictCause};
 pub use regress::{BenchReport, Direction, RegressFinding, RegressReport, BENCH_SCHEMA_VERSION};
 pub use retime::{retime, retime_blamed, Perturbation, Retimed};
 pub use runtime::{profile_chrome_trace, RuntimeSummary, SpeedupAttribution};

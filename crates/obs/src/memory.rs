@@ -20,7 +20,7 @@
 //! Caveat worth stating: frees are attributed to the tag current *at
 //! free time*, not at allocation time (per-pointer origin headers would
 //! change allocation sizes and perturb what we're measuring). The
-//! streaming observer allocates and frees inside its own scoped hooks,
+//! streaming observer allocates and frees inside its own scoped calls,
 //! so its tag balance is accurate; long-lived cross-tag handoffs would
 //! smear. Global live/peak are exact regardless.
 

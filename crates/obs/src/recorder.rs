@@ -1,10 +1,12 @@
-//! The packet flight recorder: lifecycle hooks and their event log.
+//! The packet flight record: one [`FlightEvent`] per step of a packet's
+//! life.
 //!
-//! The fabric calls a [`Recorder`] at every step of a packet's life. The
-//! trait's methods all have no-op default bodies, so a recorder
-//! implements only the events it cares about and the *disabled* path
-//! (no recorder installed) costs the caller a single branch — the hook
-//! discipline the tentpole bench guard checks.
+//! The fabric builds an event at every step — inject, link reserve,
+//! retransmit, hop enter/exit, deliver, counter update, and the recovery
+//! and loss events — and hands it to its observer: a flight record keeps
+//! the event, the stream observer ([`crate::StreamObserver::record`])
+//! folds it. With no observer installed the event is never built, so the
+//! disabled path costs one branch per hook site.
 //!
 //! Clients are identified by their dense per-node index (0–3 the
 //! processing slices, 4 the HTIS, 5–6 the accumulation memories) and
@@ -13,7 +15,6 @@
 
 use anton_des::SimTime;
 use anton_topo::{LinkDir, NodeId};
-use std::collections::VecDeque;
 
 /// Identifies one injected packet. Assigned densely by the fabric at
 /// injection, in deterministic injection order; multicast copies share
@@ -212,6 +213,18 @@ pub enum FlightEvent {
         /// When it was given up.
         at: SimTime,
     },
+    /// A copy reached its target but failed the end-to-end payload CRC
+    /// and was discarded unapplied: the last event of that copy. Not a
+    /// loss — it counts in `NetStats::delivery_errors`, not
+    /// `packets_lost`.
+    Discarded {
+        /// The packet.
+        pkt: PacketId,
+        /// Delivery node.
+        node: NodeId,
+        /// When the copy was discarded.
+        at: SimTime,
+    },
 }
 
 impl FlightEvent {
@@ -228,7 +241,8 @@ impl FlightEvent {
             | FlightEvent::CounterUpdate { pkt, .. }
             | FlightEvent::Reinject { pkt, .. }
             | FlightEvent::DuplicateSuppressed { pkt, .. }
-            | FlightEvent::Lost { pkt, .. } => Some(*pkt),
+            | FlightEvent::Lost { pkt, .. }
+            | FlightEvent::Discarded { pkt, .. } => Some(*pkt),
             FlightEvent::Phase { .. }
             | FlightEvent::LinkDown { .. }
             | FlightEvent::NodeDown { .. } => None,
@@ -249,400 +263,86 @@ impl FlightEvent {
             | FlightEvent::NodeDown { at, .. }
             | FlightEvent::Reinject { at, .. }
             | FlightEvent::DuplicateSuppressed { at, .. }
-            | FlightEvent::Lost { at, .. } => *at,
+            | FlightEvent::Lost { at, .. }
+            | FlightEvent::Discarded { at, .. } => *at,
             FlightEvent::LinkReserve { start, .. } => *start,
         }
     }
 }
 
-/// Packet-lifecycle hooks. Every method has a no-op default body; a
-/// fabric with no recorder installed skips the calls entirely, so
-/// instrumentation is zero-cost when disabled.
-#[allow(unused_variables)]
-pub trait Recorder {
-    /// A packet was injected. See [`FlightEvent::Inject`] for the
-    /// timestamp semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn on_inject(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        client: u8,
-        dst: Option<NodeId>,
-        at: SimTime,
-        inj_ready: SimTime,
-        inj_start: SimTime,
-        wire_ready: SimTime,
-        payload_bytes: u32,
-    ) {
-    }
-
-    /// A link was reserved for one successful traversal.
-    fn on_link_reserve(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        link: LinkDir,
-        ready: SimTime,
-        start: SimTime,
-        end: SimTime,
-    ) {
-    }
-
-    /// A link-layer retransmission happened.
-    fn on_retransmit(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        link: LinkDir,
-        attempt: u32,
-        at: SimTime,
-    ) {
-    }
-
-    /// A packet head arrived at a node.
-    fn on_hop_enter(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {}
-
-    /// A packet head left a node onto its next link.
-    fn on_hop_exit(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {}
-
-    /// A packet was delivered to its target client.
-    fn on_deliver(&mut self, pkt: PacketId, node: NodeId, client: u8, at: SimTime) {}
-
-    /// A delivery incremented a synchronization counter.
-    #[allow(clippy::too_many_arguments)]
-    fn on_counter_update(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        client: u8,
-        counter: u16,
-        at: SimTime,
-        fire_at: Option<SimTime>,
-    ) {
-    }
-
-    /// The traffic phase label changed.
-    fn on_phase(&mut self, label: &str, at: SimTime) {}
-
-    /// A failure detector condemned one outgoing link.
-    fn on_link_down(&mut self, node: NodeId, link: LinkDir, cause: VerdictCause, at: SimTime) {}
-
-    /// All outgoing links of a node were condemned.
-    fn on_node_down(&mut self, node: NodeId, at: SimTime) {}
-
-    /// A stranded packet re-entered the network after a recovery
-    /// backoff.
-    fn on_reinject(&mut self, pkt: PacketId, node: NodeId, attempt: u32, at: SimTime) {}
-
-    /// A duplicate delivery was suppressed by the counted-write check.
-    fn on_duplicate_suppressed(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {}
-
-    /// The fabric gave one copy of a packet up.
-    fn on_lost(&mut self, pkt: PacketId, node: NodeId, cause: LossCause, at: SimTime) {}
-
-    /// Read access to the underlying [`FlightRecorder`], when this
-    /// recorder is one. Lets a host that installed a recorder behind a
-    /// `Box<dyn Recorder>` read the captured events back without
-    /// dynamic downcasting.
-    fn as_flight(&self) -> Option<&FlightRecorder> {
-        None
-    }
-
-    /// Mutable access to the underlying [`FlightRecorder`], when this
-    /// recorder is one — how a host takes the recorder back after a run.
-    fn as_flight_mut(&mut self) -> Option<&mut FlightRecorder> {
-        None
-    }
-
-    /// Read access to the underlying [`crate::stream::StreamObserver`],
-    /// when this recorder is one — the bounded-memory sibling of
-    /// [`Recorder::as_flight`], used by hosts to pull the streamed
-    /// summary back out of a `Box<dyn Recorder>`.
-    fn as_stream(&self) -> Option<&crate::stream::StreamObserver> {
-        None
-    }
-
-    /// Mutable access to the underlying
-    /// [`crate::stream::StreamObserver`], when this recorder is one: how
-    /// the fabric hands it the [`crate::stream::PacketTrail`]s its
-    /// packets carry.
-    fn as_stream_mut(&mut self) -> Option<&mut crate::stream::StreamObserver> {
-        None
-    }
-
-    /// The underlying [`crate::stream::StreamObserver`] by value, when
-    /// this recorder is one — how a host takes the observer back after a
-    /// run without copying its state.
-    fn into_stream(self: Box<Self>) -> Option<crate::stream::StreamObserver> {
-        None
-    }
-}
-
-/// A recorder that drops everything (the explicit spelling of the
-/// disabled path; a fabric with no recorder installed never even calls
-/// it).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NopRecorder;
-
-impl Recorder for NopRecorder {}
-
-/// How the flight recorder stores events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Storage {
-    /// Keep every event (memory grows with traffic).
-    Unbounded,
-    /// Keep only the most recent `cap` events (the on-chip logic
-    /// analyzer's bounded capture buffer).
-    Ring(usize),
-}
-
-/// A [`Recorder`] that keeps the event stream for offline analysis:
-/// latency attribution ([`crate::breakdown`]), Chrome-trace export
-/// ([`crate::chrome_trace`]), and the tests' lifecycle invariants.
-///
-/// Memory is bounded by [`FlightRecorder::with_ring`], which keeps only
-/// the newest events.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    events: VecDeque<FlightEvent>,
-    storage: Storage,
-    /// Events dropped by the ring buffer.
-    dropped: u64,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new()
-    }
-}
-
-impl FlightRecorder {
-    /// An unbounded recorder capturing every packet.
-    pub fn new() -> FlightRecorder {
-        FlightRecorder {
-            events: VecDeque::new(),
-            storage: Storage::Unbounded,
-            dropped: 0,
-        }
-    }
-
-    /// Ring-buffer mode: keep only the newest `cap` events.
-    pub fn with_ring(mut self, cap: usize) -> FlightRecorder {
-        assert!(cap > 0, "ring capacity must be positive");
-        self.storage = Storage::Ring(cap);
-        self
-    }
-
-    fn push(&mut self, ev: FlightEvent) {
-        if let Storage::Ring(cap) = self.storage {
-            if self.events.len() >= cap {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.events.push_back(ev);
-    }
-
-    /// All kept events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.events.iter()
-    }
-
-    /// Number of kept events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was kept.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted by the ring buffer so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drain the kept events, oldest first.
-    pub fn take_events(&mut self) -> Vec<FlightEvent> {
-        self.events.drain(..).collect()
-    }
-}
-
-impl Recorder for FlightRecorder {
-    fn on_inject(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        client: u8,
-        dst: Option<NodeId>,
-        at: SimTime,
-        inj_ready: SimTime,
-        inj_start: SimTime,
-        wire_ready: SimTime,
-        payload_bytes: u32,
-    ) {
-        self.push(FlightEvent::Inject {
-            pkt,
-            node,
-            client,
-            dst,
-            at,
-            inj_ready,
-            inj_start,
-            wire_ready,
-            payload_bytes,
-        });
-    }
-
-    fn on_link_reserve(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        link: LinkDir,
-        ready: SimTime,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.push(FlightEvent::LinkReserve {
-            pkt,
-            node,
-            link,
-            ready,
-            start,
-            end,
-        });
-    }
-
-    fn on_retransmit(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        link: LinkDir,
-        attempt: u32,
-        at: SimTime,
-    ) {
-        self.push(FlightEvent::Retransmit {
-            pkt,
-            node,
-            link,
-            attempt,
-            at,
-        });
-    }
-
-    fn on_hop_enter(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        self.push(FlightEvent::HopEnter { pkt, node, at });
-    }
-
-    fn on_hop_exit(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        self.push(FlightEvent::HopExit { pkt, node, at });
-    }
-
-    fn on_deliver(&mut self, pkt: PacketId, node: NodeId, client: u8, at: SimTime) {
-        self.push(FlightEvent::Deliver {
-            pkt,
-            node,
-            client,
-            at,
-        });
-    }
-
-    fn on_counter_update(
-        &mut self,
-        pkt: PacketId,
-        node: NodeId,
-        client: u8,
-        counter: u16,
-        at: SimTime,
-        fire_at: Option<SimTime>,
-    ) {
-        self.push(FlightEvent::CounterUpdate {
-            pkt,
-            node,
-            client,
-            counter,
-            at,
-            fire_at,
-        });
-    }
-
-    fn on_phase(&mut self, label: &str, at: SimTime) {
-        self.push(FlightEvent::Phase {
-            label: label.to_owned(),
-            at,
-        });
-    }
-
-    fn on_link_down(&mut self, node: NodeId, link: LinkDir, cause: VerdictCause, at: SimTime) {
-        self.push(FlightEvent::LinkDown {
-            node,
-            link,
-            cause,
-            at,
-        });
-    }
-
-    fn on_node_down(&mut self, node: NodeId, at: SimTime) {
-        self.push(FlightEvent::NodeDown { node, at });
-    }
-
-    fn on_reinject(&mut self, pkt: PacketId, node: NodeId, attempt: u32, at: SimTime) {
-        self.push(FlightEvent::Reinject {
-            pkt,
-            node,
-            attempt,
-            at,
-        });
-    }
-
-    fn on_duplicate_suppressed(&mut self, pkt: PacketId, node: NodeId, at: SimTime) {
-        self.push(FlightEvent::DuplicateSuppressed { pkt, node, at });
-    }
-
-    fn on_lost(&mut self, pkt: PacketId, node: NodeId, cause: LossCause, at: SimTime) {
-        self.push(FlightEvent::Lost {
-            pkt,
-            node,
-            cause,
-            at,
-        });
-    }
-
-    fn as_flight(&self) -> Option<&FlightRecorder> {
-        Some(self)
-    }
-
-    fn as_flight_mut(&mut self) -> Option<&mut FlightRecorder> {
-        Some(self)
-    }
-}
-
+/// Terse event constructors for the crate's unit tests (times in ns,
+/// client 0).
 #[cfg(test)]
-mod tests {
+pub(crate) mod ev {
     use super::*;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
     }
 
-    #[test]
-    fn nop_recorder_compiles_all_defaults() {
-        let mut r = NopRecorder;
-        r.on_hop_enter(PacketId(1), NodeId(0), t(5));
-        r.on_phase("x", t(0));
+    /// `src` injects `pkt` for `dst` (`None`: multicast) with anchors
+    /// `[issued, inj_ready, inj_start, wire_ready]`.
+    pub fn inject(
+        pkt: u64,
+        src: u32,
+        dst: Option<u32>,
+        anchors: [u64; 4],
+        payload_bytes: u32,
+    ) -> FlightEvent {
+        let [at, inj_ready, inj_start, wire_ready] = anchors.map(t);
+        FlightEvent::Inject {
+            pkt: PacketId(pkt),
+            node: NodeId(src),
+            client: 0,
+            dst: dst.map(NodeId),
+            at,
+            inj_ready,
+            inj_start,
+            wire_ready,
+            payload_bytes,
+        }
     }
 
-    #[test]
-    fn ring_buffer_bounds_memory() {
-        let mut r = FlightRecorder::new().with_ring(3);
-        for i in 0..10 {
-            r.on_hop_enter(PacketId(i), NodeId(0), t(i));
+    /// `node`'s outgoing link number `link` reserved at `[ready, start,
+    /// end]`.
+    pub fn reserve(pkt: u64, node: u32, link: usize, times: [u64; 3]) -> FlightEvent {
+        let [ready, start, end] = times.map(t);
+        FlightEvent::LinkReserve {
+            pkt: PacketId(pkt),
+            node: NodeId(node),
+            link: LinkDir::from_index(link),
+            ready,
+            start,
+            end,
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 7);
-        let first = r.events().next().unwrap();
-        assert_eq!(first.packet(), Some(PacketId(7)));
+    }
+
+    pub fn hop_enter(pkt: u64, node: u32, at: u64) -> FlightEvent {
+        FlightEvent::HopEnter {
+            pkt: PacketId(pkt),
+            node: NodeId(node),
+            at: t(at),
+        }
+    }
+
+    pub fn deliver(pkt: u64, node: u32, at: u64) -> FlightEvent {
+        FlightEvent::Deliver {
+            pkt: PacketId(pkt),
+            node: NodeId(node),
+            client: 0,
+            at: t(at),
+        }
+    }
+
+    /// A delivery at `at` bumped `counter`, firing a watch at `fire`.
+    pub fn counter(pkt: u64, node: u32, counter: u16, at: u64, fire: Option<u64>) -> FlightEvent {
+        FlightEvent::CounterUpdate {
+            pkt: PacketId(pkt),
+            node: NodeId(node),
+            client: 0,
+            counter,
+            at: t(at),
+            fire_at: fire.map(t),
+        }
     }
 }

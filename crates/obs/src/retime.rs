@@ -201,7 +201,7 @@ pub fn retime_blamed(g: &CausalGraph, p: &Perturbation) -> (Retimed, Blame) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{FlightRecorder, PacketId, Recorder};
+    use crate::causal::tests::one_hop_events;
     use anton_topo::TorusDims;
 
     fn ns(v: u64) -> SimTime {
@@ -209,32 +209,7 @@ mod tests {
     }
 
     fn one_hop_graph() -> CausalGraph {
-        let mut r = FlightRecorder::new();
-        let pkt = PacketId(0);
-        r.on_inject(
-            pkt,
-            NodeId(0),
-            0,
-            Some(NodeId(1)),
-            ns(0),
-            ns(36),
-            ns(36),
-            ns(55),
-            0,
-        );
-        r.on_link_reserve(
-            pkt,
-            NodeId(0),
-            LinkDir::from_index(0),
-            ns(55),
-            ns(55),
-            ns(57),
-        );
-        r.on_hop_enter(pkt, NodeId(1), ns(95));
-        r.on_deliver(pkt, NodeId(1), 0, ns(162));
-        r.on_counter_update(pkt, NodeId(1), 0, 7, ns(162), Some(ns(162)));
-        let events = r.take_events();
-        CausalGraph::build(TorusDims::new(4, 4, 4), &events, |_| {
+        CausalGraph::build(TorusDims::new(4, 4, 4), &one_hop_events(), |_| {
             SimDuration::from_ns(2)
         })
     }

@@ -1,5 +1,5 @@
-//! Streaming bounded-memory observability: mergeable sketches plus a
-//! [`Recorder`] that folds lifecycles at delivery instead of keeping the
+//! Streaming bounded-memory observability: mergeable sketches plus an
+//! observer that folds lifecycles at delivery instead of keeping the
 //! event stream.
 //!
 //! Every earlier observability layer (flight recording, causal graphs,
@@ -24,7 +24,7 @@
 //!   [`PacketLifecycle`]s for causal/blame spot checks. The kept set
 //!   depends only on (seed, packet id), never on arrival order, so
 //!   shard merges reproduce the sequential sample bit-exactly.
-//! - [`StreamObserver`] — the [`Recorder`] gluing it together: each
+//! - [`StreamObserver`] — the observer gluing it together: each
 //!   unicast packet carries its lifecycle so far, a [`PacketTrail`], and
 //!   the observer folds it into the 5-stage attribution at delivery
 //!   (watermark-lazily, because the counter-visibility event lands at
@@ -43,7 +43,7 @@
 use crate::breakdown::{BreakdownSummary, FoldStats, PacketLifecycle, Stage};
 use crate::memory::{MemScope, MemTag};
 use crate::metrics::MetricsRegistry;
-use crate::recorder::{LossCause, PacketId, Recorder};
+use crate::recorder::{FlightEvent, PacketId};
 use anton_des::{SimDuration, SimTime};
 use anton_topo::{LinkDir, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -541,34 +541,22 @@ impl<T: Clone> Reservoir<T> {
     }
 }
 
-/// Configuration for [`StreamObserver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Full lifecycles kept for spot checks (bottom-k sample).
-    pub reservoir: usize,
-    /// Reservoir sampling seed.
-    pub seed: u64,
-    /// Streaming capacity of the per-link heavy-hitter table.
-    pub topk: usize,
-}
+/// Full lifecycles a [`StreamObserver`] keeps for spot checks (the
+/// bottom-k sample of its [`Reservoir`]).
+pub const RESERVOIR: usize = 64;
+/// Reservoir sampling seed (fixed, so every run keeps the same sample).
+pub const RESERVOIR_SEED: u64 = 0x0162_0162_0162_0162;
+/// Streaming capacity of the per-link heavy-hitter table (covers every
+/// link of tori up to ~680 nodes exactly; beyond that the table
+/// approximates).
+pub const TOPK: usize = 4096;
 
-/// Default reservoir sample size.
-pub const DEFAULT_RESERVOIR: usize = 64;
-/// Default reservoir seed (fixed so runs are reproducible by default).
-pub const DEFAULT_SEED: u64 = 0x0162_0162_0162_0162;
-/// Default heavy-hitter streaming capacity (covers every link of tori
-/// up to ~680 nodes exactly; beyond that the table approximates).
-pub const DEFAULT_TOPK: usize = 4096;
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            reservoir: DEFAULT_RESERVOIR,
-            seed: DEFAULT_SEED,
-            topk: DEFAULT_TOPK,
-        }
-    }
-}
+/// The stream observer has no settings: its sample size, seed and
+/// heavy-hitter capacity are [`RESERVOIR`], [`RESERVOIR_SEED`] and
+/// [`TOPK`]. This fieldless value remains for the callers that still
+/// pass one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StreamConfig;
 
 /// One unicast packet's lifecycle so far, carried inside the packet
 /// from injection to the slab that delivers it.
@@ -677,15 +665,15 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    /// New empty summary under `cfg`.
-    pub fn new(cfg: StreamConfig) -> StreamSummary {
+    /// New empty summary.
+    fn new() -> StreamSummary {
         StreamSummary {
             stage_moments: [StreamingMoments::new(); 5],
             stage_sketches: std::array::from_fn(|_| QuantileSketch::new()),
             e2e_moments: StreamingMoments::new(),
             e2e_sketch: QuantileSketch::new(),
-            link_busy: SpaceSavingTopK::new(cfg.topk),
-            reservoir: Reservoir::new(cfg.reservoir, cfg.seed),
+            link_busy: SpaceSavingTopK::new(TOPK),
+            reservoir: Reservoir::new(RESERVOIR, RESERVOIR_SEED),
             reservoir_bytes: 0,
             fold: FoldStats::default(),
             retransmits: 0,
@@ -847,9 +835,8 @@ impl StreamFootprint {
     }
 }
 
-/// The bounded-memory [`Recorder`]: folds each delivered unicast
-/// packet's [`PacketTrail`] into the 5-stage attribution and drops the
-/// events.
+/// The bounded-memory observer: folds each delivered unicast packet's
+/// [`PacketTrail`] into the 5-stage attribution and drops the events.
 ///
 /// Trails fold **lazily behind a watermark**: the fabric reports the
 /// synchronization-counter update at the *same instant* as the delivery
@@ -862,7 +849,6 @@ impl StreamFootprint {
 /// trail; they are counted at injection, as the offline fold skips them.
 #[derive(Debug)]
 pub struct StreamObserver {
-    cfg: StreamConfig,
     agg: StreamSummary,
     /// `nodes[i]`: node `i` belongs to this observer's slab. `None`
     /// observes the whole machine.
@@ -872,7 +858,7 @@ pub struct StreamObserver {
     /// Modeled hop-list bytes of the counted trails.
     trail_hop_bytes: u64,
     /// Delivered packets waiting for the watermark to pass their
-    /// instant. Each was pushed after its hook raised the watermark to
+    /// instant. Each was pushed after its `Deliver` raised the watermark to
     /// at least its instant, so every rise of the watermark folds all of
     /// them.
     pending: Vec<Pending>,
@@ -882,11 +868,10 @@ pub struct StreamObserver {
 }
 
 impl StreamObserver {
-    /// New observer of the whole machine under `cfg`.
-    pub fn new(cfg: StreamConfig) -> StreamObserver {
+    /// New observer of the whole machine.
+    pub(crate) fn new() -> StreamObserver {
         StreamObserver {
-            cfg,
-            agg: StreamSummary::new(cfg),
+            agg: StreamSummary::new(),
             nodes: None,
             trails: 0,
             trail_hop_bytes: 0,
@@ -897,18 +882,66 @@ impl StreamObserver {
         }
     }
 
-    /// New observer of one slab under `cfg`: `nodes[i]` is true for the
-    /// nodes the slab owns, whose trails it counts.
-    pub fn for_slab(cfg: StreamConfig, nodes: Vec<bool>) -> StreamObserver {
+    /// New observer of one slab: `nodes[i]` is true for the nodes the
+    /// slab owns, whose trails it counts.
+    pub fn for_slab(nodes: Vec<bool>) -> StreamObserver {
         StreamObserver {
             nodes: Some(nodes),
-            ..StreamObserver::new(cfg)
+            ..StreamObserver::new()
         }
     }
 
-    /// The configuration this observer was built with.
-    pub fn config(&self) -> StreamConfig {
-        self.cfg
+    /// Fold one flight event. The observer ticks on the events of a
+    /// packet's way to its delivery and on phase marks: it raises its
+    /// watermark to the event's time ([`FlightEvent::at`]), folding every
+    /// delivery waiting behind it, and samples its footprint peak.
+    /// `HopExit`, the recovery verdicts and re-injections, suppressed
+    /// duplicates and discarded copies pass without a tick.
+    pub fn record(&mut self, ev: &FlightEvent) {
+        let _scope = MemScope::new(MemTag::Obs);
+        match *ev {
+            FlightEvent::Inject { dst, at, .. } => {
+                self.tick(at);
+                match dst {
+                    Some(_) => self.agg.injected += 1,
+                    None => self.agg.fold.multicast += 1,
+                }
+            }
+            FlightEvent::LinkReserve {
+                node,
+                link,
+                start,
+                end,
+                ..
+            } => {
+                self.tick(start);
+                self.agg
+                    .link_busy
+                    .offer((node.0, link.index() as u8), end.since(start).as_ps());
+            }
+            FlightEvent::CounterUpdate {
+                pkt, at, fire_at, ..
+            } => {
+                self.tick(at);
+                if let Some(f) = fire_at {
+                    // The delivery this update belongs to was just pushed.
+                    if let Some(p) = self.pending.iter_mut().rev().find(|p| p.pkt == pkt) {
+                        p.fired = Some(p.fired.map_or(f, |old| old.min(f)));
+                    }
+                }
+            }
+            FlightEvent::Retransmit { at, .. }
+            | FlightEvent::HopEnter { at, .. }
+            | FlightEvent::Deliver { at, .. }
+            | FlightEvent::Phase { at, .. }
+            | FlightEvent::Lost { at, .. } => self.tick(at),
+            FlightEvent::HopExit { .. }
+            | FlightEvent::LinkDown { .. }
+            | FlightEvent::NodeDown { .. }
+            | FlightEvent::Reinject { .. }
+            | FlightEvent::DuplicateSuppressed { .. }
+            | FlightEvent::Discarded { .. } => {}
+        }
     }
 
     /// Current modeled heap footprint in bytes: the aggregates, the
@@ -917,7 +950,7 @@ impl StreamObserver {
     /// measurement — pair with [`crate::memory`] for the real numbers —
     /// so it is deterministic across runs and budgets on it are
     /// CI-gateable. O(1): the reservoir's and the trails' vector bytes
-    /// are counters kept in step with their containers, so every hook
+    /// are counters kept in step with their containers, so every tick
     /// reads it for the peak.
     pub fn approx_bytes(&self) -> u64 {
         self.agg.aggregate_bytes()
@@ -944,8 +977,9 @@ impl StreamObserver {
         self.agg
     }
 
-    /// A trail for a unicast packet injected on this slab, after
-    /// [`Recorder::on_inject`] saw it. Allocated under [`MemTag::Obs`].
+    /// A trail for a unicast packet injected on this slab, after its
+    /// [`FlightEvent::Inject`] was recorded. Allocated under
+    /// [`MemTag::Obs`].
     pub fn open_trail(
         &mut self,
         issued: SimTime,
@@ -966,7 +1000,7 @@ impl StreamObserver {
     }
 
     /// The trail's packet entered one of this slab's nodes at `at`
-    /// (after [`Recorder::on_hop_enter`]); a trail from another slab
+    /// (after its [`FlightEvent::HopEnter`]); a trail from another slab
     /// joins the count.
     pub fn trail_enters(&mut self, trail: &mut PacketTrail, at: SimTime) {
         let _scope = MemScope::new(MemTag::Obs);
@@ -1005,8 +1039,8 @@ impl StreamObserver {
     }
 
     /// The unicast packet `pkt` from `src` was delivered at `dst` at
-    /// `delivered` (after [`Recorder::on_deliver`]): its trail waits for
-    /// the watermark to pass that instant, then folds.
+    /// `delivered` (after its [`FlightEvent::Deliver`]): its trail waits
+    /// for the watermark to pass that instant, then folds.
     pub fn fold_trail(
         &mut self,
         pkt: PacketId,
@@ -1081,112 +1115,12 @@ impl StreamObserver {
     }
 }
 
-impl Recorder for StreamObserver {
-    fn on_inject(
-        &mut self,
-        _pkt: PacketId,
-        _node: NodeId,
-        _client: u8,
-        dst: Option<NodeId>,
-        at: SimTime,
-        _inj_ready: SimTime,
-        _inj_start: SimTime,
-        _wire_ready: SimTime,
-        _payload_bytes: u32,
-    ) {
-        let _scope = MemScope::new(MemTag::Obs);
-        self.tick(at);
-        match dst {
-            Some(_) => self.agg.injected += 1,
-            None => self.agg.fold.multicast += 1,
-        }
-    }
-
-    fn on_link_reserve(
-        &mut self,
-        _pkt: PacketId,
-        node: NodeId,
-        link: LinkDir,
-        _ready: SimTime,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let _scope = MemScope::new(MemTag::Obs);
-        self.tick(start);
-        self.agg
-            .link_busy
-            .offer((node.0, link.index() as u8), end.since(start).as_ps());
-    }
-
-    fn on_retransmit(
-        &mut self,
-        _pkt: PacketId,
-        _node: NodeId,
-        _link: LinkDir,
-        _attempt: u32,
-        at: SimTime,
-    ) {
-        let _scope = MemScope::new(MemTag::Obs);
-        self.tick(at);
-    }
-
-    fn on_hop_enter(&mut self, _pkt: PacketId, _node: NodeId, at: SimTime) {
-        let _scope = MemScope::new(MemTag::Obs);
-        self.tick(at);
-    }
-
-    fn on_deliver(&mut self, _pkt: PacketId, _node: NodeId, _client: u8, at: SimTime) {
-        let _scope = MemScope::new(MemTag::Obs);
-        self.tick(at);
-    }
-
-    fn on_counter_update(
-        &mut self,
-        pkt: PacketId,
-        _node: NodeId,
-        _client: u8,
-        _counter: u16,
-        at: SimTime,
-        fire_at: Option<SimTime>,
-    ) {
-        let _scope = MemScope::new(MemTag::Obs);
-        self.tick(at);
-        if let Some(f) = fire_at {
-            // The delivery this update belongs to was just pushed.
-            if let Some(p) = self.pending.iter_mut().rev().find(|p| p.pkt == pkt) {
-                p.fired = Some(p.fired.map_or(f, |old| old.min(f)));
-            }
-        }
-    }
-
-    fn on_phase(&mut self, _label: &str, at: SimTime) {
-        self.tick(at);
-    }
-
-    fn on_lost(&mut self, _pkt: PacketId, _node: NodeId, _cause: LossCause, at: SimTime) {
-        let _scope = MemScope::new(MemTag::Obs);
-        self.tick(at);
-    }
-
-    fn as_stream(&self) -> Option<&StreamObserver> {
-        Some(self)
-    }
-
-    fn as_stream_mut(&mut self) -> Option<&mut StreamObserver> {
-        Some(self)
-    }
-
-    fn into_stream(self: Box<Self>) -> Option<StreamObserver> {
-        Some(*self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::breakdown::fold_lifecycles;
     use crate::metrics::LogHistogram;
-    use crate::recorder::{FlightRecorder, Recorder};
+    use crate::recorder::{ev, LossCause, VerdictCause};
 
     #[test]
     fn sketch_buckets_partition_u64() {
@@ -1283,25 +1217,25 @@ mod tests {
         assert_eq!(fwd.len(), 4);
     }
 
-    /// The fabric's side of the hooks, for tests: every event goes to a
-    /// flight recorder and to a stream observer, and the observer also
-    /// gets the trail calls the fabric makes around them.
+    /// The fabric's side, for tests: every event goes to a flight record
+    /// and to a stream observer, and the observer also gets the trail
+    /// calls the fabric makes around them.
     struct Both {
-        flight: FlightRecorder,
+        flight: Vec<FlightEvent>,
         stream: StreamObserver,
     }
 
     impl Both {
-        fn new(cfg: StreamConfig) -> Both {
+        fn new() -> Both {
             Both {
-                flight: FlightRecorder::new(),
-                stream: StreamObserver::new(cfg),
+                flight: Vec::new(),
+                stream: StreamObserver::new(),
             }
         }
 
-        fn each(&mut self, mut hook: impl FnMut(&mut dyn Recorder)) {
-            hook(&mut self.flight);
-            hook(&mut self.stream);
+        fn record(&mut self, ev: FlightEvent) {
+            self.stream.record(&ev);
+            self.flight.push(ev);
         }
 
         /// Inject `pkt` at `src` with anchors `[issued, inj_ready,
@@ -1314,28 +1248,17 @@ mod tests {
             anchors: [u64; 3],
             bytes: u32,
         ) -> Option<Box<PacketTrail>> {
+            let [issued, inj_ready, wire_ready] = anchors;
+            let ports = [issued, inj_ready, inj_ready, wire_ready];
+            self.record(ev::inject(pkt, src, dst, ports, bytes));
             let [issued, inj_ready, wire_ready] = anchors.map(SimTime::from_ns);
-            self.each(|rec| {
-                rec.on_inject(
-                    PacketId(pkt),
-                    NodeId(src),
-                    0,
-                    dst.map(NodeId),
-                    issued,
-                    inj_ready,
-                    inj_ready,
-                    wire_ready,
-                    bytes,
-                );
-            });
             dst.map(|_| self.stream.open_trail(issued, inj_ready, wire_ready))
         }
 
         fn hop(&mut self, pkt: u64, trail: Option<&mut PacketTrail>, node: u32, at: u64) {
-            let at = SimTime::from_ns(at);
-            self.each(|rec| rec.on_hop_enter(PacketId(pkt), NodeId(node), at));
+            self.record(ev::hop_enter(pkt, node, at));
             if let Some(trail) = trail {
-                self.stream.trail_enters(trail, at);
+                self.stream.trail_enters(trail, SimTime::from_ns(at));
             }
         }
 
@@ -1348,18 +1271,20 @@ mod tests {
             at: u64,
             fired: Option<u64>,
         ) {
-            let at = SimTime::from_ns(at);
-            self.each(|rec| rec.on_deliver(PacketId(pkt), NodeId(node), 0, at));
+            self.record(ev::deliver(pkt, node, at));
             if let Some(trail) = trail {
+                let (src, node, at) = (NodeId(src), NodeId(node), SimTime::from_ns(at));
                 self.stream
-                    .fold_trail(PacketId(pkt), NodeId(src), NodeId(node), at, 32, trail);
+                    .fold_trail(PacketId(pkt), src, node, at, 32, trail);
             }
-            let fire_at = fired.map(SimTime::from_ns);
-            self.each(|rec| rec.on_counter_update(PacketId(pkt), NodeId(node), 0, 3, at, fire_at));
+            self.record(ev::counter(pkt, node, 3, at, fired));
         }
 
         fn phase(&mut self, at: u64) {
-            self.each(|rec| rec.on_phase("next", SimTime::from_ns(at)));
+            self.record(FlightEvent::Phase {
+                label: "next".into(),
+                at: SimTime::from_ns(at),
+            });
         }
     }
 
@@ -1367,13 +1292,13 @@ mod tests {
     /// would, and cross-check against the offline fold.
     #[test]
     fn observer_matches_offline_fold() {
-        let mut both = Both::new(StreamConfig::default());
+        let mut both = Both::new();
         let mut trail = both.inject(7, 0, Some(1), [0, 36, 55], 32);
         both.hop(7, trail.as_deref_mut(), 1, 95);
         both.deliver(7, trail, 0, 1, 120, Some(162));
         // A later event moves the watermark past the delivery.
         both.phase(200);
-        let (lifecycles, stats) = fold_lifecycles(both.flight.events());
+        let (lifecycles, stats) = fold_lifecycles(&both.flight);
         let exact = BreakdownSummary::from_lifecycles(&lifecycles);
         // The watermark flush already folded it: nothing is left.
         assert_eq!((both.stream.trails, both.stream.pending.len()), (0, 0));
@@ -1386,39 +1311,91 @@ mod tests {
         assert_eq!(kept[0], &lifecycles[0]);
     }
 
+    /// The observer ticks on the events of a packet's way to its
+    /// delivery and on phase marks, and on nothing else. A delivery
+    /// waiting for the watermark stays pending through a hop exit, a
+    /// link and a node verdict, a re-injection, a suppressed duplicate
+    /// and a discarded copy, all stamped later, and none of them samples
+    /// the footprint peak; a later phase mark folds it.
+    #[test]
+    fn only_forward_path_events_and_phase_marks_tick() {
+        let t = SimTime::from_ns;
+        let mut both = Both::new();
+        let trail = both.inject(7, 0, Some(1), [0, 36, 55], 32);
+        both.deliver(7, trail, 0, 1, 120, Some(162));
+        // Issued at the delivery instant, so the watermark stays put;
+        // its trail lifts the footprint past the sampled peak, and any
+        // tick from here on would sample it.
+        let in_flight = both.inject(8, 2, Some(3), [120, 130, 140], 16);
+        let peak = both.stream.footprint().peak_bytes;
+        assert!(both.stream.approx_bytes() > peak);
+        let (pkt, node) = (PacketId(8), NodeId(2));
+        let link = LinkDir::from_index(0);
+        for ev in [
+            FlightEvent::HopExit {
+                pkt,
+                node,
+                at: t(300),
+            },
+            FlightEvent::LinkDown {
+                node,
+                link,
+                cause: VerdictCause::Heartbeat,
+                at: t(310),
+            },
+            FlightEvent::NodeDown { node, at: t(320) },
+            FlightEvent::Reinject {
+                pkt,
+                node,
+                attempt: 1,
+                at: t(330),
+            },
+            FlightEvent::DuplicateSuppressed {
+                pkt: PacketId(7),
+                node: NodeId(1),
+                at: t(340),
+            },
+            FlightEvent::Discarded {
+                pkt: PacketId(9),
+                node: NodeId(1),
+                at: t(350),
+            },
+        ] {
+            both.stream.record(&ev);
+            assert_eq!(both.stream.pending.len(), 1, "{ev:?} folded the delivery");
+            assert_eq!(both.stream.footprint().peak_bytes, peak, "{ev:?} sampled");
+        }
+        both.phase(400);
+        assert!(both.stream.pending.is_empty());
+        assert_eq!(both.stream.agg.fold.complete, 1);
+        drop(in_flight);
+    }
+
     /// One packet's path, split over the observers `owner` assigns each
     /// node to: injected at node 0, one hop to node 4, across to node 9
     /// and delivered there. Each step runs on the observer owning its
     /// node, as it would on that node's slab.
     fn cross_path(obs: &mut [StreamObserver], owner: fn(u32) -> usize) {
         let t = SimTime::from_ns;
-        let pkt = PacketId(1);
-        let xp = LinkDir::from_index(0);
-        obs[owner(0)].on_inject(
-            pkt,
-            NodeId(0),
-            0,
-            Some(NodeId(9)),
-            t(0),
-            t(30),
-            t(30),
-            t(50),
-            32,
-        );
+        obs[owner(0)].record(&ev::inject(1, 0, Some(9), [0, 30, 30, 50], 32));
         let mut trail = obs[owner(0)].open_trail(t(0), t(30), t(50));
-        obs[owner(0)].on_link_reserve(pkt, NodeId(0), xp, t(50), t(50), t(90));
+        obs[owner(0)].record(&ev::reserve(1, 0, 0, [50, 50, 90]));
         obs[owner(0)].trail_heads_to(&mut trail, NodeId(4));
-        obs[owner(4)].on_hop_enter(pkt, NodeId(4), t(90));
+        obs[owner(4)].record(&ev::hop_enter(1, 4, 90));
         obs[owner(4)].trail_enters(&mut trail, t(90));
-        obs[owner(4)].on_link_reserve(pkt, NodeId(4), xp, t(100), t(100), t(140));
+        obs[owner(4)].record(&ev::reserve(1, 4, 0, [100, 100, 140]));
         obs[owner(4)].trail_heads_to(&mut trail, NodeId(9));
-        obs[owner(9)].on_hop_enter(pkt, NodeId(9), t(150));
+        obs[owner(9)].record(&ev::hop_enter(1, 9, 150));
         obs[owner(9)].trail_enters(&mut trail, t(150));
-        obs[owner(9)].on_deliver(pkt, NodeId(9), 0, t(200));
-        obs[owner(9)].fold_trail(pkt, NodeId(0), NodeId(9), t(200), 32, trail);
-        obs[owner(9)].on_counter_update(pkt, NodeId(9), 0, 3, t(200), Some(t(240)));
+        obs[owner(9)].record(&ev::deliver(1, 9, 200));
+        obs[owner(9)].fold_trail(PacketId(1), NodeId(0), NodeId(9), t(200), 32, trail);
+        obs[owner(9)].record(&ev::counter(1, 9, 3, 200, Some(240)));
+        let end = FlightEvent::Phase {
+            label: "end".into(),
+            at: t(500),
+        };
         for o in obs.iter_mut() {
-            o.on_phase("end", t(500));
+            o.record(&end);
         }
     }
 
@@ -1429,13 +1406,12 @@ mod tests {
     /// trail only while it held it.
     #[test]
     fn a_trail_folds_on_the_slab_that_delivers_it() {
-        let cfg = StreamConfig::default();
-        let mut whole = [StreamObserver::new(cfg)];
+        let mut whole = [StreamObserver::new()];
         cross_path(&mut whole, |_| 0);
         let halves = |low: bool| (0..10).map(|i| (i < 5) == low).collect();
         let mut slabs = [
-            StreamObserver::for_slab(cfg, halves(true)),
-            StreamObserver::for_slab(cfg, halves(false)),
+            StreamObserver::for_slab(halves(true)),
+            StreamObserver::for_slab(halves(false)),
         ];
         cross_path(&mut slabs, |node| usize::from(node >= 5));
         for slab in &slabs {
@@ -1459,7 +1435,7 @@ mod tests {
 
     #[test]
     fn multicast_and_incomplete_classified_like_offline_fold() {
-        let mut both = Both::new(StreamConfig::default());
+        let mut both = Both::new();
         // Multicast: dst None, two deliveries, no trail.
         assert!(both.inject(1, 0, None, [0, 10, 20], 16).is_none());
         both.deliver(1, None, 0, 2, 50, None);
@@ -1467,7 +1443,7 @@ mod tests {
         // Incomplete: injected, never delivered.
         let in_flight = both.inject(2, 4, Some(5), [0, 10, 20], 16);
         both.phase(1_000);
-        let (_, stats) = fold_lifecycles(both.flight.events());
+        let (_, stats) = fold_lifecycles(&both.flight);
         assert_eq!(
             both.stream.trails, 1,
             "the undelivered packet still holds its trail"
@@ -1482,11 +1458,7 @@ mod tests {
 
     #[test]
     fn footprint_is_bounded_and_tracked() {
-        let mut both = Both::new(StreamConfig {
-            reservoir: 2,
-            seed: 1,
-            topk: 8,
-        });
+        let mut both = Both::new();
         for i in 0..1_000u64 {
             let at = 10 * i;
             let trail = both.inject(i, 0, Some(1), [at; 3], 16);
@@ -1501,7 +1473,7 @@ mod tests {
         let mut s = obs.into_summary();
         s.finalize();
         assert_eq!(s.fold.complete, 1_000);
-        assert_eq!(s.reservoir().len(), 2);
+        assert_eq!(s.reservoir().len(), RESERVOIR);
         assert!(fp.peak_bytes < 128 * 1024, "peak bytes {}", fp.peak_bytes);
     }
 
@@ -1539,20 +1511,18 @@ mod tests {
         sketches + topk + reservoir + flying + pending
     }
 
-    /// A synthesized stream through a small reservoir and a small
-    /// top-k: overlapping unicast packets over more links than the
-    /// table holds, retransmits, a forked copy suppressed as a
+    /// A synthesized stream past the reservoir's and the heavy-hitter
+    /// table's capacity: a hundred overlapping unicast packets over 5,000
+    /// distinct links, retransmits, a forked copy suppressed as a
     /// duplicate, a lost packet, a multicast packet and a packet never
-    /// delivered. After every hook and trail call the cached footprint
+    /// delivered. After every event and trail call the cached footprint
     /// equals the walked one.
     #[test]
     fn footprint_matches_the_walked_reference() {
+        const PACKETS: u64 = 100;
+        const LINKS_EACH: u64 = 50;
         let t = SimTime::from_ns;
-        let mut both = Both::new(StreamConfig {
-            reservoir: 3,
-            seed: 5,
-            topk: 4,
-        });
+        let mut both = Both::new();
         let mut flying: BTreeMap<u64, Box<PacketTrail>> = BTreeMap::new();
         let mut steps = 0;
         let mut check = |both: &Both, flying: &BTreeMap<u64, Box<PacketTrail>>| {
@@ -1564,26 +1534,27 @@ mod tests {
                 flying.len() + both.stream.pending.len()
             );
         };
-        for i in 0..40u64 {
+        for i in 0..PACKETS {
             let at = 50 * i;
             let trail = both.inject(i, i as u32 % 8, Some(9), [at, at + 10, at + 20], 32);
             flying.insert(i, trail.expect("unicast"));
             check(&both, &flying);
-            // Eleven links: the four-entry table evicts.
-            let link = LinkDir::from_index(i as usize % 6);
-            both.each(|rec| {
-                rec.on_link_reserve(
-                    PacketId(i),
-                    NodeId(i as u32 % 11),
-                    link,
-                    t(at + 20),
-                    t(at + 25),
-                    t(at + 60),
-                )
-            });
-            check(&both, &flying);
+            // Each packet reserves links no other packet does: the
+            // table fills at 4,096 and evicts from then on.
+            for k in 0..LINKS_EACH {
+                let key = i * LINKS_EACH + k;
+                let (node, link) = ((key / 6) as u32, (key % 6) as usize);
+                both.record(ev::reserve(i, node, link, [at + 20, at + 25, at + 60]));
+                check(&both, &flying);
+            }
             if i % 7 == 0 {
-                both.each(|rec| rec.on_retransmit(PacketId(i), NodeId(0), link, 1, t(at + 30)));
+                both.record(FlightEvent::Retransmit {
+                    pkt: PacketId(i),
+                    node: NodeId(0),
+                    link: LinkDir::from_index(0),
+                    attempt: 1,
+                    at: t(at + 30),
+                });
                 flying.get_mut(&i).unwrap().retransmitted();
                 check(&both, &flying);
             }
@@ -1602,8 +1573,11 @@ mod tests {
                 check(&both, &flying);
             }
             if i == 20 {
-                both.each(|rec| {
-                    rec.on_lost(PacketId(i), NodeId(3), LossCause::NoRoute, t(at + 150))
+                both.record(FlightEvent::Lost {
+                    pkt: PacketId(i),
+                    node: NodeId(3),
+                    cause: LossCause::NoRoute,
+                    at: t(at + 150),
                 });
                 both.stream.close_trail(flying.remove(&i).unwrap());
                 check(&both, &flying);
@@ -1614,38 +1588,55 @@ mod tests {
             check(&both, &flying);
             if i == 13 {
                 let copy = flying.remove(&(1_000 + i)).unwrap();
-                both.each(|rec| rec.on_duplicate_suppressed(PacketId(i), NodeId(9), t(at + 260)));
+                both.record(FlightEvent::DuplicateSuppressed {
+                    pkt: PacketId(i),
+                    node: NodeId(9),
+                    at: t(at + 260),
+                });
                 both.stream.close_trail(copy);
                 check(&both, &flying);
             }
         }
+        let end = 50 * PACKETS + 1_000;
         assert!(both
-            .inject(100, 0, None, [3_000, 3_010, 3_020], 16)
+            .inject(PACKETS, 0, None, [end, end + 10, end + 20], 16)
             .is_none());
         check(&both, &flying);
-        for (node, at) in [(2, 3_100), (3, 3_150)] {
-            both.deliver(100, None, 0, node, at, None);
+        for (node, at) in [(2, end + 100), (3, end + 150)] {
+            both.deliver(PACKETS, None, 0, node, at, None);
             check(&both, &flying);
         }
-        let never = both.inject(101, 4, Some(5), [3_200, 3_210, 3_220], 16);
-        flying.insert(101, never.expect("unicast"));
+        let never = both.inject(
+            PACKETS + 1,
+            4,
+            Some(5),
+            [end + 200, end + 210, end + 220],
+            16,
+        );
+        flying.insert(PACKETS + 1, never.expect("unicast"));
         check(&both, &flying);
-        both.hop(101, flying.get_mut(&101).map(|t| &mut **t), 5, 3_300);
+        both.hop(
+            PACKETS + 1,
+            flying.get_mut(&(PACKETS + 1)).map(|t| &mut **t),
+            5,
+            end + 300,
+        );
         check(&both, &flying);
-        both.phase(10_000);
+        both.phase(end + 10_000);
         check(&both, &flying);
 
-        // The small tables really overflowed.
+        // Both tables really overflowed.
         let obs = both.stream;
-        assert_eq!(obs.agg.reservoir.len(), 3);
-        assert!(obs.agg.link_busy.top(4).iter().any(|(_, e)| e.err > 0));
+        assert_eq!(obs.agg.reservoir.len(), RESERVOIR);
+        assert_eq!(obs.agg.link_busy.len(), TOPK);
+        assert!(obs.agg.link_busy.top(TOPK).iter().any(|(_, e)| e.err > 0));
         assert!(obs.footprint().peak_bytes >= walked_bytes(&obs, flying.values().map(|t| &**t)));
         let mut s = obs.into_summary();
         s.finalize();
         assert_eq!(
             s.fold,
             FoldStats {
-                complete: 39,
+                complete: PACKETS - 1,
                 incomplete: 2,
                 multicast: 1,
             }

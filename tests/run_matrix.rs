@@ -267,9 +267,9 @@ fn chaos_run(spec: &ScenarioSpec, cfg: RunConfig) -> (RecoveringOutcome, Observe
 
 /// Two recovering cells that lose packets, flight-recorded: every copy
 /// of a packet — the one injected, plus one per ack-ambiguity fork —
-/// ends in exactly one of `Deliver`, `DuplicateSuppressed` or `Lost`,
-/// nothing follows a `Lost`, and the `Lost` events are exactly the
-/// fabric's `packets_lost`.
+/// ends in exactly one of `Deliver`, `DuplicateSuppressed`, `Discarded`
+/// or `Lost`, nothing follows a `Lost`, and the `Lost` events are
+/// exactly the fabric's `packets_lost`.
 #[test]
 fn every_packet_copy_ends_in_one_terminal_event() {
     for (seed, level, lost, reinjections) in [(17, 1, 3, 1), (1, 2, 3, 6)] {
@@ -292,7 +292,9 @@ fn every_packet_copy_ends_in_one_terminal_event() {
                 FlightEvent::Inject { pkt, .. } => {
                     assert!(ends.insert(pkt, (0, false)).is_none(), "{label}: {pkt:?}");
                 }
-                FlightEvent::Deliver { pkt, .. } | FlightEvent::DuplicateSuppressed { pkt, .. } => {
+                FlightEvent::Deliver { pkt, .. }
+                | FlightEvent::DuplicateSuppressed { pkt, .. }
+                | FlightEvent::Discarded { pkt, .. } => {
                     ends.get_mut(&pkt).expect("injected").0 += 1;
                 }
                 FlightEvent::Lost { pkt, .. } => {
